@@ -1,5 +1,5 @@
-// Benchmark harness: one entry per experiment (E1..E12, see DESIGN.md and
-// EXPERIMENTS.md). The paper is a theory paper without tables or figures;
+// Benchmark harness: one entry per experiment (E1..E12, see
+// internal/experiments and EXPERIMENTS.md). The paper is a theory paper without tables or figures;
 // each benchmark regenerates the measurements that validate one of its
 // claims and reports headline numbers as custom metrics. Violations of a
 // claim fail the benchmark.
@@ -90,7 +90,7 @@ func BenchmarkSolveScaling(b *testing.B) {
 }
 
 // BenchmarkEngines compares both derandomization engines head-to-head on
-// the same graph (the ablation of DESIGN.md's per-experiment index).
+// the same graph (an engine ablation).
 func BenchmarkEngines(b *testing.B) {
 	g := graph.GNPConnected(96, 0.05, 7)
 	for _, eng := range []mds.Engine{mds.EngineDecomposition, mds.EngineColoring, mds.EngineColoringLocal} {

@@ -3,12 +3,15 @@
 //
 //	go run ./cmd/docscheck [-root .]
 //
-// It enforces two invariants and exits non-zero listing every violation:
+// It enforces four invariants and exits non-zero listing every violation:
 //
 //   - every relative link in a Markdown file points at a file or directory
 //     that exists (external http(s)/mailto links and pure #anchors are not
 //     checked — the guard is against dead intra-repo references, the kind
 //     a refactor silently leaves behind);
+//   - every Markdown file (and heading anchor) a Go comment cites, like
+//     `docs/ARCHITECTURE.md#substitutions`, exists — resolved against the
+//     citing file's directory first, then the repository root;
 //   - every Go package under internal/ and cmd/ has a package doc comment
 //     in the `// Package <name> ...` (or `// <command> ...` for main
 //     packages) convention, so `go doc` output stays self-explanatory;
@@ -40,6 +43,7 @@ func main() {
 
 	var problems []string
 	problems = append(problems, checkMarkdownLinks(*root)...)
+	problems = append(problems, checkCommentDocRefs(*root)...)
 	problems = append(problems, checkPackageComments(*root)...)
 	problems = append(problems, checkAllowReasons(*root)...)
 	if len(problems) > 0 {
@@ -165,9 +169,9 @@ func checkPackageComments(root string) []string {
 // string literal is not.
 const allowMarker = "//detlint:allow"
 
-// docRefRE matches a doc-anchor citation inside a reason:
-// path/to/file.md#anchor (the path is repo-root-relative).
-var docRefRE = regexp.MustCompile(`([A-Za-z0-9_./-]+\.md)#([A-Za-z0-9-]+)`)
+// docRefRE matches a Markdown citation, `<path>.md` with an optional
+// `#<anchor>`: group 1 is the path, group 2 the anchor (empty when absent).
+var docRefRE = regexp.MustCompile(`([A-Za-z0-9_./-]+\.md)\b(?:#([A-Za-z0-9-]+))?`)
 
 // testRefRE matches a Go test-function citation inside a reason.
 var testRefRE = regexp.MustCompile(`\bTest[A-Za-z0-9_]+\b`)
@@ -175,20 +179,11 @@ var testRefRE = regexp.MustCompile(`\bTest[A-Za-z0-9_]+\b`)
 // headingRE matches Markdown ATX headings for anchor extraction.
 var headingRE = regexp.MustCompile(`(?m)^#{1,6}\s+(.+?)\s*$`)
 
-// checkAllowReasons verifies that every //detlint:allow reason in
-// non-testdata Go sources cites at least one reference that resolves: a
-// Markdown anchor that exists or a test function defined somewhere in the
-// tree. Dangling citations are reported individually, so a renamed
-// heading or deleted test surfaces as exactly one problem line.
-func checkAllowReasons(root string) []string {
-	var problems []string
-	tests, err := collectTestNames(root)
-	if err != nil {
-		return []string{fmt.Sprintf("docscheck: collecting test names: %v", err)}
-	}
-	anchors := map[string]map[string]bool{} // md path (slash) -> anchor set
-
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+// walkGoComments calls fn with every comment of every Go file under root,
+// skipping .git, .claude and testdata trees; where is the comment's
+// "path:line".
+func walkGoComments(root string, fn func(path, where, text string)) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -209,52 +204,119 @@ func checkAllowReasons(root string) []string {
 		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, allowMarker) {
-					continue
-				}
-				rest := strings.TrimSpace(strings.TrimPrefix(c.Text, allowMarker))
-				analyzer, reason, _ := strings.Cut(rest, " ")
-				reason = strings.TrimSpace(reason)
-				where := fmt.Sprintf("%s:%d", path, fset.Position(c.Pos()).Line)
-				if analyzer == "" || reason == "" {
-					// detlint reports this too; repeat it here so the docs
-					// job catches allows in files detlint cannot type-check.
-					problems = append(problems, fmt.Sprintf(
-						"%s: //detlint:allow needs an analyzer name and a reason", where))
-					continue
-				}
-				docRefs := docRefRE.FindAllStringSubmatch(reason, -1)
-				testRefs := testRefRE.FindAllString(reason, -1)
-				for _, ref := range docRefs {
-					mdPath, anchor := ref[1], ref[2]
-					set, ok := anchors[mdPath]
-					if !ok {
-						set = loadAnchors(filepath.Join(root, filepath.FromSlash(mdPath)))
-						anchors[mdPath] = set
-					}
-					if set == nil {
-						problems = append(problems, fmt.Sprintf(
-							"%s: allow reason cites %s#%s but %s does not exist", where, mdPath, anchor, mdPath))
-					} else if !set[anchor] {
-						problems = append(problems, fmt.Sprintf(
-							"%s: allow reason cites %s#%s but that anchor does not exist", where, mdPath, anchor))
-					}
-				}
-				for _, name := range testRefs {
-					if !tests[name] {
-						problems = append(problems, fmt.Sprintf(
-							"%s: allow reason cites %s but no such test exists", where, name))
-					}
-				}
-				// A dangling citation is already reported above; the generic
-				// problem is for reasons that cite nothing checkable at all.
-				if len(docRefs)+len(testRefs) == 0 {
-					problems = append(problems, fmt.Sprintf(
-						"%s: allow reason for %s must cite an existing doc anchor (file.md#anchor) or Test* name", where, analyzer))
-				}
+				fn(path, fmt.Sprintf("%s:%d", path, fset.Position(c.Pos()).Line), c.Text)
 			}
 		}
 		return nil
+	})
+}
+
+// checkAllowReasons verifies that every //detlint:allow reason in
+// non-testdata Go sources cites at least one reference that resolves: a
+// Markdown anchor that exists or a test function defined somewhere in the
+// tree. Dangling citations are reported individually, so a renamed
+// heading or deleted test surfaces as exactly one problem line.
+func checkAllowReasons(root string) []string {
+	var problems []string
+	tests, err := collectTestNames(root)
+	if err != nil {
+		return []string{fmt.Sprintf("docscheck: collecting test names: %v", err)}
+	}
+	anchors := map[string]map[string]bool{} // md path (slash) -> anchor set
+
+	err = walkGoComments(root, func(_, where, text string) {
+		if !strings.HasPrefix(text, allowMarker) {
+			return
+		}
+		rest := strings.TrimSpace(strings.TrimPrefix(text, allowMarker))
+		analyzer, reason, _ := strings.Cut(rest, " ")
+		reason = strings.TrimSpace(reason)
+		if analyzer == "" || reason == "" {
+			// detlint reports this too; repeat it here so the docs
+			// job catches allows in files detlint cannot type-check.
+			problems = append(problems, fmt.Sprintf(
+				"%s: //detlint:allow needs an analyzer name and a reason", where))
+			return
+		}
+		var docRefs [][]string
+		for _, ref := range docRefRE.FindAllStringSubmatch(reason, -1) {
+			if ref[2] != "" { // a reason cites a section, not a whole file
+				docRefs = append(docRefs, ref)
+			}
+		}
+		testRefs := testRefRE.FindAllString(reason, -1)
+		for _, ref := range docRefs {
+			mdPath, anchor := ref[1], ref[2]
+			set, ok := anchors[mdPath]
+			if !ok {
+				set = loadAnchors(filepath.Join(root, filepath.FromSlash(mdPath)))
+				anchors[mdPath] = set
+			}
+			if set == nil {
+				problems = append(problems, fmt.Sprintf(
+					"%s: allow reason cites %s#%s but %s does not exist", where, mdPath, anchor, mdPath))
+			} else if !set[anchor] {
+				problems = append(problems, fmt.Sprintf(
+					"%s: allow reason cites %s#%s but that anchor does not exist", where, mdPath, anchor))
+			}
+		}
+		for _, name := range testRefs {
+			if !tests[name] {
+				problems = append(problems, fmt.Sprintf(
+					"%s: allow reason cites %s but no such test exists", where, name))
+			}
+		}
+		// A dangling citation is already reported above; the generic
+		// problem is for reasons that cite nothing checkable at all.
+		if len(docRefs)+len(testRefs) == 0 {
+			problems = append(problems, fmt.Sprintf(
+				"%s: allow reason for %s must cite an existing doc anchor (file.md#anchor) or Test* name", where, analyzer))
+		}
+	})
+	if err != nil {
+		problems = append(problems, fmt.Sprintf("docscheck: walking %s: %v", root, err))
+	}
+	sort.Strings(problems)
+	return problems
+}
+
+// checkCommentDocRefs verifies that every Markdown file a Go comment cites
+// exists, and so does the cited heading anchor. A path resolves against
+// the citing file's directory first, then against root. URLs, testdata
+// trees and //detlint:allow comments (checkAllowReasons resolves those)
+// are skipped.
+func checkCommentDocRefs(root string) []string {
+	var problems []string
+	anchors := map[string]map[string]bool{} // md path -> anchor set (nil: missing)
+	load := func(path string) map[string]bool {
+		set, ok := anchors[path]
+		if !ok {
+			set = loadAnchors(path)
+			anchors[path] = set
+		}
+		return set
+	}
+	err := walkGoComments(root, func(path, where, text string) {
+		if strings.HasPrefix(text, allowMarker) {
+			return
+		}
+		for _, ref := range docRefRE.FindAllStringSubmatch(text, -1) {
+			mdPath, anchor := ref[1], ref[2]
+			if strings.HasPrefix(mdPath, "//") {
+				continue // the tail of a URL
+			}
+			rel := filepath.FromSlash(mdPath)
+			set := load(filepath.Join(filepath.Dir(path), rel))
+			if set == nil {
+				set = load(filepath.Join(root, rel))
+			}
+			switch {
+			case set == nil:
+				problems = append(problems, fmt.Sprintf("%s: comment cites %s but no such file exists", where, ref[0]))
+			case anchor != "" && !set[anchor]:
+				problems = append(problems, fmt.Sprintf("%s: comment cites %s but that anchor does not exist", where, ref[0]))
+			}
+		}
 	})
 	if err != nil {
 		problems = append(problems, fmt.Sprintf("docscheck: walking %s: %v", root, err))

@@ -13,6 +13,9 @@ func TestRepositoryPassesDocscheck(t *testing.T) {
 	if problems := checkMarkdownLinks("../.."); len(problems) > 0 {
 		t.Errorf("markdown link problems:\n%s", strings.Join(problems, "\n"))
 	}
+	if problems := checkCommentDocRefs("../.."); len(problems) > 0 {
+		t.Errorf("Go comment doc-reference problems:\n%s", strings.Join(problems, "\n"))
+	}
 	if problems := checkPackageComments("../.."); len(problems) > 0 {
 		t.Errorf("package comment problems:\n%s", strings.Join(problems, "\n"))
 	}
@@ -31,6 +34,55 @@ func TestCheckMarkdownLinksFindsDeadLink(t *testing.T) {
 	problems := checkMarkdownLinks(dir)
 	if len(problems) != 1 || !strings.Contains(problems[0], "missing/file.md") {
 		t.Errorf("want exactly the dead link flagged, got %v", problems)
+	}
+}
+
+// TestCheckCommentDocRefsFindsDangling: a Go comment citing a missing
+// Markdown file or a missing anchor is one problem each; citations that
+// resolve against the file's directory or the root, URLs and testdata
+// trees are not problems.
+func TestCheckCommentDocRefsFindsDangling(t *testing.T) {
+	dir := t.TempDir()
+	write := func(rel, content string) {
+		t.Helper()
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("docs/GUIDE.md", "# Guide\n\n## Known Exceptions\n")
+	write("pkg/README.md", "# pkg\n")
+	write("pkg/ok.go", `// Package pkg: see docs/GUIDE.md#known-exceptions, README.md and
+// https://example.com/elsewhere/NOTES.md.
+package pkg
+`)
+	write("pkg/bad.go", `package pkg
+
+// See DESIGN.md, substitution 4.
+var a = 1
+
+// See docs/GUIDE.md#gone-section.
+var b = 2
+
+var c = "DESIGN.md in a string literal is not a citation"
+`)
+	write("pkg/testdata/x.go", "// See MISSING.md.\npackage x\n")
+
+	problems := checkCommentDocRefs(dir)
+	wants := []string{
+		"bad.go:3: comment cites DESIGN.md but no such file exists",
+		"bad.go:6: comment cites docs/GUIDE.md#gone-section but that anchor does not exist",
+	}
+	if len(problems) != len(wants) {
+		t.Fatalf("got %d problems, want %d:\n%s", len(problems), len(wants), strings.Join(problems, "\n"))
+	}
+	for i, want := range wants {
+		if !strings.Contains(problems[i], want) {
+			t.Errorf("problem %d = %q, want it to contain %q", i, problems[i], want)
+		}
 	}
 }
 

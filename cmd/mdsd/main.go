@@ -10,6 +10,7 @@
 //
 //	curl 'localhost:8080/solve?graph=web&algo=arbmds&eps=0.5'
 //	curl 'localhost:8080/certify?graph=web&algo=mcds'
+//	curl 'localhost:8080/solve?graph=web&algo=thm1.2&deadline=30s'
 //	curl 'localhost:8080/graphs'
 //	curl 'localhost:8080/stats'
 //

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -15,43 +16,84 @@ import (
 	"congestds/internal/obs"
 )
 
+// allAlgos is every -algo value mdsrun has ever accepted.
+var allAlgos = []string{"paper", "thm1.1", "thm1.2", "cor1.3", "cds", "greedy", "exact", "arbmds", "mcds"}
+
 // Regression test for the unknown-algorithm error: it must list every
-// valid -algo value (the builtins and the registered families), mirroring
-// the graph.Named unknown-family fix. Before this, the error was a bare
-// `unknown algorithm "x"` and users had to read the source to find the
-// valid names.
+// valid -algo value, mirroring the graph.Named unknown-family fix. Before
+// this, the error was a bare `unknown algorithm "x"` and users had to read
+// the source to find the valid names.
 func TestUnknownAlgoErrorListsAlgorithms(t *testing.T) {
-	err := unknownAlgoErr("frobnicate")
-	if err == nil {
-		t.Fatal("nil error")
+	code, _, stderr := runCase(t, "-algo", "frobnicate")
+	if code != exitUsage {
+		t.Fatalf("exit %d, want %d", code, exitUsage)
 	}
-	msg := err.Error()
-	if !strings.Contains(msg, `"frobnicate"`) {
-		t.Errorf("error does not echo the bad name: %q", msg)
+	if !strings.Contains(stderr, `"frobnicate"`) {
+		t.Errorf("error does not echo the bad name: %q", stderr)
 	}
-	for _, want := range []string{"paper", "thm1.1", "thm1.2", "cor1.3", "cds", "greedy", "exact", "arbmds", "mcds"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("error does not list %q: %q", want, msg)
+	for _, want := range allAlgos {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("error does not list %q: %q", want, stderr)
 		}
 	}
 }
 
+// The -algo help lists the registry, sorted, with every algorithm in it.
 func TestAlgoNamesSortedAndComplete(t *testing.T) {
-	names := algoNames()
+	names := family.Names()
 	if !sort.StringsAreSorted(names) {
-		t.Errorf("algoNames not sorted: %v", names)
+		t.Errorf("family.Names not sorted: %v", names)
 	}
-	seen := map[string]bool{}
-	for _, n := range names {
-		if seen[n] {
-			t.Errorf("duplicate algorithm name %q", n)
+	for _, want := range allAlgos {
+		if !slices.Contains(names, want) {
+			t.Errorf("algorithm %q missing from the registry: %v", want, names)
 		}
-		seen[n] = true
 	}
-	for _, want := range []string{"arbmds", "mcds"} {
-		if !seen[want] {
-			t.Errorf("registered family %q missing from algoNames", want)
+	_, _, stderr := runCase(t, "-h")
+	if list := strings.Join(names, " | "); !strings.Contains(stderr, list) {
+		t.Errorf("-algo help does not list %q:\n%s", list, stderr)
+	}
+}
+
+// TestGoldenEquivalence pins every -algo value's set and round count on a
+// small connected gnp graph (n ≤ 64, so exact runs) to the values the
+// builtin-switch dispatch printed before every algorithm moved into the
+// family registry (testdata/golden.txt).
+func TestGoldenEquivalence(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{} // algo -> "rounds=R members=[...]"
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
 		}
+		algo, rest, _ := strings.Cut(line, " ")
+		want[algo] = rest
+	}
+	for _, algo := range allAlgos {
+		t.Run(algo, func(t *testing.T) {
+			if _, ok := want[algo]; !ok {
+				t.Fatalf("no golden line for %s", algo)
+			}
+			code, stdout, stderr := runCase(t, "-family", "gnp", "-n", "48", "-seed", "3", "-algo", algo, "-v")
+			if code != exitOK {
+				t.Fatalf("exit %d\nstderr: %s", code, stderr)
+			}
+			var rounds, members string
+			for _, line := range strings.Split(stdout, "\n") {
+				if v, ok := strings.CutPrefix(line, "rounds: "); ok {
+					rounds = v
+				}
+				if v, ok := strings.CutPrefix(line, "members: "); ok {
+					members = v
+				}
+			}
+			if got := "rounds=" + rounds + " members=" + members; got != want[algo] {
+				t.Errorf("got  %s\nwant %s\nstdout:\n%s", got, want[algo], stdout)
+			}
+		})
 	}
 }
 
@@ -101,6 +143,7 @@ func TestExitCodes(t *testing.T) {
 		{"retired-sim", []string{"-sim", "sharded"}, 2, "unknown engine"},
 		{"unknown-graph-family", []string{"-family", "nope", "-algo", "greedy"}, 1, ""},
 		{"exact-too-big", []string{"-algo", "exact", "-n", "100"}, 2, "n ≤ 64"},
+		{"eps-out-of-range", []string{"-algo", "thm1.2", "-eps", "2"}, 2, "sentinel config"},
 		{"ckpt-wrong-algo", []string{"-algo", "greedy", "-ckpt", "x.ckpt"}, 2, "-ckpt requires"},
 		{"ckpt-wrong-sim", []string{"-algo", "arbmds", "-sim", "goroutine", "-ckpt", "x.ckpt"}, 2, "-ckpt requires"},
 		{"ckpt-every-zero", []string{"-algo", "arbmds", "-sim", "stepped", "-ckpt", "x.ckpt", "-ckpt-every", "0"}, 2, "-ckpt-every"},

@@ -16,8 +16,8 @@
 //     Baswana–Sen spanner [BS07, GK18] to add O(|S'| log²|S'|) connecting
 //     edges; we use a BFS spanning tree of G'_S, which is smaller
 //     (|S'|−1 edges) and is valid because the construction is charged
-//     rounds rather than executed natively (DESIGN.md, substitution 1
-//     discussion applies; the spanner exists to make this step efficient in
+//     rounds rather than executed natively (docs/ARCHITECTURE.md#substitutions,
+//     substitution 1; the spanner exists to make this step efficient in
 //     the real CONGEST model).
 //  5. CDS = S ∪ inner nodes of all realized paths. Each G_S edge
 //     contributes ≤ 2 inner nodes, so |CDS| ≤ 3|S| − 2.

@@ -9,7 +9,8 @@
 // count equals the longest strictly-ID-decreasing path in the conflict
 // structure, which the functions report as charged rounds; Lemma 3.12's
 // simulation overhead (one conflict round costs O(Δ_L) CONGEST rounds on the
-// bipartite graph) is applied by the caller. See DESIGN.md, substitution 5.
+// bipartite graph) is applied by the caller. See
+// docs/ARCHITECTURE.md#substitutions, substitution 5.
 package coloring
 
 import (

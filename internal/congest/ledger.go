@@ -9,8 +9,9 @@ import (
 
 // Ledger accumulates the cost of an algorithm pipeline. Phases that run on a
 // Network contribute measured Metrics; phases that are structurally
-// simulated (see DESIGN.md, substitution 1: e.g. leader-serialized network
-// decomposition) charge rounds explicitly with a reason, so the total round
+// simulated (see docs/ARCHITECTURE.md#substitutions, substitution 1: e.g.
+// leader-serialized network decomposition) charge rounds explicitly with a
+// reason, so the total round
 // count of a pipeline remains honest and auditable.
 type Ledger struct {
 	metrics Metrics

@@ -6,7 +6,8 @@
 //
 // The paper cites the 2^O(√(log n log log n))-round CONGEST construction of
 // [GK18] (Theorem 3.2). We substitute a deterministic ball-carving
-// decomposition (see DESIGN.md, substitution 1): repeatedly grow a BFS ball
+// decomposition (see docs/ARCHITECTURE.md#substitutions, substitution 1):
+// repeatedly grow a BFS ball
 // from the smallest-ID unclustered node until the ball stops growing by a
 // (1+δ) factor, which bounds the radius by log_{1+δ} n; clusters are then
 // greedily colored on the cluster graph whose edges join clusters at

@@ -12,7 +12,8 @@
 //
 // Both engines fix coins by the method of conditional expectations using
 // rounding.Process, whose conditional bounds are exact where cheap and
-// pessimistic (Chernoff) otherwise — see DESIGN.md, substitution 2.
+// pessimistic (Chernoff) otherwise — see docs/ARCHITECTURE.md#substitutions,
+// substitution 2.
 package derand
 
 import (
@@ -72,7 +73,8 @@ func ByColoring(proc *rounding.Process, col *coloring.Result, ledger *congest.Le
 // their members' coins in parallel, which is sound because a 2-hop
 // decomposition keeps their inclusive neighbourhoods disjoint (the paper's
 // second claim in Lemma 3.4). Within a cluster, coins are fixed sequentially
-// through the cluster tree (DESIGN.md, substitution 3).
+// through the cluster tree (docs/ARCHITECTURE.md#substitutions,
+// substitution 3).
 func ByDecomposition(proc *rounding.Process, d *decomp.Decomposition, g *graph.Graph, ledger *congest.Ledger) (*rounding.Outcome, error) {
 	inst := proc.Instance()
 	if len(inst.X) != g.N() {

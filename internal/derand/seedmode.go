@@ -9,7 +9,8 @@ import (
 )
 
 // DerandomizeSharedSeed demonstrates the paper's exact Lemma 3.4 mechanism
-// at small scale (see DESIGN.md, substitution 3): all coins of the instance
+// at small scale (see docs/ARCHITECTURE.md#substitutions, substitution 3):
+// all coins of the instance
 // are derived from ONE shared k-wise independent seed (Lemma 3.3), and the
 // seed's bits are fixed one at a time by the method of conditional
 // expectations, where each conditional expectation E[size | b_1..b_j] is

@@ -1,13 +1,15 @@
-// Package family is the algorithm-family registry: the shared
-// solve → certify → report plumbing that every dominating-set family
-// beyond the source paper plugs into. A Family bundles a Solve function
-// with the certificate its outputs are checked against, in the uniform
-// shape cmd/mdsrun dispatches on and the experiment tables consume — so
-// adding a family (the recipe arbmds and mcds established, see
-// docs/ARCHITECTURE.md) is: implement the algorithm package, register it
-// here, add a conformance case and an experiment table. Registered
-// families are automatically listed in mdsrun's -algo help and its
-// unknown-algorithm error.
+// Package family is the algorithm registry: the shared
+// solve → certify → report plumbing every dominating-set algorithm plugs
+// into — the source paper's Theorems 1.1/1.2, Corollary 1.3 and the
+// Theorem 1.4 CDS transform, the host-side greedy and exact baselines, and
+// the families beyond the paper (arbmds, mcds). A Family bundles a Solve
+// function with the certificate its outputs are checked against, in the
+// uniform shape cmd/mdsrun and cmd/mdsd dispatch on — so adding a family
+// (the recipe arbmds and mcds established, see docs/ARCHITECTURE.md) is:
+// implement the algorithm package, register it here, add a conformance
+// case and an experiment table. Registered families are automatically
+// listed in mdsrun's -algo help, in the unknown-algorithm error and in
+// mdsd's servable algorithms.
 package family
 
 import (
@@ -90,12 +92,17 @@ type Result struct {
 	// Set is the family's solution (a dominating set, or a connected
 	// dominating set for CDS families), ascending.
 	Set []int
-	// Rounds is the measured synchronous round count.
+	// Rounds is the synchronous round count: measured engine rounds, plus
+	// the charged rounds of structurally simulated phases for families
+	// that keep a Ledger. Host-side baselines report 0.
 	Rounds int
 	// Cert is the family's certificate over Set (never nil).
 	Cert Certificate
 	// Notes are extra human-readable lines for command-line output.
 	Notes []string
+	// Ledger is the per-phase cost account of families that keep one (the
+	// source paper's pipelines); nil for the others.
+	Ledger *congest.Ledger
 }
 
 // Family is one registered algorithm family.
@@ -178,7 +185,7 @@ func Get(name string) (Family, error) {
 	f, ok := registry[name]
 	mu.Unlock()
 	if !ok {
-		return Family{}, fmt.Errorf("family: unknown algorithm family %q (families: %s)",
+		return Family{}, fmt.Errorf("family: unknown algorithm %q (algorithms: %s)",
 			name, strings.Join(Names(), ", "))
 	}
 	return f, nil

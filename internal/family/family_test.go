@@ -1,6 +1,8 @@
 package family
 
 import (
+	"errors"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -21,7 +23,7 @@ func TestRegistryNames(t *testing.T) {
 			t.Fatalf("names not sorted: %v", names)
 		}
 	}
-	for _, want := range []string{"arbmds", "mcds"} {
+	for _, want := range []string{"paper", "thm1.1", "thm1.2", "cor1.3", "cds", "greedy", "exact", "arbmds", "mcds"} {
 		if _, err := Get(want); err != nil {
 			t.Errorf("Get(%q): %v", want, err)
 		}
@@ -64,10 +66,59 @@ func TestFamiliesSolveAndCertify(t *testing.T) {
 			if v := verify.FirstUndominated(g, res.Set); v != -1 {
 				t.Errorf("node %d undominated", v)
 			}
-			if res.Rounds <= 0 {
+			if hostFamilies[name] {
+				if res.Rounds != 0 {
+					t.Errorf("host-side family reports %d rounds", res.Rounds)
+				}
+			} else if res.Rounds <= 0 {
 				t.Errorf("rounds = %d", res.Rounds)
 			}
 		})
+	}
+}
+
+// hostFamilies run sequentially on the host and report zero rounds.
+var hostFamilies = map[string]bool{"greedy": true, "exact": true}
+
+// TestRejectsBadParamsAsConfig: parameters an algorithm cannot honour are
+// caller misuse, typed as congest.ErrConfig before anything runs.
+func TestRejectsBadParamsAsConfig(t *testing.T) {
+	small := graph.GNPConnected(30, 0.15, 11)
+	cases := []struct {
+		algo string
+		g    *graph.Graph
+		p    Params
+	}{
+		{"exact", graph.GNPConnected(100, 0.05, 1), Params{}},
+		{"thm1.2", small, Params{Eps: 2}},
+		{"paper", small, Params{Eps: math.NaN()}},
+		{"thm1.1", small, Params{Eps: 1.5}},
+		{"cor1.3", small, Params{MaxRounds: 10}},
+		{"cds", small, Params{Eps: 3}},
+	}
+	for _, c := range cases {
+		f, err := Get(c.algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Solve(c.g, c.p); !errors.Is(err, congest.ErrConfig) {
+			t.Errorf("%s %+v: err = %v, want ErrConfig", c.algo, c.p, err)
+		}
+	}
+}
+
+// TestPaperDeadline: the paper pipelines turn Params.Deadline into a
+// timeout around Params.Ctx, so an elapsed budget surfaces as ErrDeadline.
+func TestPaperDeadline(t *testing.T) {
+	g := graph.GNPConnected(30, 0.15, 11)
+	for _, name := range []string{"thm1.1", "thm1.2", "cor1.3", "cds"} {
+		f, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Solve(g, Params{Deadline: time.Nanosecond}); !errors.Is(err, congest.ErrDeadline) {
+			t.Errorf("%s: err = %v, want ErrDeadline", name, err)
+		}
 	}
 }
 

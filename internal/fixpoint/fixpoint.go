@@ -8,7 +8,7 @@
 //
 // The paper uses ι with 2^-ι ≤ n^-10; we expose S as a parameter (default
 // 40 fractional bits) and keep all sums of up to 2^(63-S) terms exact in
-// uint64 (see DESIGN.md, substitution 6).
+// uint64 (see docs/ARCHITECTURE.md#substitutions, substitution 6).
 package fixpoint
 
 import (

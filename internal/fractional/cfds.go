@@ -125,7 +125,8 @@ func (f *CFDS) Set() []int {
 
 // ScaleFor returns the fixed-point scale used for an n-node instance,
 // mirroring the paper's transmittable precision ι = Θ(log n) while keeping
-// sums of n+1 terms exact in uint64 (see DESIGN.md, substitution 6).
+// sums of n+1 terms exact in uint64 (see docs/ARCHITECTURE.md#substitutions,
+// substitution 6).
 func ScaleFor(n int) fixpoint.Ctx {
 	logn := 1
 	for (1 << logn) < n {

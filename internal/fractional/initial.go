@@ -23,8 +23,9 @@ type InitialParams struct {
 // ("each node with value < ε/(2Δ) sets its value to ε/(2Δ)").
 //
 // The covering phase is our substitute for the cited [KMW06] LP solver (see
-// DESIGN.md, substitution 4): a threshold-batched parallel fractional
-// greedy. Thresholds θ descend from Δ̃ by factors of (1+ε); while a node's
+// docs/ARCHITECTURE.md#substitutions, substitution 4): a threshold-batched
+// parallel fractional greedy. Thresholds θ descend from Δ̃ by factors of
+// (1+ε); while a node's
 // residual degree d_v (uncovered constraints in N(v)) is at least θ it
 // raises x(v) by 1/(θ(1+ε)). Residual degrees are non-increasing, so after
 // ⌈θ(1+ε)⌉+1 iterations no candidate remains at a threshold, which gives a

@@ -15,9 +15,10 @@ import (
 // safe). Feasibility is preserved exactly; the size never increases.
 //
 // This is the local-ratio cleanup pass applied after the Part I covering
-// phase (see DESIGN.md, substitution 4): the threshold-batched greedy
-// over-raises when many candidates cover the same constraint, and trimming
-// recovers most of that slack with O(sweeps · colors(G²)) extra rounds.
+// phase (see docs/ARCHITECTURE.md#substitutions, substitution 4): the
+// threshold-batched greedy over-raises when many candidates cover the same
+// constraint, and trimming recovers most of that slack with
+// O(sweeps · colors(G²)) extra rounds.
 func Trim(g *graph.Graph, fds *CFDS, ledger *congest.Ledger, sweeps int) {
 	if sweeps <= 0 {
 		sweeps = 2

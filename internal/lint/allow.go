@@ -14,7 +14,7 @@ import (
 // written either as a trailing comment on the flagged line or as a
 // standalone comment on the line directly above it. The reason is free
 // text up to an embedded "//" (so test harness annotations can follow on
-// the same comment) and must cite a doc anchor (file.md#anchor) or a test
+// the same comment) and must cite a doc anchor (<file>.md#<anchor>) or a test
 // name — cmd/docscheck verifies the citation resolves.
 const allowMarker = "//detlint:allow"
 

@@ -54,7 +54,8 @@ func (e Engine) String() string {
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
-// Preset selects the parameter regime (see DESIGN.md, "Parameter regimes").
+// Preset selects the parameter regime (see
+// docs/ARCHITECTURE.md#parameter-regimes).
 type Preset int
 
 // Presets.
@@ -114,7 +115,8 @@ type Result struct {
 	// Bound is the guaranteed approximation factor (1+ε)(1+ln(Δ+1)).
 	Bound float64
 	// InitialSize is the Part I fractional size (an upper bound proxy for
-	// (1+ε₁)·OPT_f under the Part I substitute, cf. DESIGN.md).
+	// (1+ε₁)·OPT_f under the Part I substitute, cf.
+	// docs/ARCHITECTURE.md#substitutions, substitution 4).
 	InitialSize float64
 	// Phases traces Part II.
 	Phases []PhaseInfo

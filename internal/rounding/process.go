@@ -16,8 +16,8 @@ import (
 // cheap — the product form whenever any single unassigned firing covers the
 // remaining deficit (which is always the case for one-shot rounding, cf.
 // Lemma 3.6), or subset enumeration when few coins remain — and otherwise by
-// a deterministic base-2 Chernoff pessimistic estimator (see DESIGN.md,
-// substitution 2). All three forms are upper bounds that satisfy the
+// a deterministic base-2 Chernoff pessimistic estimator (see
+// docs/ARCHITECTURE.md#substitutions, substitution 2). All three forms are upper bounds that satisfy the
 // averaging property over an unassigned coin, so the fixed outcome's
 // realized cost never exceeds the initial bound (plus quantization slack
 // mirroring the paper's 1/n^10 rounding accounting).

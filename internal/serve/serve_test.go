@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"congestds/internal/family"
+	"congestds/internal/graph"
 	"congestds/internal/obs"
 )
 
@@ -59,8 +60,12 @@ func TestSolveAndCertifyEveryFamily(t *testing.T) {
 				if !view.Passed {
 					t.Errorf("%s: certificate did not pass:\n%s", ep, body1)
 				}
-				if view.Algo != name || view.N != testGraph().N() || view.SetSize == 0 || view.Rounds == 0 {
+				if view.Algo != name || view.N != testGraph().N() || view.SetSize == 0 {
 					t.Errorf("%s: implausible body: %+v", ep, view)
+				}
+				// The host-side baselines run no simulated rounds.
+				if host := name == "greedy" || name == "exact"; host != (view.Rounds == 0) {
+					t.Errorf("%s: %d rounds for %s", ep, view.Rounds, name)
 				}
 			}
 		})
@@ -135,7 +140,8 @@ func TestSentinelClassesEndToEnd(t *testing.T) {
 func TestRealRequestFailurePaths(t *testing.T) {
 	dir := t.TempDir()
 	path := writeText(t, dir, "g.txt", testGraph())
-	_, ts := newTestServer(t, Config{Graphs: map[string]string{"g": path}})
+	big := writeText(t, dir, "big.txt", graph.GNPConnected(100, 0.05, 1))
+	_, ts := newTestServer(t, Config{Graphs: map[string]string{"g": path, "big": big}})
 
 	cases := []struct {
 		name     string
@@ -156,6 +162,10 @@ func TestRealRequestFailurePaths(t *testing.T) {
 		{"unknown query key", "/solve?graph=g&algo=arbmds&maxrunds=3", http.StatusBadRequest, "config"},
 		{"round clamp hit", "/solve?graph=g&algo=arbmds&maxrounds=1", http.StatusUnprocessableEntity, "max-rounds"},
 		{"deadline elapsed", "/solve?graph=g&algo=arbmds&deadline=1ns", http.StatusGatewayTimeout, "deadline"},
+		// exact is exponential: the adapter refuses it before solving.
+		{"exact too big", "/solve?graph=big&algo=exact", http.StatusBadRequest, "config"},
+		{"paper eps out of range", "/solve?graph=g&algo=thm1.2&eps=2", http.StatusBadRequest, "config"},
+		{"paper round clamp", "/solve?graph=g&algo=thm1.2&maxrounds=5", http.StatusBadRequest, "config"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -180,6 +190,27 @@ func TestRealRequestFailurePaths(t *testing.T) {
 			t.Errorf("DELETE /solve: status %d, want 405", resp.StatusCode)
 		}
 	})
+}
+
+// TestPaperDeadlineNotCached: the deadline query parameter bounds the
+// paper pipeline too; the 504 is not cached, so the next request without a
+// deadline runs fresh.
+func TestPaperDeadlineNotCached(t *testing.T) {
+	dir := t.TempDir()
+	path := writeText(t, dir, "g.txt", testGraph())
+	s, ts := newTestServer(t, Config{Graphs: map[string]string{"g": path}})
+
+	status, _, sentinel, body := get(t, ts.URL+"/solve?graph=g&algo=thm1.2&deadline=1ns")
+	if status != http.StatusGatewayTimeout || sentinel != "deadline" {
+		t.Fatalf("status %d, X-Mdsd-Sentinel %q, want 504 deadline (body %s)", status, sentinel, body)
+	}
+	if st := s.Stats(); st.CacheEntries != 0 {
+		t.Errorf("deadline failure was cached: %d entries", st.CacheEntries)
+	}
+	status, state, _, body := get(t, ts.URL+"/solve?graph=g&algo=thm1.2")
+	if status != http.StatusOK || state != "miss" {
+		t.Errorf("retry without deadline: status %d, X-Mdsd-Cache %q, want 200 miss (body %s)", status, state, body)
+	}
 }
 
 func TestCertificationViolationIsNeverCached(t *testing.T) {

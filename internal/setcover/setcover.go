@@ -66,7 +66,8 @@ type Result struct {
 	FractionalSize float64
 	// Bound is the guaranteed approximation factor of the rounding step
 	// relative to the fractional cover: 1 + ln(smax+1) (+ the fractional
-	// solver's own loss, cf. DESIGN.md substitution 4).
+	// solver's own loss, cf. docs/ARCHITECTURE.md#substitutions,
+	// substitution 4).
 	Bound float64
 }
 
