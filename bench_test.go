@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"congestds/internal/experiments"
+	"congestds/internal/family"
 	"congestds/internal/graph"
 	"congestds/internal/mds"
 )
@@ -41,31 +42,41 @@ func BenchmarkE12_Ablation(b *testing.B)           { runExperiment(b, experiment
 func BenchmarkEArb_BoundedArboricity(b *testing.B) { runExperiment(b, experiments.EArb) }
 func BenchmarkEMcds_ConnectedDS(b *testing.B)      { runExperiment(b, experiments.EMcds) }
 
-// BenchmarkEArbScale100k is the wall-clock companion to the E-arb scale
-// row at a bench-friendly size (the 10⁶-node version lives behind
-// cmd/mdsbench -earb-scale and the memsmoke CI job).
-func BenchmarkEArbScale100k(b *testing.B) {
-	b.ReportAllocs()
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.EArbScale(100_000)
-	}
-	if t.Violations > 0 {
-		b.Fatalf("%d claim violations:\n%s", t.Violations, t)
-	}
-}
-
-// BenchmarkEMcdsScale100k is the wall-clock companion to the E-mcds scale
-// row at a bench-friendly size (the 10⁶-node version lives behind
-// cmd/mdsbench -emcds-scale and the memsmoke CI job).
-func BenchmarkEMcdsScale100k(b *testing.B) {
-	b.ReportAllocs()
-	var t *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t = experiments.EMcdsScale(100_000)
-	}
-	if t.Violations > 0 {
-		b.Fatalf("%d claim violations:\n%s", t.Violations, t)
+// BenchmarkFamilyScale100k is the wall-clock companion to the million-node
+// arbmds and mcds runs (mdsrun -n 1000000 and the memsmoke CI job) at a
+// bench-friendly size, through the same family.Solve path mdsrun takes. A
+// failed certificate fails the benchmark.
+func BenchmarkFamilyScale100k(b *testing.B) {
+	for _, c := range []struct {
+		algo string
+		seed uint64
+	}{
+		{"arbmds", 7},
+		{"mcds", 1},
+	} {
+		b.Run(c.algo, func(b *testing.B) {
+			f, err := family.Get(c.algo)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := graph.UnionForests(100_000, graph.DefaultArbAlpha, c.seed)
+			var p family.Params
+			if f.NeedsDiam {
+				p.DiamBound = 2*g.Eccentricity(0) + 2
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var res *family.Result
+			for i := 0; i < b.N; i++ {
+				if res, err = f.Solve(g, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if !res.Cert.Passed() {
+				b.Fatalf("certificate failed: %v", res.Cert)
+			}
+			b.ReportMetric(float64(res.Rounds), "rounds")
+		})
 	}
 }
 

@@ -3,10 +3,9 @@
 // claim-by-claim record.
 //
 //	go run ./cmd/mdsbench [-quick] [-only E6]
-//	go run ./cmd/mdsbench -earb-scale 1000000    # million-node E-arb row
-//	go run ./cmd/mdsbench -emcds-scale 1000000   # million-node E-mcds row
-//	go run ./cmd/mdsbench -earb-graph g.csrg     # same row on a graph file
-//	go run ./cmd/mdsbench -emcds-graph g.csrg    # (.csrg is memory-mapped)
+//
+// Million-node runs of one family are mdsrun's job, e.g.
+// `mdsrun -family uforest -n 1000000 -algo arbmds` or `-in g.csrg`.
 //
 // Exit codes follow mdsrun's scripting contract: 0 success, 1 run failure
 // (a final "sentinel <class>" stderr line names engine sentinels), 2 usage
@@ -19,14 +18,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
 	"congestds/internal/congest"
 	"congestds/internal/experiments"
-	"congestds/internal/graph"
 	"congestds/internal/obs"
 	"congestds/internal/testmem"
 )
@@ -56,7 +53,7 @@ func fail(stderr io.Writer, err error) int {
 // jsonRow is one machine-readable result row (-json): the conventional
 // columns lifted by header name when the table has them, every raw cell
 // under "cols", and process-level cost figures. NsOp is the experiment's
-// wall time amortized over its rows (exact for one-row scale tables);
+// wall time amortized over its rows (exact for one-row tables);
 // PeakRSS is the process high-water mark at emission, so it only grows
 // down a run — the last row of an experiment bounds that experiment.
 type jsonRow struct {
@@ -128,14 +125,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quick := fs.Bool("quick", false, "small instances (used by the test suite)")
 	only := fs.String("only", "", "run a single experiment by ID (e.g. E6)")
 	sim := fs.String("sim", "stepped", "congest execution engine: stepped | goroutine (the reference engine)")
-	earbScale := fs.Int("earb-scale", 0,
-		"run only the full-size E-arb table at this node count (e.g. 1000000) on the stepped engine")
-	emcdsScale := fs.Int("emcds-scale", 0,
-		"run only the full-size E-mcds table at this node count (e.g. 1000000) on the stepped engine")
-	earbGraph := fs.String("earb-graph", "",
-		"run only the full-size E-arb row on the graph at this path (.csrg is memory-mapped, else text format)")
-	emcdsGraph := fs.String("emcds-graph", "",
-		"run only the full-size E-mcds row on the graph at this path (.csrg is memory-mapped, else text format)")
 	jsonOut := fs.Bool("json", false,
 		"emit one JSON object per result row instead of tables (id, family, n, rounds, ratio, ns_op, peak_rss_bytes, raw cells)")
 	tracePath := fs.String("trace", "",
@@ -168,65 +157,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}()
 	}
-	// emit prints a finished table — aligned text by default, JSONL rows
-	// under -json.
-	emit := func(t *experiments.Table, wallNs int64) {
-		if *jsonOut {
-			if err := emitJSON(stdout, t, wallNs); err != nil {
-				fmt.Fprintf(stderr, "mdsbench: json: %v\n", err)
-			}
-			return
-		}
-		fmt.Fprintln(stdout, t)
-	}
-
-	ranScale, scaleViolations := false, 0
-	for _, scale := range []struct {
-		n     int
-		table func(int) *experiments.Table
-	}{
-		{*earbScale, experiments.EArbScale},
-		{*emcdsScale, experiments.EMcdsScale},
-	} {
-		if scale.n <= 0 {
-			continue
-		}
-		start := time.Now()
-		t := scale.table(scale.n)
-		emit(t, int64(time.Since(start)))
-		ranScale = true
-		scaleViolations += t.Violations
-	}
-	for _, fileScale := range []struct {
-		path  string
-		table func(string, *graph.Graph) *experiments.Table
-	}{
-		{*earbGraph, experiments.EArbScaleOn},
-		{*emcdsGraph, experiments.EMcdsScaleOn},
-	} {
-		if fileScale.path == "" {
-			continue
-		}
-		g, closer, err := graph.Load(fileScale.path)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		name := strings.TrimSuffix(filepath.Base(fileScale.path), filepath.Ext(fileScale.path))
-		start := time.Now()
-		t := fileScale.table(name, g)
-		closer.Close()
-		emit(t, int64(time.Since(start)))
-		ranScale = true
-		scaleViolations += t.Violations
-	}
-	if ranScale {
-		if scaleViolations > 0 {
-			fmt.Fprintf(stderr, "mdsbench: %d claim violations\n", scaleViolations)
-			return exitCertify
-		}
-		return exitOK
-	}
-
 	violations, matched := 0, false
 	for _, e := range experiments.Suite() {
 		if *only != "" && e.ID != *only {
@@ -235,7 +165,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		matched = true
 		start := time.Now()
 		t := e.Run(*quick)
-		emit(t, int64(time.Since(start)))
+		if *jsonOut {
+			if err := emitJSON(stdout, t, int64(time.Since(start))); err != nil {
+				fmt.Fprintf(stderr, "mdsbench: json: %v\n", err)
+			}
+		} else {
+			fmt.Fprintln(stdout, t)
+		}
 		violations += t.Violations
 	}
 	if !matched {

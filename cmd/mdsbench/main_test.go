@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,8 +12,11 @@ import (
 	"congestds/internal/obs"
 )
 
+var updateGolden = flag.Bool("update-golden", false,
+	"rewrite testdata/quick.golden (only after a deliberate change to the experiment tables)")
+
 // TestExitCodes pins the scripting contract: 2 for misuse, 1 for run
-// failures (with the input named), 3 is reserved for claim violations.
+// failures, 3 is reserved for claim violations.
 func TestExitCodes(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -24,7 +28,6 @@ func TestExitCodes(t *testing.T) {
 		{"positional-args", []string{"stray"}, 2, "unexpected arguments"},
 		{"unknown-sim", []string{"-sim", "quantum"}, 2, ""},
 		{"unknown-experiment", []string{"-quick", "-only", "E999"}, 2, "unknown experiment"},
-		{"missing-graph", []string{"-earb-graph", "no/such/file.csrg"}, 1, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -116,5 +119,47 @@ func TestTraceFlagWritesReplayableTrace(t *testing.T) {
 	}
 	if agg.Profile().Rounds == 0 {
 		t.Error("trace contains no rounds")
+	}
+}
+
+// TestQuickGolden pins the -quick tables byte-for-byte against a committed
+// golden, so the experiment results cannot drift silently between commits
+// (the output is deterministic and engine-independent). To regenerate after
+// a deliberate change to the tables:
+//
+//	go test ./cmd/mdsbench -run TestQuickGolden -update-golden
+func TestQuickGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: the full quick suite takes seconds")
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-quick"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d\nstderr: %s", code, errb.String())
+	}
+	path := filepath.Join("testdata", "quick.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(out.Bytes(), want) {
+		return
+	}
+	got, wantLines := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("-quick output diverges from %s at line %d:\n got: %q\nwant: %q", path, i+1, g, w)
+		}
 	}
 }

@@ -4,17 +4,15 @@ import (
 	"fmt"
 
 	"congestds/internal/arbmds"
-	"congestds/internal/baseline"
-	"congestds/internal/congest"
+	"congestds/internal/family"
 	"congestds/internal/graph"
-	"congestds/internal/mds"
 	"congestds/internal/verify"
 )
 
 // E-arb is the first experiment table for an algorithm family beyond the
 // source paper: the bounded-arboricity peeling MDS of Dory–Ghaffari–Ilchi
-// (arXiv:2206.05174, implemented in internal/arbmds) against the paper's
-// LP-rounding pipeline (mds.Solve) and the sequential greedy baseline, on
+// (arXiv:2206.05174, the arbmds family) against the paper's LP-rounding
+// pipeline (thm1.2) and the sequential greedy baseline, on
 // graph families with an arboricity witness by construction. Two claims
 // are checked per row:
 //
@@ -22,14 +20,15 @@ import (
 //     with α̂ the measured degeneracy (α ≤ α̂ ≤ 2α-1) and LB the
 //     dual-packing lower bound (LB ≤ OPT), so the check is conservative
 //     twice over;
-//   - rounds: measured rounds = 4·|schedule|, at most
+//   - rounds: measured rounds = 4·|arbmds.Thresholds(Δ, ε)|, at most
 //     verify.RoundBoundArb(Δ, ε) — a function of (Δ, ε) only. Each family
 //     appears at two sizes; for gridx (Δ fixed by construction) the two
 //     rows must report the *same* round count, pinning the
 //     n-independence claim directly.
 //
-// The CI-sized table stops at ~500 nodes; EArbScale is the 10⁶-node
-// version behind cmd/mdsbench -earb-scale and the memsmoke CI job.
+// The table stops at ~500 nodes; the 10⁶-node run is
+// `mdsrun -family uforest -n 1000000 -algo arbmds` (and the memsmoke CI
+// job).
 
 // earbEps is the threshold decay parameter every E-arb row uses.
 const earbEps = 0.5
@@ -61,24 +60,20 @@ func EArb(quick bool) *Table {
 	gridxRounds := map[int]int{} // size index → rounds, for the n-independence pin
 	for _, fam := range earbFamilies(sizes) {
 		g := fam.G
-		res, err := arbmds.Solve(g, arbmds.Params{Eps: earbEps, Sim: SimEngine, Observer: Observer})
+		res, err := solve("arbmds", g, family.Params{Eps: earbEps})
 		if err != nil {
 			t.errorRow(fam.Name, err)
 			continue
 		}
-		paper, err := mds.Solve(g, simParams(mds.Params{Eps: earbEps, Engine: mds.EngineColoring}))
-		paperSize := "-"
-		if err == nil {
-			paperSize = fmt.Sprint(len(paper.Set))
-		}
-		gr := baseline.Greedy(g)
-		cert := verify.CertifyArb(g, res.Set, earbEps)
+		paperSize := sizeOf("thm1.2", g, earbEps)
+		greedySize := sizeOf("greedy", g, earbEps)
+		cert := res.Cert.(verify.ArbCertificate)
 		rBound := verify.RoundBoundArb(g.MaxDegree(), earbEps)
 		ok := cert.OK &&
-			res.Metrics.Rounds == 4*len(res.Thresholds) &&
-			res.Metrics.Rounds <= rBound
+			res.Rounds == 4*len(arbmds.Thresholds(g.MaxDegree(), earbEps)) &&
+			res.Rounds <= rBound
 		if fam.Name == "gridx" {
-			gridxRounds[fam.N] = res.Metrics.Rounds
+			gridxRounds[fam.N] = res.Rounds
 		}
 		if !ok {
 			t.Violations++
@@ -86,10 +81,10 @@ func EArb(quick bool) *Table {
 		t.Rows = append(t.Rows, []string{
 			fam.Name, fmt.Sprint(g.N()), fmt.Sprint(g.MaxDegree()),
 			fmt.Sprint(cert.Degeneracy),
-			fmt.Sprint(len(res.Set)), paperSize, fmt.Sprint(len(gr)),
+			fmt.Sprint(len(res.Set)), paperSize, greedySize,
 			fmt.Sprintf("%.1f", cert.LowerBound),
 			fmt.Sprintf("%.3f", cert.Ratio), fmt.Sprintf("%.1f", cert.ClaimBound),
-			fmt.Sprint(res.Metrics.Rounds), fmt.Sprint(rBound),
+			fmt.Sprint(res.Rounds), fmt.Sprint(rBound),
 			fmt.Sprint(ok),
 		})
 	}
@@ -109,62 +104,4 @@ func EArb(quick bool) *Table {
 			fmt.Sprint(gridxRounds), "-", "ROUNDS DEPEND ON n"})
 	}
 	return t
-}
-
-// EArbScale is the full-size E-arb row: a bounded-arboricity family at n
-// nodes (10⁶ in the memsmoke job and cmd/mdsbench -earb-scale), run
-// natively on the stepped engine regardless of SimEngine — the
-// goroutine-backed engines would need gigabytes of stacks. The paper
-// pipeline and the greedy baseline are out of reach at this size (greedy
-// alone is O(|DS|·m)), so the row checks arbmds against its certificate
-// only; the CI-sized EArb table carries the three-way comparison.
-func EArbScale(n int) *Table {
-	t := earbScaleTable(fmt.Sprintf("DGI'22 at n=%d on EngineStepped: verified O(α) ratio, rounds from (Δ,ε) alone", n))
-	for _, fam := range []familyCase{
-		{"uforest", n, graph.UnionForests(n, graph.DefaultArbAlpha, 7)},
-		{"gridx", n, graph.GridDiagonals(isqrt(n), isqrt(n))},
-	} {
-		earbScaleRow(t, fam.Name, fam.G)
-	}
-	return t
-}
-
-// EArbScaleOn is EArbScale on one caller-supplied graph instead of the
-// generated suite — the entry point behind cmd/mdsbench -earb-graph, where
-// the instance comes from a .csrg file (possibly memory-mapped) rather
-// than a generator spec.
-func EArbScaleOn(name string, g *graph.Graph) *Table {
-	t := earbScaleTable(fmt.Sprintf("DGI'22 on %s (n=%d) on EngineStepped: verified O(α) ratio, rounds from (Δ,ε) alone", name, g.N()))
-	earbScaleRow(t, name, g)
-	return t
-}
-
-func earbScaleTable(claim string) *Table {
-	return &Table{
-		ID:     "E-arb-scale",
-		Claim:  claim,
-		Header: []string{"family", "n", "Δ", "α̂", "|arb|", "OPT-lb", "ratio≤", "O(α)-claim", "rounds", "r-bound", "ok"},
-	}
-}
-
-func earbScaleRow(t *Table, name string, g *graph.Graph) {
-	res, err := arbmds.Solve(g, arbmds.Params{Eps: earbEps, Sim: congest.EngineStepped, Observer: Observer})
-	if err != nil {
-		t.errorRow(name, err)
-		return
-	}
-	cert := verify.CertifyArb(g, res.Set, earbEps)
-	rBound := verify.RoundBoundArb(g.MaxDegree(), earbEps)
-	ok := cert.OK && res.Metrics.Rounds <= rBound
-	if !ok {
-		t.Violations++
-	}
-	t.Rows = append(t.Rows, []string{
-		name, fmt.Sprint(g.N()), fmt.Sprint(g.MaxDegree()),
-		fmt.Sprint(cert.Degeneracy), fmt.Sprint(len(res.Set)),
-		fmt.Sprintf("%.1f", cert.LowerBound),
-		fmt.Sprintf("%.3f", cert.Ratio), fmt.Sprintf("%.1f", cert.ClaimBound),
-		fmt.Sprint(res.Metrics.Rounds), fmt.Sprint(rBound),
-		fmt.Sprint(ok),
-	})
 }

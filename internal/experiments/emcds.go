@@ -3,32 +3,31 @@ package experiments
 import (
 	"fmt"
 
-	"congestds/internal/cds"
-	"congestds/internal/congest"
+	"congestds/internal/family"
 	"congestds/internal/graph"
 	"congestds/internal/mcds"
-	"congestds/internal/mds"
 	"congestds/internal/verify"
 )
 
 // E-mcds is the experiment table for the third algorithm family: the
-// connected-dominating-set solver of internal/mcds (the Ghaffari MCDS
-// family, arXiv:1404.7559, unit-weight restriction) against the source
-// paper's Section 4 CDS construction (internal/cds over the Theorem 1.2
+// connected-dominating-set solver of the mcds family (Ghaffari,
+// arXiv:1404.7559, unit-weight restriction) against the source paper's
+// Section 4 CDS construction (the cds family, over the Theorem 1.2
 // pipeline). Three claims are checked per row:
 //
-//   - validity: the output passes verify.CertifyCDS — connected, dominating,
-//     and within the instantiated claim 3·(1+ε)(1+ln(Δ̃+1)) against the
-//     dual-packing lower bound (LB ≤ OPT_DS ≤ OPT_CDS, so the check is
-//     conservative);
+//   - validity: the family's verify.CDSCertificate passes — connected,
+//     dominating, and within the instantiated claim 3·(1+ε)(1+ln(Δ̃+1))
+//     against the dual-packing lower bound (LB ≤ OPT_DS ≤ OPT_CDS, so the
+//     check is conservative);
 //   - structure: |CDS| ≤ 3·|DS|+1 — at most two connectors per dominator
 //     plus the root, the charge against the LP bound;
-//   - rounds: measured rounds = 4·|schedule| + D̂ + 2 exactly, at most
-//     verify.RoundBoundMCDS(Δ, ε, D̂), with D̂ = 2·ecc(0)+2 from one
-//     host-side BFS (the known-diameter assumption).
+//   - rounds: measured rounds = 4·|mcds.Thresholds(Δ, ε)| + D̂ + 2
+//     exactly, at most verify.RoundBoundMCDS(Δ, ε, D̂), with
+//     D̂ = 2·ecc(0)+2 from one host-side BFS (the known-diameter
+//     assumption).
 //
-// The CI-sized table stops at ~500 nodes; EMcdsScale is the 10⁶-node
-// version behind cmd/mdsbench -emcds-scale and the memsmoke CI job.
+// The table stops at ~500 nodes; the 10⁶-node run is
+// `mdsrun -family uforest -n 1000000 -algo mcds` (and the memsmoke CI job).
 
 // emcdsEps is the threshold decay parameter every E-mcds row uses.
 const emcdsEps = 0.5
@@ -59,93 +58,30 @@ func EMcds(quick bool) *Table {
 	for _, fam := range emcdsFamilies(sizes) {
 		g := fam.G
 		diam := 2*g.Eccentricity(0) + 2
-		res, err := mcds.Solve(g, mcds.Params{Eps: emcdsEps, Sim: SimEngine, DiamBound: diam, Observer: Observer})
+		res, err := solve("mcds", g, family.Params{Eps: emcdsEps, DiamBound: diam})
 		if err != nil {
 			t.errorRow(fam.Name, err)
 			continue
 		}
-		paper, err := cds.Solve(g, cds.Params{MDS: simParams(mds.Params{Eps: emcdsEps})})
-		paperSize := "-"
-		if err == nil {
-			paperSize = fmt.Sprint(len(paper.CDS))
-		}
-		// Solve verified connectivity + domination; only the ratio is left.
-		cert := verify.CertifyCDSVerified(g, res.CDS, verify.MCDSClaimBound(g.MaxDegree(), emcdsEps))
+		paperSize := sizeOf("cds", g, emcdsEps)
+		cert := res.Cert.(verify.CDSCertificate)
 		rBound := verify.RoundBoundMCDS(g.MaxDegree(), emcdsEps, diam)
 		ok := cert.OK &&
-			len(res.CDS) <= 3*len(res.DS)+1 &&
-			res.Metrics.Rounds == 4*len(res.Thresholds)+diam+2 &&
-			res.Metrics.Rounds <= rBound
+			len(res.Set) <= 3*len(res.DS)+1 &&
+			res.Rounds == 4*len(mcds.Thresholds(g.MaxDegree(), emcdsEps))+diam+2 &&
+			res.Rounds <= rBound
 		if !ok {
 			t.Violations++
 		}
 		t.Rows = append(t.Rows, []string{
 			fam.Name, fmt.Sprint(g.N()), fmt.Sprint(g.MaxDegree()), fmt.Sprint(diam),
-			fmt.Sprint(len(res.DS)), fmt.Sprint(len(res.CDS)), fmt.Sprint(3*len(res.DS) + 1),
+			fmt.Sprint(len(res.DS)), fmt.Sprint(len(res.Set)), fmt.Sprint(3*len(res.DS) + 1),
 			paperSize,
 			fmt.Sprintf("%.1f", cert.LowerBound),
 			fmt.Sprintf("%.3f", cert.Ratio), fmt.Sprintf("%.1f", cert.ClaimBound),
-			fmt.Sprint(res.Metrics.Rounds), fmt.Sprint(rBound),
+			fmt.Sprint(res.Rounds), fmt.Sprint(rBound),
 			fmt.Sprint(ok),
 		})
 	}
 	return t
-}
-
-// EMcdsScale is the full-size E-mcds row: connected families at n nodes
-// (10⁶ in the memsmoke job and cmd/mdsbench -emcds-scale), run natively on
-// the stepped engine regardless of SimEngine. The paper's CDS pipeline is
-// out of reach at this size, so the row checks mcds against its
-// certificate only; the CI-sized EMcds table carries the comparison.
-func EMcdsScale(n int) *Table {
-	t := emcdsScaleTable(fmt.Sprintf("Ghaffari'14 at n=%d on EngineStepped: verified connected+dominating, ratio vs LB, rounds from (Δ,ε,D̂)", n))
-	for _, fam := range []familyCase{
-		{"uforest", n, graph.UnionForests(n, graph.DefaultArbAlpha, 1)},
-		{"ba", n, graph.BarabasiAlbert(n, 2, 4)},
-	} {
-		emcdsScaleRow(t, fam.Name, fam.G)
-	}
-	return t
-}
-
-// EMcdsScaleOn is EMcdsScale on one caller-supplied graph instead of the
-// generated suite — the entry point behind cmd/mdsbench -emcds-graph,
-// where the instance comes from a .csrg file (possibly memory-mapped)
-// rather than a generator spec.
-func EMcdsScaleOn(name string, g *graph.Graph) *Table {
-	t := emcdsScaleTable(fmt.Sprintf("Ghaffari'14 on %s (n=%d) on EngineStepped: verified connected+dominating, ratio vs LB, rounds from (Δ,ε,D̂)", name, g.N()))
-	emcdsScaleRow(t, name, g)
-	return t
-}
-
-func emcdsScaleTable(claim string) *Table {
-	return &Table{
-		ID:     "E-mcds-scale",
-		Claim:  claim,
-		Header: []string{"family", "n", "Δ", "D̂", "|DS|", "|CDS|", "OPT-lb", "ratio≤", "claim", "rounds", "r-bound", "ok"},
-	}
-}
-
-func emcdsScaleRow(t *Table, name string, g *graph.Graph) {
-	diam := 2*g.Eccentricity(0) + 2
-	res, err := mcds.Solve(g, mcds.Params{Eps: emcdsEps, Sim: congest.EngineStepped, DiamBound: diam, Observer: Observer})
-	if err != nil {
-		t.errorRow(name, err)
-		return
-	}
-	// Solve verified connectivity + domination; only the ratio is left.
-	cert := verify.CertifyCDSVerified(g, res.CDS, verify.MCDSClaimBound(g.MaxDegree(), emcdsEps))
-	rBound := verify.RoundBoundMCDS(g.MaxDegree(), emcdsEps, diam)
-	ok := cert.OK && len(res.CDS) <= 3*len(res.DS)+1 && res.Metrics.Rounds <= rBound
-	if !ok {
-		t.Violations++
-	}
-	t.Rows = append(t.Rows, []string{
-		name, fmt.Sprint(g.N()), fmt.Sprint(g.MaxDegree()), fmt.Sprint(diam),
-		fmt.Sprint(len(res.DS)), fmt.Sprint(len(res.CDS)),
-		fmt.Sprintf("%.1f", cert.LowerBound),
-		fmt.Sprintf("%.3f", cert.Ratio), fmt.Sprintf("%.1f", cert.ClaimBound),
-		fmt.Sprint(res.Metrics.Rounds), fmt.Sprint(rBound),
-		fmt.Sprint(ok),
-	})
 }

@@ -14,8 +14,8 @@ import (
 	"strings"
 
 	"congestds/internal/baseline"
-	"congestds/internal/cds"
 	"congestds/internal/congest"
+	"congestds/internal/family"
 	"congestds/internal/fractional"
 	"congestds/internal/graph"
 	"congestds/internal/kwise"
@@ -42,11 +42,33 @@ var Observer congest.Observer
 // uses.
 func simConfig() congest.Config { return congest.Config{Engine: SimEngine, Observer: Observer} }
 
-// simParams threads the selected engine into an mds parameter set.
+// simParams threads the selected engine into an mds parameter set, for the
+// tables that read pipeline internals no family returns (E4, E5).
 func simParams(p mds.Params) mds.Params {
 	p.Sim = SimEngine
 	p.Observer = Observer
 	return p
+}
+
+// solve runs the registered family name on g under the selected engine and
+// observer: the one solve-and-certify path of every claim row.
+func solve(name string, g *graph.Graph, p family.Params) (*family.Result, error) {
+	f, err := family.Get(name)
+	if err != nil {
+		return nil, err
+	}
+	p.Sim, p.Observer = SimEngine, Observer
+	return f.Solve(g, p)
+}
+
+// sizeOf renders the set size of the comparison family name on g, or "-"
+// when it fails: comparison columns give context, they are not claims.
+func sizeOf(name string, g *graph.Graph, eps float64) string {
+	res, err := solve(name, g, family.Params{Eps: eps})
+	if err != nil {
+		return "-"
+	}
+	return fmt.Sprint(len(res.Set))
 }
 
 // Table is one experiment's output.
@@ -125,16 +147,16 @@ func optEstimate(g *graph.Graph) (float64, bool) {
 // dominating, and within (1+ε)(1+ln(Δ+1)) of the optimum.
 func E1(quick bool) *Table {
 	return approxExperiment("E1", "Thm 1.1: |DS| ≤ (1+ε)(1+ln(Δ+1))·OPT via network decomposition",
-		mds.EngineDecomposition, quick)
+		"thm1.1", quick)
 }
 
 // E2 validates Theorem 1.2 (coloring engine).
 func E2(quick bool) *Table {
 	return approxExperiment("E2", "Thm 1.2: |DS| ≤ (1+ε)(1+ln(Δ+1))·OPT via distance-2 colorings",
-		mds.EngineColoring, quick)
+		"thm1.2", quick)
 }
 
-func approxExperiment(id, claim string, engine mds.Engine, quick bool) *Table {
+func approxExperiment(id, claim, algo string, quick bool) *Table {
 	t := &Table{
 		ID:     id,
 		Claim:  claim,
@@ -143,28 +165,27 @@ func approxExperiment(id, claim string, engine mds.Engine, quick bool) *Table {
 	eps := 0.5
 	for _, fam := range benchFamilies(quick) {
 		g := fam.G
-		res, err := mds.Solve(g, simParams(mds.Params{Eps: eps, Engine: engine}))
+		res, err := solve(algo, g, family.Params{Eps: eps})
 		if err != nil {
-			t.Rows = append(t.Rows, []string{fam.Name, "-", "-", "-", "-", "-", "-", "-", "-", "ERR:" + err.Error()})
-			t.Violations++
+			t.errorRow(fam.Name, err)
 			continue
 		}
 		lb, exact := optEstimate(g)
 		ratio := float64(len(res.Set)) / lb
+		bound := mds.Bound(eps, g.MaxDegree())
 		// The bound check is decisive only against exact OPT; against the
 		// dual LB it is conservative (ratio is an upper bound on truth).
-		ok := verify.IsDominatingSet(g, res.Set) && (!exact || ratio <= res.Bound+1e-9)
+		ok := res.Cert.Passed() && (!exact || ratio <= bound+1e-9)
 		if !ok {
 			t.Violations++
 		}
-		gr := baseline.Greedy(g)
 		t.Rows = append(t.Rows, []string{
 			fam.Name,
 			fmt.Sprint(g.N()), fmt.Sprint(g.MaxDegree()),
-			fmt.Sprint(len(res.Set)), fmt.Sprint(len(gr)),
+			fmt.Sprint(len(res.Set)), sizeOf("greedy", g, eps),
 			fmt.Sprintf("%.1f", lb),
-			fmt.Sprintf("%.3f", ratio), fmt.Sprintf("%.3f", res.Bound),
-			fmt.Sprint(res.Ledger.Metrics().TotalRounds()),
+			fmt.Sprintf("%.3f", ratio), fmt.Sprintf("%.3f", bound),
+			fmt.Sprint(res.Rounds),
 			fmt.Sprint(ok),
 		})
 	}
@@ -284,20 +305,20 @@ func E6(quick bool) *Table {
 		if !g.IsConnected() {
 			continue
 		}
-		res, err := cds.Solve(g, cds.Params{MDS: simParams(mds.Params{Eps: 0.5})})
+		res, err := solve("cds", g, family.Params{Eps: 0.5})
 		if err != nil {
 			t.Violations++
 			continue
 		}
-		valid := verify.CheckCDS(g, res.CDS) == nil
-		ok := valid && len(res.CDS) <= 3*len(res.DS)
+		valid := res.Cert.Passed()
+		ok := valid && len(res.Set) <= 3*len(res.DS)
 		if !ok {
 			t.Violations++
 		}
 		t.Rows = append(t.Rows, []string{
-			fam.Name, fmt.Sprint(g.N()), fmt.Sprint(len(res.DS)), fmt.Sprint(len(res.CDS)),
+			fam.Name, fmt.Sprint(g.N()), fmt.Sprint(len(res.DS)), fmt.Sprint(len(res.Set)),
 			fmt.Sprint(3 * len(res.DS)), fmt.Sprint(valid),
-			fmt.Sprint(res.Ledger.Metrics().TotalRounds()), fmt.Sprint(ok),
+			fmt.Sprint(res.Rounds), fmt.Sprint(ok),
 		})
 	}
 	return t
@@ -317,13 +338,13 @@ func E7(quick bool) *Table {
 	}
 	for _, n := range sizes {
 		g := graph.GNPConnected(n, 4.0/float64(n), 9)
-		res, err := mds.Solve(g, simParams(mds.Params{Eps: 0.5, Engine: mds.EngineColoring}))
+		res, err := solve("thm1.2", g, family.Params{Eps: 0.5})
 		if err != nil {
 			t.Violations++
 			continue
 		}
 		m := res.Ledger.Metrics()
-		ok := m.MaxMsgBits <= m.BandwidthBits && verify.IsDominatingSet(g, res.Set)
+		ok := m.MaxMsgBits <= m.BandwidthBits && res.Cert.Passed()
 		if !ok {
 			t.Violations++
 		}
@@ -352,7 +373,7 @@ func E8(quick bool) *Table {
 	r := rand.New(rand.NewPCG(17, 19))
 	for _, fam := range benchFamilies(quick)[:4] {
 		g := fam.G
-		res, err := mds.Solve(g, simParams(mds.Params{Eps: 0.5, Engine: mds.EngineColoring}))
+		res, err := solve("thm1.2", g, family.Params{Eps: 0.5})
 		if err != nil {
 			t.Violations++
 			continue
@@ -550,13 +571,12 @@ func E12(quick bool) *Table {
 	r := rand.New(rand.NewPCG(41, 43))
 	for _, fam := range benchFamilies(quick)[:4] {
 		g := fam.G
-		r1, err1 := mds.Solve(g, simParams(mds.Params{Eps: 0.5, Engine: mds.EngineDecomposition}))
-		r2, err2 := mds.Solve(g, simParams(mds.Params{Eps: 0.5, Engine: mds.EngineColoring}))
+		r1, err1 := solve("thm1.1", g, family.Params{Eps: 0.5})
+		r2, err2 := solve("thm1.2", g, family.Params{Eps: 0.5})
 		if err1 != nil || err2 != nil {
 			t.Violations++
 			continue
 		}
-		gr := baseline.Greedy(g)
 		net := congest.NewNetwork(g, simConfig())
 		fds, err := fractional.Initial(net, nil, fractional.InitialParams{Eps: 0.5 / 16})
 		if err != nil {
@@ -571,7 +591,7 @@ func E12(quick bool) *Table {
 		lb, _ := optEstimate(g)
 		t.Rows = append(t.Rows, []string{
 			fam.Name, fmt.Sprint(g.N()),
-			fmt.Sprint(len(r1.Set)), fmt.Sprint(len(r2.Set)), fmt.Sprint(len(gr)),
+			fmt.Sprint(len(r1.Set)), fmt.Sprint(len(r2.Set)), sizeOf("greedy", g, 0.5),
 			fmt.Sprintf("%.1f", float64(sum)/5), fmt.Sprintf("%.1f", lb),
 		})
 	}

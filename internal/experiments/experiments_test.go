@@ -60,30 +60,6 @@ func TestExperimentsEngineInvariant(t *testing.T) {
 	}
 }
 
-// TestEArbScaleSmall drives the full-size table shape at a toy size, so
-// the -earb-scale path is covered without a million-node CI run.
-func TestEArbScaleSmall(t *testing.T) {
-	tab := EArbScale(400)
-	if tab.Violations != 0 {
-		t.Errorf("%d violations:\n%s", tab.Violations, tab)
-	}
-	if len(tab.Rows) != 2 {
-		t.Errorf("rows=%d, want 2 (uforest, gridx)", len(tab.Rows))
-	}
-}
-
-// TestEMcdsScaleSmall drives the full-size table shape at a toy size, so
-// the -emcds-scale path is covered without a million-node CI run.
-func TestEMcdsScaleSmall(t *testing.T) {
-	tab := EMcdsScale(400)
-	if tab.Violations != 0 {
-		t.Errorf("%d violations:\n%s", tab.Violations, tab)
-	}
-	if len(tab.Rows) != 2 {
-		t.Errorf("rows=%d, want 2 (uforest, ba)", len(tab.Rows))
-	}
-}
-
 func TestErrorRowShape(t *testing.T) {
 	tab := &Table{Header: []string{"family", "n", "ok"}}
 	tab.errorRow("gnp", errors.New("boom"))

@@ -4,7 +4,8 @@
 // Theorem 1.4 CDS transform, the host-side greedy and exact baselines, and
 // the families beyond the paper (arbmds, mcds). A Family bundles a Solve
 // function with the certificate its outputs are checked against, in the
-// uniform shape cmd/mdsrun and cmd/mdsd dispatch on — so adding a family
+// uniform shape cmd/mdsrun, cmd/mdsd and the experiment tables
+// (internal/experiments) dispatch on — so adding a family
 // (the recipe arbmds and mcds established, see docs/ARCHITECTURE.md) is:
 // implement the algorithm package, register it here, add a conformance
 // case and an experiment table. Registered families are automatically
@@ -46,8 +47,9 @@ type Params struct {
 	// CkptPath enables checkpoint/resume for families whose solver runs as
 	// a single checkpointable stepped program (currently arbmds): the run
 	// checkpoints to this path every CkptEvery rounds and resumes from it
-	// when the file already holds a matching checkpoint. Families that
-	// cannot checkpoint reject a non-empty CkptPath.
+	// when the file already holds a matching checkpoint. Simulated families
+	// that cannot checkpoint reject a non-empty CkptPath as
+	// congest.ErrConfig; the host-side baselines (greedy, exact) ignore it.
 	CkptPath string
 	// CkptEvery is the checkpoint cadence in rounds (only read when
 	// CkptPath is set; zero means 1).
@@ -78,9 +80,9 @@ func (p Params) Key() string {
 }
 
 // Certificate is what a family's verification layer returns: a printable
-// verdict. All concrete certificates (verify.ArbCertificate,
-// verify.CDSCertificate, ...) satisfy it via small adapters in
-// register.go.
+// verdict. verify.ArbCertificate and verify.CDSCertificate satisfy it
+// directly; the source paper's algorithms and the baselines use the ratio
+// certificate in register.go.
 type Certificate interface {
 	fmt.Stringer
 	// Passed reports whether the output met the family's claim.
@@ -92,6 +94,9 @@ type Result struct {
 	// Set is the family's solution (a dominating set, or a connected
 	// dominating set for CDS families), ascending.
 	Set []int
+	// DS is the underlying dominating set a CDS family (cds, mcds) extended
+	// into Set; nil for the other families.
+	DS []int
 	// Rounds is the synchronous round count: measured engine rounds, plus
 	// the charged rounds of structurally simulated phases for families
 	// that keep a Ledger. Host-side baselines report 0.

@@ -95,6 +95,8 @@ func TestRejectsBadParamsAsConfig(t *testing.T) {
 		{"thm1.1", small, Params{Eps: 1.5}},
 		{"cor1.3", small, Params{MaxRounds: 10}},
 		{"cds", small, Params{Eps: 3}},
+		{"mcds", small, Params{CkptPath: "x.ckpt"}},
+		{"thm1.2", small, Params{CkptPath: "x.ckpt"}},
 	}
 	for _, c := range cases {
 		f, err := Get(c.algo)

@@ -20,16 +20,6 @@ import (
 // typed APIs) so the algorithm packages stay free of registry concerns and
 // their Solve signatures can stay precise.
 
-// arbCert adapts verify.ArbCertificate to the Certificate interface.
-type arbCert struct{ verify.ArbCertificate }
-
-func (c arbCert) Passed() bool { return c.OK }
-
-// cdsCert adapts verify.CDSCertificate.
-type cdsCert struct{ verify.CDSCertificate }
-
-func (c cdsCert) Passed() bool { return c.OK }
-
 // ratioCert is the certificate of the source paper's algorithms and the
 // baselines: the dual-packing ratio of verify.Certify plus one structural
 // check (domination, or verify.CheckCDS for cds). The ratio is reported,
@@ -69,7 +59,7 @@ const paperEps = 0.5
 
 // mdsParams validates p for the source paper's pipeline and translates it.
 // ε must lie in (0,1] after the default is filled in, and the pipeline has
-// no round clamp. Deadline becomes a timeout on Ctx, because one context
+// no round clamp and no checkpointing. Deadline becomes a timeout on Ctx, because one context
 // bounds the whole multi-part solve; the returned cancel releases it.
 func mdsParams(p Params, engine mds.Engine) (mds.Params, context.CancelFunc, error) {
 	eps := p.Eps
@@ -81,6 +71,8 @@ func mdsParams(p Params, engine mds.Engine) (mds.Params, context.CancelFunc, err
 		return mds.Params{}, nil, configErr("eps=%v out of (0,1]", p.Eps)
 	case p.MaxRounds > 0:
 		return mds.Params{}, nil, configErr("the paper pipeline takes no round clamp (maxrounds=%d)", p.MaxRounds)
+	case p.CkptPath != "":
+		return mds.Params{}, nil, configErr("the paper pipeline does not support checkpointing (ckpt=%q)", p.CkptPath)
 	}
 	ctx, cancel := p.Ctx, context.CancelFunc(func() {})
 	if p.Deadline > 0 {
@@ -153,9 +145,11 @@ func init() {
 				return nil, err
 			}
 			cert := ratioCert{verify.Certify(g, res.CDS), verify.CheckCDS(g, res.CDS)}
-			return ledgerResult(res.CDS, res.Ledger, cert,
+			out := ledgerResult(res.CDS, res.Ledger, cert,
 				fmt.Sprintf("underlying dominating set: %d nodes, %d cluster centres", len(res.DS), len(res.RulingSet)),
-				fmt.Sprintf("paper guarantee: 3(1+ε)(1+ln(Δ+1)) = %.3f", res.Bound)), nil
+				fmt.Sprintf("paper guarantee: 3(1+ε)(1+ln(Δ+1)) = %.3f", res.Bound))
+			out.DS = res.DS
+			return out, nil
 		},
 	})
 
@@ -205,7 +199,7 @@ func init() {
 			return &Result{
 				Set:    res.Set,
 				Rounds: res.Metrics.Rounds,
-				Cert:   arbCert{cert},
+				Cert:   cert,
 				Notes: []string{
 					fmt.Sprintf("phases: %d (thresholds %v), rounds independent of n",
 						len(res.Thresholds), res.Thresholds),
@@ -225,7 +219,7 @@ func init() {
 				eps = 0.5
 			}
 			if p.CkptPath != "" {
-				return nil, fmt.Errorf("family: mcds does not support checkpointing (CkptPath set)")
+				return nil, configErr("mcds does not support checkpointing (ckpt=%q)", p.CkptPath)
 			}
 			res, err := mcds.Solve(g, mcds.Params{
 				Eps: eps, Sim: p.Sim, MaxRounds: p.MaxRounds, DiamBound: p.DiamBound,
@@ -239,8 +233,9 @@ func init() {
 			cert := verify.CertifyCDSVerified(g, res.CDS, verify.MCDSClaimBound(g.MaxDegree(), eps))
 			return &Result{
 				Set:    res.CDS,
+				DS:     res.DS,
 				Rounds: res.Metrics.Rounds,
-				Cert:   cdsCert{cert},
+				Cert:   cert,
 				Notes: []string{
 					fmt.Sprintf("underlying dominating set: %d nodes (|CDS| ≤ 3|DS|+1 = %d)",
 						len(res.DS), 3*len(res.DS)+1),

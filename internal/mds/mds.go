@@ -145,7 +145,7 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 	}
 	delta := g.MaxDegree()
 	deltaTilde := float64(delta + 1)
-	res.Bound = (1 + p.Eps) * (1 + math.Log(deltaTilde))
+	res.Bound = Bound(p.Eps, delta)
 
 	// Parameter schedule (proof of Theorem 1.1/1.2 in Section 3.4).
 	rho := math.Max(1, math.Log2(deltaTilde/p.Eps))

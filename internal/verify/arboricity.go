@@ -151,6 +151,9 @@ func CertifyArb(g *graph.Graph, set []int, eps float64) ArbCertificate {
 	return c
 }
 
+// Passed reports whether the set met the O(α) claim.
+func (c ArbCertificate) Passed() bool { return c.OK }
+
 // String renders the certificate for command-line output.
 func (c ArbCertificate) String() string {
 	return fmt.Sprintf("size=%d LB=%.2f ratio≤%.3f degeneracy=%d O(α)-claim=%.1f ok=%v",

@@ -66,6 +66,10 @@ func (c CDSCertificate) withRatio(g *graph.Graph, claimBound float64) CDSCertifi
 	return c
 }
 
+// Passed reports whether the set is a connected dominating set within the
+// claim bound.
+func (c CDSCertificate) Passed() bool { return c.OK }
+
 // String renders the certificate for command-line output.
 func (c CDSCertificate) String() string {
 	return fmt.Sprintf("size=%d LB=%.2f ratio≤%.3f claim=%.1f connected=%v dominating=%v ok=%v",
