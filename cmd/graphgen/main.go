@@ -3,9 +3,9 @@
 // binary zero-copy format (mdsrun and mdsbench memory-map it back); any
 // other destination gets the text edge-list format, overridable with
 // -format. With -smoke it also drives a broadcast-and-fold program over
-// the generated graph on a selectable execution engine (-sim), so
-// generated workloads can be sanity-checked — and timed — on any engine
-// before feeding them to mdsrun:
+// the generated graph on the default (stepped) engine, so generated
+// workloads can be sanity-checked — and timed — before feeding them to
+// mdsrun:
 //
 //	go run ./cmd/graphgen -family disk -n 200 -o disk200.txt
 //	go run ./cmd/graphgen -family torus -n 1000000 -o torus1m.csrg
@@ -35,7 +35,6 @@ func main() {
 	list := flag.Bool("list", false, "list available families")
 	stats := flag.Bool("stats", false, "print properties instead of the graph")
 	smoke := flag.Bool("smoke", false, "run a 16-round broadcast-and-fold over the graph instead of printing it")
-	sim := flag.String("sim", "stepped", "execution engine for -smoke: stepped | goroutine (the reference engine)")
 	flag.Parse()
 
 	if *list {
@@ -49,7 +48,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if *smoke {
-		runSmoke(g, *sim)
+		runSmoke(g)
 		return
 	}
 	if *stats {
@@ -128,12 +127,8 @@ func (s *smokeStep) Step(nd *congest.Node, round int, in []congest.Incoming) boo
 	return false
 }
 
-func runSmoke(g *graph.Graph, sim string) {
-	eng, err := congest.ParseEngine(sim)
-	if err != nil {
-		log.Fatal(err)
-	}
-	net := congest.NewNetwork(g, congest.Config{Engine: eng})
+func runSmoke(g *graph.Graph) {
+	net := congest.NewNetwork(g, congest.Config{})
 	out := make([]int64, g.N())
 	start := time.Now()
 	m, err := net.RunStepped(func(nd *congest.Node) congest.StepProgram {
@@ -148,7 +143,7 @@ func runSmoke(g *graph.Graph, sim string) {
 		sum = sum*131 + x
 	}
 	fmt.Printf("graph: %v\n", g)
-	fmt.Printf("engine=%v rounds=%d messages=%d bits=%d\n", eng, m.Rounds, m.Messages, m.Bits)
+	fmt.Printf("rounds=%d messages=%d bits=%d\n", m.Rounds, m.Messages, m.Bits)
 	fmt.Printf("elapsed=%v (%.0f node-rounds/s)\n", elapsed.Round(time.Millisecond),
 		float64(g.N())*float64(m.Rounds)/elapsed.Seconds())
 	fmt.Printf("checksum=%d (engine-independent)\n", sum)

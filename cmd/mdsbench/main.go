@@ -13,19 +13,15 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
-	"time"
 
 	"congestds/internal/congest"
 	"congestds/internal/experiments"
 	"congestds/internal/obs"
-	"congestds/internal/testmem"
 )
 
 // Exit codes (see the package comment).
@@ -50,83 +46,12 @@ func fail(stderr io.Writer, err error) int {
 	return exitRun
 }
 
-// jsonRow is one machine-readable result row (-json): the conventional
-// columns lifted by header name when the table has them, every raw cell
-// under "cols", and process-level cost figures. NsOp is the experiment's
-// wall time amortized over its rows (exact for one-row tables);
-// PeakRSS is the process high-water mark at emission, so it only grows
-// down a run — the last row of an experiment bounds that experiment.
-type jsonRow struct {
-	ID         string            `json:"id"`
-	Family     string            `json:"family,omitempty"`
-	N          int64             `json:"n,omitempty"`
-	Rounds     int64             `json:"rounds,omitempty"`
-	Ratio      float64           `json:"ratio,omitempty"`
-	OK         *bool             `json:"ok,omitempty"`
-	NsOp       int64             `json:"ns_op"`
-	PeakRSS    int64             `json:"peak_rss_bytes"`
-	Violations int               `json:"violations"`
-	Cols       map[string]string `json:"cols"`
-}
-
-// emitJSON writes one JSON object per table row.
-func emitJSON(w io.Writer, t *experiments.Table, wallNs int64) error {
-	col := func(row []string, name string) (string, bool) {
-		for i, h := range t.Header {
-			if h == name && i < len(row) {
-				return row[i], true
-			}
-		}
-		return "", false
-	}
-	nsOp := wallNs
-	if len(t.Rows) > 1 {
-		nsOp = wallNs / int64(len(t.Rows))
-	}
-	enc := json.NewEncoder(w)
-	for _, row := range t.Rows {
-		r := jsonRow{
-			ID:         t.ID,
-			NsOp:       nsOp,
-			PeakRSS:    testmem.ReadVmHWM(),
-			Violations: t.Violations,
-			Cols:       make(map[string]string, len(t.Header)),
-		}
-		for i, h := range t.Header {
-			if i < len(row) {
-				r.Cols[h] = row[i]
-			}
-		}
-		r.Family, _ = col(row, "family")
-		if s, ok := col(row, "n"); ok {
-			r.N, _ = strconv.ParseInt(s, 10, 64)
-		}
-		if s, ok := col(row, "rounds"); ok {
-			r.Rounds, _ = strconv.ParseInt(s, 10, 64)
-		}
-		if s, ok := col(row, "ratio≤"); ok {
-			r.Ratio, _ = strconv.ParseFloat(s, 64)
-		}
-		if s, ok := col(row, "ok"); ok {
-			v := s == "true" || s == "ok"
-			r.OK = &v
-		}
-		if err := enc.Encode(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // run is main behind a testable seam.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mdsbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "small instances (used by the test suite)")
 	only := fs.String("only", "", "run a single experiment by ID (e.g. E6)")
-	sim := fs.String("sim", "stepped", "congest execution engine: stepped | goroutine (the reference engine)")
-	jsonOut := fs.Bool("json", false,
-		"emit one JSON object per result row instead of tables (id, family, n, rounds, ratio, ns_op, peak_rss_bytes, raw cells)")
 	tracePath := fs.String("trace", "",
 		"stream per-round engine telemetry of every experiment run to this file as JSONL (see internal/obs)")
 	if err := fs.Parse(args); err != nil {
@@ -137,12 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 
-	eng, err := congest.ParseEngine(*sim)
-	if err != nil {
-		fmt.Fprintf(stderr, "mdsbench: %v\n", err)
-		return exitUsage
-	}
-	experiments.SimEngine = eng
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {
@@ -163,15 +82,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		matched = true
-		start := time.Now()
 		t := e.Run(*quick)
-		if *jsonOut {
-			if err := emitJSON(stdout, t, int64(time.Since(start))); err != nil {
-				fmt.Fprintf(stderr, "mdsbench: json: %v\n", err)
-			}
-		} else {
-			fmt.Fprintln(stdout, t)
-		}
+		fmt.Fprintln(stdout, t)
 		violations += t.Violations
 	}
 	if !matched {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -26,7 +25,7 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"bad-flag", []string{"-no-such-flag"}, 2, ""},
 		{"positional-args", []string{"stray"}, 2, "unexpected arguments"},
-		{"unknown-sim", []string{"-sim", "quantum"}, 2, ""},
+		{"unknown-sim", []string{"-sim", "stepped"}, 2, "flag provided but not defined: -sim"},
 		{"unknown-experiment", []string{"-quick", "-only", "E999"}, 2, "unknown experiment"},
 	}
 	for _, c := range cases {
@@ -54,46 +53,6 @@ func TestQuickExperimentSucceeds(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "E1") {
 		t.Fatalf("no E1 table in output:\n%s", out.String())
-	}
-}
-
-// TestJSONOutput: -json emits one parseable object per table row with the
-// conventional columns lifted and cost figures attached.
-func TestJSONOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: experiment tables are exercised by internal/experiments")
-	}
-	var out, errb bytes.Buffer
-	if code := run([]string{"-quick", "-only", "E1", "-json"}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d\nstderr: %s", code, errb.String())
-	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) == 0 {
-		t.Fatal("no JSON rows emitted")
-	}
-	for i, line := range lines {
-		var row struct {
-			ID      string            `json:"id"`
-			Family  string            `json:"family"`
-			N       int64             `json:"n"`
-			Rounds  int64             `json:"rounds"`
-			Ratio   float64           `json:"ratio"`
-			NsOp    int64             `json:"ns_op"`
-			PeakRSS int64             `json:"peak_rss_bytes"`
-			Cols    map[string]string `json:"cols"`
-		}
-		if err := json.Unmarshal([]byte(line), &row); err != nil {
-			t.Fatalf("row %d is not JSON: %v\n%s", i, err, line)
-		}
-		if row.ID != "E1" || row.Family == "" || row.N == 0 || row.Rounds == 0 {
-			t.Errorf("row %d missing lifted columns: %s", i, line)
-		}
-		if row.NsOp <= 0 || row.PeakRSS <= 0 {
-			t.Errorf("row %d missing cost figures: %s", i, line)
-		}
-		if row.Cols["family"] != row.Family {
-			t.Errorf("row %d raw cells disagree with lifted family: %s", i, line)
-		}
 	}
 }
 

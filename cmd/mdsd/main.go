@@ -31,7 +31,6 @@ import (
 	"os"
 	"strings"
 
-	"congestds/internal/congest"
 	"congestds/internal/serve"
 )
 
@@ -64,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dir := fs.String("dir", "", "serve any graph file under this directory by relative path")
 	graphBudget := fs.Int64("graph-budget", 0, "resident graph byte budget (0 = unlimited)")
 	cacheBudget := fs.Int64("cache-budget", 64<<20, "certified-solution cache byte budget (0 = unlimited)")
-	sim := fs.String("sim", "stepped", "default congest execution engine: stepped | goroutine (the reference engine)")
 	graphs := map[string]string{}
 	fs.Func("graph", "preregister a graph as name=path (repeatable; .csrg is memory-mapped)", func(v string) error {
 		name, path, ok := strings.Cut(v, "=")
@@ -86,10 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(graphs) == 0 && *dir == "" {
 		return usage(stderr, "nothing to serve: give at least one -graph name=path or a -dir")
 	}
-	engine, err := congest.ParseEngine(*sim)
-	if err != nil {
-		return usage(stderr, "%v", err)
-	}
 	if *graphBudget < 0 || *cacheBudget < 0 {
 		return usage(stderr, "budgets must be ≥ 0")
 	}
@@ -101,7 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Dir:         *dir,
 			GraphBudget: *graphBudget,
 			CacheBudget: *cacheBudget,
-			Engine:      engine,
 		}),
 	}
 	ln, err := net.Listen("tcp", *addr)
@@ -109,8 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "mdsd: %v\n", err)
 		return exitRun
 	}
-	fmt.Fprintf(stdout, "mdsd: serving on %s (%d graphs preregistered, engine %s)\n",
-		ln.Addr(), len(graphs), engine)
+	fmt.Fprintf(stdout, "mdsd: serving on %s (%d graphs preregistered)\n", ln.Addr(), len(graphs))
 	if onListen != nil {
 		onListen(ln.Addr().String(), srv)
 	}

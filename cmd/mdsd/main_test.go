@@ -145,7 +145,7 @@ func TestDaemonUsageErrors(t *testing.T) {
 		{"no graphs", nil},
 		{"bad graph spec", []string{"-graph", "nopath"}},
 		{"duplicate graph", []string{"-graph", "g=a.txt", "-graph", "g=b.txt"}},
-		{"bad engine", []string{"-graph", "g=a.txt", "-sim", "bogus"}},
+		{"bad engine", []string{"-graph", "g=a.txt", "-sim", "stepped"}},
 		{"negative budget", []string{"-graph", "g=a.txt", "-graph-budget", "-1"}},
 		{"stray args", []string{"-graph", "g=a.txt", "stray"}},
 		{"bad flag", []string{"-nope"}},

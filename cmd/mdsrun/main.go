@@ -6,7 +6,7 @@
 //	go run ./cmd/mdsrun -in graph.csrg -algo arbmds   (zero-copy mmap)
 //	go run ./cmd/mdsrun -family uforest -n 100000 -algo arbmds
 //	go run ./cmd/mdsrun -family ba -n 100000 -algo mcds
-//	go run ./cmd/mdsrun -family disk -n 150 -algo greedy -v -sim goroutine
+//	go run ./cmd/mdsrun -family disk -n 150 -algo greedy -v
 //
 // Every -algo value is looked up in the algorithm registry
 // (internal/family): the source paper's pipelines (thm1.1, thm1.2 and its
@@ -20,7 +20,7 @@
 //	1  run failure (graph unavailable, simulation aborted, ...); when the
 //	   failure maps to an engine sentinel, a final "sentinel <class>" line
 //	   on stderr names it (deadline, bandwidth, bad-ckpt, ...)
-//	2  usage error (bad flags, unknown algorithm/engine, invalid
+//	2  usage error (bad flags, unknown algorithm, invalid
 //	   combination), including a run the algorithm rejected as caller
 //	   misuse ("sentinel config": eps out of range, exact on n > 64, ...)
 //	3  certification violation: the run completed but its output failed
@@ -96,13 +96,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	algo := fs.String("algo", "thm1.2",
 		"algorithm: "+strings.Join(family.Names(), " | ")+" (paper = thm1.2)")
 	eps := fs.Float64("eps", 0.5, "approximation parameter ε")
-	sim := fs.String("sim", "stepped", "congest execution engine: stepped | goroutine (the reference engine)")
 	diam := fs.Int("diam", 0,
 		"known diameter upper bound for orientation-phase algorithms (mcds); 0 = 2·ecc+2 from one host-side BFS")
 	deadline := fs.Duration("deadline", 0,
 		"wall-clock budget for the whole solve; overruns exit 1 with \"sentinel deadline\"")
 	ckpt := fs.String("ckpt", "",
-		"checkpoint file for kill-resumable runs (arbmds on the stepped engine only); a matching checkpoint in the file resumes the run")
+		"checkpoint file for kill-resumable runs (arbmds only); a matching checkpoint in the file resumes the run")
 	ckptEvery := fs.Int("ckpt-every", 1, "checkpoint cadence in rounds (with -ckpt)")
 	tracePath := fs.String("trace", "",
 		"stream per-round telemetry to this file as JSONL (replayable: see internal/obs.Replay)")
@@ -120,16 +119,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage(stderr, "unexpected arguments: %v", fs.Args())
 	}
 
-	simEngine, err := congest.ParseEngine(*sim)
-	if err != nil {
-		return usage(stderr, "%v", err)
-	}
 	fam, err := family.Get(*algo)
 	if err != nil {
 		return usage(stderr, "%v", err)
 	}
-	if *ckpt != "" && (*algo != "arbmds" || simEngine != congest.EngineStepped) {
-		return usage(stderr, "-ckpt requires -algo arbmds -sim stepped (got -algo %s -sim %s)", *algo, *sim)
+	if *ckpt != "" && *algo != "arbmds" {
+		return usage(stderr, "-ckpt requires -algo arbmds (got -algo %s)", *algo)
 	}
 	if *ckptEvery < 1 {
 		return usage(stderr, "-ckpt-every must be >= 1 (got %d)", *ckptEvery)
@@ -162,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "graph: %v\n", g)
 
 	params := family.Params{
-		Eps: *eps, Sim: simEngine, DiamBound: *diam,
+		Eps: *eps, DiamBound: *diam,
 		Ctx: ctx, CkptPath: *ckpt, CkptEvery: *ckptEvery,
 	}
 	if params.DiamBound == 0 && fam.NeedsDiam {

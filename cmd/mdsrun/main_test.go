@@ -135,21 +135,20 @@ func TestExitCodes(t *testing.T) {
 		inStderr string
 	}{
 		{"success", []string{"-family", "gnp", "-n", "40", "-algo", "greedy"}, 0, ""},
-		{"success-family", []string{"-family", "gnp", "-n", "60", "-algo", "arbmds", "-sim", "stepped"}, 0, ""},
+		{"success-family", []string{"-family", "gnp", "-n", "60", "-algo", "arbmds"}, 0, ""},
 		{"bad-flag", []string{"-no-such-flag"}, 2, ""},
 		{"positional-args", []string{"stray"}, 2, "unexpected arguments"},
 		{"unknown-algo", []string{"-algo", "nope"}, 2, "unknown algorithm"},
-		{"unknown-sim", []string{"-sim", "quantum"}, 2, ""},
-		{"retired-sim", []string{"-sim", "sharded"}, 2, "unknown engine"},
+		{"unknown-sim", []string{"-sim", "stepped"}, 2, "flag provided but not defined: -sim"},
 		{"unknown-graph-family", []string{"-family", "nope", "-algo", "greedy"}, 1, ""},
+		{"negative-n", []string{"-n", "-5", "-algo", "greedy"}, 1, "n = -5"},
 		{"exact-too-big", []string{"-algo", "exact", "-n", "100"}, 2, "n ≤ 64"},
 		{"eps-out-of-range", []string{"-algo", "thm1.2", "-eps", "2"}, 2, "sentinel config"},
 		{"ckpt-wrong-algo", []string{"-algo", "greedy", "-ckpt", "x.ckpt"}, 2, "-ckpt requires"},
-		{"ckpt-wrong-sim", []string{"-algo", "arbmds", "-sim", "goroutine", "-ckpt", "x.ckpt"}, 2, "-ckpt requires"},
-		{"ckpt-every-zero", []string{"-algo", "arbmds", "-sim", "stepped", "-ckpt", "x.ckpt", "-ckpt-every", "0"}, 2, "-ckpt-every"},
+		{"ckpt-every-zero", []string{"-algo", "arbmds", "-ckpt", "x.ckpt", "-ckpt-every", "0"}, 2, "-ckpt-every"},
 		{"missing-input", []string{"-in", "no/such/file.csrg", "-algo", "greedy"}, 1, ""},
 		{"cert-violation", []string{"-family", "gnp", "-n", "20", "-algo", "testbadcert"}, 3, "certification violation"},
-		{"deadline", []string{"-family", "gnp", "-n", "80", "-algo", "arbmds", "-sim", "stepped", "-deadline", "1ns"}, 1, "sentinel deadline"},
+		{"deadline", []string{"-family", "gnp", "-n", "80", "-algo", "arbmds", "-deadline", "1ns"}, 1, "sentinel deadline"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -169,7 +168,7 @@ func TestExitCodes(t *testing.T) {
 // checkpoint) with the same reported set size.
 func TestCkptFlagWritesAndResumes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	args := []string{"-family", "gnp", "-n", "120", "-algo", "arbmds", "-sim", "stepped", "-ckpt", path}
+	args := []string{"-family", "gnp", "-n", "120", "-algo", "arbmds", "-ckpt", path}
 	code, out1, stderr := runCase(t, args...)
 	if code != 0 {
 		t.Fatalf("checkpointed run exited %d\nstderr: %s", code, stderr)
@@ -206,7 +205,7 @@ func TestTelemetryFlags(t *testing.T) {
 	cpu := filepath.Join(dir, "cpu.pprof")
 	heap := filepath.Join(dir, "heap.pprof")
 	code, stdout, stderr := runCase(t,
-		"-family", "gnp", "-n", "120", "-algo", "arbmds", "-sim", "stepped",
+		"-family", "gnp", "-n", "120", "-algo", "arbmds",
 		"-profile", "-trace", trace, "-trace-chrome", chrome,
 		"-pprof-cpu", cpu, "-pprof-heap", heap)
 	if code != 0 {

@@ -5,11 +5,10 @@
 // against the greedy baseline, and shows the message-passing protocols
 // (leader election, BFS tree, aggregation) running on the same network.
 //
-//	go run ./examples/adhoc [-sim goroutine]
+//	go run ./examples/adhoc
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
@@ -22,30 +21,22 @@ import (
 )
 
 func main() {
-	sim := flag.String("sim", "stepped", "congest execution engine: stepped | goroutine (the reference engine)")
-	flag.Parse()
-	simEngine, err := congest.ParseEngine(*sim)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg := congest.Config{Engine: simEngine}
-
 	// 300 sensors, radio radius chosen to keep the network connected.
 	g := graph.UnitDiskConnected(300, 0.11, 7)
 	fmt.Printf("sensor network: %v\n", g)
 
 	// First, the sensors discover their network with real message passing.
-	net := congest.NewNetwork(g, cfg)
+	net := congest.NewNetwork(g, congest.Config{})
 	var ledger congest.Ledger
 	leader, err := protocols.ElectLeader(net, &ledger)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tree, err := protocols.BFSTree(congest.NewNetwork(g, cfg), &ledger, leader, g.N())
+	tree, err := protocols.BFSTree(congest.NewNetwork(g, congest.Config{}), &ledger, leader, g.N())
 	if err != nil {
 		log.Fatal(err)
 	}
-	links, err := protocols.ConvergecastSum(congest.NewNetwork(g, cfg), &ledger, tree,
+	links, err := protocols.ConvergecastSum(congest.NewNetwork(g, congest.Config{}), &ledger, tree,
 		func(v int) int64 { return int64(g.Degree(v)) })
 	if err != nil {
 		log.Fatal(err)
@@ -55,7 +46,7 @@ func main() {
 
 	// Cluster-head election: deterministic MDS, both engines.
 	for _, engine := range []mds.Engine{mds.EngineDecomposition, mds.EngineColoring} {
-		res, err := mds.Solve(g, mds.Params{Eps: 0.5, Engine: engine, Sim: simEngine})
+		res, err := mds.Solve(g, mds.Params{Eps: 0.5, Engine: engine})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -72,7 +63,7 @@ func main() {
 
 	// Every sensor can reach a cluster head in one hop — by definition of a
 	// dominating set. Report average cluster size for the coloring engine.
-	res, _ := mds.Solve(g, mds.Params{Eps: 0.5, Sim: simEngine})
+	res, _ := mds.Solve(g, mds.Params{Eps: 0.5})
 	fmt.Printf("average cluster size: %.1f sensors per head\n",
 		float64(g.N())/float64(len(res.Set)))
 }

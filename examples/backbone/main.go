@@ -2,28 +2,20 @@
 // serves as a virtual backbone — every node is adjacent to the backbone and
 // the backbone is connected, so any two nodes can communicate through it.
 //
-//	go run ./examples/backbone [-sim goroutine]
+//	go run ./examples/backbone
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
 	"congestds/internal/cds"
-	"congestds/internal/congest"
 	"congestds/internal/graph"
 	"congestds/internal/mds"
 	"congestds/internal/verify"
 )
 
 func main() {
-	sim := flag.String("sim", "stepped", "congest execution engine: stepped | goroutine (the reference engine)")
-	flag.Parse()
-	simEngine, err := congest.ParseEngine(*sim)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	for _, tt := range []struct {
 		name string
@@ -33,7 +25,7 @@ func main() {
 		{"grid 15x15", graph.Grid(15, 15)},
 		{"unit disk n=250", graph.UnitDiskConnected(250, 0.12, 3)},
 	} {
-		res, err := cds.Solve(tt.g, cds.Params{MDS: mds.Params{Eps: 0.5, Sim: simEngine}})
+		res, err := cds.Solve(tt.g, cds.Params{MDS: mds.Params{Eps: 0.5}})
 		if err != nil {
 			log.Fatal(err)
 		}

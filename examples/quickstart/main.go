@@ -1,35 +1,27 @@
 // Quickstart: compute a deterministic dominating set approximation on a
 // random graph and verify the paper's guarantee.
 //
-//	go run ./examples/quickstart [-sim goroutine]
+//	go run ./examples/quickstart
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
 	"congestds/internal/baseline"
-	"congestds/internal/congest"
 	"congestds/internal/graph"
 	"congestds/internal/mds"
 	"congestds/internal/verify"
 )
 
 func main() {
-	sim := flag.String("sim", "stepped", "congest execution engine: stepped | goroutine (the reference engine)")
-	flag.Parse()
-	simEngine, err := congest.ParseEngine(*sim)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	// A sparse random connected graph: 200 nodes, expected degree ~4.
 	g := graph.GNPConnected(200, 4.0/200, 42)
 	fmt.Printf("graph: %v, diameter=%d\n", g, g.Diameter())
 
 	// Theorem 1.2: deterministic CONGEST MDS via distance-2 colorings.
-	res, err := mds.Solve(g, mds.Params{Eps: 0.5, Engine: mds.EngineColoring, Sim: simEngine})
+	res, err := mds.Solve(g, mds.Params{Eps: 0.5, Engine: mds.EngineColoring})
 	if err != nil {
 		log.Fatal(err)
 	}

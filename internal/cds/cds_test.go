@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"congestds/internal/baseline"
+	"congestds/internal/congest"
 	"congestds/internal/graph"
+	"congestds/internal/mcds"
 	"congestds/internal/mds"
 	"congestds/internal/verify"
 )
@@ -184,5 +186,42 @@ func TestRulingSetSeparation(t *testing.T) {
 					res.RulingSet[i], res.RulingSet[j], d)
 			}
 		}
+	}
+}
+
+// The native connector (mcds.Connect, the CONGEST-native alternative to
+// Extend's ruling-set pipeline) must keep every DS member and add at most
+// two connectors per dominator plus the root.
+func TestNativeConnectorSizeAndMembers(t *testing.T) {
+	for _, tt := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"path30", graph.Path(30)},
+		{"grid6x6", graph.Grid(6, 6)},
+		{"gnp50", graph.GNPConnected(50, 0.08, 13)},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			ds := baseline.Greedy(tt.g)
+			res, err := mcds.Connect(tt.g, ds, mcds.Params{Sim: congest.EngineStepped})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.CDS) > 3*len(ds)+1 {
+				t.Errorf("|CDS|=%d exceeds 3|DS|+1=%d", len(res.CDS), 3*len(ds)+1)
+			}
+			in := make(map[int]bool, len(res.CDS))
+			for _, v := range res.CDS {
+				in[v] = true
+			}
+			for _, v := range ds {
+				if !in[v] {
+					t.Errorf("DS member %d missing from CDS", v)
+				}
+			}
+			if res.Metrics.Rounds <= 0 {
+				t.Error("no rounds recorded for the executed connector")
+			}
+		})
 	}
 }

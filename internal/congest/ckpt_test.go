@@ -163,14 +163,6 @@ func TestRunSteppedCkptValidation(t *testing.T) {
 	}
 }
 
-// TestParseEngineConfigSentinel pins that a bad engine name is caller
-// misuse in the sentinel taxonomy, not a "program" failure.
-func TestParseEngineConfigSentinel(t *testing.T) {
-	if _, err := ParseEngine("quantum"); !errors.Is(err, ErrConfig) {
-		t.Errorf("ParseEngine(quantum): err=%v, want ErrConfig", err)
-	}
-}
-
 // ckptProbeStep implements CkptStep trivially: no state, one silent round.
 type ckptProbeStep struct{}
 

@@ -151,18 +151,6 @@ func (e Engine) String() string {
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
-// ParseEngine converts a command-line engine name to an Engine; the empty
-// name selects the default, EngineStepped.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "stepped":
-		return EngineStepped, nil
-	case "goroutine":
-		return EngineGoroutine, nil
-	}
-	return 0, fmt.Errorf("%w: unknown engine %q (want goroutine or stepped)", ErrConfig, s)
-}
-
 // Engines lists all engines, the goroutine reference first (used by
 // differential tests and benchmarks).
 func Engines() []Engine { return []Engine{EngineGoroutine, EngineStepped} }
@@ -214,8 +202,8 @@ var (
 	// ErrMaxRounds is returned when a run exceeds Config.MaxRounds.
 	ErrMaxRounds = errors.New("congest: exceeded MaxRounds")
 	// ErrConfig is wrapped by every error reporting caller misuse — an
-	// invalid Config, CkptSpec or engine name — as opposed to a run
-	// failing. Callers distinguish "fix your configuration" from "the run
+	// invalid Config or CkptSpec, or parameters an algorithm cannot
+	// honour — as opposed to a run failing. Callers distinguish "fix your configuration" from "the run
 	// failed" with errors.Is(err, ErrConfig) or SentinelClass's "config".
 	ErrConfig = errors.New("congest: invalid configuration")
 )

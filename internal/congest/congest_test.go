@@ -31,28 +31,6 @@ func TestEngineString(t *testing.T) {
 	if Engine(99).String() == "" {
 		t.Error("unknown engine must still render")
 	}
-}
-
-func TestParseEngine(t *testing.T) {
-	for _, tt := range []struct {
-		in   string
-		want Engine
-		ok   bool
-	}{
-		{"", EngineStepped, true},
-		{"goroutine", EngineGoroutine, true},
-		{"stepped", EngineStepped, true},
-		{"sharded", 0, false}, // the retired barrier-shard engine
-		{"warp", 0, false},
-	} {
-		got, err := ParseEngine(tt.in)
-		if (err == nil) != tt.ok || got != tt.want {
-			t.Errorf("ParseEngine(%q) = (%v, %v), want (%v, ok=%v)", tt.in, got, err, tt.want, tt.ok)
-		}
-		if err != nil && !errors.Is(err, ErrConfig) {
-			t.Errorf("ParseEngine(%q) error %v does not wrap ErrConfig", tt.in, err)
-		}
-	}
 	if got := Engines(); len(got) != 2 || got[0] != EngineGoroutine || got[1] != EngineStepped {
 		t.Errorf("Engines() = %v, want [goroutine stepped]", got)
 	}

@@ -25,27 +25,25 @@ import (
 	"congestds/internal/verify"
 )
 
-// SimEngine selects the congest execution engine used by every experiment
-// (threaded from cmd/mdsbench -sim; the zero value is congest.EngineStepped).
-// The engine changes wall-clock speed only, never results or round counts —
-// the conformance suite (internal/congest/conformance) holds the engines
-// byte-identical, and TestExperimentsEngineInvariant pins it at this level
-// too.
-var SimEngine congest.Engine
+// simEngine is the congest execution engine every experiment runs on: the
+// default, stepped, except in TestExperimentsEngineInvariant, which sets it
+// to the goroutine reference engine to show that the engine changes
+// wall-clock speed only, never results or round counts.
+var simEngine congest.Engine
 
 // Observer, when non-nil, is attached to every experiment-built run (see
-// congest.Observer). Like SimEngine it is a package-level knob set by
-// cmd/mdsbench before the suite runs; telemetry never changes results.
+// congest.Observer). It is a package-level knob set by cmd/mdsbench before
+// the suite runs; telemetry never changes results.
 var Observer congest.Observer
 
 // simConfig is the congest configuration every experiment-built network
 // uses.
-func simConfig() congest.Config { return congest.Config{Engine: SimEngine, Observer: Observer} }
+func simConfig() congest.Config { return congest.Config{Engine: simEngine, Observer: Observer} }
 
 // simParams threads the selected engine into an mds parameter set, for the
 // tables that read pipeline internals no family returns (E4, E5).
 func simParams(p mds.Params) mds.Params {
-	p.Sim = SimEngine
+	p.Sim = simEngine
 	p.Observer = Observer
 	return p
 }
@@ -57,7 +55,7 @@ func solve(name string, g *graph.Graph, p family.Params) (*family.Result, error)
 	if err != nil {
 		return nil, err
 	}
-	p.Sim, p.Observer = SimEngine, Observer
+	p.Sim, p.Observer = simEngine, Observer
 	return f.Solve(g, p)
 }
 

@@ -36,9 +36,9 @@ func TestAllExperimentsReproduceClaims(t *testing.T) {
 // both engines.
 func TestExperimentsEngineInvariant(t *testing.T) {
 	run := func(eng congest.Engine, exp func(bool) *Table) string {
-		old := SimEngine
-		SimEngine = eng
-		defer func() { SimEngine = old }()
+		old := simEngine
+		simEngine = eng
+		defer func() { simEngine = old }()
 		return exp(true).String()
 	}
 	for _, exp := range []struct {

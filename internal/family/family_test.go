@@ -97,6 +97,9 @@ func TestRejectsBadParamsAsConfig(t *testing.T) {
 		{"cds", small, Params{Eps: 3}},
 		{"mcds", small, Params{CkptPath: "x.ckpt"}},
 		{"thm1.2", small, Params{CkptPath: "x.ckpt"}},
+		{"arbmds", small, Params{Eps: math.NaN()}},
+		{"mcds", small, Params{Eps: math.NaN()}},
+		{"arbmds", small, Params{Eps: math.Inf(1)}},
 	}
 	for _, c := range cases {
 		f, err := Get(c.algo)

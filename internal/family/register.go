@@ -3,6 +3,7 @@ package family
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"congestds/internal/arbmds"
 	"congestds/internal/baseline"
@@ -52,6 +53,19 @@ func certifyDS(g *graph.Graph, set []int) ratioCert {
 // exits 2 and mdsd answers 400.
 func configErr(format string, args ...any) error {
 	return fmt.Errorf("%w: family: %s", congest.ErrConfig, fmt.Sprintf(format, args...))
+}
+
+// peelEps fills in the default ε (0.5) of the peeling families, arbmds and
+// mcds, and rejects a non-finite one: their thresholds and certificate
+// claims are meaningless at NaN or ±Inf.
+func peelEps(eps float64) (float64, error) {
+	switch {
+	case math.IsNaN(eps) || math.IsInf(eps, 0):
+		return 0, configErr("eps=%v is not finite", eps)
+	case eps <= 0:
+		return 0.5, nil
+	}
+	return eps, nil
 }
 
 // paperEps is the source paper's default ε, the zero value of mds.Params.Eps.
@@ -182,9 +196,9 @@ func init() {
 		Summary:    "bounded-arboricity peeling MDS (Dory–Ghaffari–Ilchi, arXiv:2206.05174): O(α)·OPT in 4·⌈log₁₊ε Δ̃⌉ rounds, independent of n",
 		DefaultEps: 0.5,
 		Solve: func(g *graph.Graph, p Params) (*Result, error) {
-			eps := p.Eps
-			if eps <= 0 {
-				eps = 0.5
+			eps, err := peelEps(p.Eps)
+			if err != nil {
+				return nil, err
 			}
 			res, err := arbmds.Solve(g, arbmds.Params{
 				Eps: eps, Sim: p.Sim, MaxRounds: p.MaxRounds,
@@ -214,9 +228,9 @@ func init() {
 		NeedsDiam:  true,
 		DefaultEps: 0.5,
 		Solve: func(g *graph.Graph, p Params) (*Result, error) {
-			eps := p.Eps
-			if eps <= 0 {
-				eps = 0.5
+			eps, err := peelEps(p.Eps)
+			if err != nil {
+				return nil, err
 			}
 			if p.CkptPath != "" {
 				return nil, configErr("mcds does not support checkpointing (ckpt=%q)", p.CkptPath)

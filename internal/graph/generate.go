@@ -284,8 +284,11 @@ func UnitDiskConnected(n int, radius float64, seed uint64) *Graph {
 // hypercube, caterpillar, ba, disk, complete, plus the bounded-arboricity
 // suite uforest, gridx, adag (see arb.go). Unknown names get an error that
 // lists the sorted family names, so callers never have to cross-reference
-// Families() by hand.
+// Families() by hand. A negative n is an error for every family.
 func Named(family string, n int, seed uint64) (*Graph, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("graph: family %q needs n >= 0 (got n = %d)", family, n)
+	}
 	switch family {
 	case "gnp":
 		p := 4.0 / float64(n)

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -260,6 +261,10 @@ func TestNamedFamilies(t *testing.T) {
 		}
 		if g.N() == 0 {
 			t.Errorf("Named(%q) produced empty graph", fam)
+		}
+		// A negative size is an error, never a panic inside a generator.
+		if g, err := Named(fam, -5, 5); err == nil || !strings.Contains(err.Error(), "n = -5") {
+			t.Errorf("Named(%q, -5) = (%v, %v), want an error naming n = -5", fam, g, err)
 		}
 	}
 	if _, err := Named("nope", 10, 0); err == nil {

@@ -170,8 +170,11 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 
 // Connect turns an existing dominating set into a connected dominating set
 // by running the orientation and connection phases alone — the CDS
-// connector search in native StepProgram form (the blocking host-level
-// construction lives in internal/cds; cds.ExtendStepped wraps this).
+// connector search in native StepProgram form, executed as real messages.
+// The source paper's Section 4 construction (internal/cds) is host-level
+// with charged rounds and picks different connectors (clusters around a
+// ruling set rather than a BFS orientation); both keep |CDS| ≤ 3|DS|+O(1)
+// and certify under verify.CheckCDS.
 func Connect(g *graph.Graph, ds []int, p Params) (*Result, error) {
 	if g.N() == 0 {
 		return &Result{}, nil

@@ -162,6 +162,9 @@ func TestConnectExtendsGreedy(t *testing.T) {
 			if len(res.CDS) > 3*len(ds)+1 {
 				t.Errorf("|CDS|=%d exceeds 3|DS|+1=%d", len(res.CDS), 3*len(ds)+1)
 			}
+			if res.Metrics.Rounds <= 0 {
+				t.Error("no rounds recorded for the executed connector")
+			}
 		})
 	}
 }

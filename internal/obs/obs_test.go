@@ -315,3 +315,20 @@ func TestChromeSweepPairing(t *testing.T) {
 		t.Errorf("span = %v, want X span on tid 3 with dur 3µs", e)
 	}
 }
+
+// TestPercentileNearestRank pins the nearest-rank rule: the q-th
+// percentile is the ⌈q/100·n⌉-th smallest sample.
+func TestPercentileNearestRank(t *testing.T) {
+	sorted := []int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
+	for _, tc := range []struct {
+		q    int
+		want int64
+	}{{50, 50}, {90, 90}, {99, 100}, {100, 100}, {1, 10}} {
+		if got := Percentile(sorted, tc.q); got != tc.want {
+			t.Errorf("Percentile(q=%d) = %d, want %d", tc.q, got, tc.want)
+		}
+	}
+	if got := Percentile(nil, 50); got != 0 {
+		t.Errorf("Percentile(empty) = %d, want 0", got)
+	}
+}

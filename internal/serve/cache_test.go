@@ -121,11 +121,9 @@ func TestCacheBustsOnAnyParamChange(t *testing.T) {
 		{"diam busts (NeedsDiam family)", "mcds", "&diam=12", "&diam=14", "miss"},
 		// ...while spellings the family treats identically collide.
 		{"default eps collides", "arbmds", "", "&eps=0.5", "hit"},
-		{"explicit default engine collides", "arbmds", "", "&sim=stepped", "hit"},
 		{"diam ignored (family without NeedsDiam)", "arbmds", "", "&diam=9", "hit"},
 		{"zero maxrounds collides", "arbmds", "", "&maxrounds=0", "hit"},
 		{"deadline is execution context, not key", "arbmds", "", "&deadline=1h", "hit"},
-		{"sim is execution context, not key", "arbmds", "", "&sim=goroutine", "hit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -28,8 +28,9 @@
 // round and wall-time percentiles.
 //
 // Endpoints: GET/POST /solve and /certify (graph, algo, and optional eps,
-// sim, maxrounds, diam, deadline query parameters), GET /graphs (resident
-// listing), GET /stats, GET /healthz.
+// maxrounds, diam, deadline query parameters), GET /graphs (resident
+// listing), GET /stats, GET /healthz. Every run uses the server's engine
+// (Config.Engine); requests cannot select one.
 package serve
 
 import (
@@ -61,8 +62,9 @@ type Config struct {
 	// CacheBudget bounds the certified-solution cache in rendered response
 	// bytes (0 = unlimited).
 	CacheBudget int64
-	// Engine is the execution engine used when a request does not name one
-	// (zero value: stepped).
+	// Engine is the engine every run uses (zero value: stepped). The
+	// engines are conformant, so it changes wall-clock time only, never an
+	// answer or the cache key.
 	Engine congest.Engine
 	// RunSink, when non-nil, is attached to every engine run's
 	// obs.Recorder in addition to the server's own accounting. Test seam:
@@ -213,14 +215,14 @@ func configErr(format string, args ...any) error {
 // Unknown keys are rejected: a typo like "maxrunds" silently ignored would
 // serve the wrong cached answer with a 200.
 var queryKeys = map[string]bool{
-	"graph": true, "algo": true, "eps": true, "sim": true,
+	"graph": true, "algo": true, "eps": true,
 	"maxrounds": true, "diam": true, "deadline": true,
 }
 
-// parseParams decodes the optional solve parameters. Every failure wraps
-// congest.ErrConfig.
-func parseParams(q url.Values, deflt congest.Engine) (family.Params, time.Duration, error) {
-	p := family.Params{Sim: deflt}
+// parseParams decodes the optional solve parameters; runs use engine.
+// Every failure wraps congest.ErrConfig.
+func parseParams(q url.Values, engine congest.Engine) (family.Params, time.Duration, error) {
+	p := family.Params{Sim: engine}
 	for key := range q {
 		if !queryKeys[key] {
 			return p, 0, configErr("unknown query parameter %q", key)
@@ -232,13 +234,6 @@ func parseParams(q url.Values, deflt congest.Engine) (family.Params, time.Durati
 			return p, 0, configErr("bad eps %q (want a finite value ≥ 0)", v)
 		}
 		p.Eps = f
-	}
-	if v := q.Get("sim"); v != "" {
-		eng, err := congest.ParseEngine(v)
-		if err != nil {
-			return p, 0, err
-		}
-		p.Sim = eng
 	}
 	if v := q.Get("maxrounds"); v != "" {
 		n, err := strconv.Atoi(v)

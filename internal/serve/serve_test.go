@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"congestds/internal/congest"
 	"congestds/internal/family"
 	"congestds/internal/graph"
 	"congestds/internal/obs"
@@ -155,7 +156,7 @@ func TestRealRequestFailurePaths(t *testing.T) {
 		{"missing algo", "/solve?graph=g", http.StatusBadRequest, "config"},
 		{"bad eps", "/solve?graph=g&algo=arbmds&eps=abc", http.StatusBadRequest, "config"},
 		{"negative eps", "/solve?graph=g&algo=arbmds&eps=-1", http.StatusBadRequest, "config"},
-		{"bad sim", "/solve?graph=g&algo=arbmds&sim=bogus", http.StatusBadRequest, "config"},
+		{"bad sim", "/solve?graph=g&algo=arbmds&sim=stepped", http.StatusBadRequest, "config"},
 		{"bad maxrounds", "/solve?graph=g&algo=arbmds&maxrounds=-2", http.StatusBadRequest, "config"},
 		{"bad diam", "/solve?graph=g&algo=arbmds&diam=x", http.StatusBadRequest, "config"},
 		{"bad deadline", "/solve?graph=g&algo=arbmds&deadline=banana", http.StatusBadRequest, "config"},
@@ -338,21 +339,6 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-func TestPercentileNearestRank(t *testing.T) {
-	sorted := []int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	for _, tc := range []struct {
-		q    int
-		want int64
-	}{{50, 50}, {90, 90}, {99, 100}, {100, 100}, {1, 10}} {
-		if got := percentile(sorted, tc.q); got != tc.want {
-			t.Errorf("percentile(q=%d) = %d, want %d", tc.q, got, tc.want)
-		}
-	}
-	if got := percentile(nil, 50); got != 0 {
-		t.Errorf("percentile(empty) = %d, want 0", got)
-	}
-}
-
 // eventKinds is a RunSink recording the engine event kinds the runs
 // emitted, which tell the engines apart: only the goroutine engine emits
 // "wake", only the stepped one "sweep-start".
@@ -379,30 +365,31 @@ func (k *eventKinds) take() map[string]int {
 }
 
 func TestEngineParamSelectsEngine(t *testing.T) {
-	// An explicit sim selects the engine a run uses, but never the
-	// certified answer: the engines are conformant, so the engine is not
-	// part of the cache key and the other engine's request is a hit.
+	// Config.Engine selects the engine every run uses, but never the
+	// certified answer: the engines are conformant, so both servers render
+	// byte-identical bodies and the params key does not name the engine.
 	dir := t.TempDir()
 	path := writeText(t, dir, "g.txt", testGraph())
-	kinds := &eventKinds{kinds: map[string]int{}}
-	s, ts := newTestServer(t, Config{Graphs: map[string]string{"g": path}, RunSink: kinds})
-
-	_, _, _, gor := get(t, ts.URL+"/solve?graph=g&algo=arbmds&sim=goroutine")
-	if k := kinds.take(); k["wake"] == 0 || k["sweep-start"] != 0 {
-		t.Errorf("sim=goroutine emitted %v, want goroutine-engine events only", k)
+	solve := func(engine congest.Engine) (map[string]int, []byte) {
+		kinds := &eventKinds{kinds: map[string]int{}}
+		_, ts := newTestServer(t, Config{Graphs: map[string]string{"g": path}, Engine: engine, RunSink: kinds})
+		status, _, _, body := get(t, ts.URL+"/solve?graph=g&algo=arbmds")
+		if status != http.StatusOK {
+			t.Fatalf("%v: status %d, body %s", engine, status, body)
+		}
+		return kinds.take(), body
 	}
-	_, state, _, def := get(t, ts.URL+"/solve?graph=g&algo=arbmds")
-	if state != "hit" || !bytes.Equal(def, gor) {
-		t.Errorf("default-engine repeat: X-Mdsd-Cache = %q, identical body = %v; want a byte-identical hit",
-			state, bytes.Equal(def, gor))
+	k, gor := solve(congest.EngineGoroutine)
+	if k["wake"] == 0 || k["sweep-start"] != 0 {
+		t.Errorf("goroutine engine emitted %v, want goroutine-engine events only", k)
 	}
-	// A fresh key with no sim runs on the default engine, stepped.
-	get(t, ts.URL+"/solve?graph=g&algo=arbmds&eps=0.25")
-	if k := kinds.take(); k["sweep-start"] == 0 || k["wake"] != 0 {
+	// EngineStepped is the zero Config's engine, the default.
+	k, def := solve(congest.EngineStepped)
+	if k["sweep-start"] == 0 || k["wake"] != 0 {
 		t.Errorf("default engine emitted %v, want stepped-engine events only", k)
 	}
-	if st := s.Stats(); st.Runs != 2 {
-		t.Fatalf("Runs = %d, want 2 (one per distinct key)", st.Runs)
+	if !bytes.Equal(def, gor) {
+		t.Errorf("bodies differ across engines:\n goroutine: %s\n stepped: %s", gor, def)
 	}
 
 	var a struct {
