@@ -3,7 +3,7 @@
 //
 //	go run ./cmd/docscheck [-root .]
 //
-// It enforces four invariants and exits non-zero listing every violation:
+// It enforces five invariants and exits non-zero listing every violation:
 //
 //   - every relative link in a Markdown file points at a file or directory
 //     that exists (external http(s)/mailto links and pure #anchors are not
@@ -21,7 +21,15 @@
 //     `docs/ARCHITECTURE.md#static-guarantees`) or a `Test*` function
 //     defined in the tree. detlint itself rejects reasonless and stale
 //     allows; this check closes the loop so a reason cannot cite a doc
-//     section or test that a later refactor deleted.
+//     section or test that a later refactor deleted;
+//   - every test a Markdown file cites as a backticked name, like
+//     `TestQuickGolden`, `FuzzCSRGDecode` or `BenchmarkEngine`, is defined
+//     in the tree; a trailing `...` cites a prefix (`TestDeadline...`) and
+//     a `/subtest` suffix is ignored. At the repository root only
+//     README.md and EXPERIMENTS.md are checked: the other root files keep
+//     history and plans (CHANGES.md, ROADMAP.md) or quote other projects
+//     (PAPERS.md, SNIPPETS.md), so they name tests that are gone, not yet
+//     written or not this repository's.
 package main
 
 import (
@@ -46,6 +54,7 @@ func main() {
 	problems = append(problems, checkCommentDocRefs(*root)...)
 	problems = append(problems, checkPackageComments(*root)...)
 	problems = append(problems, checkAllowReasons(*root)...)
+	problems = append(problems, checkMarkdownTestRefs(*root)...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, p)
@@ -97,6 +106,74 @@ func checkMarkdownLinks(root string) []string {
 			if _, err := os.Stat(resolved); err != nil {
 				problems = append(problems,
 					fmt.Sprintf("%s: dead link %q (%s does not exist)", path, m[1], resolved))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		problems = append(problems, fmt.Sprintf("docscheck: walking %s: %v", root, err))
+	}
+	sort.Strings(problems)
+	return problems
+}
+
+// codeSpanRE matches a one-line Markdown code span: `content`.
+var codeSpanRE = regexp.MustCompile("`([^`\n]+)`")
+
+// testCiteRE matches a code span that cites a test: group 1 is the name,
+// group 2 a trailing "..." (a prefix citation) or "/subtest".
+var testCiteRE = regexp.MustCompile(`^((?:Test|Fuzz|Benchmark)[A-Za-z0-9_]+)(\.\.\.|/\S*)?$`)
+
+// checkedRootDocs are the root-level Markdown files checkMarkdownTestRefs
+// reads; every Markdown file below the root is read too.
+var checkedRootDocs = map[string]bool{"README.md": true, "EXPERIMENTS.md": true}
+
+// checkMarkdownTestRefs verifies that every Test/Fuzz/Benchmark name a
+// Markdown file cites in a code span is defined in some _test.go file of
+// the tree (by prefix when the citation ends in "..."). Only spans that
+// consist of the name alone are citations; a name inside a longer span,
+// such as a `go test -run` pattern, is not.
+func checkMarkdownTestRefs(root string) []string {
+	tests, err := collectTestNames(root)
+	if err != nil {
+		return []string{fmt.Sprintf("docscheck: collecting test names: %v", err)}
+	}
+	defined := func(name string, prefix bool) bool {
+		if !prefix {
+			return tests[name]
+		}
+		for t := range tests {
+			if strings.HasPrefix(t, name) {
+				return true
+			}
+		}
+		return false
+	}
+	var problems []string
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", "testdata":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(d.Name(), ".md") || filepath.Dir(path) == filepath.Clean(root) && !checkedRootDocs[d.Name()] {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, span := range codeSpanRE.FindAllStringSubmatch(line, -1) {
+				m := testCiteRE.FindStringSubmatch(span[1])
+				if m != nil && !defined(m[1], m[2] == "...") {
+					problems = append(problems, fmt.Sprintf("%s:%d: cites %s but no such test exists", path, i+1, span[0]))
+				}
 			}
 		}
 		return nil

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// The repository itself must pass all three guards — this is the same
+// The repository itself must pass every guard — this is the same
 // check the CI docs job runs via `go run ./cmd/docscheck`.
 func TestRepositoryPassesDocscheck(t *testing.T) {
 	if problems := checkMarkdownLinks("../.."); len(problems) > 0 {
@@ -21,6 +21,9 @@ func TestRepositoryPassesDocscheck(t *testing.T) {
 	}
 	if problems := checkAllowReasons("../.."); len(problems) > 0 {
 		t.Errorf("detlint allow-reason problems:\n%s", strings.Join(problems, "\n"))
+	}
+	if problems := checkMarkdownTestRefs("../.."); len(problems) > 0 {
+		t.Errorf("Markdown test-citation problems:\n%s", strings.Join(problems, "\n"))
 	}
 }
 
@@ -82,6 +85,62 @@ var c = "DESIGN.md in a string literal is not a citation"
 	for i, want := range wants {
 		if !strings.Contains(problems[i], want) {
 			t.Errorf("problem %d = %q, want it to contain %q", i, problems[i], want)
+		}
+	}
+}
+
+// TestCheckMarkdownTestRefsFindsDangling: a backticked Test/Fuzz/Benchmark
+// name with no definition in the tree is one problem, in docs below the
+// root and in the checked root files alike; defined names, prefix
+// citations that match, subtest suffixes, names inside longer spans, and
+// the root's history and plan files are not problems.
+func TestCheckMarkdownTestRefsFindsDangling(t *testing.T) {
+	dir := t.TempDir()
+	write := func(rel, content string) {
+		t.Helper()
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("pkg/a_test.go", `package pkg
+
+import "testing"
+
+func TestReal(t *testing.T)      {}
+func FuzzReal(f *testing.F)      {}
+func BenchmarkReal(b *testing.B) {}
+`)
+	write("README.md", "`TestReal`, `FuzzReal`, `BenchmarkReal/big`, `TestRe...`, `Test*`\n"+
+		"`go test -run TestGone ./pkg` and `TestGone`\n")
+	write("docs/GUIDE.md", "# Guide\n\nSee `FuzzGone` and `TestNo...`.\n")
+	write(".claude/skills/x/SKILL.md", "`BenchmarkGone`\n")
+	write("CHANGES.md", "Deleted `TestGone`.\n")
+	write("ROADMAP.md", "Add `FuzzPlanned`.\n")
+	write("pkg/testdata/notes.md", "`TestGone`\n")
+
+	problems := checkMarkdownTestRefs(dir)
+	wants := []string{
+		"SKILL.md:1: cites `BenchmarkGone` but no such test exists",
+		"README.md:2: cites `TestGone` but no such test exists",
+		"GUIDE.md:3: cites `FuzzGone` but no such test exists",
+		"GUIDE.md:3: cites `TestNo...` but no such test exists",
+	}
+	if len(problems) != len(wants) {
+		t.Fatalf("got %d problems, want %d:\n%s", len(problems), len(wants), strings.Join(problems, "\n"))
+	}
+	for _, want := range wants {
+		found := false
+		for _, p := range problems {
+			if strings.Contains(p, want) {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("missing problem containing %q in:\n%s", want, strings.Join(problems, "\n"))
 		}
 	}
 }

@@ -19,7 +19,7 @@
 //	0  success
 //	1  run failure (graph unavailable, simulation aborted, ...); when the
 //	   failure maps to an engine sentinel, a final "sentinel <class>" line
-//	   on stderr names it (deadline, bandwidth, bad-ckpt, ...)
+//	   on stderr names it (deadline, bandwidth, injected, ...)
 //	2  usage error (bad flags, unknown algorithm, invalid
 //	   combination), including a run the algorithm rejected as caller
 //	   misuse ("sentinel config": eps out of range, exact on n > 64, ...)
@@ -100,9 +100,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"known diameter upper bound for orientation-phase algorithms (mcds); 0 = 2·ecc+2 from one host-side BFS")
 	deadline := fs.Duration("deadline", 0,
 		"wall-clock budget for the whole solve; overruns exit 1 with \"sentinel deadline\"")
-	ckpt := fs.String("ckpt", "",
-		"checkpoint file for kill-resumable runs (arbmds only); a matching checkpoint in the file resumes the run")
-	ckptEvery := fs.Int("ckpt-every", 1, "checkpoint cadence in rounds (with -ckpt)")
 	tracePath := fs.String("trace", "",
 		"stream per-round telemetry to this file as JSONL (replayable: see internal/obs.Replay)")
 	chromePath := fs.String("trace-chrome", "",
@@ -123,11 +120,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usage(stderr, "%v", err)
 	}
-	if *ckpt != "" && *algo != "arbmds" {
-		return usage(stderr, "-ckpt requires -algo arbmds (got -algo %s)", *algo)
-	}
-	if *ckptEvery < 1 {
-		return usage(stderr, "-ckpt-every must be >= 1 (got %d)", *ckptEvery)
+	if *deadline < 0 {
+		return usage(stderr, "-deadline must be >= 0 (got %v)", *deadline)
 	}
 
 	// One budget for the whole solve: -deadline becomes a context shared by
@@ -156,10 +150,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "graph: %v\n", g)
 
-	params := family.Params{
-		Eps: *eps, DiamBound: *diam,
-		Ctx: ctx, CkptPath: *ckpt, CkptEvery: *ckptEvery,
-	}
+	params := family.Params{Eps: *eps, DiamBound: *diam, Ctx: ctx}
 	if params.DiamBound == 0 && fam.NeedsDiam {
 		// One host-side BFS; only paid for families that run an
 		// orientation phase.

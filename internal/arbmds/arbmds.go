@@ -58,7 +58,6 @@ package arbmds
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -87,14 +86,6 @@ type Params struct {
 	Deadline time.Duration
 	// Ctx, when non-nil, cancels the run at round boundaries.
 	Ctx context.Context
-	// CkptPath, when set, checkpoints the run to this file every CkptEvery
-	// rounds and resumes from it when the file already holds a checkpoint
-	// of this graph. Requires Sim == congest.EngineStepped (the native
-	// form); Solve rejects the combination otherwise rather than silently
-	// running unprotected.
-	CkptPath string
-	// CkptEvery is the checkpoint cadence in rounds (zero means 1).
-	CkptEvery int
 	// Observer, when non-nil, receives per-round telemetry from the run
 	// (see congest.Observer); attaching one never changes the outcome.
 	Observer congest.Observer
@@ -175,21 +166,7 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 		Deadline: p.Deadline, Ctx: p.Ctx, Observer: p.Observer,
 	})
 	inD := make([]bool, g.N())
-	var m congest.Metrics
-	var err error
-	if p.CkptPath != "" {
-		if p.Sim != congest.EngineStepped {
-			return nil, fmt.Errorf("arbmds: CkptPath requires Sim == congest.EngineStepped (got %v)", p.Sim)
-		}
-		every := p.CkptEvery
-		if every <= 0 {
-			every = 1
-		}
-		m, err = net.RunSteppedCkpt(StepFactory(g, p.Eps, inD),
-			congest.CkptSpec{Path: p.CkptPath, Every: every, Host: &boolsHost{xs: inD}})
-	} else {
-		m, err = net.RunStepped(StepFactory(g, p.Eps, inD))
-	}
+	m, err := net.RunStepped(StepFactory(g, p.Eps, inD))
 	if err != nil {
 		return nil, err
 	}

@@ -95,21 +95,10 @@ type slotArena struct {
 
 // reset truncates the generation phase%3 for reuse, recycling the bytes
 // deposited at phase-3. Called by the owning worker at the start of every
-// sweep, before its first push of the round.
+// sweep, before its first deposit of the round.
 func (a *slotArena) reset(phase int) {
 	g := a.gens[phase%3]
 	a.gens[phase%3] = g[:0]
-}
-
-// push copies pl into the phase's generation and returns its offset. The
-// engine's deposit (depositOutboxPacked) bypasses push to batch its stores
-// per outbox; push is the one-payload form, and like the deposit it leaves
-// the offset-range check against slotPayloadLimit to the caller.
-func (a *slotArena) push(phase int, pl []byte) uint32 {
-	g := a.gens[phase%3]
-	off := len(g)
-	a.gens[phase%3] = append(g, pl...)
-	return uint32(off)
 }
 
 // delivered returns the generation holding the bytes deposited during

@@ -202,9 +202,10 @@ var (
 	// ErrMaxRounds is returned when a run exceeds Config.MaxRounds.
 	ErrMaxRounds = errors.New("congest: exceeded MaxRounds")
 	// ErrConfig is wrapped by every error reporting caller misuse — an
-	// invalid Config or CkptSpec, or parameters an algorithm cannot
-	// honour — as opposed to a run failing. Callers distinguish "fix your configuration" from "the run
-	// failed" with errors.Is(err, ErrConfig) or SentinelClass's "config".
+	// invalid Config, or parameters an algorithm cannot honour — as opposed
+	// to a run failing. Callers distinguish "fix your configuration" from
+	// "the run failed" with errors.Is(err, ErrConfig) or SentinelClass's
+	// "config".
 	ErrConfig = errors.New("congest: invalid configuration")
 )
 

@@ -59,9 +59,8 @@ type Hooks interface {
 }
 
 // SentinelClass maps a run error onto the sentinel taxonomy: "bandwidth",
-// "max-rounds", "deadline", "injected", "bad-ckpt", "config" (caller
-// misuse — the run never started), "" for nil, and "program" for
-// everything else (a program panic or its own error). The conformance
+// "max-rounds", "deadline", "injected", "config" (caller misuse — the run
+// never started), "" for nil, and "program" for everything else (a program panic or its own error). The conformance
 // suite requires failed runs to agree on this class across engines, and
 // the CLIs print it so exit statuses stay diagnosable.
 func SentinelClass(err error) string {
@@ -76,8 +75,6 @@ func SentinelClass(err error) string {
 		return "deadline"
 	case errors.Is(err, ErrInjected):
 		return "injected"
-	case errors.Is(err, ErrBadCkpt):
-		return "bad-ckpt"
 	case errors.Is(err, ErrConfig):
 		return "config"
 	default:

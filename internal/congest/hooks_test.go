@@ -22,9 +22,7 @@ func TestSentinelClass(t *testing.T) {
 		{ErrMaxRounds, "max-rounds"},
 		{ErrDeadline, "deadline"},
 		{ErrInjected, "injected"},
-		{ErrBadCkpt, "bad-ckpt"},
 		{wrap(ErrDeadline), "deadline"},
-		{wrap(ErrBadCkpt), "bad-ckpt"},
 		{ErrConfig, "config"},
 		{wrap(ErrConfig), "config"},
 		{errors.New("node 3 panicked"), "program"},

@@ -1,9 +1,7 @@
 package congest
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -71,92 +69,6 @@ func (l *Ledger) SetPhaseWall(i int, ns int64) {
 
 // Phases returns the per-phase breakdown in execution order.
 func (l *Ledger) Phases() []Phase { return l.phases }
-
-// AppendState appends a self-contained encoding of the ledger (totals and
-// per-phase breakdown), so pipelines can fold their ledger into a
-// checkpoint's HostState blob and a resumed run reports the same audited
-// history as an uninterrupted one.
-func (l *Ledger) AppendState(buf []byte) []byte {
-	buf = binary.AppendVarint(buf, int64(l.metrics.Rounds))
-	buf = binary.AppendVarint(buf, int64(l.metrics.ChargedRounds))
-	buf = binary.AppendVarint(buf, l.metrics.Messages)
-	buf = binary.AppendVarint(buf, l.metrics.Bits)
-	buf = binary.AppendVarint(buf, int64(l.metrics.MaxMsgBits))
-	buf = binary.AppendVarint(buf, int64(l.metrics.BandwidthBits))
-	buf = binary.AppendVarint(buf, int64(l.metrics.Model))
-	buf = binary.AppendUvarint(buf, math.Float64bits(l.metrics.AvgMsgBits))
-	buf = binary.AppendUvarint(buf, uint64(len(l.phases)))
-	for _, p := range l.phases {
-		buf = binary.AppendUvarint(buf, uint64(len(p.Name)))
-		buf = append(buf, p.Name...)
-		buf = binary.AppendVarint(buf, int64(p.Rounds))
-		buf = binary.AppendVarint(buf, int64(p.Charged))
-		buf = binary.AppendVarint(buf, p.Bits)
-		buf = binary.AppendVarint(buf, p.Msgs)
-		buf = binary.AppendVarint(buf, p.WallNs)
-	}
-	return buf
-}
-
-// RestoreState replaces the ledger's contents with the state AppendState
-// encoded, rejecting malformed input with an error (never a panic):
-// checkpoint blobs cross a process boundary.
-func (l *Ledger) RestoreState(data []byte) error {
-	bad := fmt.Errorf("congest: malformed ledger state")
-	off := 0
-	varint := func() int64 {
-		if off < 0 {
-			return 0
-		}
-		var x int64
-		x, off = Varint(data, off)
-		return x
-	}
-	var m Metrics
-	m.Rounds = int(varint())
-	m.ChargedRounds = int(varint())
-	m.Messages = varint()
-	m.Bits = varint()
-	m.MaxMsgBits = int(varint())
-	m.BandwidthBits = int(varint())
-	m.Model = Model(varint())
-	avg, off2 := Uvarint(data, max(off, 0))
-	if off < 0 || off2 < 0 {
-		return bad
-	}
-	m.AvgMsgBits = math.Float64frombits(avg)
-	off = off2
-	count, off2 := Uvarint(data, off)
-	if off2 < 0 || count > uint64(len(data)) {
-		return bad
-	}
-	off = off2
-	phases := make([]Phase, 0, count)
-	for i := uint64(0); i < count; i++ {
-		nameLen, o := Uvarint(data, off)
-		if o < 0 || nameLen > uint64(len(data)-o) {
-			return bad
-		}
-		var p Phase
-		p.Name = string(data[o : o+int(nameLen)])
-		off = o + int(nameLen)
-		p.Rounds = int(varint())
-		p.Charged = int(varint())
-		p.Bits = varint()
-		p.Msgs = varint()
-		p.WallNs = varint()
-		if off < 0 {
-			return bad
-		}
-		phases = append(phases, p)
-	}
-	if off != len(data) {
-		return bad
-	}
-	l.metrics = m
-	l.phases = phases
-	return nil
-}
 
 // String renders a compact per-phase summary. Wall columns appear only
 // when the observability layer attributed wall time (see

@@ -109,14 +109,11 @@ func BucketLabel(i int) string {
 type EventKind int
 
 // Event kinds. Each engine emits its own scheduler events; EvFault comes
-// from the fault injector (chaos.Plan.WithObserver) and EvCkpt from the
-// checkpointing stepped driver.
+// from the fault injector (chaos.Plan.WithObserver).
 const (
 	// EvFault: an injected fault fired (Node = the faulted node or -1 for
 	// round faults; Detail names the fault).
 	EvFault EventKind = iota + 1
-	// EvCkpt: the stepped driver wrote a checkpoint at round Round.
-	EvCkpt
 	// EvArena: stepped engine, per round — Value is the total slot-arena
 	// bytes deposited during the round's sweep (summed over chunks); the
 	// run's high-water mark is the max over rounds.
@@ -140,8 +137,6 @@ func (k EventKind) String() string {
 	switch k {
 	case EvFault:
 		return "fault"
-	case EvCkpt:
-		return "ckpt"
 	case EvArena:
 		return "arena"
 	case EvSweepStart:

@@ -3,14 +3,10 @@ package congest
 import (
 	"errors"
 	"fmt"
-	"io/fs"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"congestds/internal/graph"
 )
 
 // The stepped engine executes StepPrograms without per-node goroutines. The
@@ -120,7 +116,6 @@ type steppedEngine struct {
 	topo     *topology
 	round    int       // deliveries performed; written only by the driver between sweeps
 	deadline time.Time // absolute Config.Deadline instant; zero when unset
-	fp       uint32    // graph fingerprint; computed only for checkpointed runs
 	// recs[(round+1)&1] is the write record array during the current sweep;
 	// recs[round&1] holds the records being delivered from it. 8 B per
 	// directed edge per parity, vs 24 B for a [][]byte slot array.
@@ -146,18 +141,6 @@ type steppedEngine struct {
 
 // runStepped executes the stepped program built by f on every node.
 func (net *Network) runStepped(f StepFactory) (Metrics, error) {
-	return net.runSteppedCkpt(f, CkptSpec{})
-}
-
-// runSteppedCkpt is the stepped driver behind RunStepped and RunSteppedCkpt.
-// With a zero spec it is a plain run. With a spec it additionally resumes
-// from spec.Path when that file exists (rebuilding round counter, live set,
-// program state, pending slot records and accumulated metrics) and writes a
-// checkpoint every spec.Every round boundaries. Resumed runs are
-// byte-identical to uninterrupted ones: the sweep schedule never affects
-// outcomes (see the work-stealing notes above), and the checkpoint captures
-// exactly the state a round boundary carries forward.
-func (net *Network) runSteppedCkpt(f StepFactory, spec CkptSpec) (Metrics, error) {
 	n := net.g.N()
 	eng := &steppedEngine{net: net, deadline: net.runDeadline()}
 	eng.metrics.Model = net.cfg.Model
@@ -165,19 +148,6 @@ func (net *Network) runSteppedCkpt(f StepFactory, spec CkptSpec) (Metrics, error
 	eng.obs = net.cfg.Observer
 	if n == 0 {
 		return eng.metrics, nil
-	}
-	var cp *Ckpt
-	if spec.Path != "" {
-		eng.fp = graph.Fingerprint(net.g)
-		data, err := os.ReadFile(spec.Path)
-		switch {
-		case err == nil:
-			if cp, err = DecodeCkpt(data); err != nil {
-				return eng.metrics, err
-			}
-		case !errors.Is(err, fs.ErrNotExist):
-			return eng.metrics, fmt.Errorf("congest: reading checkpoint: %w", err)
-		}
 	}
 	eng.topo = net.topology()
 	slots := len(eng.topo.destSlot)
@@ -201,13 +171,6 @@ func (net *Network) runSteppedCkpt(f StepFactory, spec CkptSpec) (Metrics, error
 	if chunk > n {
 		chunk = n
 	}
-	if cp != nil {
-		// Resume under the checkpointed chunk geometry: the restored arena
-		// bytes are addressed through the node→chunk map, and reusing it
-		// keeps the layout identical even if GOMAXPROCS changed between the
-		// two processes (outcomes never depend on it either way).
-		chunk = cp.ChunkSize
-	}
 	numChunks := (n + chunk - 1) / chunk
 	eng.chunkSize = chunk
 	eng.nodes = make([]Node, n)
@@ -225,17 +188,7 @@ func (net *Network) runSteppedCkpt(f StepFactory, spec CkptSpec) (Metrics, error
 		for v := lo; v < hi; v++ {
 			nd := &eng.nodes[v]
 			nd.net, nd.sched, nd.v = net, eng, v
-			if cp == nil {
-				ck.alive = append(ck.alive, int32(v))
-			} else {
-				// Assume done until the checkpoint's live list says otherwise.
-				nd.stopped = true
-			}
-		}
-	}
-	if cp != nil {
-		if err := eng.restore(cp, spec, f); err != nil {
-			return eng.metrics, err
+			ck.alive = append(ck.alive, int32(v))
 		}
 	}
 	eng.workers = make([]steppedWorker, p)
@@ -257,10 +210,8 @@ func (net *Network) runSteppedCkpt(f StepFactory, spec CkptSpec) (Metrics, error
 		}(&eng.workers[w], starts[w])
 	}
 
-	// A fresh run starts at phase 0 (Init); a resumed one at the
-	// checkpointed round boundary, sweeping Step(round-1) next — exactly
-	// the sweep the interrupted run would have performed.
-	for phase := eng.round; ; phase++ {
+	// Phase 0 is Init; phase p sweeps Step(p-1).
+	for phase := 0; ; phase++ {
 		if eng.obs != nil {
 			eng.obs.RoundStart(phase + 1)
 		}
@@ -308,19 +259,6 @@ func (net *Network) runSteppedCkpt(f StepFactory, spec CkptSpec) (Metrics, error
 		if roundErr != nil {
 			eng.fail(roundErr)
 			break
-		}
-		if spec.Every > 0 && eng.round%spec.Every == 0 {
-			// The pool is parked between sweeps, so the driver reads all
-			// engine state without synchronization. A write failure aborts
-			// the run: a checkpointed run that silently stops checkpointing
-			// would be worse than a loud failure.
-			if err := eng.writeCkpt(spec); err != nil {
-				eng.fail(err)
-				break
-			}
-			if eng.obs != nil {
-				eng.obs.Event(Event{Kind: EvCkpt, Round: eng.round, Node: -1})
-			}
 		}
 	}
 	for w := range starts {

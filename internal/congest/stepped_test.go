@@ -334,6 +334,15 @@ func TestArenaGrowthKeepsOldBlocks(t *testing.T) {
 	}
 }
 
+// push copies pl into the phase's generation and returns its offset: the
+// one-payload form of the engine's batched deposit (depositOutboxPacked).
+func (a *slotArena) push(phase int, pl []byte) uint32 {
+	g := a.gens[phase%3]
+	off := len(g)
+	a.gens[phase%3] = append(g, pl...)
+	return uint32(off)
+}
+
 // TestSlotArenaGenerations pins the packed-record byte lifetime: bytes
 // pushed at phase k are the delivered view at phase k+1, survive phase k+2
 // untouched (the grace round), and are recycled by the reset at phase k+3.

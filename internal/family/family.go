@@ -44,16 +44,6 @@ type Params struct {
 	// Ctx, when non-nil, cancels the family's simulated runs: one context
 	// bounds the whole solve, even when it spans several runs.
 	Ctx context.Context
-	// CkptPath enables checkpoint/resume for families whose solver runs as
-	// a single checkpointable stepped program (currently arbmds): the run
-	// checkpoints to this path every CkptEvery rounds and resumes from it
-	// when the file already holds a matching checkpoint. Simulated families
-	// that cannot checkpoint reject a non-empty CkptPath as
-	// congest.ErrConfig; the host-side baselines (greedy, exact) ignore it.
-	CkptPath string
-	// CkptEvery is the checkpoint cadence in rounds (only read when
-	// CkptPath is set; zero means 1).
-	CkptEvery int
 	// Observer, when non-nil, receives per-round telemetry from the
 	// family's simulated runs (see congest.Observer); attaching one never
 	// changes the outcome.
@@ -62,13 +52,13 @@ type Params struct {
 
 // Key returns the canonical equality key of the parameters that determine
 // a family's certified output: Eps, MaxRounds and DiamBound. The
-// execution-context fields — Sim, Deadline, Ctx, Observer, CkptPath,
-// CkptEvery — are deliberately excluded: they decide whether and how a run
-// executes, never what a successful run produces (the engine choice,
-// checkpoint resume and observer attachment are byte-identity-preserving by
-// tested contract: see internal/congest/conformance). Two Params
-// with equal Keys applied to the same graph and family yield identical
-// Results, which is what makes Key a cache key for certified solutions.
+// execution-context fields — Sim, Deadline, Ctx, Observer — are
+// deliberately excluded: they decide whether and how a run executes, never
+// what a successful run produces (the engine choice and observer attachment
+// are byte-identity-preserving by tested contract: see
+// internal/congest/conformance). Two Params with equal Keys applied to the
+// same graph and family yield identical Results, which is what makes Key a
+// cache key for certified solutions.
 //
 // Key does not know family defaults: Eps=0 and Eps=0.5 produce different
 // Keys even though arbmds treats them identically. Canonicalize through
@@ -120,8 +110,8 @@ type Family struct {
 	// only pay for a host-side diameter estimate (a BFS) when the family
 	// will use it.
 	NeedsDiam bool
-	// DefaultEps is the value the family's Solve substitutes for a
-	// non-positive Params.Eps. Canon uses it so that a zero-valued and a
+	// DefaultEps is the value the family's Solve substitutes for a zero
+	// Params.Eps. Canon uses it so that a zero-valued and a
 	// default-filled parameter set produce the same Key.
 	DefaultEps float64
 	// Solve runs the family on g and certifies the output.
@@ -130,15 +120,16 @@ type Family struct {
 
 // Canon returns p with the fields the family would normalize anyway folded
 // to their canonical spelling, so that parameter sets the family treats
-// identically collide under Params.Key: a non-positive Eps becomes
-// DefaultEps (exactly the substitution the registered Solve adapters
-// perform), a DiamBound on a family that never reads one is dropped, and
-// negative round clamps (no clamp) become zero. Canon changes no
+// identically collide under Params.Key: a zero Eps becomes DefaultEps
+// (exactly the substitution the registered Solve adapters perform), a
+// DiamBound on a family that never reads one is dropped, and negative
+// round clamps (no clamp) become zero. A negative Eps or DiamBound stays
+// as it is, so the families that reject it still do. Canon changes no
 // execution-context field and never changes what Solve computes —
 // Solve(g, p) and Solve(g, f.Canon(p)) produce identical Results, which
 // TestCanonPreservesSolve pins per registered family.
 func (f Family) Canon(p Params) Params {
-	if p.Eps <= 0 {
+	if p.Eps == 0 {
 		p.Eps = f.DefaultEps
 	}
 	if !f.NeedsDiam {
@@ -146,9 +137,6 @@ func (f Family) Canon(p Params) Params {
 	}
 	if p.MaxRounds < 0 {
 		p.MaxRounds = 0
-	}
-	if p.DiamBound < 0 {
-		p.DiamBound = 0
 	}
 	return p
 }

@@ -95,11 +95,13 @@ func TestRejectsBadParamsAsConfig(t *testing.T) {
 		{"thm1.1", small, Params{Eps: 1.5}},
 		{"cor1.3", small, Params{MaxRounds: 10}},
 		{"cds", small, Params{Eps: 3}},
-		{"mcds", small, Params{CkptPath: "x.ckpt"}},
-		{"thm1.2", small, Params{CkptPath: "x.ckpt"}},
 		{"arbmds", small, Params{Eps: math.NaN()}},
 		{"mcds", small, Params{Eps: math.NaN()}},
 		{"arbmds", small, Params{Eps: math.Inf(1)}},
+		{"thm1.2", small, Params{Eps: -1}},
+		{"arbmds", small, Params{Eps: -1}},
+		{"mcds", small, Params{Eps: -1}},
+		{"mcds", small, Params{DiamBound: -5}},
 	}
 	for _, c := range cases {
 		f, err := Get(c.algo)
@@ -108,6 +110,10 @@ func TestRejectsBadParamsAsConfig(t *testing.T) {
 		}
 		if _, err := f.Solve(c.g, c.p); !errors.Is(err, congest.ErrConfig) {
 			t.Errorf("%s %+v: err = %v, want ErrConfig", c.algo, c.p, err)
+		}
+		// Canon must not fold a rejected value into an accepted one.
+		if _, err := f.Solve(c.g, f.Canon(c.p)); !errors.Is(err, congest.ErrConfig) {
+			t.Errorf("%s Canon(%+v): err = %v, want ErrConfig", c.algo, c.p, err)
 		}
 	}
 }
@@ -154,7 +160,7 @@ func TestParamsKeyCanonicalEquality(t *testing.T) {
 				t.Errorf("eps=%g collides with the default key %q", f.DefaultEps/2, zero.Key())
 			}
 			// Execution-context fields never reach the key.
-			ctxed := f.Canon(Params{Deadline: time.Second, CkptPath: "x.ckpt", CkptEvery: 7})
+			ctxed := f.Canon(Params{Deadline: time.Second})
 			if ctxed.Key() != zero.Key() {
 				t.Errorf("execution-context fields leaked into the key: %q vs %q",
 					ctxed.Key(), zero.Key())

@@ -56,13 +56,15 @@ func configErr(format string, args ...any) error {
 }
 
 // peelEps fills in the default ε (0.5) of the peeling families, arbmds and
-// mcds, and rejects a non-finite one: their thresholds and certificate
-// claims are meaningless at NaN or ±Inf.
+// mcds, when eps is 0, and rejects a negative or non-finite one: their
+// thresholds and certificate claims are meaningless there.
 func peelEps(eps float64) (float64, error) {
 	switch {
 	case math.IsNaN(eps) || math.IsInf(eps, 0):
 		return 0, configErr("eps=%v is not finite", eps)
-	case eps <= 0:
+	case eps < 0:
+		return 0, configErr("eps=%v is negative", eps)
+	case eps == 0:
 		return 0.5, nil
 	}
 	return eps, nil
@@ -72,21 +74,20 @@ func peelEps(eps float64) (float64, error) {
 const paperEps = 0.5
 
 // mdsParams validates p for the source paper's pipeline and translates it.
-// ε must lie in (0,1] after the default is filled in, and the pipeline has
-// no round clamp and no checkpointing. Deadline becomes a timeout on Ctx, because one context
-// bounds the whole multi-part solve; the returned cancel releases it.
+// ε = 0 selects the default; otherwise ε must lie in (0,1]. The pipeline
+// has no round clamp. Deadline becomes a timeout on Ctx, because one
+// context bounds the whole multi-part solve; the returned cancel releases
+// it.
 func mdsParams(p Params, engine mds.Engine) (mds.Params, context.CancelFunc, error) {
 	eps := p.Eps
-	if eps <= 0 {
+	if eps == 0 {
 		eps = paperEps
 	}
 	switch {
-	case !(eps <= 1): // also catches NaN
+	case !(eps > 0 && eps <= 1): // also catches NaN
 		return mds.Params{}, nil, configErr("eps=%v out of (0,1]", p.Eps)
 	case p.MaxRounds > 0:
 		return mds.Params{}, nil, configErr("the paper pipeline takes no round clamp (maxrounds=%d)", p.MaxRounds)
-	case p.CkptPath != "":
-		return mds.Params{}, nil, configErr("the paper pipeline does not support checkpointing (ckpt=%q)", p.CkptPath)
 	}
 	ctx, cancel := p.Ctx, context.CancelFunc(func() {})
 	if p.Deadline > 0 {
@@ -202,9 +203,7 @@ func init() {
 			}
 			res, err := arbmds.Solve(g, arbmds.Params{
 				Eps: eps, Sim: p.Sim, MaxRounds: p.MaxRounds,
-				Deadline: p.Deadline, Ctx: p.Ctx,
-				CkptPath: p.CkptPath, CkptEvery: p.CkptEvery,
-				Observer: p.Observer,
+				Deadline: p.Deadline, Ctx: p.Ctx, Observer: p.Observer,
 			})
 			if err != nil {
 				return nil, err
@@ -232,8 +231,8 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			if p.CkptPath != "" {
-				return nil, configErr("mcds does not support checkpointing (ckpt=%q)", p.CkptPath)
+			if p.DiamBound < 0 {
+				return nil, configErr("diam=%d is negative (0 selects the automatic bound)", p.DiamBound)
 			}
 			res, err := mcds.Solve(g, mcds.Params{
 				Eps: eps, Sim: p.Sim, MaxRounds: p.MaxRounds, DiamBound: p.DiamBound,

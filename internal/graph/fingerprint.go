@@ -12,14 +12,9 @@ import (
 // regardless of how they were loaded — built in memory, parsed from the
 // text format, heap-read or memory-mapped from a .csrg file — while two
 // graphs with equal n, m and IDs but different edges do not. That is what
-// makes the fingerprint a cache and binding key: the `.ckpt` checkpoint
-// format binds checkpoints to it (a resume against a different graph fails
-// loudly), and the mdsd serving layer keys resident graphs and certified
-// solutions by it, so the same content under two paths shares one cache
-// line and different content never does. Changing the byte layout orphans
-// existing checkpoints: the edges joined the hash after checkpoints bound
-// to an n, m and IDs-only hash had been written, and such older .ckpt
-// files now fail the graph-binding check with congest.ErrBadCkpt.
+// makes the fingerprint the mdsd cache key: the serving layer keys resident
+// graphs and certified solutions by it, so the same content under two
+// paths shares one cache line and different content never does.
 func Fingerprint(g *Graph) uint32 {
 	h := crc32.NewIEEE()
 	var nm [16]byte

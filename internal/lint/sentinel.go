@@ -85,7 +85,7 @@ func checkErrorExpr(pass *analysis.Pass, e ast.Expr) {
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return // local helper (badCkpt, ...) owns its own classification
+		return // a local helper call owns its own classification
 	}
 	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil {

@@ -38,7 +38,6 @@ var sentinelFamilies = map[string]string{
 	"max-rounds": testFamPrefix + "err-maxrounds",
 	"deadline":   testFamPrefix + "err-deadline",
 	"injected":   testFamPrefix + "err-injected",
-	"bad-ckpt":   testFamPrefix + "err-badckpt",
 	"config":     testFamPrefix + "err-config",
 	"program":    testFamPrefix + "err-program",
 }
@@ -75,7 +74,6 @@ var registerTestFamilies = sync.OnceFunc(func() {
 			"max-rounds": congest.ErrMaxRounds,
 			"deadline":   congest.ErrDeadline,
 			"injected":   congest.ErrInjected,
-			"bad-ckpt":   congest.ErrBadCkpt,
 			"config":     congest.ErrConfig,
 			"program":    errors.New("synthetic program failure"),
 		}[class]

@@ -1,9 +1,8 @@
 // Package serve is the resident graph-serving layer behind cmd/mdsd: an
 // HTTP service that loads graphs once (heap or memory-mapped .csrg), keeps
 // them resident behind a byte-budgeted LRU keyed by content fingerprint
-// (graph.Fingerprint — the same hash the .ckpt format binds checkpoints
-// to), and answers solve/certify queries by dispatching through the
-// algorithm-family registry (internal/family).
+// (graph.Fingerprint), and answers solve/certify queries by dispatching
+// through the algorithm-family registry (internal/family).
 //
 // Three mechanisms make repeated queries cheap without weakening any
 // guarantee:
@@ -113,7 +112,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 //	deadline     504 Gateway Timeout       (the request's budget elapsed)
 //	bandwidth    500 Internal Server Error (engine contract violation — a bug)
 //	injected     500 Internal Server Error (a chaos fault schedule aborted the run)
-//	bad-ckpt     500 Internal Server Error (corrupt or mismatched checkpoint)
 //	program      500 Internal Server Error (any other failure)
 //
 // Unknown graph or algorithm names are not run failures and map to 404
@@ -128,7 +126,7 @@ func StatusForClass(class string) int {
 		return http.StatusUnprocessableEntity
 	case "deadline":
 		return http.StatusGatewayTimeout
-	default: // bandwidth, injected, bad-ckpt, program
+	default: // bandwidth, injected, program
 		return http.StatusInternalServerError
 	}
 }

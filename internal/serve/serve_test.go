@@ -93,7 +93,6 @@ func TestStatusForClassPinnedTable(t *testing.T) {
 		"deadline":   http.StatusGatewayTimeout,
 		"bandwidth":  http.StatusInternalServerError,
 		"injected":   http.StatusInternalServerError,
-		"bad-ckpt":   http.StatusInternalServerError,
 		"program":    http.StatusInternalServerError,
 	}
 	for class, status := range want {
