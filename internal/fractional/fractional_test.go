@@ -1,6 +1,7 @@
 package fractional
 
 import (
+	"math"
 	"testing"
 
 	"congestds/internal/congest"
@@ -185,6 +186,9 @@ func TestInitialValidation(t *testing.T) {
 	}
 	if _, err := Initial(net, nil, InitialParams{Eps: 1.5}); err == nil {
 		t.Error("eps>1 accepted")
+	}
+	if _, err := Initial(net, nil, InitialParams{Eps: math.NaN()}); err == nil {
+		t.Error("eps=NaN accepted")
 	}
 }
 

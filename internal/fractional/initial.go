@@ -25,57 +25,35 @@ type InitialParams struct {
 // The covering phase is our substitute for the cited [KMW06] LP solver (see
 // docs/ARCHITECTURE.md#substitutions, substitution 4): a threshold-batched
 // parallel fractional greedy. Thresholds θ descend from Δ̃ by factors of
-// (1+ε); while a node's
-// residual degree d_v (uncovered constraints in N(v)) is at least θ it
-// raises x(v) by 1/(θ(1+ε)). Residual degrees are non-increasing, so after
-// ⌈θ(1+ε)⌉+1 iterations no candidate remains at a threshold, which gives a
-// deterministic per-threshold round budget without global termination
-// detection.
+// (1+ε); while a node's residual degree d_v (uncovered constraints in N(v))
+// is at least θ it raises x(v) by 1/(θ(1+ε)). Residual degrees are
+// non-increasing, so after ⌊θ(1+ε)⌋+2 iterations no candidate remains at a
+// threshold, which gives a deterministic per-threshold round budget without
+// global termination detection.
 //
-// It runs as a genuine CONGEST message-passing program: two rounds per
-// iteration (uncovered bits, then value increments), O(log n)-bit messages.
-// The program is written in the stackless StepProgram form — per-node state
-// is the coverStep struct below — so the greedy covering phase executes on
-// congest.EngineStepped with no per-node goroutine; the goroutine engine
-// runs it through the blocking adapter with identical results.
+// It runs as a genuine CONGEST message-passing program, two rounds per
+// iteration, in which a node sends only what changed: in round A a one-byte
+// flip, once, when its own constraint becomes covered; in round B its value
+// increment, only when nonzero (see coverStep). So the covering sends at
+// most 2m flips plus deg(v) messages per nonzero increment of v, each of
+// O(log n) bits. The program is written in the stackless StepProgram form,
+// so it executes on congest.EngineStepped with no per-node goroutine; the
+// goroutine engine runs it through the blocking adapter with identical
+// results.
 func Initial(net *congest.Network, ledger *congest.Ledger, p InitialParams) (*CFDS, error) {
 	g := net.Graph()
 	n := g.N()
 	if n == 0 {
 		return NewFDS(ScaleFor(1), 0), nil
 	}
-	if p.Eps <= 0 || p.Eps > 1 {
+	if !(p.Eps > 0 && p.Eps <= 1) {
 		return nil, fmt.Errorf("fractional: eps=%v out of (0,1]", p.Eps)
 	}
 	if p.MaxDegree <= 0 {
 		p.MaxDegree = g.MaxDegree()
 	}
 	ctx := ScaleFor(n)
-	deltaTilde := uint64(p.MaxDegree + 1)
-
-	onePlusEps := ctx.Add(ctx.One(), ctx.FromFloat(p.Eps))
-	// Threshold schedule and per-threshold iteration budgets, identical at
-	// every node (both depend only on Δ̃ and ε).
-	var phases []coverPhase
-	addPhase := func(theta fixpoint.Value) {
-		den := ctx.MulUp(theta, onePlusEps)
-		inc := ctx.DivDown(ctx.One(), den)
-		if inc == 0 {
-			inc = ctx.Eps()
-		}
-		// iterations until guaranteed quiescence: ⌈θ(1+ε)⌉ + 1
-		it := int(uint64(den)>>ctx.Scale()) + 2
-		phases = append(phases, coverPhase{threshold: theta, increment: inc, iters: it})
-	}
-	theta := fixpoint.Value(deltaTilde) * ctx.One() // Δ̃ in fixed point
-	for theta > ctx.One() {
-		addPhase(theta)
-		theta = ctx.DivDown(theta, onePlusEps)
-	}
-	// Final phase at θ=1 guarantees every remaining uncovered constraint is
-	// finished (an uncovered node always has residual degree ≥ 1 in its own
-	// inclusive neighbourhood).
-	addPhase(ctx.One())
+	phases := coverPhases(ctx, p.Eps, p.MaxDegree)
 
 	x := make([]fixpoint.Value, n)
 	metrics, err := net.RunStepped(func(nd *congest.Node) congest.StepProgram {
@@ -90,11 +68,7 @@ func Initial(net *congest.Network, ledger *congest.Ledger, p InitialParams) (*CF
 
 	// Lemma 2.1 floor: value floor ε/(2Δ̃) keeps the approximation within
 	// (1+ε) because OPT ≥ n/Δ̃, and makes the solution ε/(2Δ̃)-fractional.
-	floor := ctx.FromRatio(1, 2*deltaTilde, false)
-	floor = ctx.MulUp(floor, ctx.FromFloat(p.Eps))
-	if floor == 0 {
-		floor = ctx.Eps()
-	}
+	floor := FloorValue(ctx, p.Eps, p.MaxDegree)
 	f := NewFDS(ctx, n)
 	for v := range x {
 		f.X[v] = fixpoint.Max(x[v], floor)
@@ -114,13 +88,50 @@ type coverPhase struct {
 	iters     int
 }
 
+// coverPhases returns the threshold schedule and per-threshold iteration
+// budgets. Every node computes the same schedule, because it depends only on
+// Δ̃ = maxDegree+1 and ε.
+func coverPhases(ctx fixpoint.Ctx, eps float64, maxDegree int) []coverPhase {
+	onePlusEps := ctx.Add(ctx.One(), ctx.FromFloat(eps))
+	var phases []coverPhase
+	addPhase := func(theta fixpoint.Value) {
+		den := ctx.MulUp(theta, onePlusEps)
+		inc := ctx.DivDown(ctx.One(), den)
+		if inc == 0 {
+			inc = ctx.Eps()
+		}
+		// iterations until guaranteed quiescence: ⌊θ(1+ε)⌋ + 2
+		it := int(uint64(den)>>ctx.Scale()) + 2
+		phases = append(phases, coverPhase{threshold: theta, increment: inc, iters: it})
+	}
+	theta := fixpoint.Value(maxDegree+1) * ctx.One() // Δ̃ in fixed point
+	for theta > ctx.One() {
+		addPhase(theta)
+		theta = ctx.DivDown(theta, onePlusEps)
+	}
+	// Final phase at θ=1 guarantees every remaining uncovered constraint is
+	// finished (an uncovered node always has residual degree ≥ 1 in its own
+	// inclusive neighbourhood).
+	addPhase(ctx.One())
+	return phases
+}
+
 // coverStep is the threshold-batched parallel fractional greedy as a
 // stackless state machine. Each schedule iteration spans two synchronous
-// rounds: round A broadcasts the node's own uncovered bit, round B
-// broadcasts the value increment the node chose after seeing its residual
-// degree. The struct fields are exactly the stack variables of the blocking
-// form: current value, own coverage, the neighbours' uncovered bits and the
-// (phase, iteration, sub-round) position in the schedule.
+// rounds, and a node sends only what changed since the previous iteration:
+//
+//   - Round A: a node broadcasts a one-byte flip at most once, at the start
+//     of the first iteration after its own constraint becomes covered
+//     (covSelf reaches 1). A receiver starts nbrUncovered at its degree and
+//     counts it down by one per flip, so its residual degree costs
+//     O(messages received), not O(degree).
+//   - Round B: a node that raised its value broadcasts the increment; a
+//     neighbour that stays silent raised by 0.
+//
+// In a synchronous round silence carries the rest. So under crash-stop
+// fault hooks a crashed neighbour stays uncovered in its neighbours' counts
+// instead of turning covered. Part I never runs under fault hooks: mds,
+// family and serve set no Hooks.
 type coverStep struct {
 	x      []fixpoint.Value
 	phases []coverPhase
@@ -128,26 +139,25 @@ type coverStep struct {
 
 	xv           fixpoint.Value
 	covSelf      fixpoint.Value
-	uncoveredNbr []bool
-	myUncovered  bool
+	nbrUncovered int  // neighbours whose flip has not arrived
+	myUncovered  bool // own constraint uncovered as of the last round A
 	delta        fixpoint.Value
 	pi, it       int
 	awaitingB    bool // the next inbox holds round-B increments
 }
 
-// sendA broadcasts whether this node's own constraint is still uncovered.
+// sendA broadcasts the flip if this node's own constraint has become
+// covered since the last round A.
 func (s *coverStep) sendA(nd *congest.Node) {
-	s.myUncovered = s.covSelf < s.ctx.One()
-	bit := byte(0)
-	if s.myUncovered {
-		bit = 1
+	if s.myUncovered && s.covSelf >= s.ctx.One() {
+		s.myUncovered = false
+		nd.Broadcast(append(nd.PayloadBuf(1), 0))
 	}
-	nd.Broadcast(append(nd.PayloadBuf(1), bit))
 }
 
 func (s *coverStep) Init(nd *congest.Node) bool {
-	s.uncoveredNbr = make([]bool, nd.Degree())
-	s.sendA(nd)
+	s.nbrUncovered = nd.Degree()
+	s.myUncovered = true
 	return false
 }
 
@@ -155,20 +165,15 @@ func (s *coverStep) Step(nd *congest.Node, round int, in []congest.Incoming) boo
 	ctx := s.ctx
 	if !s.awaitingB {
 		// Round A receive: residual degree over the inclusive neighbourhood.
-		for i := range s.uncoveredNbr {
-			s.uncoveredNbr[i] = false
-		}
 		for _, msg := range in {
-			s.uncoveredNbr[msg.Port] = msg.Payload[0] == 1
+			if len(msg.Payload) != 1 || msg.Payload[0] != 0 {
+				panic("fractional: bad flip message")
+			}
 		}
-		d := 0
+		s.nbrUncovered -= len(in)
+		d := s.nbrUncovered
 		if s.myUncovered {
 			d++
-		}
-		for _, u := range s.uncoveredNbr {
-			if u {
-				d++
-			}
 		}
 		// Round B send: candidates raise and broadcast the actual delta.
 		ph := s.phases[s.pi]
@@ -178,7 +183,9 @@ func (s *coverStep) Step(nd *congest.Node, round int, in []congest.Incoming) boo
 			s.delta = nx - s.xv
 			s.xv = nx
 		}
-		nd.Broadcast(congest.AppendUvarint(nd.PayloadBuf(10), uint64(s.delta)))
+		if s.delta != 0 {
+			nd.Broadcast(congest.AppendUvarint(nd.PayloadBuf(10), uint64(s.delta)))
+		}
 		s.awaitingB = true
 		return false
 	}

@@ -129,7 +129,7 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 	if p.Eps == 0 {
 		p.Eps = 0.5
 	}
-	if p.Eps < 0 || p.Eps > 1 {
+	if !(p.Eps > 0 && p.Eps <= 1) {
 		return nil, fmt.Errorf("mds: eps=%v out of (0,1]", p.Eps)
 	}
 	if p.Engine == 0 {

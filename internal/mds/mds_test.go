@@ -1,6 +1,7 @@
 package mds
 
 import (
+	"math"
 	"testing"
 
 	"congestds/internal/baseline"
@@ -19,6 +20,9 @@ func TestSolveValidation(t *testing.T) {
 	}
 	if _, err := Solve(g, Params{Eps: 2}); err == nil {
 		t.Error("eps>1 accepted")
+	}
+	if _, err := Solve(g, Params{Eps: math.NaN()}); err == nil {
+		t.Error("eps=NaN accepted")
 	}
 }
 

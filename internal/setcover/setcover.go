@@ -78,7 +78,7 @@ func Solve(in *Instance, eps float64) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	if eps <= 0 || eps > 1 {
+	if !(eps > 0 && eps <= 1) {
 		return nil, fmt.Errorf("setcover: eps=%v out of (0,1]", eps)
 	}
 	nSets := len(in.Sets)

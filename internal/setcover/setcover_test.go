@@ -1,6 +1,7 @@
 package setcover
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 )
@@ -60,6 +61,9 @@ func TestSolveValidation(t *testing.T) {
 	}
 	if _, err := Solve(in, 2); err == nil {
 		t.Error("eps=2 accepted")
+	}
+	if _, err := Solve(in, math.NaN()); err == nil {
+		t.Error("eps=NaN accepted")
 	}
 }
 
