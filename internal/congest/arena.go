@@ -80,6 +80,10 @@ var slotPayloadLimit int64 = 1<<32 - 1
 //	phase k+2 leaves them untouched for one grace round,
 //	phase k+3 truncates generation k%3 and recycles the memory.
 //
+// A phase the engine does not sweep (nothing due, see stepped.go) neither
+// deposits nor truncates, so recycling only ever comes later, never
+// earlier.
+//
 // So a payload delivered in round r is never aliased by a round r+1 send: a
 // Step that (against the documented contract) holds an inbox payload one
 // extra round still reads intact bytes, and contract violations fail loudly

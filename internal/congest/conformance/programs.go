@@ -30,6 +30,10 @@ func init() {
 	Register(Case{Name: "budget-edge", Build: buildBudgetEdge, BuildStep: buildBudgetEdgeStep})
 	Register(Case{Name: "local-big-payload", LocalOnly: true,
 		Build: buildLocalBigPayload, BuildStep: buildLocalBigPayloadStep})
+	// Sleeping stepped variants (stepped.go) against blocking references
+	// that run every round.
+	Register(Case{Name: "flood-sleep", Build: buildFloodDistance, BuildStep: buildFloodSleepStep})
+	Register(Case{Name: "round-clock", Build: buildRoundClock, BuildStep: buildRoundClockStep})
 }
 
 // buildIDExchange: one round; every node broadcasts its ID and records the
@@ -267,6 +271,26 @@ func buildSilentRounds(g *graph.Graph) (congest.Program, func() []byte) {
 		}
 		return buf
 	}
+}
+
+// clockRounds is how many rounds node v of the round-clock program runs.
+func clockRounds(v int) int { return 4 + v%5 }
+
+// buildRoundClock: no messages at all; node v runs clockRounds(v) rounds
+// and folds the round counter and its (empty, barring a bug) inbox size
+// into an accumulator, so every round a node lives is observable. Its
+// sleeping port is driven by timers alone.
+func buildRoundClock(g *graph.Graph) (congest.Program, func() []byte) {
+	out := make([]int64, g.N())
+	prog := func(nd *congest.Node) {
+		acc := nd.ID()
+		for r := 0; r < clockRounds(nd.V()); r++ {
+			in := nd.Sync()
+			acc = acc*5 + int64(nd.Round()) + int64(len(in))*1000
+		}
+		out[nd.V()] = acc
+	}
+	return prog, outputInts(out)
 }
 
 // buildBudgetEdge: broadcast payloads of exactly the CONGEST budget (the

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"fmt"
 	"math/bits"
 
 	"congestds/internal/congest"
@@ -384,6 +385,116 @@ func buildLocalBigPayloadStep(g *graph.Graph) (congest.StepFactory, func() []byt
 		return &localBigPayloadStep{sum: sum}
 	}
 	return factory, outputInts(sum)
+}
+
+// Sleeping variants: programs ported to skip the rounds in which a node
+// has nothing to do (congest.Node.SleepUntil), diffed against blocking
+// references that run every round. They pin the stepped engine's
+// wake-on-message skips, and the BlockingFromStep emulation of them, under
+// every fault plan too: a crash must hit a sleeping node identically on
+// both engines. Each variant also checks the skip contract itself through
+// wakeCheck, so an engine that steps a sleeping node early or late fails
+// the run instead of going unnoticed by a tolerant program.
+
+// wakeCheck holds a sleeping variant's timer and checks every Step against
+// it: a node runs before its timer only with mail, and never after it.
+type wakeCheck struct{ until int }
+
+func (w *wakeCheck) sleep(nd *congest.Node, r int) {
+	w.until = r
+	nd.SleepUntil(r)
+}
+
+func (w *wakeCheck) check(round int, in []congest.Incoming) {
+	if round > w.until || (round < w.until && len(in) == 0) {
+		panic(fmt.Sprintf("conformance: sleeping node stepped in round %d (timer %d, %d messages)",
+			round, w.until, len(in)))
+	}
+}
+
+// floodSleepStep is floodDistanceStep asleep between events: a node that
+// has not been reached sleeps until mail, and a node that has relayed the
+// flood sleeps until the last round, when it outputs.
+type floodSleepStep struct {
+	floodDistanceStep
+	wake wakeCheck
+}
+
+func (s *floodSleepStep) Init(nd *congest.Node) bool {
+	if s.floodDistanceStep.Init(nd) {
+		return true
+	}
+	s.wake.sleep(nd, s.rounds-1)
+	return false
+}
+
+func (s *floodSleepStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
+	s.wake.check(round, in)
+	if s.floodDistanceStep.Step(nd, round, in) {
+		return true
+	}
+	s.wake.sleep(nd, s.rounds-1)
+	return false
+}
+
+func buildFloodSleepStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
+	dist := make([]int64, g.N())
+	rounds := g.N()
+	factory := func(nd *congest.Node) congest.StepProgram {
+		return &floodSleepStep{floodDistanceStep: floodDistanceStep{dist: dist, rounds: rounds}}
+	}
+	return factory, outputInts(dist)
+}
+
+// roundClockStep is buildRoundClock on timers alone: no node ever sends,
+// and node v runs only in the rounds r with (r+v)%3 == 0 and in its last
+// round, folding the skipped rounds' terms when it wakes. The timers
+// differ between neighbours, so some swept rounds skip nodes whose timer
+// is earlier than every stepped node's next one.
+type roundClockStep struct {
+	out  []int64
+	acc  int64
+	last int // the node's last round
+	next int // the first round whose term is not yet folded
+	wake wakeCheck
+}
+
+// sleep sets the timer to the first round after round that is due.
+func (s *roundClockStep) sleep(nd *congest.Node, round int) {
+	t := round + 1
+	for (t+nd.V())%3 != 0 && t < s.last {
+		t++
+	}
+	s.wake.sleep(nd, t)
+}
+
+func (s *roundClockStep) Init(nd *congest.Node) bool {
+	s.acc = nd.ID()
+	s.last = clockRounds(nd.V()) - 1
+	s.sleep(nd, -1)
+	return false
+}
+
+func (s *roundClockStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
+	s.wake.check(round, in)
+	for ; s.next <= round; s.next++ {
+		s.acc = s.acc*5 + int64(s.next+1) // the inbox is empty: no node sends
+	}
+	s.acc += int64(len(in)) * 1000
+	if round == s.last {
+		s.out[nd.V()] = s.acc
+		return true
+	}
+	s.sleep(nd, round)
+	return false
+}
+
+func buildRoundClockStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
+	out := make([]int64, g.N())
+	factory := func(nd *congest.Node) congest.StepProgram {
+		return &roundClockStep{out: out}
+	}
+	return factory, outputInts(out)
 }
 
 // outputInts serializes a node-indexed int64 slice canonically.

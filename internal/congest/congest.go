@@ -84,12 +84,19 @@
 //	net.RunStepped(func(nd *congest.Node) congest.StepProgram {
 //		return &flood{rounds: rounds, dist: dist}
 //	})
+//
+// A node that only reacts to mail or to a known round can sleep in
+// between (Node.SleepUntil): the flood above could call
+// nd.SleepUntil(f.rounds-1) at the end of Init and of every Step, and
+// the stepped engine would then run each node only when a message reaches
+// it and in the last round.
 package congest
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"time"
@@ -286,6 +293,10 @@ type Node struct {
 	outbox  []outMsg
 	inbox   []Incoming
 	stopped bool
+	// sleep is the StepProgram round the node next runs even without mail
+	// (see SleepUntil); 0 = awake. Cleared before every Init/Step call. An
+	// int32 beside the bool keeps Node at its old size.
+	sleep int32
 	// op counts the node's compute opportunities: 0 during Init / before the
 	// first Sync, r after the r-th Sync (= Step round r-1). It addresses
 	// injected faults identically across engines and program forms; unused
@@ -387,6 +398,30 @@ func (nd *Node) PayloadBuf(capacity int) []byte {
 		return nd.arena.alloc(capacity)
 	}
 	return make([]byte, 0, capacity)
+}
+
+// SleepUntil tells the engine that the StepProgram has nothing to do until
+// round r unless a message arrives: the node's Step(r') is skipped for
+// every round r' < r whose inbox is empty, and a message arriving earlier
+// wakes the node for the round it arrives in. The sleep ends at the node's
+// next Init/Step call, whichever woke it; a program that wants to sleep on
+// calls SleepUntil again from that call. r ≤ Round() (Step(Round()) runs
+// next anyway) is a no-op, and a later call in the same Init/Step replaces
+// an earlier one. Rounds past 2³¹-1 are clamped to it.
+//
+// Skipped rounds cost the node nothing on the stepped engine: no inbox
+// scan and no Step call. BlockingFromStep emulates the same skips on the
+// goroutine engine, so outputs and metrics are identical. A sleeping node
+// sends nothing, and fault hooks still see every compute opportunity (a
+// sleeping node can crash). Blocking Programs ignore the call.
+func (nd *Node) SleepUntil(r int) {
+	if r <= nd.Round() {
+		return
+	}
+	if r > math.MaxInt32 {
+		r = math.MaxInt32
+	}
+	nd.sleep = int32(r)
 }
 
 // Sync ends the node's current round: queued messages are exchanged and the

@@ -189,7 +189,7 @@ func (eng *goroutineEngine) deliverLocked() {
 	if eng.obs != nil && delivered {
 		eng.obs.Event(Event{Kind: EvWake, Round: eng.round, Node: -1, Value: int64(eng.waiting)})
 		eng.obs.RoundEnd(RoundStats{
-			Round: eng.round, Live: eng.active,
+			Round: eng.round, Live: eng.active, Awake: eng.active,
 			Messages: eng.metrics.Messages, Bits: eng.metrics.Bits,
 			MaxMsgBits: eng.metrics.MaxMsgBits, Hist: eng.hist,
 		})

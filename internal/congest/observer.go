@@ -43,15 +43,23 @@ type Observer interface {
 // RoundStats is the snapshot RoundEnd delivers. Traffic counters are
 // cumulative over the run (the observer side takes deltas), taken at the
 // delivery point, so the final RoundEnd of a healthy run carries exactly
-// the run's Metrics traffic. Live is the engine's count of nodes still
-// participating at the delivery and is the one engine-flavoured field: the
-// goroutine engine counts nodes whose programs have not returned, the
-// stepped engine counts nodes whose last Step returned not-done — equal in
-// steady state, but a node that returns right after its last Sync is
-// counted by the former and not the latter.
+// the run's Metrics traffic. Live and Awake are the two engine-flavoured
+// fields:
+//
+//   - Live counts the nodes still participating at the delivery. The
+//     goroutine engine counts nodes whose programs have not returned, the
+//     stepped engine nodes whose last Step returned not-done: equal in
+//     steady state, but a node that returns right after its last Sync is
+//     counted by the former and not the latter.
+//   - Awake counts the nodes whose Init/Step ran in the round's compute,
+//     so summed over a run it is the node-steps the run paid for. The
+//     stepped engine skips sleeping nodes without mail (Node.SleepUntil)
+//     and reports 0 for a round it did not sweep; the goroutine engine
+//     runs every live goroutine every round and reports Live.
 type RoundStats struct {
 	Round      int     // the round just delivered (1-based)
 	Live       int     // nodes still participating after the delivery
+	Awake      int     // nodes whose Init/Step ran in this round
 	Messages   int64   // cumulative messages deposited
 	Bits       int64   // cumulative payload bits deposited
 	MaxMsgBits int     // largest single message so far

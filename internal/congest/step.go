@@ -21,10 +21,12 @@ type StepProgram interface {
 	// Init runs before round 0; the node may Send. Returning true ends the
 	// node's participation immediately (its sends are still delivered).
 	Init(nd *Node) (done bool)
-	// Step runs once per synchronous round r = 0, 1, 2, ... with the
+	// Step runs once per synchronous round r = 0, 1, 2, ..., unless the
+	// node is sleeping (Node.SleepUntil) and its inbox is empty, with the
 	// messages addressed to this node during the previous send opportunity
-	// (Init for r=0, Step r-1 otherwise), sorted by port. Returning true
-	// ends the node's participation.
+	// (Init for r=0, Step r-1 otherwise), sorted by port. A skipped round
+	// is one in which the node received nothing and sends nothing.
+	// Returning true ends the node's participation.
 	Step(nd *Node, round int, inbox []Incoming) (done bool)
 }
 
@@ -40,6 +42,11 @@ type StepFactory func(nd *Node) StepProgram
 // the goroutine engine. This is the adapter behind RunStepped's engine
 // dispatch and the lever the conformance suite uses to hold the stepped
 // program corpus byte-identical across both engines.
+//
+// Sleeping (Node.SleepUntil) is emulated here: the node still calls Sync
+// every round, so the barrier and fault hooks see every opportunity, but
+// Step is skipped while r is before the sleep target and the inbox is
+// empty — exactly the rounds the stepped engine skips.
 func BlockingFromStep(f StepFactory) Program {
 	return func(nd *Node) {
 		sp := f(nd)
@@ -48,6 +55,10 @@ func BlockingFromStep(f StepFactory) Program {
 		}
 		for r := 0; ; r++ {
 			in := nd.Sync()
+			if r < int(nd.sleep) && len(in) == 0 {
+				continue
+			}
+			nd.sleep = 0
 			if sp.Step(nd, r, in) {
 				return
 			}

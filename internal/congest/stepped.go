@@ -3,6 +3,7 @@ package congest
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,20 +12,35 @@ import (
 
 // The stepped engine executes StepPrograms without per-node goroutines. The
 // nodes are partitioned into contiguous chunks (more chunks than workers),
-// and a fixed worker pool (GOMAXPROCS workers) sweeps all live nodes once
+// and a fixed worker pool (GOMAXPROCS workers) sweeps the live nodes once
 // per round, claiming chunks off a shared atomic counter:
 //
 //	claim the next unprocessed chunk            (one atomic add)
 //	for each live node of the chunk:
+//	  skip it if it sleeps and has no mail      (two loads)
 //	  collect inbox from the read slot records  (clearing the records)
 //	  call Init / Step                          (the node's compute)
-//	  deposit the outbox into the write records (unique-writer array stores)
+//	  deposit the outbox into the write records (unique-writer array stores,
+//	                                             marking each receiver)
 //
 // then the driver flips the double-buffered record array by round parity
 // (the CSR slot layout of topology.go) and the next sweep begins.
 // There is no barrier protocol at all: the sweep IS the round, so the only
 // synchronization is one WaitGroup arrive/wait per round for the whole
 // pool, not per node.
+//
+// Wake-on-message: a node that called Node.SleepUntil is skipped until its
+// timer is due or mail arrives. Deposits mark the receiver in one atomic
+// word per node, one bit per round parity (Or at deposit, And at collect),
+// so a sweep learns whether a node has mail without scanning its slots,
+// and a deposit made later in the same sweep can never erase the mark a
+// receiver is about to read: the two parities are different bits. A round
+// in which nothing was deposited and no timer is due is not swept at all:
+// the driver only advances the round counter, runs the round checks and
+// fires the observer, so a program that sleeps between the rounds in which
+// it acts pays for its awake nodes and messages, not for n per round. With
+// Config.Hooks set every round is swept, so Crash and Stall see exactly
+// the opportunities they see on the goroutine engine.
 //
 // Chunk claiming is what keeps the pool busy on uneven rounds: with the
 // static node ranges the engine used before, one slow chunk (a hot spot of
@@ -108,6 +124,12 @@ type steppedWorker struct {
 	bits    int64
 	maxBits int
 	hist    MsgHist // maintained only when eng.obs is set
+
+	// Per-sweep results, reset by sweep: awake counts the Init/Step calls,
+	// due is the earliest phase at which a live node of the claimed chunks
+	// must run without mail.
+	awake int
+	due   int
 }
 
 // steppedEngine coordinates one stepped run.
@@ -119,7 +141,10 @@ type steppedEngine struct {
 	// recs[(round+1)&1] is the write record array during the current sweep;
 	// recs[round&1] holds the records being delivered from it. 8 B per
 	// directed edge per parity, vs 24 B for a [][]byte slot array.
-	recs      [2][]slotRec
+	recs [2][]slotRec
+	// marks[v] bit (q&1) is set when mail for phase q was deposited to v:
+	// Or at deposit (phase q-1), And when v collects it (phase q).
+	marks     []atomic.Uint32
 	chunkSize int // nodes per chunk; node v belongs to chunks[v/chunkSize]
 	nodes     []Node
 	chunks    []steppedChunk
@@ -153,6 +178,7 @@ func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 	slots := len(eng.topo.destSlot)
 	eng.recs[0] = make([]slotRec, slots)
 	eng.recs[1] = make([]slotRec, slots)
+	eng.marks = make([]atomic.Uint32, n)
 
 	p := runtime.GOMAXPROCS(0)
 	if p < 1 {
@@ -210,28 +236,48 @@ func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 		}(&eng.workers[w], starts[w])
 	}
 
-	// Phase 0 is Init; phase p sweeps Step(p-1).
-	for phase := 0; ; phase++ {
+	// Phase 0 is Init; phase p sweeps Step(p-1). due is the first phase
+	// that must be swept; the phases before it have no mail and no due
+	// timer, so they are delivered without waking the pool.
+	var aliveTotal int
+	var sent int64 // messages deposited before the current sweep
+	for phase, due := 0, 0; ; phase++ {
 		if eng.obs != nil {
 			eng.obs.RoundStart(phase + 1)
 		}
-		eng.cursor.Store(0)
-		wg.Add(p)
-		for w := range starts {
-			starts[w] <- phase
-		}
-		wg.Wait()
-		if eng.failure != nil {
-			break
-		}
-		aliveTotal := 0
-		for c := range eng.chunks {
-			aliveTotal += len(eng.chunks[c].alive)
-		}
-		if aliveTotal == 0 {
-			// All nodes done: final sends are counted but, as on the
-			// goroutine engine, no further delivery happens.
-			break
+		swept := phase >= due
+		awake := 0
+		if swept {
+			eng.cursor.Store(0)
+			wg.Add(p)
+			for w := range starts {
+				starts[w] <- phase
+			}
+			wg.Wait()
+			if eng.failure != nil {
+				break
+			}
+			aliveTotal = 0
+			for c := range eng.chunks {
+				aliveTotal += len(eng.chunks[c].alive)
+			}
+			if aliveTotal == 0 {
+				// All nodes done: final sends are counted but, as on the
+				// goroutine engine, no further delivery happens.
+				break
+			}
+			var msgs int64
+			due = math.MaxInt
+			for w := range eng.workers {
+				wk := &eng.workers[w]
+				msgs += wk.msgs
+				awake += wk.awake
+				due = min(due, wk.due)
+			}
+			if msgs != sent || net.cfg.Hooks != nil {
+				due = phase + 1
+			}
+			sent = msgs
 		}
 		eng.round++ // delivery: the record arrays trade roles by parity
 		roundErr := net.checkRound(eng.round, eng.deadline)
@@ -239,7 +285,7 @@ func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 			// RoundEnd fires iff the round counter advanced — even when
 			// checkRound just failed the round (matching the blocking
 			// engines). The pool is parked, so all state reads are plain.
-			st := RoundStats{Round: eng.round, Live: aliveTotal}
+			st := RoundStats{Round: eng.round, Live: aliveTotal, Awake: awake}
 			for w := range eng.workers {
 				wk := &eng.workers[w]
 				st.Messages += wk.msgs
@@ -249,11 +295,13 @@ func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 				}
 				st.Hist.Merge(wk.hist)
 			}
-			var arenaBytes int64
-			for c := range eng.chunks {
-				arenaBytes += int64(len(eng.chunks[c].slots.gens[phase%3]))
+			if swept {
+				var arenaBytes int64
+				for c := range eng.chunks {
+					arenaBytes += int64(len(eng.chunks[c].slots.gens[phase%3]))
+				}
+				eng.obs.Event(Event{Kind: EvArena, Round: eng.round, Node: -1, Value: arenaBytes})
 			}
-			eng.obs.Event(Event{Kind: EvArena, Round: eng.round, Node: -1, Value: arenaBytes})
 			eng.obs.RoundEnd(st)
 		}
 		if roundErr != nil {
@@ -288,6 +336,7 @@ func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 func (w *steppedWorker) sweep(f StepFactory, phase int) {
 	eng := w.eng
 	w.arena.reset()
+	w.awake, w.due = 0, math.MaxInt
 	// Invalidate the sender cache: the delivered generation changed.
 	w.srcLo, w.srcHi, w.srcBytes = 0, 0, nil
 	if eng.obs != nil {
@@ -318,7 +367,8 @@ func (w *steppedWorker) sweep(f StepFactory, phase int) {
 }
 
 // sweepChunk runs one round over one chunk's live nodes: collect, step,
-// deposit. Phase 0 instantiates the programs and calls Init instead.
+// deposit, skipping sleeping nodes without mail. Phase 0 instantiates the
+// programs and calls Init instead.
 func (w *steppedWorker) sweepChunk(f StepFactory, phase int, ck *steppedChunk) {
 	eng := w.eng
 	var histp *MsgHist
@@ -329,13 +379,16 @@ func (w *steppedWorker) sweepChunk(f StepFactory, phase int, ck *steppedChunk) {
 	writeRecs := eng.recs[(phase+1)&1]
 	readRecs := eng.recs[phase&1]
 	gen := (phase + 2) % 3 // the generation delivered during this sweep
+	mail := uint32(1) << (phase & 1)
+	hooks := eng.net.cfg.Hooks
+	// Per-node tallies stay in locals and reach the worker once per chunk:
+	// the worker structs sit side by side, so per-node stores to them
+	// would bounce a cache line shared with the next worker's hot fields.
+	awake, due := 0, math.MaxInt
 	kept := ck.alive[:0]
 	for _, v32 := range ck.alive {
 		v := int(v32)
 		nd := &eng.nodes[v]
-		nd.arena = &w.arena // the sweeping worker's scratch, not a fixed owner
-		nd.outbox = w.outbox[:0]
-		hooks := eng.net.cfg.Hooks
 		if hooks != nil {
 			nd.op = phase // compute opportunity: phase 0 = Init, phase p = Step(p-1)
 		}
@@ -345,17 +398,29 @@ func (w *steppedWorker) sweepChunk(f StepFactory, phase int, ck *steppedChunk) {
 			// this opportunity with an empty outbox. The goroutine engine's
 			// counterpart is the crashStop unwind in Sync / runProg.
 			done = true
-		} else if phase == 0 {
-			done = w.initNode(f, ck, nd)
+		} else if phase > 0 && int(nd.sleep) >= phase && eng.marks[v].Load()&mail == 0 {
+			// Asleep (Step(phase-1) is before its timer) with no mail.
+			kept = append(kept, v32)
+			due = min(due, int(nd.sleep)+1)
+			continue
 		} else {
-			in := w.collect(readRecs, gen, v)
-			done = w.stepNode(ck, nd, phase-1, in)
+			nd.arena = &w.arena // the sweeping worker's scratch, not a fixed owner
+			nd.outbox = w.outbox[:0]
+			nd.sleep = 0
+			awake++
+			if phase == 0 {
+				done = w.initNode(f, ck, nd)
+			} else {
+				in := w.collect(readRecs, gen, v, mail)
+				done = w.stepNode(ck, nd, phase-1, in)
+			}
 		}
 		// Deposit unconditionally: sends queued before a final return or a
 		// panic are delivered and counted, like the goroutine engine's
 		// finish semantics.
 		if len(nd.outbox) > 0 {
-			msgs, bits, maxB, ok := eng.topo.depositOutboxPacked(v, nd.outbox, writeRecs, &ck.slots, phase, histp)
+			msgs, bits, maxB, ok := eng.topo.depositOutboxPacked(v, nd.outbox, writeRecs, &ck.slots, phase, histp,
+				eng.net.g.Neighbors(v), eng.marks)
 			w.msgs += msgs
 			w.bits += bits
 			if maxB > w.maxBits {
@@ -373,14 +438,19 @@ func (w *steppedWorker) sweepChunk(f StepFactory, phase int, ck *steppedChunk) {
 			ck.progs[v-ck.lo] = nil
 		} else {
 			kept = append(kept, v32)
+			due = min(due, max(phase, int(nd.sleep))+1)
 		}
 	}
 	ck.alive = kept
+	w.awake += awake
+	w.due = min(w.due, due)
 }
 
 // collect gathers node v's inbox from the delivered records into the
 // worker's scratch slice (valid only until the node's Step returns),
-// clearing the records for reuse as the write array two rounds later.
+// clearing the records for reuse as the write array two rounds later. A
+// node whose mail bit is clear has an empty inbox, so its slots are not
+// scanned; otherwise the bit is cleared here, with the records.
 // Payload views point straight into the sending chunks' slot arenas; the
 // sender of slot inOff[v]+q is v's neighbour on port q, so its chunk — and
 // with it the generation (gen) holding the bytes — follows from the
@@ -388,10 +458,14 @@ func (w *steppedWorker) sweepChunk(f StepFactory, phase int, ck *steppedChunk) {
 // round's barrier and no worker touches it this round (sweeps write
 // generation phase%3 only), so cross-chunk reads are race-free no matter
 // which workers claimed the sending chunks.
-func (w *steppedWorker) collect(readRecs []slotRec, gen, v int) []Incoming {
+func (w *steppedWorker) collect(readRecs []slotRec, gen, v int, mail uint32) []Incoming {
 	eng := w.eng
-	off, end := eng.topo.inOff[v], eng.topo.inOff[v+1]
 	in := w.inbox[:0]
+	if eng.marks[v].Load()&mail == 0 {
+		return in
+	}
+	eng.marks[v].And(^mail)
+	off, end := eng.topo.inOff[v], eng.topo.inOff[v+1]
 	nbrs := eng.net.g.Neighbors(v)
 	// The worker's sender cache is keyed by the sender's chunk range, so the
 	// hit path is two compares — no division, no arena lookup.

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"congestds/internal/graph"
@@ -389,11 +390,18 @@ func TestSlotRecEncoding(t *testing.T) {
 	recs := make([]slotRec, len(topo.destSlot))
 	var arena slotArena
 	arena.reset(0)
+	marks := make([]atomic.Uint32, g.N())
 	// Node 0 sends 2 bytes to node 1; node 2 sends an empty message.
-	m0, _, _, ok0 := topo.depositOutboxPacked(0, []outMsg{{port: 0, payload: []byte{7, 8}}}, recs, &arena, 0, nil)
-	m2, _, _, ok2 := topo.depositOutboxPacked(2, []outMsg{{port: 0, payload: nil}}, recs, &arena, 0, nil)
+	m0, _, _, ok0 := topo.depositOutboxPacked(0, []outMsg{{port: 0, payload: []byte{7, 8}}}, recs, &arena, 0, nil, g.Neighbors(0), marks)
+	m2, _, _, ok2 := topo.depositOutboxPacked(2, []outMsg{{port: 0, payload: nil}}, recs, &arena, 0, nil, g.Neighbors(2), marks)
 	if m0 != 1 || m2 != 1 || !ok0 || !ok2 {
 		t.Fatalf("deposit counted (%d,%d) messages (ok %v,%v), want (1,1) both ok", m0, m2, ok0, ok2)
+	}
+	// Phase-0 deposits mark their receiver with the phase-1 mail bit only.
+	for v, want := range []uint32{0, 2, 0} {
+		if got := marks[v].Load(); got != want {
+			t.Errorf("node %d mail bits = %b, want %b", v, got, want)
+		}
 	}
 	off, end := topo.inOff[1], topo.inOff[2]
 	if got := recs[off].ln; got != 3 {

@@ -1,5 +1,7 @@
 package congest
 
+import "sync/atomic"
+
 // topology is the CSR slot layout of a graph: every directed edge (sender,
 // port) owns a unique destination slot, so deposits are plain lock-free
 // array writes (each slot has exactly one writer and one reader per round)
@@ -51,8 +53,13 @@ func (net *Network) topology() *topology {
 // range; the caller must fail the run (records past the limit hold wrapped
 // offsets, but the failure stops the round from being delivered, so no
 // reader sees them).
-func (t *topology) depositOutboxPacked(v int, outbox []outMsg, recs []slotRec, arena *slotArena, phase int, hist *MsgHist) (msgs, bitsSum int64, maxB int, ok bool) {
+//
+// Each receiver (nbrs[port], v's neighbours) gets the next phase's mail bit
+// in marks; the plain load first keeps a receiver that already has mail
+// from paying a second atomic write.
+func (t *topology) depositOutboxPacked(v int, outbox []outMsg, recs []slotRec, arena *slotArena, phase int, hist *MsgHist, nbrs []int32, marks []atomic.Uint32) (msgs, bitsSum int64, maxB int, ok bool) {
 	base := t.inOff[v]
+	mail := uint32(1) << ((phase + 1) & 1)
 	// The generation slice is carried through the loop and stored back once:
 	// an outbox-grained push, not a per-message one.
 	g := arena.gens[phase%3]
@@ -73,6 +80,9 @@ func (t *topology) depositOutboxPacked(v int, outbox []outMsg, recs []slotRec, a
 			rec.ln = uint32(n) + 1
 		}
 		recs[t.destSlot[base+int32(m.port)]] = rec
+		if mk := &marks[nbrs[m.port]]; mk.Load()&mail == 0 {
+			mk.Or(mail)
+		}
 		msgs++
 		b := len(m.payload) * 8
 		bitsSum += int64(b)

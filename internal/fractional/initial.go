@@ -2,6 +2,7 @@ package fractional
 
 import (
 	"fmt"
+	"sort"
 
 	"congestds/internal/congest"
 	"congestds/internal/fixpoint"
@@ -36,10 +37,12 @@ type InitialParams struct {
 // flip, once, when its own constraint becomes covered; in round B its value
 // increment, only when nonzero (see coverStep). So the covering sends at
 // most 2m flips plus deg(v) messages per nonzero increment of v, each of
-// O(log n) bits. The program is written in the stackless StepProgram form,
-// so it executes on congest.EngineStepped with no per-node goroutine; the
-// goroutine engine runs it through the blocking adapter with identical
-// results.
+// O(log n) bits. Between the rounds in which it can act a node sleeps
+// (congest.Node.SleepUntil), so the stepped engine runs it only when a
+// threshold is due or mail arrives. The program is written in the
+// stackless StepProgram form, so it executes on congest.EngineStepped with
+// no per-node goroutine; the goroutine engine runs it through the blocking
+// adapter with identical results.
 func Initial(net *congest.Network, ledger *congest.Ledger, p InitialParams) (*CFDS, error) {
 	g := net.Graph()
 	n := g.N()
@@ -81,11 +84,13 @@ func Initial(net *congest.Network, ledger *congest.Ledger, p InitialParams) (*CF
 
 // coverPhase is one threshold of the covering schedule: while a node's
 // residual degree is ≥ threshold it raises its value by increment; iters
-// bounds the iterations until guaranteed quiescence.
+// bounds the iterations until guaranteed quiescence, and first is the
+// phase's first iteration in the whole schedule.
 type coverPhase struct {
 	threshold fixpoint.Value // θ_t, in units of constraints (scaled)
 	increment fixpoint.Value // 1/(θ_t(1+ε))
 	iters     int
+	first     int
 }
 
 // coverPhases returns the threshold schedule and per-threshold iteration
@@ -94,6 +99,7 @@ type coverPhase struct {
 func coverPhases(ctx fixpoint.Ctx, eps float64, maxDegree int) []coverPhase {
 	onePlusEps := ctx.Add(ctx.One(), ctx.FromFloat(eps))
 	var phases []coverPhase
+	first := 0
 	addPhase := func(theta fixpoint.Value) {
 		den := ctx.MulUp(theta, onePlusEps)
 		inc := ctx.DivDown(ctx.One(), den)
@@ -102,7 +108,8 @@ func coverPhases(ctx fixpoint.Ctx, eps float64, maxDegree int) []coverPhase {
 		}
 		// iterations until guaranteed quiescence: ⌊θ(1+ε)⌋ + 2
 		it := int(uint64(den)>>ctx.Scale()) + 2
-		phases = append(phases, coverPhase{threshold: theta, increment: inc, iters: it})
+		phases = append(phases, coverPhase{threshold: theta, increment: inc, iters: it, first: first})
+		first += it
 	}
 	theta := fixpoint.Value(maxDegree+1) * ctx.One() // Δ̃ in fixed point
 	for theta > ctx.One() {
@@ -128,6 +135,23 @@ func coverPhases(ctx fixpoint.Ctx, eps float64, maxDegree int) []coverPhase {
 //   - Round B: a node that raised its value broadcasts the increment; a
 //     neighbour that stays silent raised by 0.
 //
+// Iteration k runs in rounds 2k (A) and 2k+1 (B), so the phase and the
+// A/B half follow from the round number and the shared schedule, and a
+// node runs only in the rounds in which it can act, sleeping
+// (congest.Node.SleepUntil) through the rest:
+//
+//   - a node that raised in round A stays awake for round B, to fold its
+//     own increment into its coverage;
+//   - otherwise it sleeps until round A of the first iteration whose
+//     threshold θ is at most its residual degree, or until the last round
+//     if its value is already 1 or no threshold qualifies;
+//   - flips and increments are mail, so they wake it: they are the only
+//     events that change its residual degree or its coverage.
+//
+// Residual degrees never grow and thresholds never rise, so a sleeping
+// node would have done nothing in the rounds it skips, and the outputs,
+// rounds and traffic equal those of a node stepped every round.
+//
 // In a synchronous round silence carries the rest. So under crash-stop
 // fault hooks a crashed neighbour stays uncovered in its neighbours' counts
 // instead of turning covered. Part I never runs under fault hooks: mds,
@@ -139,31 +163,53 @@ type coverStep struct {
 
 	xv           fixpoint.Value
 	covSelf      fixpoint.Value
-	nbrUncovered int  // neighbours whose flip has not arrived
-	myUncovered  bool // own constraint uncovered as of the last round A
-	delta        fixpoint.Value
-	pi, it       int
-	awaitingB    bool // the next inbox holds round-B increments
+	nbrUncovered int            // neighbours whose flip has not arrived
+	myUncovered  bool           // own constraint uncovered as of the last round A
+	delta        fixpoint.Value // own increment not yet folded into covSelf
 }
 
-// sendA broadcasts the flip if this node's own constraint has become
-// covered since the last round A.
-func (s *coverStep) sendA(nd *congest.Node) {
-	if s.myUncovered && s.covSelf >= s.ctx.One() {
-		s.myUncovered = false
-		nd.Broadcast(append(nd.PayloadBuf(1), 0))
+// residual is the node's residual degree: the uncovered constraints in its
+// inclusive neighbourhood, as of the flips received so far.
+func (s *coverStep) residual() int {
+	if s.myUncovered {
+		return s.nbrUncovered + 1
 	}
+	return s.nbrUncovered
+}
+
+// lastRound is the round of the final Step, in which every node outputs.
+func (s *coverStep) lastRound() int {
+	last := s.phases[len(s.phases)-1]
+	return 2*(last.first+last.iters) - 1
+}
+
+// sleepFrom sleeps until round A of the first iteration ≥ k at which the
+// node is a candidate, or until the last round if there is none: its value
+// is 1, or no remaining threshold is at most its residual degree. The
+// thresholds never rise, so the phases that qualify form a suffix.
+func (s *coverStep) sleepFrom(nd *congest.Node, k int) {
+	d := fixpoint.Value(uint64(s.residual())) * s.ctx.One()
+	i := sort.Search(len(s.phases), func(i int) bool { return s.phases[i].threshold <= d })
+	if s.xv < s.ctx.One() && i < len(s.phases) {
+		if next := max(k, s.phases[i].first); 2*next < s.lastRound() {
+			nd.SleepUntil(2 * next)
+			return
+		}
+	}
+	nd.SleepUntil(s.lastRound())
 }
 
 func (s *coverStep) Init(nd *congest.Node) bool {
 	s.nbrUncovered = nd.Degree()
 	s.myUncovered = true
+	s.sleepFrom(nd, 0)
 	return false
 }
 
 func (s *coverStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
 	ctx := s.ctx
-	if !s.awaitingB {
+	k := round / 2
+	if round%2 == 0 {
 		// Round A receive: residual degree over the inclusive neighbourhood.
 		for _, msg := range in {
 			if len(msg.Payload) != 1 || msg.Payload[0] != 0 {
@@ -171,26 +217,23 @@ func (s *coverStep) Step(nd *congest.Node, round int, in []congest.Incoming) boo
 			}
 		}
 		s.nbrUncovered -= len(in)
-		d := s.nbrUncovered
-		if s.myUncovered {
-			d++
-		}
 		// Round B send: candidates raise and broadcast the actual delta.
-		ph := s.phases[s.pi]
-		s.delta = 0
-		if fixpoint.Value(uint64(d))*ctx.One() >= ph.threshold && s.xv < ctx.One() {
+		ph := s.phases[sort.Search(len(s.phases), func(i int) bool {
+			return s.phases[i].first+s.phases[i].iters > k
+		})]
+		if fixpoint.Value(uint64(s.residual()))*ctx.One() >= ph.threshold && s.xv < ctx.One() {
 			nx := ctx.Clamp1(ctx.Add(s.xv, ph.increment))
 			s.delta = nx - s.xv
 			s.xv = nx
-		}
-		if s.delta != 0 {
 			nd.Broadcast(congest.AppendUvarint(nd.PayloadBuf(10), uint64(s.delta)))
+			return false // awake in round B to fold the delta
 		}
-		s.awaitingB = true
+		s.sleepFrom(nd, k+1)
 		return false
 	}
 	// Round B receive: fold every increment into our own coverage.
 	s.covSelf = ctx.Add(s.covSelf, s.delta)
+	s.delta = 0
 	for _, msg := range in {
 		d, off := congest.Uvarint(msg.Payload, 0)
 		if off < 0 {
@@ -198,16 +241,16 @@ func (s *coverStep) Step(nd *congest.Node, round int, in []congest.Incoming) boo
 		}
 		s.covSelf = ctx.Add(s.covSelf, fixpoint.Value(d))
 	}
-	s.awaitingB = false
-	if s.it++; s.it >= s.phases[s.pi].iters {
-		s.it = 0
-		s.pi++
-	}
-	if s.pi >= len(s.phases) {
+	if round == s.lastRound() {
 		s.x[nd.V()] = s.xv
 		return true
 	}
-	s.sendA(nd)
+	// Round A send: the flip, once the own constraint is covered.
+	if s.myUncovered && s.covSelf >= ctx.One() {
+		s.myUncovered = false
+		nd.Broadcast(append(nd.PayloadBuf(1), 0))
+	}
+	s.sleepFrom(nd, k+1)
 	return false
 }
 

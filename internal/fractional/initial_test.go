@@ -184,8 +184,16 @@ func TestInitialMatchesBroadcastEveryRound(t *testing.T) {
 	}
 }
 
+// stepCounter sums RoundStats.Awake: the Init/Step calls of the delivered
+// rounds.
+type stepCounter struct{ steps int64 }
+
+func (c *stepCounter) RoundStart(int)                {}
+func (c *stepCounter) RoundEnd(s congest.RoundStats) { c.steps += int64(s.Awake) }
+func (c *stepCounter) Event(congest.Event)           {}
+
 // BenchmarkInitial runs Part I on the paper pipeline's ε₁ = 0.5/16 and
-// reports its CONGEST traffic per run.
+// reports its CONGEST traffic and node-steps per run.
 func BenchmarkInitial(b *testing.B) {
 	for _, fam := range []string{"gnp", "ba"} {
 		g, err := graph.Named(fam, 2000, 4)
@@ -194,15 +202,19 @@ func BenchmarkInitial(b *testing.B) {
 		}
 		b.Run(fam, func(b *testing.B) {
 			var m congest.Metrics
+			var steps stepCounter
 			for b.Loop() {
 				var ledger congest.Ledger
-				if _, err := Initial(congest.NewNetwork(g, congest.Config{}), &ledger, InitialParams{Eps: 0.5 / 16}); err != nil {
+				steps = stepCounter{}
+				net := congest.NewNetwork(g, congest.Config{Observer: &steps})
+				if _, err := Initial(net, &ledger, InitialParams{Eps: 0.5 / 16}); err != nil {
 					b.Fatal(err)
 				}
 				m = ledger.Metrics()
 			}
 			b.ReportMetric(float64(m.Messages), "msgs/op")
 			b.ReportMetric(float64(m.Bits), "bits/op")
+			b.ReportMetric(float64(steps.steps), "node-steps/op")
 		})
 	}
 }

@@ -84,9 +84,10 @@ func (c *Chrome) Round(r RoundRec) {
 		Pid:  r.Seg,
 		Tid:  0,
 		Args: map[string]any{
-			"live": r.Live,
-			"msgs": r.Msgs,
-			"bits": r.Bits,
+			"live":  r.Live,
+			"awake": r.Awake,
+			"msgs":  r.Msgs,
+			"bits":  r.Bits,
 		},
 	})
 }

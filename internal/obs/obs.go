@@ -40,8 +40,11 @@ type RoundRec struct {
 	StartNs int64 `json:"start_ns"`
 	WallNs  int64 `json:"wall_ns"`
 	Live    int   `json:"live"`
-	Msgs    int64 `json:"msgs"`
-	Bits    int64 `json:"bits"`
+	// Awake is the nodes whose Init/Step ran in the round (see
+	// congest.RoundStats: the goroutine engine reports Live).
+	Awake int   `json:"awake"`
+	Msgs  int64 `json:"msgs"`
+	Bits  int64 `json:"bits"`
 	// MaxMsgBits is cumulative (a run-level high-water mark, not a delta).
 	MaxMsgBits int             `json:"max_msg_bits"`
 	Hist       congest.MsgHist `json:"hist"`
@@ -156,6 +159,7 @@ func (r *Recorder) RoundEnd(s congest.RoundStats) {
 		StartNs:    startNs,
 		WallNs:     at - startNs,
 		Live:       s.Live,
+		Awake:      s.Awake,
 		Msgs:       s.Messages - r.prevMsgs,
 		Bits:       s.Bits - r.prevBits,
 		MaxMsgBits: s.MaxMsgBits,

@@ -42,6 +42,30 @@ func echoFactory(out []int64, rounds int) congest.StepFactory {
 	return func(nd *congest.Node) congest.StepProgram { return &echoStep{out: out, rounds: rounds} }
 }
 
+// napStep broadcasts in Init, then sleeps until round V%4+2 and is done
+// there, so on the stepped engine most rounds run only some of the live
+// nodes: RoundStats.Awake differs from Live.
+type napStep struct{ out []int64 }
+
+func (s *napStep) Init(nd *congest.Node) bool {
+	nd.Broadcast([]byte{1})
+	nd.SleepUntil(nd.V()%4 + 2)
+	return false
+}
+
+func (s *napStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
+	s.out[nd.V()] += int64(round*100 + len(in))
+	if round >= nd.V()%4+2 {
+		return true
+	}
+	nd.SleepUntil(nd.V()%4 + 2)
+	return false
+}
+
+func napFactory(out []int64) congest.StepFactory {
+	return func(nd *congest.Node) congest.StepProgram { return &napStep{out: out} }
+}
+
 // TestRecorderSegmentsAndDeltas drives the Recorder with a synthetic
 // two-run callback sequence and checks segment detection, cumulative→delta
 // conversion, and the per-segment round counts.
@@ -157,58 +181,86 @@ func (s sinkFunc) Close() error { return nil }
 // to JSONL, replayed through fresh profile and Chrome sinks, reproduces
 // the live sinks' output byte for byte — the stamps travel in the records,
 // so nothing is re-measured on replay.
+//
+// It covers a sleeping program too, so the replayed records keep the
+// per-round Awake counts: below Live on the stepped engine, equal to it on
+// the goroutine engine.
 func TestReplayIdentity(t *testing.T) {
 	for _, eng := range congest.Engines() {
 		t.Run(eng.String(), func(t *testing.T) {
-			g := graph.GNPConnected(60, 0.1, 7)
-			var trace, liveChrome bytes.Buffer
-			liveAgg := NewAggregator()
-			rec := NewRecorder(NewJSONL(&trace), liveAgg, NewChrome(&liveChrome))
-			out := make([]int64, g.N())
-			m, err := congest.NewNetwork(g, congest.Config{Engine: eng, Observer: rec}).
-				RunStepped(echoFactory(out, 6))
-			if err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			if err := rec.Close(); err != nil {
-				t.Fatalf("close: %v", err)
-			}
-
-			liveProfile := liveAgg.Profile()
-			if liveProfile.Rounds != m.Rounds {
-				t.Errorf("profile rounds=%d, want Metrics.Rounds=%d", liveProfile.Rounds, m.Rounds)
-			}
-			if liveProfile.Msgs != m.Messages || liveProfile.Bits != m.Bits {
-				t.Errorf("profile msgs/bits=%d/%d, want %d/%d", liveProfile.Msgs, liveProfile.Bits, m.Messages, m.Bits)
-			}
-			if liveProfile.Hist.Total() != m.Messages {
-				t.Errorf("hist total=%d, want %d", liveProfile.Hist.Total(), m.Messages)
-			}
-
-			replayAgg := NewAggregator()
-			var replayChrome bytes.Buffer
-			rc := NewChrome(&replayChrome)
-			if err := Replay(bytes.NewReader(trace.Bytes()), replayAgg, rc); err != nil {
-				t.Fatalf("replay: %v", err)
-			}
-			if err := rc.Close(); err != nil {
-				t.Fatalf("chrome close: %v", err)
-			}
-			if !reflect.DeepEqual(replayAgg.Profile(), liveProfile) {
-				t.Errorf("replayed profile differs from live:\nlive:\n%s\nreplayed:\n%s",
-					liveProfile, replayAgg.Profile())
-			}
-			if got, want := replayChrome.String(), liveChrome.String(); got != want {
-				t.Errorf("replayed Chrome trace differs from live (%d vs %d bytes)", len(got), len(want))
-			}
-			var any []any
-			if err := json.Unmarshal(liveChrome.Bytes(), &any); err != nil {
-				t.Errorf("Chrome trace is not a JSON array: %v", err)
-			}
-			if s := liveProfile.String(); !strings.Contains(s, "round wall time") {
-				t.Errorf("profile table missing distribution line:\n%s", s)
+			for _, prog := range []string{"echo", "nap"} {
+				t.Run(prog, func(t *testing.T) { replayIdentity(t, eng, prog == "nap") })
 			}
 		})
+	}
+}
+
+func replayIdentity(t *testing.T, eng congest.Engine, nap bool) {
+	g := graph.GNPConnected(60, 0.1, 7)
+	var trace, liveChrome bytes.Buffer
+	liveAgg := NewAggregator()
+	rec := NewRecorder(NewJSONL(&trace), liveAgg, NewChrome(&liveChrome))
+	out := make([]int64, g.N())
+	factory := echoFactory(out, 6)
+	if nap {
+		factory = napFactory(out)
+	}
+	m, err := congest.NewNetwork(g, congest.Config{Engine: eng, Observer: rec}).
+		RunStepped(factory)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	liveProfile := liveAgg.Profile()
+	if liveProfile.Rounds != m.Rounds {
+		t.Errorf("profile rounds=%d, want Metrics.Rounds=%d", liveProfile.Rounds, m.Rounds)
+	}
+	if liveProfile.Msgs != m.Messages || liveProfile.Bits != m.Bits {
+		t.Errorf("profile msgs/bits=%d/%d, want %d/%d", liveProfile.Msgs, liveProfile.Bits, m.Messages, m.Bits)
+	}
+	if liveProfile.Hist.Total() != m.Messages {
+		t.Errorf("hist total=%d, want %d", liveProfile.Hist.Total(), m.Messages)
+	}
+
+	replayAgg := NewAggregator()
+	var replayChrome bytes.Buffer
+	rc := NewChrome(&replayChrome)
+	if err := Replay(bytes.NewReader(trace.Bytes()), replayAgg, rc); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if err := rc.Close(); err != nil {
+		t.Fatalf("chrome close: %v", err)
+	}
+	if !reflect.DeepEqual(replayAgg.Profile(), liveProfile) {
+		t.Errorf("replayed profile differs from live:\nlive:\n%s\nreplayed:\n%s",
+			liveProfile, replayAgg.Profile())
+	}
+	if got, want := replayChrome.String(), liveChrome.String(); got != want {
+		t.Errorf("replayed Chrome trace differs from live (%d vs %d bytes)", len(got), len(want))
+	}
+	var any []any
+	if err := json.Unmarshal(liveChrome.Bytes(), &any); err != nil {
+		t.Errorf("Chrome trace is not a JSON array: %v", err)
+	}
+	if s := liveProfile.String(); !strings.Contains(s, "round wall time") {
+		t.Errorf("profile table missing distribution line:\n%s", s)
+	}
+	var liveSum int64
+	for i, r := range liveAgg.rounds {
+		liveSum += int64(r.Live)
+		if got := replayAgg.rounds[i].Awake; got != r.Awake {
+			t.Errorf("round %d: replayed awake %d, live %d", r.Round, got, r.Awake)
+		}
+		if eng == congest.EngineGoroutine && r.Awake != r.Live {
+			t.Errorf("round %d: goroutine engine awake %d, want live %d", r.Round, r.Awake, r.Live)
+		}
+	}
+	if sleeps := eng == congest.EngineStepped && nap; sleeps != (liveProfile.NodeSteps < liveSum) {
+		t.Errorf("node-steps %d vs live sum %d: want fewer iff the stepped engine runs a sleeping program",
+			liveProfile.NodeSteps, liveSum)
 	}
 }
 

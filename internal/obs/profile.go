@@ -71,12 +71,14 @@ type SlowRound struct {
 	WallNs int64
 	Msgs   int64
 	Live   int
+	Awake  int
 }
 
 // Profile is the derived summary of a record stream.
 type Profile struct {
 	Segments   int
 	Rounds     int
+	NodeSteps  int64 // Init/Step calls summed over rounds (RoundRec.Awake)
 	Msgs       int64
 	Bits       int64
 	MaxMsgBits int
@@ -103,6 +105,7 @@ func (a *Aggregator) Profile() Profile {
 	for _, r := range a.rounds {
 		segs[r.Seg] = true
 		p.Rounds++
+		p.NodeSteps += int64(r.Awake)
 		p.Msgs += r.Msgs
 		p.Bits += r.Bits
 		if r.MaxMsgBits > p.MaxMsgBits {
@@ -135,7 +138,7 @@ func (a *Aggregator) Profile() Profile {
 	for i := 0; i < len(slow) && i < topSlow; i++ {
 		r := slow[i]
 		p.Slowest = append(p.Slowest, SlowRound{
-			Seg: r.Seg, Round: r.Round, WallNs: r.WallNs, Msgs: r.Msgs, Live: r.Live,
+			Seg: r.Seg, Round: r.Round, WallNs: r.WallNs, Msgs: r.Msgs, Live: r.Live, Awake: r.Awake,
 		})
 	}
 	kinds := make([]string, 0, len(a.events))
@@ -173,15 +176,15 @@ func durNs(ns int64) string {
 // String renders the profile as the table `mdsrun -profile` prints.
 func (p Profile) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "profile: %d segment(s), %d rounds, %d msgs, %d bits (max msg %d bits), wall %s\n",
-		p.Segments, p.Rounds, p.Msgs, p.Bits, p.MaxMsgBits, durNs(p.WallNs))
+	fmt.Fprintf(&b, "profile: %d segment(s), %d rounds, %d node-steps, %d msgs, %d bits (max msg %d bits), wall %s\n",
+		p.Segments, p.Rounds, p.NodeSteps, p.Msgs, p.Bits, p.MaxMsgBits, durNs(p.WallNs))
 	fmt.Fprintf(&b, "round wall time: p50=%s p90=%s p99=%s max=%s\n",
 		durNs(p.P50Ns), durNs(p.P90Ns), durNs(p.P99Ns), durNs(p.MaxNs))
 	if len(p.Slowest) > 0 {
 		fmt.Fprintf(&b, "slowest rounds:\n")
-		fmt.Fprintf(&b, "  %-4s %-6s %12s %10s %8s\n", "seg", "round", "wall", "msgs", "live")
+		fmt.Fprintf(&b, "  %-4s %-6s %12s %10s %8s %8s\n", "seg", "round", "wall", "msgs", "live", "awake")
 		for _, s := range p.Slowest {
-			fmt.Fprintf(&b, "  %-4d %-6d %12s %10d %8d\n", s.Seg, s.Round, durNs(s.WallNs), s.Msgs, s.Live)
+			fmt.Fprintf(&b, "  %-4d %-6d %12s %10d %8d %8d\n", s.Seg, s.Round, durNs(s.WallNs), s.Msgs, s.Live, s.Awake)
 		}
 	}
 	if p.Hist.Total() > 0 {
