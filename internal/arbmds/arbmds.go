@@ -60,7 +60,6 @@ import (
 	"context"
 	"math"
 	"sort"
-	"time"
 
 	"congestds/internal/congest"
 	"congestds/internal/graph"
@@ -78,13 +77,12 @@ type Params struct {
 	// congest.EngineStepped (the native stackless form, bounded memory at
 	// any n); congest.EngineGoroutine runs the goroutine reference engine.
 	Sim congest.Engine
-	// MaxRounds clamps the simulated run (zero: the simulator default).
-	// Exposed for failure-injection tests.
+	// MaxRounds clamps the simulated run (zero or negative: the simulator
+	// default). Exposed for failure-injection tests.
 	MaxRounds int
-	// Deadline, when positive, bounds the run's wall clock; overruns
-	// surface as congest.ErrDeadline with honest metrics.
-	Deadline time.Duration
-	// Ctx, when non-nil, cancels the run at round boundaries.
+	// Ctx, when non-nil, cancels the run at round boundaries; its
+	// cancellation or deadline surfaces as congest.ErrDeadline with honest
+	// metrics.
 	Ctx context.Context
 	// Observer, when non-nil, receives per-round telemetry from the run
 	// (see congest.Observer); attaching one never changes the outcome.
@@ -162,8 +160,7 @@ func Thresholds(delta int, eps float64) []int {
 func Solve(g *graph.Graph, p Params) (*Result, error) {
 	p = p.withDefaults()
 	net := congest.NewNetwork(g, congest.Config{
-		Engine: p.Sim, MaxRounds: p.MaxRounds,
-		Deadline: p.Deadline, Ctx: p.Ctx, Observer: p.Observer,
+		Engine: p.Sim, MaxRounds: p.MaxRounds, Ctx: p.Ctx, Observer: p.Observer,
 	})
 	inD := make([]bool, g.N())
 	m, err := net.RunStepped(StepFactory(g, p.Eps, inD))

@@ -99,7 +99,6 @@ import (
 	"math"
 	"math/bits"
 	"sync"
-	"time"
 
 	"congestds/internal/graph"
 )
@@ -176,19 +175,15 @@ type Config struct {
 	// for a constant number of identifiers and fixed-point values per
 	// message, as the paper assumes.
 	BandwidthFactor int
-	// MaxRounds aborts runaway programs. Zero means 10_000_000.
+	// MaxRounds aborts runaway programs. Zero or negative means 10_000_000.
 	MaxRounds int
-	// Deadline, when positive, bounds the wall-clock duration of a single
-	// run. The engines check it at every round boundary and abort with
-	// ErrDeadline, so a run never outlives the deadline by more than the
-	// round in progress; metrics report how far the run got, like every
-	// other failure. (Granularity is per round: a single Step that never
-	// returns cannot be preempted cooperatively.)
-	Deadline time.Duration
-	// Ctx, when non-nil, cancels runs: its cancellation or deadline is
-	// checked at every round boundary and surfaces as ErrDeadline. Unlike
-	// Deadline (which restarts per run), one context bounds every run on
-	// the Network, so a multi-phase pipeline shares a single budget.
+	// Ctx, when non-nil, stops runs: its cancellation or deadline is
+	// checked at every round boundary and surfaces as ErrDeadline, so a
+	// run never outlives the context by more than the round in progress;
+	// metrics report how far the run got, like every other failure.
+	// (Granularity is per round: a single Step that never returns cannot
+	// be preempted cooperatively.) One context bounds every run on the
+	// Network, so a multi-phase pipeline shares a single budget.
 	Ctx context.Context
 	// Hooks, when non-nil, intercepts engine events for fault injection
 	// (see internal/chaos). Production runs leave it nil; the nil check is
@@ -241,7 +236,7 @@ func NewNetwork(g *graph.Graph, cfg Config) *Network {
 	if cfg.BandwidthFactor == 0 {
 		cfg.BandwidthFactor = 16
 	}
-	if cfg.MaxRounds == 0 {
+	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = 10_000_000
 	}
 	net := &Network{g: g, cfg: cfg}

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // goroutineEngine is the reference engine: one goroutine per node, a global
@@ -12,10 +11,9 @@ import (
 // Sync serializes on one mutex and every round sorts every inbox, which
 // dominates wall-clock time on large graphs (see EngineStepped).
 type goroutineEngine struct {
-	net      *Network
-	nodes    []*Node
-	round    int
-	deadline time.Time // absolute Config.Deadline instant; zero when unset
+	net   *Network
+	nodes []*Node
+	round int
 
 	mu      sync.Mutex
 	waiting int
@@ -50,7 +48,6 @@ func (net *Network) runGoroutine(prog Program) (Metrics, error) {
 		pending: make([][]Incoming, n),
 		active:  n,
 	}
-	eng.deadline = net.runDeadline()
 	eng.metrics.Model = net.cfg.Model
 	eng.metrics.BandwidthBits = net.BandwidthBits()
 	eng.obs = net.cfg.Observer
@@ -163,7 +160,7 @@ func (eng *goroutineEngine) deliverLocked() {
 	if eng.failure == nil {
 		eng.round++
 		delivered = true
-		eng.failure = eng.net.checkRound(eng.round, eng.deadline)
+		eng.failure = eng.net.checkRound(eng.round)
 	}
 	if eng.failure != nil {
 		eng.unwind.Store(true)

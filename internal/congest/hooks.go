@@ -3,16 +3,15 @@ package congest
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // Failure sentinels added by the robustness layer. Together with
 // ErrBandwidth and ErrMaxRounds (congest.go) they form the complete
 // sentinel taxonomy; SentinelClass maps any run error onto it.
 var (
-	// ErrDeadline is returned when a run exceeds Config.Deadline or its
-	// Config.Ctx is cancelled. The check runs at every round boundary, so a
-	// run never outlives its deadline by more than the round in progress
+	// ErrDeadline is returned when a run's Config.Ctx is cancelled or its
+	// deadline passes. The check runs at every round boundary, so a run
+	// never outlives its context by more than the round in progress
 	// (per-round granularity: a Step that never returns cannot be preempted
 	// cooperatively).
 	ErrDeadline = errors.New("congest: deadline exceeded")
@@ -82,25 +81,14 @@ func SentinelClass(err error) string {
 	}
 }
 
-// runDeadline resolves Config.Deadline into an absolute wall-clock instant
-// at run start (zero when unset). Engines capture it once so every round
-// check compares against the same instant.
-func (net *Network) runDeadline() time.Time {
-	if net.cfg.Deadline <= 0 {
-		return time.Time{}
-	}
-	//detlint:allow nondet Deadline is wall-clock by contract (docs/ARCHITECTURE.md#static-guarantees, TestDeadlineEnforced)
-	return time.Now().Add(net.cfg.Deadline)
-}
-
 // checkRound is the shared round-boundary stop check, called by both
 // engines at their delivery point after incrementing the round counter. The
-// check order — MaxRounds, injected round faults, context cancellation,
-// wall-clock deadline — is fixed so engines agree on the sentinel when
-// several conditions hold at once. The first two are deterministic; the
-// last two depend on wall clock by design, but still produce the same
-// sentinel class wherever they fire.
-func (net *Network) checkRound(round int, deadline time.Time) error {
+// check order — MaxRounds, injected round faults, context cancellation —
+// is fixed so engines agree on the sentinel when several conditions hold at
+// once. The first two are deterministic; the context may depend on wall
+// clock (a timeout), but produces the same sentinel class wherever it
+// fires.
+func (net *Network) checkRound(round int) error {
 	if round > net.cfg.MaxRounds {
 		return fmt.Errorf("%w (%d)", ErrMaxRounds, net.cfg.MaxRounds)
 	}
@@ -113,10 +101,6 @@ func (net *Network) checkRound(round int, deadline time.Time) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("%w: %v", ErrDeadline, err)
 		}
-	}
-	//detlint:allow nondet Deadline is wall-clock by contract (docs/ARCHITECTURE.md#static-guarantees, TestDeadlineEnforced)
-	if !deadline.IsZero() && time.Now().After(deadline) {
-		return fmt.Errorf("%w: run exceeded %v at round %d", ErrDeadline, net.cfg.Deadline, round)
 	}
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // The stepped engine executes StepPrograms without per-node goroutines. The
@@ -134,10 +133,9 @@ type steppedWorker struct {
 
 // steppedEngine coordinates one stepped run.
 type steppedEngine struct {
-	net      *Network
-	topo     *topology
-	round    int       // deliveries performed; written only by the driver between sweeps
-	deadline time.Time // absolute Config.Deadline instant; zero when unset
+	net   *Network
+	topo  *topology
+	round int // deliveries performed; written only by the driver between sweeps
 	// recs[(round+1)&1] is the write record array during the current sweep;
 	// recs[round&1] holds the records being delivered from it. 8 B per
 	// directed edge per parity, vs 24 B for a [][]byte slot array.
@@ -167,7 +165,7 @@ type steppedEngine struct {
 // runStepped executes the stepped program built by f on every node.
 func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 	n := net.g.N()
-	eng := &steppedEngine{net: net, deadline: net.runDeadline()}
+	eng := &steppedEngine{net: net}
 	eng.metrics.Model = net.cfg.Model
 	eng.metrics.BandwidthBits = net.BandwidthBits()
 	eng.obs = net.cfg.Observer
@@ -280,7 +278,7 @@ func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 			sent = msgs
 		}
 		eng.round++ // delivery: the record arrays trade roles by parity
-		roundErr := net.checkRound(eng.round, eng.deadline)
+		roundErr := net.checkRound(eng.round)
 		if eng.obs != nil {
 			// RoundEnd fires iff the round counter advanced — even when
 			// checkRound just failed the round (matching the blocking

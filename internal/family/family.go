@@ -20,7 +20,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"congestds/internal/congest"
 	"congestds/internal/graph"
@@ -33,16 +32,15 @@ type Params struct {
 	Eps float64
 	// Sim selects the congest execution engine (zero: congest.EngineStepped).
 	Sim congest.Engine
-	// MaxRounds clamps the simulated run (zero: simulator default).
+	// MaxRounds clamps the simulated run (zero or negative: simulator
+	// default).
 	MaxRounds int
 	// DiamBound is the known diameter upper bound for families that run an
 	// orientation phase (zero: the family's safe default, typically n).
 	DiamBound int
-	// Deadline, when positive, bounds each simulated run's wall clock;
-	// overruns surface as congest.ErrDeadline (see congest.Config.Deadline).
-	Deadline time.Duration
 	// Ctx, when non-nil, cancels the family's simulated runs: one context
-	// bounds the whole solve, even when it spans several runs.
+	// bounds the whole solve, even when it spans several runs, and its
+	// cancellation or deadline surfaces as congest.ErrDeadline.
 	Ctx context.Context
 	// Observer, when non-nil, receives per-round telemetry from the
 	// family's simulated runs (see congest.Observer); attaching one never
@@ -52,7 +50,7 @@ type Params struct {
 
 // Key returns the canonical equality key of the parameters that determine
 // a family's certified output: Eps, MaxRounds and DiamBound. The
-// execution-context fields — Sim, Deadline, Ctx, Observer — are
+// execution-context fields — Sim, Ctx, Observer — are
 // deliberately excluded: they decide whether and how a run executes, never
 // what a successful run produces (the engine choice and observer attachment
 // are byte-identity-preserving by tested contract: see

@@ -1,6 +1,7 @@
 package family
 
 import (
+	"context"
 	"errors"
 	"math"
 	"slices"
@@ -118,18 +119,24 @@ func TestRejectsBadParamsAsConfig(t *testing.T) {
 	}
 }
 
-// TestPaperDeadline: the paper pipelines turn Params.Deadline into a
-// timeout around Params.Ctx, so an elapsed budget surfaces as ErrDeadline.
+// TestPaperDeadline: every simulated family — the paper pipelines, whose
+// solve spans several runs, and the single-run arbmds and mcds — stops
+// with ErrDeadline once the deadline of Params.Ctx has passed.
 func TestPaperDeadline(t *testing.T) {
 	g := graph.GNPConnected(30, 0.15, 11)
-	for _, name := range []string{"thm1.1", "thm1.2", "cor1.3", "cds"} {
+	for _, name := range Names() {
+		if hostFamilies[name] {
+			continue
+		}
 		f, err := Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Solve(g, Params{Deadline: time.Nanosecond}); !errors.Is(err, congest.ErrDeadline) {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+		if _, err := f.Solve(g, Params{Ctx: ctx}); !errors.Is(err, congest.ErrDeadline) {
 			t.Errorf("%s: err = %v, want ErrDeadline", name, err)
 		}
+		cancel()
 	}
 }
 
@@ -160,7 +167,9 @@ func TestParamsKeyCanonicalEquality(t *testing.T) {
 				t.Errorf("eps=%g collides with the default key %q", f.DefaultEps/2, zero.Key())
 			}
 			// Execution-context fields never reach the key.
-			ctxed := f.Canon(Params{Deadline: time.Second})
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			defer cancel()
+			ctxed := f.Canon(Params{Ctx: ctx})
 			if ctxed.Key() != zero.Key() {
 				t.Errorf("execution-context fields leaked into the key: %q vs %q",
 					ctxed.Key(), zero.Key())
@@ -199,7 +208,8 @@ func TestParamsKeyBustsOnSemanticChange(t *testing.T) {
 }
 
 // TestCanonPreservesSolve pins Canon's contract: canonicalization never
-// changes what Solve computes.
+// changes what Solve computes, including for a negative round clamp, which
+// Canon folds to zero (no clamp).
 func TestCanonPreservesSolve(t *testing.T) {
 	g := graph.GNPConnected(30, 0.15, 11)
 	for _, name := range Names() {
@@ -208,18 +218,22 @@ func TestCanonPreservesSolve(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Run(name, func(t *testing.T) {
-			p := Params{Sim: congest.EngineStepped, DiamBound: 2*g.Eccentricity(0) + 2}
-			raw, err := f.Solve(g, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			canon, err := f.Solve(g, f.Canon(p))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(raw.Set, canon.Set) || raw.Rounds != canon.Rounds {
-				t.Errorf("Canon changed the solve: set %v/%v rounds %d/%d",
-					raw.Set, canon.Set, raw.Rounds, canon.Rounds)
+			base := Params{Sim: congest.EngineStepped, DiamBound: 2*g.Eccentricity(0) + 2}
+			unclamped := base
+			unclamped.MaxRounds = -1
+			for _, p := range []Params{base, unclamped} {
+				raw, err := f.Solve(g, p)
+				if err != nil {
+					t.Fatalf("maxrounds=%d: %v", p.MaxRounds, err)
+				}
+				canon, err := f.Solve(g, f.Canon(p))
+				if err != nil {
+					t.Fatalf("maxrounds=%d canonicalized: %v", p.MaxRounds, err)
+				}
+				if !slices.Equal(raw.Set, canon.Set) || raw.Rounds != canon.Rounds {
+					t.Errorf("maxrounds=%d: Canon changed the solve: set %v/%v rounds %d/%d",
+						p.MaxRounds, raw.Set, canon.Set, raw.Rounds, canon.Rounds)
+				}
 			}
 		})
 	}

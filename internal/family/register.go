@@ -1,7 +1,6 @@
 package family
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -75,28 +74,19 @@ const paperEps = 0.5
 
 // mdsParams validates p for the source paper's pipeline and translates it.
 // ε = 0 selects the default; otherwise ε must lie in (0,1]. The pipeline
-// has no round clamp. Deadline becomes a timeout on Ctx, because one
-// context bounds the whole multi-part solve; the returned cancel releases
-// it.
-func mdsParams(p Params, engine mds.Engine) (mds.Params, context.CancelFunc, error) {
+// has no round clamp; Ctx bounds the whole multi-part solve.
+func mdsParams(p Params, engine mds.Engine) (mds.Params, error) {
 	eps := p.Eps
 	if eps == 0 {
 		eps = paperEps
 	}
 	switch {
 	case !(eps > 0 && eps <= 1): // also catches NaN
-		return mds.Params{}, nil, configErr("eps=%v out of (0,1]", p.Eps)
+		return mds.Params{}, configErr("eps=%v out of (0,1]", p.Eps)
 	case p.MaxRounds > 0:
-		return mds.Params{}, nil, configErr("the paper pipeline takes no round clamp (maxrounds=%d)", p.MaxRounds)
+		return mds.Params{}, configErr("the paper pipeline takes no round clamp (maxrounds=%d)", p.MaxRounds)
 	}
-	ctx, cancel := p.Ctx, context.CancelFunc(func() {})
-	if p.Deadline > 0 {
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		ctx, cancel = context.WithTimeout(ctx, p.Deadline)
-	}
-	return mds.Params{Eps: eps, Engine: engine, Sim: p.Sim, Ctx: ctx, Observer: p.Observer}, cancel, nil
+	return mds.Params{Eps: eps, Engine: engine, Sim: p.Sim, Ctx: p.Ctx, Observer: p.Observer}, nil
 }
 
 // ledgerResult is the uniform result of a ledger-keeping pipeline: Rounds
@@ -115,11 +105,10 @@ func paperFamily(name, summary string, engine mds.Engine) Family {
 		Summary:    summary,
 		DefaultEps: paperEps,
 		Solve: func(g *graph.Graph, p Params) (*Result, error) {
-			mp, cancel, err := mdsParams(p, engine)
+			mp, err := mdsParams(p, engine)
 			if err != nil {
 				return nil, err
 			}
-			defer cancel()
 			res, err := mds.Solve(g, mp)
 			if err != nil {
 				return nil, err
@@ -150,11 +139,10 @@ func init() {
 		Summary:    "source paper Theorem 1.4: the Theorem 1.2 dominating set extended to a connected dominating set, |CDS| ≤ 3|DS|",
 		DefaultEps: paperEps,
 		Solve: func(g *graph.Graph, p Params) (*Result, error) {
-			mp, cancel, err := mdsParams(p, mds.EngineColoring)
+			mp, err := mdsParams(p, mds.EngineColoring)
 			if err != nil {
 				return nil, err
 			}
-			defer cancel()
 			res, err := cds.Solve(g, cds.Params{MDS: mp})
 			if err != nil {
 				return nil, err
@@ -202,8 +190,7 @@ func init() {
 				return nil, err
 			}
 			res, err := arbmds.Solve(g, arbmds.Params{
-				Eps: eps, Sim: p.Sim, MaxRounds: p.MaxRounds,
-				Deadline: p.Deadline, Ctx: p.Ctx, Observer: p.Observer,
+				Eps: eps, Sim: p.Sim, MaxRounds: p.MaxRounds, Ctx: p.Ctx, Observer: p.Observer,
 			})
 			if err != nil {
 				return nil, err
@@ -236,7 +223,7 @@ func init() {
 			}
 			res, err := mcds.Solve(g, mcds.Params{
 				Eps: eps, Sim: p.Sim, MaxRounds: p.MaxRounds, DiamBound: p.DiamBound,
-				Deadline: p.Deadline, Ctx: p.Ctx, Observer: p.Observer,
+				Ctx: p.Ctx, Observer: p.Observer,
 			})
 			if err != nil {
 				return nil, err

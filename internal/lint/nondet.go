@@ -13,10 +13,11 @@ import (
 // (any package-level rand function — seeded rand.New(rand.NewSource(s))
 // values remain fine), process identity (os.Getpid/Getppid), and select
 // statements with two or more communication cases (the runtime picks a
-// ready case pseudo-randomly). Engine code that is wall-clock-dependent
-// by design — the Config.Deadline check — carries reviewed
-// //detlint:allow nondet annotations instead. The obs package alone gets
-// a standing wall-clock carve-out (timestamping telemetry is its charter;
+// ready case pseudo-randomly). A read that is wall-clock-dependent by
+// design would carry a reviewed //detlint:allow nondet annotation; the
+// engines need none, because deadlines reach them as a context.Context
+// (congest.Config.Ctx). The obs package alone gets a standing wall-clock
+// carve-out (timestamping telemetry is its charter;
 // docs/ARCHITECTURE.md#observability) — every other ban still applies
 // there, keeping traces rand- and pid-free.
 var NonDet = &analysis.Analyzer{

@@ -49,7 +49,7 @@ func pollSelect(a chan int) int {
 }
 
 func deadlineByDesign() time.Time {
-	//detlint:allow nondet Config.Deadline is wall-clock by contract, see docs/ARCHITECTURE.md#static-guarantees
+	//detlint:allow nondet a wall-clock budget is wall-clock by contract, see docs/ARCHITECTURE.md#static-guarantees
 	return time.Now()
 }
 

@@ -64,7 +64,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"congestds/internal/arbmds"
 	"congestds/internal/congest"
@@ -86,13 +85,12 @@ type Params struct {
 	// congest.EngineStepped (the native stackless form, bounded memory at
 	// any n); congest.EngineGoroutine runs the goroutine reference engine.
 	Sim congest.Engine
-	// MaxRounds clamps the simulated run (zero: the simulator default).
-	// Exposed for failure-injection tests.
+	// MaxRounds clamps the simulated run (zero or negative: the simulator
+	// default). Exposed for failure-injection tests.
 	MaxRounds int
-	// Deadline, when positive, bounds the run's wall clock; overruns
-	// surface as congest.ErrDeadline with honest metrics.
-	Deadline time.Duration
-	// Ctx, when non-nil, cancels the run at round boundaries.
+	// Ctx, when non-nil, cancels the run at round boundaries; its
+	// cancellation or deadline surfaces as congest.ErrDeadline with honest
+	// metrics.
 	Ctx context.Context
 	// Observer, when non-nil, receives per-round telemetry from the runs
 	// (see congest.Observer); attaching one never changes the outcome.
@@ -152,8 +150,7 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 	}
 	p = p.withDefaults(g)
 	net := congest.NewNetwork(g, congest.Config{
-		Engine: p.Sim, MaxRounds: p.MaxRounds,
-		Deadline: p.Deadline, Ctx: p.Ctx, Observer: p.Observer,
+		Engine: p.Sim, MaxRounds: p.MaxRounds, Ctx: p.Ctx, Observer: p.Observer,
 	})
 	inD := make([]bool, g.N())
 	inCDS := make([]bool, g.N())
@@ -189,8 +186,7 @@ func Connect(g *graph.Graph, ds []int, p Params) (*Result, error) {
 	}
 	inCDS := make([]bool, g.N())
 	net := congest.NewNetwork(g, congest.Config{
-		Engine: p.Sim, MaxRounds: p.MaxRounds,
-		Deadline: p.Deadline, Ctx: p.Ctx, Observer: p.Observer,
+		Engine: p.Sim, MaxRounds: p.MaxRounds, Ctx: p.Ctx, Observer: p.Observer,
 	})
 	m, err := net.RunStepped(ConnectStepFactory(g, inD, p.DiamBound, inCDS))
 	if err != nil {

@@ -11,6 +11,7 @@ package serve
 import (
 	"bytes"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -174,6 +175,70 @@ func TestCoalescingRealFamilySingleEngineRun(t *testing.T) {
 	if st.CoalescedHits+st.CacheHits != concurrency-1 {
 		t.Errorf("coalesced %d + cache hits %d ≠ %d followers",
 			st.CoalescedHits, st.CacheHits, concurrency-1)
+	}
+}
+
+// TestCoalescingLeaderPanic: a flight leader that panics releases its
+// key. The leader and every coalesced follower get a 500 of class
+// "program", nothing is cached, the next request for the key runs afresh
+// instead of waiting on the dead flight, and no graph stays pinned.
+func TestCoalescingLeaderPanic(t *testing.T) {
+	dir := t.TempDir()
+	path := writeText(t, dir, "g.txt", testGraph())
+	registerTestFamilies()
+	s := New(Config{Graphs: map[string]string{"g": path}})
+	// Not closed on the timeout path: Close waits for the hung handlers.
+	ts := httptest.NewServer(s)
+	entered, release := armGate(t, concurrency+1)
+
+	url := ts.URL + "/solve?graph=g&algo=" + testFamPrefix + "panic"
+	// await fires n concurrent requests, runs ready on the test goroutine,
+	// and fails the test unless every request returns a 500 of class
+	// program in time.
+	await := func(what string, n int, ready func()) {
+		t.Helper()
+		type result struct {
+			statuses []int
+			bodies   [][]byte
+		}
+		done := make(chan result, 1)
+		go func() {
+			statuses, _, bodies := fanIn(t, url, n, nil)
+			done <- result{statuses, bodies}
+		}()
+		if ready != nil {
+			ready()
+		}
+		select {
+		case r := <-done:
+			for i, status := range r.statuses {
+				if status != http.StatusInternalServerError || !bytes.Contains(r.bodies[i], []byte(`"sentinel":"program"`)) {
+					t.Errorf("%s, request %d: status %d, body %s; want a 500 of class program",
+						what, i, status, r.bodies[i])
+				}
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("timed out waiting for %s: the panicked flight still holds its key", what)
+		}
+	}
+	await("the leader and its followers", concurrency, func() {
+		<-entered
+		waitFor(t, "followers to join the flight", func() bool {
+			return s.flight.waiting() == concurrency-1
+		})
+		close(release)
+	})
+	await("the next request", 1, nil)
+	ts.Close()
+
+	st := s.Stats()
+	if st.CacheEntries != 0 {
+		t.Errorf("a panicked run was cached: %d entries", st.CacheEntries)
+	}
+	for _, r := range s.store.Residents() {
+		if r.Pinned {
+			t.Errorf("graph %s still pinned after every request returned", r.Name)
+		}
 	}
 }
 

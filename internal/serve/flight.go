@@ -1,6 +1,10 @@
 package serve
 
-import "sync"
+import (
+	"fmt"
+	"net/http"
+	"sync"
+)
 
 // outcome is what one engine run (or its failure) produces, shared verbatim
 // between the leader that ran it and every coalesced follower.
@@ -44,8 +48,11 @@ func (g *flightGroup) waiting() int {
 
 // do returns fn's outcome for key, running fn at most once across
 // concurrent callers. The second return reports whether this caller
-// coalesced onto another's flight.
-func (g *flightGroup) do(key string, fn func() outcome) (outcome, bool) {
+// coalesced onto another's flight. A panic in fn becomes a 500 outcome of
+// sentinel class "program" for the leader and every follower; the key is
+// released either way, so later requests run afresh instead of waiting on
+// a flight that never lands.
+func (g *flightGroup) do(key string, fn func() outcome) (out outcome, coalesced bool) {
 	g.mu.Lock()
 	if g.calls == nil {
 		g.calls = map[string]*flightCall{}
@@ -60,11 +67,20 @@ func (g *flightGroup) do(key string, fn func() outcome) (outcome, bool) {
 	g.calls[key] = c
 	g.mu.Unlock()
 
+	defer func() {
+		if v := recover(); v != nil {
+			c.out = outcome{
+				status:   http.StatusInternalServerError,
+				errMsg:   fmt.Sprintf("serve: run panicked: %v", v),
+				sentinel: "program",
+			}
+			out = c.out
+		}
+		g.mu.Lock()
+		delete(g.calls, key)
+		g.mu.Unlock()
+		close(c.done)
+	}()
 	c.out = fn()
-
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
 	return c.out, false
 }

@@ -1,9 +1,9 @@
 package serve
 
 // Shared fixtures for the service-level suite: synthetic algorithm
-// families (one per sentinel class, a certificate-violating one, and a
-// gated one whose Solve blocks on a channel so coalescing tests can hold a
-// run in flight deterministically), graph files in both on-disk formats,
+// families (one per sentinel class, a certificate-violating one, a gated
+// one whose Solve blocks on a channel so coalescing tests can hold a run in
+// flight deterministically, and a gated one that then panics), graph files in both on-disk formats,
 // and an httptest harness. Synthetic families are registered under a
 // "zz-test-" prefix; the every-registered-family sweeps skip that prefix.
 
@@ -99,15 +99,7 @@ var registerTestFamilies = sync.OnceFunc(func() {
 		Summary:    "test-only: blocks on the package gate, result depends on eps",
 		DefaultEps: 0.5,
 		Solve: func(g *graph.Graph, p family.Params) (*family.Result, error) {
-			gateMu.Lock()
-			entered, release := gateEntered, gateRelease
-			gateMu.Unlock()
-			if entered != nil {
-				entered <- struct{}{}
-			}
-			if release != nil {
-				<-release
-			}
+			waitGate()
 			// The solution depends on eps so distinct-params requests can
 			// be told apart by body bytes, not just headers.
 			size := 1 + int(p.Eps*10)
@@ -121,7 +113,29 @@ var registerTestFamilies = sync.OnceFunc(func() {
 			return &family.Result{Set: set, Rounds: 1, Cert: testCert{ok: true}}, nil
 		},
 	})
+	family.Register(family.Family{
+		Name:       testFamPrefix + "panic",
+		Summary:    "test-only: blocks on the package gate, then panics",
+		DefaultEps: 0.5,
+		Solve: func(g *graph.Graph, p family.Params) (*family.Result, error) {
+			waitGate()
+			panic("synthetic leader panic")
+		},
+	})
 })
+
+// waitGate blocks a synthetic Solve on the package gate when it is armed.
+func waitGate() {
+	gateMu.Lock()
+	entered, release := gateEntered, gateRelease
+	gateMu.Unlock()
+	if entered != nil {
+		entered <- struct{}{}
+	}
+	if release != nil {
+		<-release
+	}
+}
 
 // testGraph is the small connected fixture every suite shares.
 func testGraph() *graph.Graph { return graph.GNPConnected(24, 0.18, 7) }

@@ -33,6 +33,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -306,10 +307,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, certify boo
 	}
 
 	// Execution context threads into the run but never into the key: the
-	// leader's request drives a coalesced run, so its deadline and context
-	// bound every waiter's answer too (documented singleflight semantics).
-	p.Deadline = deadline
+	// leader's request drives a coalesced run, so its context, deadline
+	// included, bounds every waiter's answer too (documented singleflight
+	// semantics).
 	p.Ctx = r.Context()
+	if deadline > 0 {
+		var cancel context.CancelFunc
+		p.Ctx, cancel = context.WithTimeout(p.Ctx, deadline)
+		defer cancel()
+	}
 
 	out, coalesced := s.flight.do(key, func() outcome { return s.runSolve(key, fam, res, p) })
 	state := "miss"
