@@ -1,7 +1,7 @@
-// Package coloring provides the deterministic colorings that drive the
-// paper's coloring-based derandomization (Section 3.3): proper colorings of
-// conflict structures ("distance-two colorings" of bipartite graphs,
-// Lemma 3.12) and plain (Δ+1)-colorings of graphs.
+// Package coloring provides the deterministic distance-two colorings that
+// drive the paper's coloring-based derandomization (Section 3.3): proper
+// colorings of bipartite constraint structures (Lemma 3.12). A G² coloring
+// is the special case whose constraints are the closed neighbourhoods N[v].
 //
 // The colorings are computed by deterministic greedy elimination in ID
 // order. Distributed cost: a node can decide its color as soon as every
@@ -14,9 +14,8 @@
 package coloring
 
 import (
-	"sort"
-
-	"congestds/internal/graph"
+	"cmp"
+	"slices"
 )
 
 // Result is a computed coloring.
@@ -31,120 +30,81 @@ type Result struct {
 	Rounds int
 }
 
-// Graph computes a proper coloring of g with at most Δ+1 colors by greedy
-// elimination in ID order.
-func Graph(g *graph.Graph) *Result {
-	n := g.N()
-	conflicts := func(v int, fn func(u int)) {
-		for _, u := range g.Neighbors(v) {
-			fn(int(u))
-		}
-	}
-	active := make([]bool, n)
-	for v := range active {
-		active[v] = true
-	}
-	return greedy(n, g.IDs(), active, conflicts)
-}
-
 // Distance2Bipartite colors the participating right-hand sites of a
 // bipartite constraint structure so that two sites sharing a constraint get
 // different colors — the "distance two coloring of VR" of Lemma 3.12. The
 // structure is given as constraint member lists over sites 0..nSites-1.
 // Sites with participating[j] == false are ignored (they correspond to
 // p(v) ∈ {0,1}, cf. Lemma 3.10's set S).
+//
+// The conflicts of a site v are walked as the members of v's constraints,
+// through a site→constraint index; no conflict graph is built. A site may
+// be visited several times, and v itself is visited, but the greedy only
+// reads the set of smaller-ID conflicts, so neither changes the result.
 func Distance2Bipartite(nSites int, members [][]int32, participating []bool, ids []int64) *Result {
-	// Build conflict adjacency: sites sharing a constraint.
-	adj := make(map[int]map[int]struct{}, nSites)
-	addConflict := func(a, b int) {
-		if adj[a] == nil {
-			adj[a] = make(map[int]struct{})
-		}
-		adj[a][b] = struct{}{}
-	}
+	// Site→constraint CSR over participating sites: count, prefix-sum, then
+	// fill backwards so start[j] ends at the first entry of site j.
+	start := make([]int32, nSites+1)
 	for _, ms := range members {
-		for i := 0; i < len(ms); i++ {
-			if !participating[ms[i]] {
-				continue
-			}
-			for j := i + 1; j < len(ms); j++ {
-				if !participating[ms[j]] {
-					continue
-				}
-				a, b := int(ms[i]), int(ms[j])
-				if a != b {
-					addConflict(a, b)
-					addConflict(b, a)
-				}
+		for _, j := range ms {
+			if participating[j] {
+				start[j]++
 			}
 		}
 	}
-	conflicts := func(v int, fn func(u int)) {
-		// Deterministic iteration order.
-		us := make([]int, 0, len(adj[v]))
-		for u := range adj[v] {
-			us = append(us, u)
-		}
-		sort.Ints(us)
-		for _, u := range us {
-			fn(u)
+	for j := 1; j <= nSites; j++ {
+		start[j] += start[j-1]
+	}
+	consOf := make([]int32, start[nSites])
+	for i, ms := range members {
+		for _, j := range ms {
+			if participating[j] {
+				start[j]--
+				consOf[start[j]] = int32(i)
+			}
 		}
 	}
-	return greedy(nSites, ids, participating, conflicts)
-}
 
-// greedy colors active sites in ID order; the charged round count is the
-// longest ID-decreasing chain in the conflict structure restricted to active
-// sites.
-func greedy(n int, ids []int64, active []bool, conflicts func(v int, fn func(u int))) *Result {
-	order := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if active[v] {
-			order = append(order, v)
+	// Greedy elimination in ID order.
+	order := make([]int32, 0, nSites)
+	for v := 0; v < nSites; v++ {
+		if participating[v] {
+			order = append(order, int32(v))
 		}
 	}
-	sort.Slice(order, func(i, j int) bool { return ids[order[i]] < ids[order[j]] })
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(ids[a], ids[b]) })
 
-	colors := make([]int, n)
-	depth := make([]int, n) // rounds until v's color is decided
+	colors := make([]int, nSites)
 	for v := range colors {
 		colors[v] = -1
 	}
-	num := 0
-	maxDepth := 0
-	for _, v := range order {
-		used := make(map[int]struct{})
-		d := 0
-		conflicts(v, func(u int) {
-			if !active[u] {
-				return
-			}
-			if ids[u] < ids[v] {
-				if colors[u] >= 0 {
-					used[colors[u]] = struct{}{}
+	depth := make([]int32, nSites) // rounds until v's color is decided
+	// used[c] == k+1 marks color c as taken by a conflict of order[k].
+	used := make([]int32, len(order)+1)
+	num, maxDepth := 0, int32(0)
+	for k, v := range order {
+		stamp := int32(k + 1)
+		d := int32(0)
+		for _, i := range consOf[start[v]:start[v+1]] {
+			for _, u := range members[i] {
+				// Uncolored sites are non-participating or not yet decided.
+				if colors[u] < 0 || ids[u] >= ids[v] {
+					continue
 				}
-				if depth[u] > d {
-					d = depth[u]
-				}
+				used[colors[u]] = stamp
+				d = max(d, depth[u])
 			}
-		})
+		}
 		c := 0
-		for {
-			if _, taken := used[c]; !taken {
-				break
-			}
+		for used[c] == stamp {
 			c++
 		}
 		colors[v] = c
 		depth[v] = d + 1
-		if depth[v] > maxDepth {
-			maxDepth = depth[v]
-		}
-		if c+1 > num {
-			num = c + 1
-		}
+		maxDepth = max(maxDepth, d+1)
+		num = max(num, c+1)
 	}
-	return &Result{Colors: colors, NumColors: num, Rounds: maxDepth}
+	return &Result{Colors: colors, NumColors: num, Rounds: int(maxDepth)}
 }
 
 // Validate checks that the coloring is proper for the given conflict

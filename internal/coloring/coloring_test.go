@@ -6,16 +6,19 @@ import (
 	"congestds/internal/graph"
 )
 
-func properGraphColoring(g *graph.Graph, res *Result) bool {
-	ok := true
-	g.Edges(func(u, v int) {
-		if res.Colors[u] == res.Colors[v] {
-			ok = false
-		}
-	})
-	return ok
+// closedNeighbourhoodColoring colors G² as the distance-two coloring of the
+// closed neighbourhoods N[v] with every node participating.
+func closedNeighbourhoodColoring(g *graph.Graph) *Result {
+	all := make([]bool, g.N())
+	for v := range all {
+		all[v] = true
+	}
+	return Distance2Bipartite(g.N(), g.ClosedNeighborhoods(), all, g.IDs())
 }
 
+// TestGraphColoringProperAndBounded: the closed-neighbourhood coloring is a
+// proper coloring of G² (nodes at distance 1 or 2 differ) with at most
+// Δ(G²)+1 colors, the greedy bound.
 func TestGraphColoringProperAndBounded(t *testing.T) {
 	for _, tt := range []struct {
 		name string
@@ -29,12 +32,24 @@ func TestGraphColoringProperAndBounded(t *testing.T) {
 		{"grid", graph.Grid(6, 6)},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			res := Graph(tt.g)
-			if !properGraphColoring(tt.g, res) {
-				t.Fatal("improper coloring")
+			res := closedNeighbourhoodColoring(tt.g)
+			maxDeg2 := 0
+			for v := 0; v < tt.g.N(); v++ {
+				dist, _ := tt.g.BFS(v)
+				deg2 := 0
+				for u, d := range dist {
+					if d < 1 || d > 2 {
+						continue
+					}
+					deg2++
+					if res.Colors[u] == res.Colors[v] {
+						t.Fatalf("nodes %d and %d at distance %d share color %d", u, v, d, res.Colors[v])
+					}
+				}
+				maxDeg2 = max(maxDeg2, deg2)
 			}
-			if res.NumColors > tt.g.MaxDegree()+1 {
-				t.Errorf("colors=%d exceeds Δ+1=%d", res.NumColors, tt.g.MaxDegree()+1)
+			if res.NumColors > maxDeg2+1 {
+				t.Errorf("colors=%d exceeds Δ(G²)+1=%d", res.NumColors, maxDeg2+1)
 			}
 			if res.Rounds < 1 && tt.g.N() > 0 {
 				t.Error("no rounds charged")
@@ -45,11 +60,34 @@ func TestGraphColoringProperAndBounded(t *testing.T) {
 
 func TestGraphColoringDeterministic(t *testing.T) {
 	g := graph.GNPConnected(40, 0.2, 9)
-	a, b := Graph(g), Graph(g)
+	a, b := closedNeighbourhoodColoring(g), closedNeighbourhoodColoring(g)
 	for v := range a.Colors {
 		if a.Colors[v] != b.Colors[v] {
 			t.Fatal("coloring not deterministic")
 		}
+	}
+	if a.NumColors != b.NumColors || a.Rounds != b.Rounds {
+		t.Fatal("palette or rounds not deterministic")
+	}
+}
+
+// Distance2Bipartite must not regress toward per-site maps: its allocation
+// count is a small constant independent of the instance size.
+func TestDistance2BipartiteAllocsConstant(t *testing.T) {
+	allocs := func(n int) float64 {
+		g := graph.GridDiagonals(n/10, 10)
+		members := g.ClosedNeighborhoods()
+		all := make([]bool, g.N())
+		for v := range all {
+			all[v] = true
+		}
+		return testing.AllocsPerRun(3, func() {
+			Distance2Bipartite(g.N(), members, all, g.IDs())
+		})
+	}
+	small, large := allocs(500), allocs(5000)
+	if small != large || large > 8 {
+		t.Errorf("allocs/op: n=500 %.0f, n=5000 %.0f; want equal and ≤ 8", small, large)
 	}
 }
 
@@ -89,10 +127,7 @@ func TestDistance2SkipsNonParticipating(t *testing.T) {
 func TestDistance2PaletteBound(t *testing.T) {
 	// Random bipartite-ish constraint structure.
 	g := graph.GNPConnected(40, 0.12, 4)
-	members := make([][]int32, g.N())
-	for v := 0; v < g.N(); v++ {
-		members[v] = g.InclusiveNeighbors(nil, v)
-	}
+	members := g.ClosedNeighborhoods()
 	participating := make([]bool, g.N())
 	for v := range participating {
 		participating[v] = true

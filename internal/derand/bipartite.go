@@ -1,8 +1,9 @@
 package derand
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"congestds/internal/fixpoint"
 	"congestds/internal/fractional"
@@ -46,17 +47,24 @@ func OneShotBipartite(g *graph.Graph, fds *fractional.CFDS, f uint64, lnDeltaTil
 		inst.Owner[v] = int32(v)
 	}
 	maxLeft := 0
+	// Covers are subsets of the N[v], so one flat array of n+2m entries
+	// holds them all; each member list is a capped window of it.
+	flat := make([]int32, 0, n+2*g.M())
+	var buf []int32
 	for v := 0; v < n; v++ {
-		cover, err := coveringSet(g, fds, v, ctx.One())
+		cover, err := coveringSet(g, fds, v, ctx.One(), buf)
 		if err != nil {
 			return nil, err
 		}
+		buf = cover[:0]
 		if len(cover) > int(f) {
 			// The input was promised 1/F-fractional; a cover of F members
 			// always exists then. Larger covers indicate a caller bug.
 			return nil, fmt.Errorf("derand: node %d needs %d > F=%d covering members", v, len(cover), f)
 		}
-		inst.Members[v] = cover
+		row := len(flat)
+		flat = append(flat, cover...)
+		inst.Members[v] = flat[row:len(flat):len(flat)]
 		if len(cover) > maxLeft {
 			maxLeft = len(cover)
 		}
@@ -78,9 +86,12 @@ func FactorTwoBipartite(g *graph.Graph, fds *fractional.CFDS, eps float64, r uin
 	onePlusEps := ctx.Add(ctx.One(), ctx.FromFloat(eps))
 	twoOverR := ctx.FromRatio(2, r, false)
 	inst := &rounding.Instance{
-		Ctx: ctx,
-		X:   make([]fixpoint.Value, n),
-		P:   make([]fixpoint.Value, n),
+		Ctx:     ctx,
+		X:       make([]fixpoint.Value, n),
+		P:       make([]fixpoint.Value, n),
+		C:       make([]fixpoint.Value, 0, n),
+		Members: make([][]int32, 0, n),
+		Owner:   make([]int32, 0, n),
 	}
 	for v := 0; v < n; v++ {
 		x := ctx.Clamp1(ctx.MulUp(fds.X[v], onePlusEps))
@@ -111,18 +122,30 @@ func FactorTwoBipartite(g *graph.Graph, fds *fractional.CFDS, eps float64, r uin
 			maxLeft = len(members)
 		}
 	}
+	// Every member list is a capped window of one flat array of n+2m
+	// entries holding each N[v] reordered heavy members first, then light
+	// ones (each group in InclusiveNeighbors order).
+	flat := make([]int32, 0, n+2*g.M())
+	var lightBuf []int32
 	for v := 0; v < n; v++ {
-		var heavy, light []int32
-		for _, u := range g.InclusiveNeighbors(nil, v) {
+		row := len(flat)
+		flat = g.InclusiveNeighbors(flat, v)
+		nbrs := flat[row:len(flat):len(flat)]
+		h := 0
+		lightBuf = lightBuf[:0]
+		for _, u := range nbrs {
 			if inst.P[u] == ctx.One() {
-				heavy = append(heavy, u)
+				nbrs[h] = u
+				h++
 			} else {
-				light = append(light, u)
+				lightBuf = append(lightBuf, u)
 			}
 		}
+		copy(nbrs[h:], lightBuf)
+		heavy, light := nbrs[:h:h], nbrs[h:]
 		if len(light) < s {
 			// v1 takes everything (k = 1).
-			addConstraint(v, append(heavy, light...))
+			addConstraint(v, nbrs)
 			continue
 		}
 		addConstraint(v, heavy) // v1: heavy members only
@@ -136,30 +159,31 @@ func FactorTwoBipartite(g *graph.Graph, fds *fractional.CFDS, eps float64, r uin
 			if i < rem {
 				sz++
 			}
-			addConstraint(v, light[off:off+sz])
+			addConstraint(v, light[off:off+sz:off+sz])
 			off += sz
 		}
 	}
 	return finishBipartite(inst, maxLeft), nil
 }
 
-// coveringSet returns a minimal prefix (by descending x') of v's inclusive
-// neighbourhood whose x' values sum to at least threshold.
-func coveringSet(g *graph.Graph, fds *fractional.CFDS, v int, threshold fixpoint.Value) ([]int32, error) {
+// coveringSet returns a minimal prefix (by descending x', ties by index) of
+// v's inclusive neighbourhood whose x' values sum to at least threshold,
+// sorted by index. The result reuses buf's storage.
+func coveringSet(g *graph.Graph, fds *fractional.CFDS, v int, threshold fixpoint.Value, buf []int32) ([]int32, error) {
 	ctx := fds.Ctx
-	nbrs := g.InclusiveNeighbors(nil, v)
-	sort.Slice(nbrs, func(a, b int) bool {
-		if fds.X[nbrs[a]] != fds.X[nbrs[b]] {
-			return fds.X[nbrs[a]] > fds.X[nbrs[b]]
+	nbrs := g.InclusiveNeighbors(buf[:0], v)
+	slices.SortFunc(nbrs, func(a, b int32) int {
+		if c := cmp.Compare(fds.X[b], fds.X[a]); c != 0 {
+			return c
 		}
-		return nbrs[a] < nbrs[b]
+		return cmp.Compare(a, b)
 	})
 	var sum fixpoint.Value
 	for i, u := range nbrs {
 		sum = ctx.Add(sum, fds.X[u])
 		if sum >= threshold {
-			cover := append([]int32(nil), nbrs[:i+1]...)
-			sort.Slice(cover, func(a, b int) bool { return cover[a] < cover[b] })
+			cover := nbrs[:i+1]
+			slices.Sort(cover)
 			return cover, nil
 		}
 	}

@@ -12,7 +12,9 @@ import (
 // in its inclusive neighbourhood satisfied. Nodes act in the color classes
 // of a proper coloring of G² (same-colored nodes are at distance ≥ 3, so
 // their inclusive neighbourhoods are disjoint and simultaneous trimming is
-// safe). Feasibility is preserved exactly; the size never increases.
+// safe). The G² coloring is the distance-two coloring of the closed
+// neighbourhoods: u and v share some N[w] iff d(u,v) ≤ 2, so G² itself is
+// never built. Feasibility is preserved exactly; the size never increases.
 //
 // This is the local-ratio cleanup pass applied after the Part I covering
 // phase (see docs/ARCHITECTURE.md#substitutions, substitution 4): the
@@ -28,7 +30,11 @@ func Trim(g *graph.Graph, fds *CFDS, ledger *congest.Ledger, sweeps int) {
 		return
 	}
 	ctx := fds.Ctx
-	col := coloring.Graph(g.Power(2))
+	all := make([]bool, n)
+	for v := range all {
+		all[v] = true
+	}
+	col := coloring.Distance2Bipartite(n, g.ClosedNeighborhoods(), all, g.IDs())
 	// Current coverage per constraint.
 	cov := make([]fixpoint.Value, n)
 	for v := 0; v < n; v++ {

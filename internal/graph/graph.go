@@ -73,6 +73,20 @@ func (g *Graph) InclusiveNeighbors(dst []int32, v int) []int32 {
 	return append(dst, g.Neighbors(v)...)
 }
 
+// ClosedNeighborhoods returns N[v] = {v} ∪ N(v) for every node v, each in
+// InclusiveNeighbors order, carved from one backing array of n+2m entries.
+// The rows are capped, so appending to one never overwrites the next.
+func (g *Graph) ClosedNeighborhoods() [][]int32 {
+	flat := make([]int32, 0, g.N()+len(g.targets))
+	rows := make([][]int32, g.N())
+	for v := range rows {
+		a := len(flat)
+		flat = g.InclusiveNeighbors(flat, v)
+		rows[v] = flat[a:len(flat):len(flat)]
+	}
+	return rows
+}
+
 // HasEdge reports whether {u,v} is an edge.
 func (g *Graph) HasEdge(u, v int) bool {
 	list := g.Neighbors(u)
@@ -338,52 +352,6 @@ func (g *Graph) Diameter() int {
 		}
 	}
 	return diam
-}
-
-// Power returns G^k: same node set, an edge {u,v} whenever 0 < d_G(u,v) ≤ k.
-// Node identifiers are preserved.
-func (g *Graph) Power(k int) *Graph {
-	if k <= 1 {
-		return g.Clone()
-	}
-	b := NewBuilder(g.N())
-	if err := b.SetIDs(g.ids); err != nil {
-		panic("graph: internal: ids became invalid: " + err.Error())
-	}
-	// Truncated BFS to depth k from every node.
-	dist := make([]int, g.N())
-	for v := range dist {
-		dist[v] = -1
-	}
-	var queue []int32
-	for s := 0; s < g.N(); s++ {
-		queue = append(queue[:0], int32(s))
-		dist[s] = 0
-		visited := []int32{int32(s)}
-		for len(queue) > 0 {
-			u := int(queue[0])
-			queue = queue[1:]
-			if dist[u] == k {
-				continue
-			}
-			for _, w := range g.Neighbors(u) {
-				if dist[w] < 0 {
-					dist[w] = dist[u] + 1
-					visited = append(visited, w)
-					queue = append(queue, w)
-					if int(w) > s {
-						if err := b.Add(s, int(w)); err != nil {
-							panic("graph: internal: " + err.Error())
-						}
-					}
-				}
-			}
-		}
-		for _, w := range visited {
-			dist[w] = -1
-		}
-	}
-	return b.Graph()
 }
 
 // Subgraph returns the induced subgraph on the given nodes together with the

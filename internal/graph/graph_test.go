@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -118,43 +119,18 @@ func TestDiameter(t *testing.T) {
 	}
 }
 
-func TestPower(t *testing.T) {
-	g := Path(5)
-	g2 := g.Power(2)
-	wantEdges := [][2]int{{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}, {2, 4}, {3, 4}}
-	if g2.M() != len(wantEdges) {
-		t.Fatalf("G^2 of P5 has %d edges, want %d", g2.M(), len(wantEdges))
-	}
-	for _, e := range wantEdges {
-		if !g2.HasEdge(e[0], e[1]) {
-			t.Errorf("G^2 missing edge %v", e)
-		}
-	}
-	// Power preserves IDs.
-	for v := 0; v < g.N(); v++ {
-		if g.ID(v) != g2.ID(v) {
-			t.Errorf("Power changed ID of %d", v)
-		}
-	}
-	// G^1 is a copy.
-	g1 := g.Power(1)
-	if g1.M() != g.M() {
-		t.Errorf("G^1 edge count %d, want %d", g1.M(), g.M())
-	}
-}
-
-func TestPowerMatchesBFSDistance(t *testing.T) {
+func TestClosedNeighborhoods(t *testing.T) {
 	g := GNPConnected(40, 0.08, 7)
-	for _, k := range []int{2, 3} {
-		gk := g.Power(k)
-		for u := 0; u < g.N(); u++ {
-			dist, _ := g.BFS(u)
-			for v := 0; v < g.N(); v++ {
-				want := u != v && dist[v] > 0 && dist[v] <= k
-				if got := gk.HasEdge(u, v); got != want {
-					t.Fatalf("G^%d edge (%d,%d)=%v, want %v (dist %d)", k, u, v, got, want, dist[v])
-				}
-			}
+	rows := g.ClosedNeighborhoods()
+	if len(rows) != g.N() {
+		t.Fatalf("%d rows for %d nodes", len(rows), g.N())
+	}
+	for v, row := range rows {
+		if want := g.InclusiveNeighbors(nil, v); !slices.Equal(row, want) {
+			t.Fatalf("N[%d]=%v, want %v", v, row, want)
+		}
+		if cap(row) != len(row) {
+			t.Fatalf("row %d not capped: len %d cap %d", v, len(row), cap(row))
 		}
 	}
 }

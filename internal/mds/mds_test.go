@@ -1,6 +1,7 @@
 package mds
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -184,5 +185,28 @@ func TestBoundFormula(t *testing.T) {
 	}
 	if b := Bound(0.5, 9); b <= 1.5*3.3 || b >= 1.5*3.4 {
 		t.Errorf("Bound(0.5,9)=%v out of expected range", b)
+	}
+}
+
+// BenchmarkSolve runs the Theorem 1.2 pipeline (EngineColoring, Practical,
+// ε = 0.5) end to end; with Part I cheap, its time and allocations are
+// dominated by the host-side Part II/III colorings and rounding.
+func BenchmarkSolve(b *testing.B) {
+	for _, tc := range []struct {
+		family string
+		n      int
+	}{{"gnp", 1500}, {"ba", 2000}} {
+		g, err := graph.Named(tc.family, tc.n, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%s-%d", tc.family, tc.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := Solve(g, Params{Eps: 0.5, Engine: EngineColoring, Preset: Practical}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

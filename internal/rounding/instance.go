@@ -112,7 +112,7 @@ func OneShotOnGraph(g *graph.Graph, fds *fractional.CFDS, lnDeltaTilde fixpoint.
 		X:       make([]fixpoint.Value, n),
 		P:       make([]fixpoint.Value, n),
 		C:       make([]fixpoint.Value, n),
-		Members: make([][]int32, n),
+		Members: g.ClosedNeighborhoods(),
 		Owner:   make([]int32, n),
 	}
 	for v := 0; v < n; v++ {
@@ -120,7 +120,6 @@ func OneShotOnGraph(g *graph.Graph, fds *fractional.CFDS, lnDeltaTilde fixpoint.
 		inst.X[v] = x
 		inst.P[v] = x
 		inst.C[v] = ctx.One()
-		inst.Members[v] = g.InclusiveNeighbors(nil, v)
 		inst.Owner[v] = int32(v)
 	}
 	return inst
@@ -139,7 +138,7 @@ func FactorTwoOnGraph(g *graph.Graph, fds *fractional.CFDS, eps float64, r uint6
 		X:       make([]fixpoint.Value, n),
 		P:       make([]fixpoint.Value, n),
 		C:       make([]fixpoint.Value, n),
-		Members: make([][]int32, n),
+		Members: g.ClosedNeighborhoods(),
 		Owner:   make([]int32, n),
 	}
 	for v := 0; v < n; v++ {
@@ -151,7 +150,6 @@ func FactorTwoOnGraph(g *graph.Graph, fds *fractional.CFDS, eps float64, r uint6
 			inst.P[v] = ctx.One()
 		}
 		inst.C[v] = ctx.One()
-		inst.Members[v] = g.InclusiveNeighbors(nil, v)
 		inst.Owner[v] = int32(v)
 	}
 	return inst

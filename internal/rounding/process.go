@@ -21,12 +21,16 @@ import (
 // averaging property over an unassigned coin, so the fixed outcome's
 // realized cost never exceeds the initial bound (plus quantization slack
 // mirroring the paper's 1/n^10 rounding accounting).
+//
+// A Process is not safe for concurrent use: ConstraintUB reuses one scratch
+// slice across calls.
 type Process struct {
 	inst          *Instance
 	coin          []int8    // -1 unassigned, 0 fixed off, 1 fixed fire
 	constraintsOf [][]int32 // value site -> constraints it appears in
 	exactLimit    int
-	sGrid         []uint // Chernoff exponents: s = 2^e
+	sGrid         []uint     // Chernoff exponents: s = 2^e
+	frees         []freeSite // ConstraintUB scratch
 }
 
 // coinUnset marks an unassigned coin.
@@ -45,6 +49,22 @@ func NewProcess(inst *Instance) (*Process, error) {
 	}
 	for j := range p.coin {
 		p.coin[j] = coinUnset
+	}
+	// Each site's constraint list is a capped window of one flat array, so
+	// the appends below fill it in place.
+	count := make([]int, len(inst.X))
+	total := 0
+	for _, ms := range inst.Members {
+		for _, j := range ms {
+			if !inst.Deterministic(int(j)) {
+				count[j]++
+				total++
+			}
+		}
+	}
+	flat := make([]int32, total)
+	for j, c := range count {
+		p.constraintsOf[j], flat = flat[:0:c], flat[c:]
 	}
 	for i, ms := range inst.Members {
 		for _, j := range ms {
@@ -135,7 +155,7 @@ func (p *Process) siteTerms(j int, j0 int, b0 int8) (fixed fixpoint.Value, fire,
 func (p *Process) ConstraintUB(i int, j0 int, b0 int8) fixpoint.Value {
 	ctx := p.inst.Ctx
 	var fixedSum fixpoint.Value
-	var frees []freeSite
+	frees := p.frees[:0]
 	minFire := fixpoint.Value(0)
 	for _, j := range p.inst.Members[i] {
 		fx, fire, prob, un := p.siteTerms(int(j), j0, b0)
@@ -148,6 +168,7 @@ func (p *Process) ConstraintUB(i int, j0 int, b0 int8) fixpoint.Value {
 			fixedSum = ctx.Add(fixedSum, fx)
 		}
 	}
+	p.frees = frees
 	if fixedSum >= p.inst.C[i] {
 		return 0
 	}

@@ -254,6 +254,40 @@ func TestConstraintUBChernoffPath(t *testing.T) {
 	}
 }
 
+// A warmed ConstraintUB allocates nothing on any of its three paths: the
+// product form, exhaustive enumeration and the Chernoff estimator.
+func TestConstraintUBWarmAllocsZero(t *testing.T) {
+	ctx := fixpoint.Default()
+	inst := &Instance{Ctx: ctx, C: []fixpoint.Value{ctx.One(), ctx.One(), ctx.One()}, Owner: []int32{0, 2, 4}}
+	add := func(x fixpoint.Value, k int) []int32 {
+		var ms []int32
+		for ; k > 0; k-- {
+			ms = append(ms, int32(len(inst.X)))
+			inst.X = append(inst.X, x)
+			inst.P = append(inst.P, ctx.Half())
+		}
+		return ms
+	}
+	inst.Members = [][]int32{
+		add(ctx.Half(), 2),           // fire 1 covers: product form
+		add(ctx.FromFloat(0.3), 2),   // fire 0.6, two coins: enumeration
+		add(ctx.FromFloat(0.05), 40), // fire 0.1, 40 coins: Chernoff
+	}
+	proc, err := NewProcess(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := func() {
+		for i := range inst.C {
+			proc.ConstraintUB(i, -1, 0)
+		}
+	}
+	all()
+	if a := testing.AllocsPerRun(10, all); a != 0 {
+		t.Errorf("warmed ConstraintUB allocates %.0f times per sweep, want 0", a)
+	}
+}
+
 // Averaging property: for every unassigned coin, min_b ConditionalCost ≤
 // the unconditioned cost contribution (supermartingale step of the method of
 // conditional expectations, Lemma 3.10's key inequality).
