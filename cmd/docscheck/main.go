@@ -3,7 +3,7 @@
 //
 //	go run ./cmd/docscheck [-root .]
 //
-// It enforces five invariants and exits non-zero listing every violation:
+// It enforces six invariants and exits non-zero listing every violation:
 //
 //   - every relative link in a Markdown file points at a file or directory
 //     that exists (external http(s)/mailto links and pure #anchors are not
@@ -29,7 +29,11 @@
 //     README.md and EXPERIMENTS.md are checked: the other root files keep
 //     history and plans (CHANGES.md, ROADMAP.md) or quote other projects
 //     (PAPERS.md, SNIPPETS.md), so they name tests that are gone, not yet
-//     written or not this repository's.
+//     written or not this repository's;
+//   - every repository path the same Markdown files cite as a backticked
+//     span under internal/, cmd/, bench/, docs/ or examples/, like
+//     `internal/congest/README.md`, exists on disk; template paths with a
+//     `<placeholder>` are skipped.
 package main
 
 import (
@@ -55,6 +59,7 @@ func main() {
 	problems = append(problems, checkPackageComments(*root)...)
 	problems = append(problems, checkAllowReasons(*root)...)
 	problems = append(problems, checkMarkdownTestRefs(*root)...)
+	problems = append(problems, checkMarkdownPathRefs(*root)...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, p)
@@ -149,8 +154,45 @@ func checkMarkdownTestRefs(root string) []string {
 		}
 		return false
 	}
+	return checkCodeSpans(root, func(span string) string {
+		m := testCiteRE.FindStringSubmatch(span)
+		if m != nil && !defined(m[1], m[2] == "...") {
+			return "but no such test exists"
+		}
+		return ""
+	})
+}
+
+// pathCiteRE matches a code span that cites a repository path: a
+// whitespace-free span under one of the top-level source directories.
+var pathCiteRE = regexp.MustCompile(`^(?:internal|cmd|bench|docs|examples)/\S*$`)
+
+// checkMarkdownPathRefs verifies that every repository path a Markdown file
+// cites in a code span, like `internal/congest/README.md` or
+// `cmd/mdsrun/testdata/golden.txt`, exists relative to the root (an
+// in-file #anchor is ignored). Template paths such as
+// `internal/<fam>/step.go` are not citations. It reads the same files as
+// checkMarkdownTestRefs.
+func checkMarkdownPathRefs(root string) []string {
+	return checkCodeSpans(root, func(span string) string {
+		if !pathCiteRE.MatchString(span) || strings.Contains(span, "<") {
+			return ""
+		}
+		rel, _, _ := strings.Cut(span, "#")
+		if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(rel))); err != nil {
+			return "but no such path exists"
+		}
+		return ""
+	})
+}
+
+// checkCodeSpans calls check on every one-line code span of the checked
+// Markdown files — every *.md below root outside testdata trees, and at the
+// root only checkedRootDocs — and reports each span for which check returns
+// a non-empty complaint.
+func checkCodeSpans(root string, check func(span string) string) []string {
 	var problems []string
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -170,9 +212,8 @@ func checkMarkdownTestRefs(root string) []string {
 		}
 		for i, line := range strings.Split(string(data), "\n") {
 			for _, span := range codeSpanRE.FindAllStringSubmatch(line, -1) {
-				m := testCiteRE.FindStringSubmatch(span[1])
-				if m != nil && !defined(m[1], m[2] == "...") {
-					problems = append(problems, fmt.Sprintf("%s:%d: cites %s but no such test exists", path, i+1, span[0]))
+				if complaint := check(span[1]); complaint != "" {
+					problems = append(problems, fmt.Sprintf("%s:%d: cites %s %s", path, i+1, span[0], complaint))
 				}
 			}
 		}

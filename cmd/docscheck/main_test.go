@@ -25,6 +25,9 @@ func TestRepositoryPassesDocscheck(t *testing.T) {
 	if problems := checkMarkdownTestRefs("../.."); len(problems) > 0 {
 		t.Errorf("Markdown test-citation problems:\n%s", strings.Join(problems, "\n"))
 	}
+	if problems := checkMarkdownPathRefs("../.."); len(problems) > 0 {
+		t.Errorf("Markdown path-citation problems:\n%s", strings.Join(problems, "\n"))
+	}
 }
 
 func TestCheckMarkdownLinksFindsDeadLink(t *testing.T) {
@@ -142,6 +145,34 @@ func BenchmarkReal(b *testing.B) {}
 		if !found {
 			t.Errorf("missing problem containing %q in:\n%s", want, strings.Join(problems, "\n"))
 		}
+	}
+}
+
+// TestCheckMarkdownPathRefsFindsDead: a backticked repository path that
+// does not exist is one problem; existing files and directories (with or
+// without an #anchor), template paths with a <placeholder>, spans with
+// spaces, other prefixes, and the root's history files are not problems.
+func TestCheckMarkdownPathRefsFindsDead(t *testing.T) {
+	dir := t.TempDir()
+	write := func(rel, content string) {
+		t.Helper()
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("internal/pkg/a.go", "package pkg\n")
+	write("docs/GUIDE.md", "# Guide\n\n`internal/pkg/a.go`, `internal/pkg`, `docs/GUIDE.md#guide`\n"+
+		"`internal/<fam>/step.go`, `go test ./internal/gone`, `pkg/gone.go`\n")
+	write("README.md", "`internal/gone`\n")
+	write("CHANGES.md", "Deleted `examples/gone`.\n")
+
+	problems := checkMarkdownPathRefs(dir)
+	if len(problems) != 1 || !strings.Contains(problems[0], "README.md:1: cites `internal/gone` but no such path exists") {
+		t.Errorf("want exactly the dead path flagged, got %v", problems)
 	}
 }
 

@@ -8,7 +8,7 @@
 //     G-distance ≤ 3; G_S is connected iff G is.
 //  2. Compute a ruling set S' ⊆ S on G_S: pairwise distance ≥ α, every
 //     member of S within distance < α of S' (the paper uses the [ALGP89,
-//     HKN16] construction with α = Θ(log² n); α is a parameter here).
+//     HKN16] construction with α = Θ(log² n); here α = max(2, ⌈log₂(n+1)⌉)).
 //  3. Cluster S around S' by multi-source BFS in G_S, building cluster
 //     trees whose G_S edges are realized as G-paths of length ≤ 3
 //     (Lemma 4.2).
@@ -38,9 +38,6 @@ import (
 type Params struct {
 	// MDS configures the underlying dominating set computation.
 	MDS mds.Params
-	// Alpha is the ruling set distance parameter on G_S (the paper's
-	// c'·log² n). Zero means max(2, ⌈log₂(n+1)⌉).
-	Alpha int
 }
 
 // Result is the output of Solve.
@@ -58,19 +55,20 @@ type Result struct {
 	Ledger *congest.Ledger
 }
 
-// Solve computes a connected dominating set of the connected graph g.
+// Solve computes a connected dominating set of the connected graph g. A
+// disconnected g is caller misuse: the error wraps congest.ErrConfig.
 func Solve(g *graph.Graph, p Params) (*Result, error) {
 	if g.N() == 0 {
 		return &Result{Ledger: &congest.Ledger{}}, nil
 	}
 	if !g.IsConnected() {
-		return nil, fmt.Errorf("cds: graph is not connected")
+		return nil, fmt.Errorf("%w: cds: graph is not connected", congest.ErrConfig)
 	}
 	mres, err := mds.Solve(g, p.MDS)
 	if err != nil {
 		return nil, fmt.Errorf("cds: dominating set: %w", err)
 	}
-	res, err := Extend(g, mres.Set, p, mres.Ledger)
+	res, err := Extend(g, mres.Set, mres.Ledger)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +78,7 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 
 // Extend turns an existing dominating set into a connected dominating set
 // (the Section 4 transformation alone). The ledger may be nil.
-func Extend(g *graph.Graph, ds []int, p Params, ledger *congest.Ledger) (*Result, error) {
+func Extend(g *graph.Graph, ds []int, ledger *congest.Ledger) (*Result, error) {
 	if ledger == nil {
 		ledger = &congest.Ledger{}
 	}
@@ -92,15 +90,15 @@ func Extend(g *graph.Graph, ds []int, p Params, ledger *congest.Ledger) (*Result
 		res.CDS = append([]int(nil), ds...)
 		return res, nil
 	}
-	if p.Alpha == 0 {
-		p.Alpha = int(math.Max(2, math.Ceil(math.Log2(float64(g.N()+1)))))
-	}
+	logn := int(math.Ceil(math.Log2(float64(g.N() + 1))))
+	// The ruling set distance parameter on G_S (the paper's c'·log² n).
+	alpha := max(2, logn)
 
 	gs := buildGS(g, ds)
 
 	// Ruling set on G_S by greedy ID order (deterministic substitute for the
 	// [ALGP89/HKN16] distributed construction; same (α, α−1) guarantees).
-	rs := rulingSet(g, gs, p.Alpha)
+	rs := rulingSet(g, gs, alpha)
 	res.RulingSet = rs
 
 	// Multi-source BFS clustering on G_S with cluster trees.
@@ -135,8 +133,7 @@ func Extend(g *graph.Graph, ds []int, p Params, ledger *congest.Ledger) (*Result
 	// phase (Lemma 4.2); connecting the clusters costs O(cluster-graph
 	// diameter) G_S rounds, each simulated by ≤ 3 G rounds with the path
 	// selection of [Gha14].
-	logn := int(math.Ceil(math.Log2(float64(g.N() + 1))))
-	ledger.Charge("cds/ruling+clustering", p.Alpha*logn+3*logn)
+	ledger.Charge("cds/ruling+clustering", alpha*logn+3*logn)
 	ledger.Charge("cds/connect", 3*(len(rs)+1))
 
 	if err := verify.CheckCDS(g, res.CDS); err != nil {

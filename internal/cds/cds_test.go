@@ -112,7 +112,7 @@ func TestCDSApproximationBound(t *testing.T) {
 
 func TestExtendRejectsNonDominating(t *testing.T) {
 	g := graph.Path(6)
-	if _, err := Extend(g, []int{0}, Params{}, nil); err == nil {
+	if _, err := Extend(g, []int{0}, nil); err == nil {
 		t.Error("non-dominating input accepted")
 	}
 }
@@ -120,7 +120,7 @@ func TestExtendRejectsNonDominating(t *testing.T) {
 func TestExtendKeepsDSMembers(t *testing.T) {
 	g := graph.Cycle(15)
 	ds := baseline.Greedy(g)
-	res, err := Extend(g, ds, Params{}, nil)
+	res, err := Extend(g, ds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,13 +172,15 @@ func TestGSConnectivityOnPath(t *testing.T) {
 func TestRulingSetSeparation(t *testing.T) {
 	g := graph.Path(40)
 	ds := baseline.Greedy(g)
-	res, err := Extend(g, ds, Params{Alpha: 3}, nil)
+	res, err := Extend(g, ds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pairwise G-distance of centres must be ≥ 3 (alpha) in G_S terms,
-	// i.e. > 3·2 in G is not guaranteed, but centres must be distinct and
-	// at G_S distance ≥ alpha: verify pairwise G-distance > 3 (one G_S hop).
+	if len(res.RulingSet) < 2 {
+		t.Fatalf("ruling set %v: want several centres on a long path", res.RulingSet)
+	}
+	// Centres are pairwise at G_S distance ≥ alpha ≥ 2, so no two are G_S
+	// neighbours: verify pairwise G-distance > 3 (one G_S hop).
 	for i := 0; i < len(res.RulingSet); i++ {
 		for j := i + 1; j < len(res.RulingSet); j++ {
 			if d := g.Dist(res.RulingSet[i], res.RulingSet[j]); d <= 3 {

@@ -85,6 +85,10 @@ var hostFamilies = map[string]bool{"greedy": true, "exact": true}
 // caller misuse, typed as congest.ErrConfig before anything runs.
 func TestRejectsBadParamsAsConfig(t *testing.T) {
 	small := graph.GNPConnected(30, 0.15, 11)
+	disconnected, err := graph.FromEdges(4, [][2]int{{0, 1}, {2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		algo string
 		g    *graph.Graph
@@ -103,6 +107,8 @@ func TestRejectsBadParamsAsConfig(t *testing.T) {
 		{"arbmds", small, Params{Eps: -1}},
 		{"mcds", small, Params{Eps: -1}},
 		{"mcds", small, Params{DiamBound: -5}},
+		{"cds", disconnected, Params{}},
+		{"mcds", disconnected, Params{}},
 	}
 	for _, c := range cases {
 		f, err := Get(c.algo)

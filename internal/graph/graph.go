@@ -353,33 +353,3 @@ func (g *Graph) Diameter() int {
 	}
 	return diam
 }
-
-// Subgraph returns the induced subgraph on the given nodes together with the
-// mapping from new indices to original indices. Node identifiers are
-// inherited from the original nodes.
-func (g *Graph) Subgraph(nodes []int) (*Graph, []int) {
-	idx := make(map[int]int, len(nodes))
-	orig := make([]int, len(nodes))
-	for i, v := range nodes {
-		idx[v] = i
-		orig[i] = v
-	}
-	b := NewBuilder(len(nodes))
-	ids := make([]int64, len(nodes))
-	for i, v := range nodes {
-		ids[i] = g.ids[v]
-	}
-	if err := b.SetIDs(ids); err != nil {
-		panic("graph: internal: " + err.Error())
-	}
-	for i, v := range nodes {
-		for _, w := range g.Neighbors(v) {
-			if j, ok := idx[int(w)]; ok && j > i {
-				if err := b.Add(i, j); err != nil {
-					panic("graph: internal: " + err.Error())
-				}
-			}
-		}
-	}
-	return b.Graph(), orig
-}

@@ -135,22 +135,6 @@ func TestClosedNeighborhoods(t *testing.T) {
 	}
 }
 
-func TestSubgraph(t *testing.T) {
-	g := Cycle(6)
-	sub, orig := g.Subgraph([]int{0, 1, 2, 4})
-	if sub.N() != 4 {
-		t.Fatalf("n=%d, want 4", sub.N())
-	}
-	if sub.M() != 2 { // edges {0,1},{1,2}; node 4 isolated in the induced graph
-		t.Fatalf("m=%d, want 2", sub.M())
-	}
-	for i, v := range orig {
-		if sub.ID(i) != g.ID(v) {
-			t.Errorf("id mismatch at %d", i)
-		}
-	}
-}
-
 func TestGeneratorShapes(t *testing.T) {
 	tests := []struct {
 		name       string

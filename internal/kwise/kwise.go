@@ -87,19 +87,6 @@ func (g *Generator) SeedWords() int { return g.k * len(g.widths) }
 // the quantity the paper's Lemma 3.3 calls K = O(k·log²N).
 func (g *Generator) SeedBits() int { return g.k * len(g.widths) * int(g.field.M()) }
 
-// NormalizeSeed reduces each seed word into the field (callers may supply
-// arbitrary uint64 entropy). It returns a new slice of length SeedWords().
-func (g *Generator) NormalizeSeed(raw []uint64) []uint64 {
-	out := make([]uint64, g.SeedWords())
-	mask := g.field.Order() - 1
-	for i := range out {
-		if i < len(raw) {
-			out[i] = raw[i] & mask
-		}
-	}
-	return out
-}
-
 // RandomSeed draws a seed from r (used by randomized baselines and tests;
 // the deterministic algorithms never call it).
 func (g *Generator) RandomSeed(r *rand.Rand) []uint64 {

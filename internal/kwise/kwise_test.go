@@ -182,23 +182,6 @@ func TestValueDeterministic(t *testing.T) {
 	}
 }
 
-func TestNormalizeSeed(t *testing.T) {
-	g, err := New(2, 16, 8) // m=4
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := []uint64{0xFFFF, 0xABCD}
-	norm := g.NormalizeSeed(raw)
-	if len(norm) != g.SeedWords() {
-		t.Fatalf("len=%d, want %d", len(norm), g.SeedWords())
-	}
-	for _, w := range norm {
-		if w >= 1<<g.FieldM() {
-			t.Errorf("word %d not reduced", w)
-		}
-	}
-}
-
 func TestValuePanicsOnBadInput(t *testing.T) {
 	g, _ := New(2, 4, 4)
 	for _, fn := range []func(){

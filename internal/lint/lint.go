@@ -46,7 +46,6 @@ var deterministicPkgs = map[string]bool{
 	"mds":        true,
 	"chaos":      true,
 	"fractional": true,
-	"protocols":  true,
 	// obs is deterministic-adjacent: it rides the engines' observer
 	// callbacks, so map-order and entropy leaks there would surface in
 	// traces, but nondet grants it the wall-clock carve-out (see nondet.go:

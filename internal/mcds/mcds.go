@@ -140,13 +140,14 @@ func Thresholds(delta int, eps float64) []int {
 // congest.EngineGoroutine, with byte-identical results. The returned set is
 // verified connected and dominating before Solve returns (a linear-time
 // check; callers wanting the ratio certificate run verify.CertifyCDS on
-// top).
+// top). A disconnected g is caller misuse: the error wraps
+// congest.ErrConfig.
 func Solve(g *graph.Graph, p Params) (*Result, error) {
 	if g.N() == 0 {
 		return &Result{}, nil
 	}
 	if !g.IsConnected() {
-		return nil, fmt.Errorf("mcds: graph is not connected")
+		return nil, fmt.Errorf("%w: mcds: graph is not connected", congest.ErrConfig)
 	}
 	p = p.withDefaults(g)
 	net := congest.NewNetwork(g, congest.Config{

@@ -67,6 +67,10 @@ const (
 	Theory
 )
 
+// maxPhases caps Part II (safety; the fractionality doubles each phase, so
+// ~log₂Δ phases suffice).
+const maxPhases = 64
+
 // Params configures Solve.
 type Params struct {
 	// Eps is the ε of Theorems 1.1/1.2; the approximation guarantee is
@@ -76,9 +80,6 @@ type Params struct {
 	Engine Engine
 	// Preset selects Theory or Practical constants.
 	Preset Preset
-	// MaxPhases caps Part II (safety; the fractionality doubles each phase,
-	// so ~log₂Δ phases suffice). Zero means 64.
-	MaxPhases int
 	// Sim selects the congest execution engine that simulates the measured
 	// phases (congest.EngineStepped or congest.EngineGoroutine; the Part I
 	// covering program is written in stepped form, so under EngineStepped
@@ -134,9 +135,6 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 	}
 	if p.Engine == 0 {
 		p.Engine = EngineColoring
-	}
-	if p.MaxPhases == 0 {
-		p.MaxPhases = 64
 	}
 	n := g.N()
 	res := &Result{Ledger: &congest.Ledger{}}
@@ -216,7 +214,7 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 		if r <= fTarget {
 			break
 		}
-		if phase >= p.MaxPhases {
+		if phase >= maxPhases {
 			return nil, fmt.Errorf("mds: part II did not converge after %d phases (r=%d, target=%d)",
 				phase, r, fTarget)
 		}

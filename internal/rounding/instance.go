@@ -91,15 +91,6 @@ func (in *Instance) Deterministic(j int) bool {
 	return in.P[j] == 0 || in.P[j] == in.Ctx.One()
 }
 
-// InputSize returns Σ_j X[j] (the "A" of Lemma 3.1).
-func (in *Instance) InputSize() fixpoint.Value {
-	var s fixpoint.Value
-	for _, x := range in.X {
-		s = in.Ctx.Add(s, x)
-	}
-	return s
-}
-
 // OneShotOnGraph builds the one-shot rounding instance of Section 3.2 on a
 // graph: x(v) = min(1, ln(Δ̃)·x'(v)), p(v) = x(v), constraints are the
 // inclusive neighbourhoods with threshold 1, and every node owns its own
