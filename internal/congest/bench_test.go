@@ -124,3 +124,14 @@ func (s *silentStep) Init(nd *Node) bool { return false }
 func (s *silentStep) Step(nd *Node, round int, in []Incoming) bool {
 	return round+1 >= s.rounds
 }
+
+// BenchmarkBuildTopology times the CSR slot layout of a 2·10⁵-node union of
+// forests, and reports ns per edge.
+func BenchmarkBuildTopology(b *testing.B) {
+	g := graph.UnionForests(200_000, graph.DefaultArbAlpha, 7)
+	net := NewNetwork(g, Config{})
+	for b.Loop() {
+		buildTopology(net)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.M()), "ns/edge")
+}

@@ -222,8 +222,9 @@ type Network struct {
 	// on every message (see BenchmarkNodeSend).
 	bwBits int
 
-	// topo is the CSR slot layout used by the stepped engine, built lazily
-	// once per Network and shared across runs.
+	// topo is the CSR slot layout (the stepped engine's slots, both
+	// engines' receiver ports), built lazily once per Network and shared
+	// across runs.
 	topoOnce sync.Once
 	topo     *topology
 }
@@ -509,19 +510,4 @@ func recoverNode(v int, fail func(error)) {
 		}
 		fail(fmt.Errorf("congest: node %d panicked: %v", v, r))
 	}
-}
-
-// portOf returns the port index of neighbour u at node v.
-func portOf(g *graph.Graph, v, u int) int {
-	list := g.Neighbors(v)
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(list[mid]) < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

@@ -369,6 +369,8 @@ func TestTopologySlots(t *testing.T) {
 	for _, g := range []*graph.Graph{
 		graph.Path(6), graph.Cycle(5), graph.Star(7),
 		graph.GNPConnected(40, 0.1, 3), graph.Grid(4, 5),
+		graph.BarabasiAlbert(300, 3, 5), graph.UnionForests(300, 3, 7),
+		graph.NewBuilder(3).Graph(), graph.NewBuilder(0).Graph(),
 	} {
 		net := NewNetwork(g, Config{})
 		topo := net.topology()
@@ -377,6 +379,9 @@ func TestTopologySlots(t *testing.T) {
 		}
 		seen := make(map[int32]bool, len(topo.destSlot))
 		for v := 0; v < g.N(); v++ {
+			if got, want := topo.inOff[v+1]-topo.inOff[v], int32(g.Degree(v)); got != want {
+				t.Fatalf("node %d: %d inbox slots, want degree %d", v, got, want)
+			}
 			for p, w := range g.Neighbors(v) {
 				slot := topo.destSlot[topo.inOff[v]+int32(p)]
 				if seen[slot] {

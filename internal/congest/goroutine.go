@@ -12,6 +12,7 @@ import (
 // dominates wall-clock time on large graphs (see EngineStepped).
 type goroutineEngine struct {
 	net   *Network
+	topo  *topology // the stepped engine's slot layout, read for receiver ports
 	nodes []*Node
 	round int
 
@@ -43,6 +44,7 @@ func (net *Network) runGoroutine(prog Program) (Metrics, error) {
 	n := net.g.N()
 	eng := &goroutineEngine{
 		net:     net,
+		topo:    net.topology(),
 		nodes:   make([]*Node, n),
 		resume:  make(chan struct{}),
 		pending: make([][]Incoming, n),
@@ -134,10 +136,11 @@ func (eng *goroutineEngine) finish(nd *Node) {
 
 // deposit moves nd's outbox into the pending inboxes. Caller holds mu.
 func (eng *goroutineEngine) deposit(nd *Node) {
+	out := eng.topo.inOff[nd.v]
 	for _, m := range nd.outbox {
 		dst := nd.net.g.Neighbors(nd.v)[m.port]
-		// The receiving port is the index of nd.v in dst's neighbour list.
-		dstPort := portOf(nd.net.g, int(dst), nd.v)
+		// The receiving port is the sender's slot's offset in dst's inbox.
+		dstPort := int(eng.topo.destSlot[out+int32(m.port)] - eng.topo.inOff[dst])
 		eng.pending[dst] = append(eng.pending[dst], Incoming{Port: dstPort, Payload: m.payload})
 		eng.metrics.Messages++
 		eng.metrics.Bits += int64(len(m.payload) * 8)

@@ -17,20 +17,27 @@ type topology struct {
 	destSlot []int32
 }
 
+// buildTopology fills destSlot as a CSR transpose in O(n + m). Walking u
+// in ascending order visits the entries naming v in ascending u, which is
+// v's port order, so the k-th visit of v is v's port k. inOff[v+1] starts
+// at v's first slot and serves as v's fill cursor: after the walk it has
+// advanced by deg(v) to v+1's first slot, its final value.
 func buildTopology(net *Network) *topology {
 	g := net.g
 	n := g.N()
-	t := &topology{inOff: make([]int32, n+1)}
-	for v := 0; v < n; v++ {
-		t.inOff[v+1] = t.inOff[v] + int32(g.Degree(v))
+	t := &topology{inOff: make([]int32, n+1), destSlot: make([]int32, 2*g.M())}
+	for v := 1; v < n; v++ {
+		t.inOff[v+1] = t.inOff[v] + int32(g.Degree(v-1))
 	}
-	t.destSlot = make([]int32, 2*g.M())
+	var first int32 // u's first slot
 	for u := 0; u < n; u++ {
-		for q, w := range g.Neighbors(u) {
-			v := int(w)
-			p := portOf(g, v, u) // u sits on port p of v
-			t.destSlot[t.inOff[v]+int32(p)] = t.inOff[u] + int32(q)
+		for q, v := range g.Neighbors(u) {
+			// u sits on v's next port; v sits on u's port q.
+			next := &t.inOff[v+1]
+			t.destSlot[*next] = first + int32(q)
+			*next++
 		}
+		first += int32(g.Degree(u))
 	}
 	return t
 }

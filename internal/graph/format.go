@@ -36,7 +36,7 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -178,7 +178,8 @@ func (g *Graph) WriteCSRGFile(path string) error {
 // Validation is complete before the Graph is returned: header checksums,
 // section checksums, exact file size, row monotonicity, per-row strict
 // sortedness, target range, no self loops, adjacency symmetry, and
-// pairwise-distinct ids. A non-nil error means no Graph aliases any part
+// pairwise-distinct ids, in O(n + m) time plus an O(n log n) sort of the
+// ids (see validateCSR). A non-nil error means no Graph aliases any part
 // of buf.
 func decodeCSRG(buf []byte, alias bool) (*Graph, error) {
 	if len(buf) < csrgHeaderSize {
@@ -243,7 +244,8 @@ func decodeCSRG(buf []byte, alias bool) (*Graph, error) {
 // so a decoded graph is indistinguishable from a Builder-produced one:
 // monotone row bounds ending at 2m, strictly sorted in-range rows with no
 // self loops, symmetric adjacency, and pairwise-distinct ids. Cost is
-// O(n + m·log Δ) time and O(n) transient space (the id-distinctness sort).
+// O(n + m) time for the structure plus the O(n log n) id sort, and one
+// n-sized transient slice (the symmetry cursors, then the sorted ids).
 func validateCSR(g *Graph, wantEnd int64) error {
 	n := int64(g.N())
 	if g.offsets[0] != 0 {
@@ -274,22 +276,37 @@ func validateCSR(g *Graph, wantEnd int64) error {
 			}
 		}
 	}
-	// Symmetry: every directed entry (v,w) needs its reverse (w,v). Rows
-	// are sorted, so each check is one binary search: O(m·log Δ) total.
-	for v := 0; int64(v) < n; v++ {
-		for _, w := range g.Neighbors(v) {
-			if !g.HasEdge(int(w), v) {
+	// Symmetry by one cursor walk: rows are visited in ascending v, so the
+	// entries pointing at w arrive in ascending order, and each must be the
+	// next unmatched entry of w's sorted row. An entry x < v under w's
+	// cursor was skipped by row x, so x→w is the missing reverse. No check
+	// is needed after the walk: each of the 2m entries advanced exactly one
+	// cursor and no cursor ran past its row end, so every row was consumed.
+	cur := make([]int64, n)
+	copy(cur, g.offsets[:n])
+	for v := int64(0); v < n; v++ {
+		for _, w := range g.targets[g.offsets[v]:g.offsets[v+1]] {
+			c := cur[w]
+			x := n // w's row is used up: it has no entry for v
+			if c < g.offsets[w+1] {
+				x = int64(g.targets[c])
+			}
+			switch {
+			case x == v:
+				cur[w] = c + 1
+			case x < v:
+				return badf("asymmetric edge: %d→%d present, %d→%d missing", w, x, x, w)
+			default:
 				return badf("asymmetric edge: %d→%d present, %d→%d missing", v, w, w, v)
 			}
 		}
 	}
-	if n > 0 {
-		sorted := append([]int64(nil), g.ids...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		for i := 1; i < len(sorted); i++ {
-			if sorted[i] == sorted[i-1] {
-				return badf("duplicate id %d", sorted[i])
-			}
+	sorted := cur // the cursors are spent; reuse them for the id sort
+	copy(sorted, g.ids)
+	slices.Sort(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return badf("duplicate id %d", sorted[i])
 		}
 	}
 	return nil

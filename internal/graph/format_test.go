@@ -5,9 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"flag"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -223,40 +226,71 @@ func TestCSRGDecodeErrors(t *testing.T) {
 		binary.LittleEndian.PutUint32(b[44:48], crc32IEEE(b[:44]))
 		return b
 	}
+	// raw encodes a hand-built CSR instead of mutating the corpus graph. The
+	// writer does not validate, so the bytes carry good checksums and reach
+	// the decoder's structural checks.
+	raw := func(offsets []int64, targets []int32, ids []int64) func([]byte) []byte {
+		return func([]byte) []byte {
+			var buf bytes.Buffer
+			if err := (&Graph{offsets: offsets, targets: targets, ids: ids}).WriteCSRG(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+	}
 	cases := []struct {
 		name   string
 		mutate func([]byte) []byte
+		want   string // substring of the error, when the case pins one
 	}{
-		{"empty", func(b []byte) []byte { return nil }},
-		{"truncated-header", func(b []byte) []byte { return b[:20] }},
-		{"bad-magic", func(b []byte) []byte { b[0] = 'X'; return reCRC(b) }},
-		{"bad-version", func(b []byte) []byte { b[8] = 99; return reCRC(b) }},
-		{"nonzero-flags", func(b []byte) []byte { b[12] = 1; return reCRC(b) }},
-		{"truncated-body", func(b []byte) []byte { return b[:len(b)-8] }},
-		{"trailing-garbage", func(b []byte) []byte { return append(b, 0, 0, 0, 0, 0, 0, 0, 0) }},
-		{"section-crc-flip", func(b []byte) []byte { b[csrgHeaderSize] ^= 0xff; return b }},
-		{"header-crc-flip", func(b []byte) []byte { b[17] ^= 0xff; return b }},
+		{"empty", func(b []byte) []byte { return nil }, ""},
+		{"truncated-header", func(b []byte) []byte { return b[:20] }, ""},
+		{"bad-magic", func(b []byte) []byte { b[0] = 'X'; return reCRC(b) }, ""},
+		{"bad-version", func(b []byte) []byte { b[8] = 99; return reCRC(b) }, ""},
+		{"nonzero-flags", func(b []byte) []byte { b[12] = 1; return reCRC(b) }, ""},
+		{"truncated-body", func(b []byte) []byte { return b[:len(b)-8] }, ""},
+		{"trailing-garbage", func(b []byte) []byte { return append(b, 0, 0, 0, 0, 0, 0, 0, 0) }, ""},
+		{"section-crc-flip", func(b []byte) []byte { b[csrgHeaderSize] ^= 0xff; return b }, ""},
+		{"header-crc-flip", func(b []byte) []byte { b[17] ^= 0xff; return b }, ""},
 		{"offsets-not-zero", func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[csrgHeaderSize:], 1)
 			return reCRC(b)
-		}},
+		}, ""},
 		{"offsets-huge", func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[csrgHeaderSize+8:], 1<<40)
 			return reCRC(b)
-		}},
+		}, ""},
 		{"self-loop", func(b []byte) []byte {
 			n := binary.LittleEndian.Uint64(b[16:24])
 			tgt := csrgHeaderSize + (int(n)+1)*8
 			// First row belongs to node 0; make its first target 0.
 			binary.LittleEndian.PutUint32(b[tgt:], 0)
 			return reCRC(b)
-		}},
+		}, ""},
 		{"target-out-of-range", func(b []byte) []byte {
 			n := binary.LittleEndian.Uint64(b[16:24])
 			tgt := csrgHeaderSize + (int(n)+1)*8
 			binary.LittleEndian.PutUint32(b[tgt:], uint32(n))
 			return reCRC(b)
-		}},
+		}, ""},
+		// The path 0-1-2-3 with row 0's entry 1 replaced by 3: the reverse
+		// of 0→3 is missing where the symmetry walk first looks.
+		{"asymmetric-mid-walk", raw([]int64{0, 1, 3, 5, 6}, []int32{3, 0, 2, 1, 3, 2}, []int64{0, 1, 2, 3}),
+			"asymmetric edge"},
+		// The path 0-1-2 plus extra entries 1→3 and 2→3 at the ends of their
+		// rows; row 3 is empty.
+		{"asymmetric-row-tail", raw([]int64{0, 1, 4, 6, 6}, []int32{1, 0, 2, 3, 1, 3}, []int64{0, 1, 2, 3}),
+			"asymmetric edge"},
+		// The path 0-1-2 plus 1→3 and 3→0: row 3's entry 0 is never
+		// matched, because row 0 has no entry for 3.
+		{"asymmetric-unmatched-entry", raw([]int64{0, 1, 4, 5, 6}, []int32{1, 0, 2, 3, 1, 0}, []int64{0, 1, 2, 3}),
+			"asymmetric edge"},
+		{"unsorted-row", raw([]int64{0, 2, 3, 4}, []int32{2, 1, 0, 0}, []int64{0, 1, 2}),
+			"not strictly sorted"},
+		{"offsets-not-monotone", raw([]int64{0, 2, 1, 4}, []int32{1, 2, 0, 0}, []int64{0, 1, 2}),
+			"not monotone"},
+		{"duplicate-id", raw([]int64{0, 1, 2}, []int32{1, 0}, []int64{5, 5}),
+			"duplicate id 5"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -268,7 +302,61 @@ func TestCSRGDecodeErrors(t *testing.T) {
 			if !errors.Is(err, ErrBadCSRG) {
 				t.Errorf("error %v does not wrap ErrBadCSRG", err)
 			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q, want it to mention %q", err, tc.want)
+			}
 		})
+	}
+}
+
+// TestCSRGAsymmetryNamesMissingReverse drops two directed entries from a
+// valid graph and checks that the decode error names an edge a→b whose row
+// a holds b while row b lacks a, whichever edge the walk meets first.
+func TestCSRGAsymmetryNamesMissingReverse(t *testing.T) {
+	for seed := uint64(1); seed <= 20; seed++ {
+		g := GNPConnected(30, 0.2, seed)
+		// Drop the i-th and j-th directed entries, chosen per seed; skip
+		// pairs that are the two directions of one edge (that stays valid).
+		i := int(seed*7919) % len(g.targets)
+		j := (i + 1 + int(seed*104729)%(len(g.targets)-1)) % len(g.targets)
+		row := func(e int) int {
+			v := 0
+			for g.offsets[v+1] <= int64(e) {
+				v++
+			}
+			return v
+		}
+		if row(i) == int(g.targets[j]) && row(j) == int(g.targets[i]) {
+			continue
+		}
+		offsets := append([]int64(nil), g.offsets...)
+		var targets []int32
+		for e, w := range g.targets {
+			if e == i || e == j {
+				for v := row(e) + 1; v < len(offsets); v++ {
+					offsets[v]--
+				}
+				continue
+			}
+			targets = append(targets, w)
+		}
+		h := &Graph{offsets: offsets, targets: targets, ids: g.ids}
+		var buf bytes.Buffer
+		if err := h.WriteCSRG(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadCSRG(&buf)
+		if err == nil {
+			t.Fatalf("seed %d: decoder accepted an asymmetric graph", seed)
+		}
+		var a, b int
+		if _, serr := fmt.Sscanf(strings.TrimPrefix(err.Error(), ErrBadCSRG.Error()+": "),
+			"asymmetric edge: %d→%d present", &a, &b); serr != nil {
+			t.Fatalf("seed %d: error %q does not name an asymmetric edge: %v", seed, err, serr)
+		}
+		if !slices.Contains(h.Neighbors(a), int32(b)) || slices.Contains(h.Neighbors(b), int32(a)) {
+			t.Errorf("seed %d: error %q names %d→%d, which is not a missing reverse", seed, err, a, b)
+		}
 	}
 }
 
@@ -317,4 +405,22 @@ func TestLoadDispatchesOnExtension(t *testing.T) {
 			t.Errorf("Close(%s): %v", path, err)
 		}
 	}
+}
+
+// BenchmarkCSRGLoad times Mmap of a .csrg file, full validation included,
+// on a 2·10⁵-node union of forests, and reports ns per edge.
+func BenchmarkCSRGLoad(b *testing.B) {
+	g := UnionForests(200_000, DefaultArbAlpha, 7)
+	path := filepath.Join(b.TempDir(), "uforest.csrg")
+	if err := g.WriteCSRGFile(path); err != nil {
+		b.Fatal(err)
+	}
+	for b.Loop() {
+		mg, err := Mmap(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mg.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.M()), "ns/edge")
 }

@@ -19,61 +19,64 @@ import (
 // subgraph has a node of degree ≤ k, computed by the exact bucket-queue
 // min-degree peel in O(n + m).
 func Degeneracy(g *graph.Graph) int {
-	k, _ := DegeneracyOrder(g)
-	return k
+	return peel(g, nil)
 }
 
 // DegeneracyOrder returns the degeneracy of g together with the peel order
 // (a degeneracy ordering: each node has ≤ k neighbours later in the order).
-// The order is deterministic: buckets pop the smallest node index first.
+// The order is deterministic, a function of g alone: it pops a node of
+// least current degree, ties going to bucket position, which starts in
+// index order and is then permuted by the O(1) decrease-key swaps.
 func DegeneracyOrder(g *graph.Graph) (int, []int) {
+	order := make([]int, g.N())
+	return peel(g, order), order
+}
+
+// peel runs the Matula–Beck smallest-last peel and returns the degeneracy;
+// when order is non-nil it receives the peel order (len(order) == n).
+func peel(g *graph.Graph, order []int) int {
 	n := g.N()
-	deg := make([]int, n)
-	maxDeg := 0
+	deg := make([]int32, n)
+	maxDeg := int32(0)
 	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(v)
-		if deg[v] > maxDeg {
-			maxDeg = deg[v]
-		}
+		deg[v] = int32(g.Degree(v))
+		maxDeg = max(maxDeg, deg[v])
 	}
-	// Bucket queue over degrees; pos/vert give O(1) decrease-key, exactly
-	// the Matula–Beck smallest-last ordering.
-	bucketStart := make([]int, maxDeg+2)
-	for v := 0; v < n; v++ {
-		bucketStart[deg[v]+1]++
+	// Bucket queue over degrees; pos/vert give O(1) decrease-key.
+	bucketStart := make([]int32, maxDeg+2)
+	for _, d := range deg {
+		bucketStart[d+1]++
 	}
 	for d := 1; d < len(bucketStart); d++ {
 		bucketStart[d] += bucketStart[d-1]
 	}
-	vert := make([]int, n) // nodes sorted by current degree, bucket by bucket
-	pos := make([]int, n)  // index of node v in vert
-	fill := append([]int(nil), bucketStart[:maxDeg+1]...)
-	for v := 0; v < n; v++ {
-		pos[v] = fill[deg[v]]
-		vert[pos[v]] = v
-		fill[deg[v]]++
+	vert := make([]int32, n) // nodes sorted by current degree, bucket by bucket
+	pos := make([]int32, n)  // index of node v in vert
+	fill := append([]int32(nil), bucketStart[:maxDeg+1]...)
+	for v, d := range deg {
+		pos[v] = fill[d]
+		vert[pos[v]] = int32(v)
+		fill[d]++
 	}
-	order := make([]int, 0, n)
-	removed := make([]bool, n)
-	k := 0
-	for i := 0; i < n; i++ {
-		v := vert[i]
-		if deg[v] > k {
-			k = deg[v]
+	k := int32(0)
+	for i, v := range vert {
+		dv := deg[v]
+		k = max(k, dv)
+		if order != nil {
+			order[i] = int(v)
 		}
-		removed[v] = true
-		order = append(order, v)
-		for _, w := range g.Neighbors(v) {
-			u := int(w)
-			if removed[u] || deg[u] <= deg[v] {
+		// Popped degrees never decrease (a neighbour is decremented only
+		// while above dv), so every node peeled before v has deg ≤ dv and
+		// the test below skips it: no removed set is needed.
+		for _, u := range g.Neighbors(int(v)) {
+			du := deg[u]
+			if du <= dv {
 				continue
 			}
 			// Swap u with the first node of its bucket, then shrink the
 			// bucket: u's degree drops by one.
-			du := deg[u]
 			first := bucketStart[du]
-			fv := vert[first]
-			if fv != u {
+			if fv := vert[first]; fv != u {
 				vert[first], vert[pos[u]] = u, fv
 				pos[fv], pos[u] = pos[u], first
 			}
@@ -81,7 +84,7 @@ func DegeneracyOrder(g *graph.Graph) (int, []int) {
 			deg[u]--
 		}
 	}
-	return k, order
+	return int(k)
 }
 
 // ArboricityBounds returns certified lower and upper bounds on the

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"slices"
 	"testing"
 
 	"congestds/internal/graph"
@@ -129,4 +130,117 @@ func TestRoundBoundArb(t *testing.T) {
 	if RoundBoundArb(0, 0.5) < 4 {
 		t.Error("degenerate Δ must still allow at least one phase")
 	}
+}
+
+// degeneracyReference is the peel as it stood before the int32 rewrite: a
+// removed set, int arrays and an order built even when only k is wanted.
+func degeneracyReference(g *graph.Graph) (int, []int) {
+	n := g.N()
+	deg := make([]int, n)
+	maxDeg := 0
+	for v := 0; v < n; v++ {
+		deg[v] = g.Degree(v)
+		if deg[v] > maxDeg {
+			maxDeg = deg[v]
+		}
+	}
+	bucketStart := make([]int, maxDeg+2)
+	for v := 0; v < n; v++ {
+		bucketStart[deg[v]+1]++
+	}
+	for d := 1; d < len(bucketStart); d++ {
+		bucketStart[d] += bucketStart[d-1]
+	}
+	vert := make([]int, n)
+	pos := make([]int, n)
+	fill := append([]int(nil), bucketStart[:maxDeg+1]...)
+	for v := 0; v < n; v++ {
+		pos[v] = fill[deg[v]]
+		vert[pos[v]] = v
+		fill[deg[v]]++
+	}
+	order := make([]int, 0, n)
+	removed := make([]bool, n)
+	k := 0
+	for i := 0; i < n; i++ {
+		v := vert[i]
+		if deg[v] > k {
+			k = deg[v]
+		}
+		removed[v] = true
+		order = append(order, v)
+		for _, w := range g.Neighbors(v) {
+			u := int(w)
+			if removed[u] || deg[u] <= deg[v] {
+				continue
+			}
+			du := deg[u]
+			first := bucketStart[du]
+			fv := vert[first]
+			if fv != u {
+				vert[first], vert[pos[u]] = u, fv
+				pos[fv], pos[u] = pos[u], first
+			}
+			bucketStart[du]++
+			deg[u]--
+		}
+	}
+	return k, order
+}
+
+// TestDegeneracyMatchesReference pins the peel to its earlier form on
+// every named family: the same k from Degeneracy and DegeneracyOrder, and
+// the same order.
+func TestDegeneracyMatchesReference(t *testing.T) {
+	for _, fam := range graph.Families() {
+		for _, n := range []int{1, 17, 300} {
+			for seed := uint64(1); seed <= 2; seed++ {
+				g, err := graph.Named(fam, n, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantOrder := degeneracyReference(g)
+				if got := Degeneracy(g); got != want {
+					t.Errorf("%s n=%d seed=%d: Degeneracy=%d, reference %d", fam, n, seed, got, want)
+				}
+				k, order := DegeneracyOrder(g)
+				if k != want || !slices.Equal(order, wantOrder) {
+					t.Errorf("%s n=%d seed=%d: DegeneracyOrder k=%d, reference %d (orders equal: %v)",
+						fam, n, seed, k, want, slices.Equal(order, wantOrder))
+				}
+			}
+		}
+	}
+}
+
+// TestDegeneracyOrderNotIndexOrder pins the documented tie-breaking: on the
+// path 0-1-2-3, node 3 pops before node 1, so ties do not go to the
+// smallest index.
+func TestDegeneracyOrderNotIndexOrder(t *testing.T) {
+	_, order := DegeneracyOrder(graph.Path(4))
+	if want := []int{0, 3, 1, 2}; !slices.Equal(order, want) {
+		t.Errorf("path order %v, want %v", order, want)
+	}
+}
+
+// BenchmarkCertifyArb times the O(α) certificate (degeneracy peel, dual
+// packing, domination check) of a maximal independent set on a 2·10⁵-node
+// union of forests, and reports ns per edge.
+func BenchmarkCertifyArb(b *testing.B) {
+	g := graph.UnionForests(200_000, graph.DefaultArbAlpha, 7)
+	// A maximal independent set, taken greedily in index order, dominates.
+	var set []int
+	taken := make([]bool, g.N())
+	for v := 0; v < g.N(); v++ {
+		if !slices.ContainsFunc(g.Neighbors(v), func(u int32) bool { return taken[u] }) {
+			taken[v] = true
+			set = append(set, v)
+		}
+	}
+	for b.Loop() {
+		if c := CertifyArb(g, set, 0.5); !c.OK {
+			b.Fatal(c)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.M()), "ns/edge")
 }

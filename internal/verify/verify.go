@@ -6,7 +6,6 @@ package verify
 
 import (
 	"fmt"
-	"sort"
 
 	"congestds/internal/graph"
 )
@@ -102,29 +101,36 @@ func DualPackingLB(g *graph.Graph) float64 {
 	// q = lcm-free denominator: use integer arithmetic with denominator D.
 	const denom = 1 << 20
 	load := make([]int64, n)
-	order := make([]int, n)
-	for v := range order {
-		order[v] = v
-	}
-	// Nodes with small inclusive-neighbourhood max degree first.
-	weight := make([]int, n)
+	// Nodes with small inclusive-neighbourhood max degree first, ties by
+	// index: a stable counting sort over v ascending, since weights are at
+	// most Δ+1.
+	weight := make([]int32, n)
+	maxW := int32(0)
 	for v := 0; v < n; v++ {
-		w := g.Degree(v) + 1
+		w := int32(g.Degree(v) + 1)
 		for _, u := range g.Neighbors(v) {
-			if d := g.Degree(int(u)) + 1; d > w {
+			if d := int32(g.Degree(int(u)) + 1); d > w {
 				w = d
 			}
 		}
 		weight[v] = w
+		maxW = max(maxW, w)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if weight[order[i]] != weight[order[j]] {
-			return weight[order[i]] < weight[order[j]]
-		}
-		return order[i] < order[j]
-	})
+	next := make([]int32, maxW+2) // next[w]: order slot of the next node of weight w
+	for _, w := range weight {
+		next[w+1]++
+	}
+	for w := 1; w < len(next); w++ {
+		next[w] += next[w-1]
+	}
+	order := make([]int32, n)
+	for v, w := range weight {
+		order[next[w]] = int32(v)
+		next[w]++
+	}
 	var total int64
-	for _, v := range order {
+	for _, o := range order {
+		v := int(o)
 		// Max raise for y(v): slack of the tightest constraint over the
 		// inclusive neighbourhoods containing v, i.e. all u ∈ N⁺(v).
 		slack := int64(denom) - load[v]

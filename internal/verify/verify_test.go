@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"math"
+	"sort"
 	"testing"
 
 	"congestds/internal/graph"
@@ -87,6 +89,71 @@ func TestDualPackingFeasibleOnRandomGraphs(t *testing.T) {
 		// Sanity: LB ≥ n/Δ̃ would be ideal; at least require LB ≥ 1.
 		if lb < 1 {
 			t.Errorf("seed %d: LB=%.4f < 1", seed, lb)
+		}
+	}
+}
+
+// dualPackingLBReference is DualPackingLB as it stood with the comparator
+// sort (sort.Slice by weight, then index) instead of the counting sort.
+func dualPackingLBReference(g *graph.Graph) float64 {
+	n := g.N()
+	const denom = 1 << 20
+	load := make([]int64, n)
+	order := make([]int, n)
+	for v := range order {
+		order[v] = v
+	}
+	weight := make([]int, n)
+	for v := 0; v < n; v++ {
+		w := g.Degree(v) + 1
+		for _, u := range g.Neighbors(v) {
+			if d := g.Degree(int(u)) + 1; d > w {
+				w = d
+			}
+		}
+		weight[v] = w
+	}
+	sort.Slice(order, func(i, j int) bool {
+		if weight[order[i]] != weight[order[j]] {
+			return weight[order[i]] < weight[order[j]]
+		}
+		return order[i] < order[j]
+	})
+	var total int64
+	for _, v := range order {
+		slack := int64(denom) - load[v]
+		for _, u := range g.Neighbors(v) {
+			if s := int64(denom) - load[int(u)]; s < slack {
+				slack = s
+			}
+		}
+		if slack <= 0 {
+			continue
+		}
+		load[v] += slack
+		for _, u := range g.Neighbors(v) {
+			load[int(u)] += slack
+		}
+		total += slack
+	}
+	return float64(total) / denom
+}
+
+// TestDualPackingLBMatchesReference: the counting sort visits nodes in the
+// comparator sort's order, so the bound is bit-equal on every family.
+func TestDualPackingLBMatchesReference(t *testing.T) {
+	for _, fam := range []string{"star", "complete", "grid", "gnp", "ba", "uforest", "gridx"} {
+		for _, n := range []int{1, 40, 500} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				g, err := graph.Named(fam, n, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, want := DualPackingLB(g), dualPackingLBReference(g)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s n=%d seed=%d: LB %v, reference %v", fam, n, seed, got, want)
+				}
+			}
 		}
 	}
 }
