@@ -6,10 +6,10 @@ import (
 )
 
 // The native StepProgram form of the peeling algorithm. Per-node state is
-// a handful of machine words — a support counter maintained incrementally
-// from the phase messages, the white/nominated flags and the shared
-// threshold schedule — so a million-node run costs the engine's slot
-// records plus ~5 words per node, no goroutine stacks.
+// a Peel — a support counter maintained incrementally from the phase
+// messages plus the white/nominated/candidate flags, one machine word —
+// so a million-node run costs the engine's slot records plus a few words
+// per node, no goroutine stacks.
 //
 // Message types are implied by the round segment (all nodes run the same
 // 4-segment phase schedule in lockstep), so three of the four message
@@ -21,7 +21,9 @@ import (
 //	segment 4t+2 nominate: empty        (sent to the chosen candidate)
 //	segment 4t+3 join:     1 byte       (1 = sender was still white)
 //
-// The blocking twin in blocking.go independently re-derives the same
+// Peel is exported because it is also the dominate phase of
+// internal/mcds, which embeds it in its own per-node state. The blocking
+// twin in blocking.go (PeelBlocking) independently re-derives the same
 // protocol (tracking per-neighbour whiteness instead of a counter); the
 // conformance suite holds the two byte-identical on every engine.
 
@@ -34,58 +36,50 @@ const (
 	segPerPhase
 )
 
-// peelStep is the per-node state machine.
-type peelStep struct {
-	ths []int  // shared threshold schedule (read-only)
-	inD []bool // shared output, nodes write disjoint slots
-
+// Peel is one node's state in the threshold peel. The schedule is not
+// held here but passed to every Step, so a family embedding a Peel in its
+// per-node state pays one machine word for it.
+type Peel struct {
 	s         int32 // support: white members of the closed neighbourhood
 	white     bool  // not yet dominated
 	selfNom   bool  // nominated itself in the current phase
-	announce  bool  // must report "covered" at the next phase's report segment
 	candidate bool  // s ≥ θ held at this phase's offer segment
 }
 
-// StepFactory builds the native stepped form for g: the threshold schedule
-// is computed once from Δ (all nodes know it) and shared read-only across
-// nodes; inD is the output vector (distinct nodes write distinct slots, as
-// the StepFactory contract allows).
-func StepFactory(g *graph.Graph, eps float64, inD []bool) congest.StepFactory {
-	ths := Thresholds(g.MaxDegree(), eps)
-	return func(nd *congest.Node) congest.StepProgram {
-		return &peelStep{ths: ths, inD: inD}
-	}
+// NewPeel returns the state of a node of degree deg before round 0: white,
+// with its whole closed neighbourhood white. Round 0 is the first phase's
+// report segment, so there is nothing to send before it.
+func NewPeel(deg int) Peel {
+	return Peel{s: int32(deg) + 1, white: true}
 }
 
-func (ps *peelStep) Init(nd *congest.Node) bool {
-	ps.white = true
-	ps.s = int32(nd.Degree()) + 1
-	// Segment 0 is the first phase's report segment: nothing to report.
-	return false
-}
-
-func (ps *peelStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
+// Step runs round `round` of the peel over the schedule ths (4 rounds per
+// threshold, so the peel occupies rounds [0, 4·len(ths))). joined reports
+// that the node entered the dominating set in this round; the caller
+// records it here, in the round it happens. last reports the final
+// round: every node is covered and Step has sent nothing in it, so the
+// caller may stop or use the round's send slot for its next phase.
+func (p *Peel) Step(nd *congest.Node, ths []int, round int, in []congest.Incoming) (joined, last bool) {
 	phase := round / segPerPhase
-	th := int32(ps.ths[phase])
 	switch round % segPerPhase {
 	case segReport:
 		// Neighbours covered last phase leave the white set.
-		ps.s -= int32(len(in))
+		p.s -= int32(len(in))
 		// Candidacy is decided on the now-exact support and offered to the
 		// neighbourhood.
-		ps.candidate = ps.s >= th
-		if ps.candidate {
-			nd.Broadcast(congest.AppendUvarint(nd.PayloadBuf(5), uint64(ps.s)))
+		p.candidate = p.s >= int32(ths[phase])
+		if p.candidate {
+			nd.Broadcast(congest.AppendUvarint(nd.PayloadBuf(5), uint64(p.s)))
 		}
 	case segOffer:
 		// White nodes nominate the best candidate in N⁺: max support, ties
 		// to the larger identifier.
-		if !ps.white {
-			return false
+		if !p.white {
+			return false, false
 		}
 		bestS, bestID, bestPort := int64(-1), int64(-1), -1
-		if ps.candidate {
-			bestS, bestID = int64(ps.s), nd.ID()
+		if p.candidate {
+			bestS, bestID = int64(p.s), nd.ID()
 		}
 		for _, msg := range in {
 			cs, off := congest.Uvarint(msg.Payload, 0)
@@ -97,7 +91,7 @@ func (ps *peelStep) Step(nd *congest.Node, round int, in []congest.Incoming) boo
 				bestS, bestID, bestPort = int64(cs), id, msg.Port
 			}
 		}
-		ps.selfNom = bestS >= 0 && bestPort < 0
+		p.selfNom = bestS >= 0 && bestPort < 0
 		if bestPort >= 0 {
 			nd.Send(bestPort, nil)
 		}
@@ -105,39 +99,66 @@ func (ps *peelStep) Step(nd *congest.Node, round int, in []congest.Incoming) boo
 		// Nominated candidates join and announce it; the tag byte says
 		// whether the joiner itself just left the white set, so receivers
 		// can keep their support counters exact.
-		if ps.candidate && (ps.selfNom || len(in) > 0) {
-			ps.inD[nd.V()] = true
+		if p.candidate && (p.selfNom || len(in) > 0) {
+			joined = true
 			wasWhite := byte(0)
-			if ps.white {
+			if p.white {
 				wasWhite = 1
-				ps.white = false
-				ps.s--
+				p.white = false
+				p.s--
 			}
 			nd.Broadcast(append(nd.PayloadBuf(1), wasWhite))
 		}
-		ps.selfNom = false
+		p.selfNom = false
 	case segJoin:
 		for _, msg := range in {
 			if len(msg.Payload) != 1 {
 				panic("arbmds: bad join payload")
 			}
 			if msg.Payload[0] == 1 {
-				ps.s--
+				p.s--
 			}
 		}
-		if ps.white && len(in) > 0 {
+		covered := p.white && len(in) > 0
+		if covered {
+			p.white = false
+			p.s--
+		}
+		if phase+1 >= len(ths) {
+			return false, true // θ reached 1: every node is covered
+		}
+		if covered {
 			// Covered by a neighbour's join: report it next phase.
-			ps.white = false
-			ps.s--
-			ps.announce = true
-		}
-		if phase+1 >= len(ps.ths) {
-			return true // θ reached 1: every node is covered
-		}
-		if ps.announce {
 			nd.Broadcast(nil)
-			ps.announce = false
 		}
 	}
-	return false
+	return joined, false
+}
+
+// peelStep is arbmds's StepProgram: the peel plus the output vector.
+type peelStep struct {
+	Peel
+	ths []int  // shared threshold schedule (read-only)
+	inD []bool // shared output, nodes write disjoint slots
+}
+
+// StepFactory builds the native stepped form for g: the threshold schedule
+// is computed once from Δ (all nodes know it) and shared read-only across
+// nodes; inD is the output vector (distinct nodes write distinct slots, as
+// the StepFactory contract allows).
+func StepFactory(g *graph.Graph, eps float64, inD []bool) congest.StepFactory {
+	ths := Thresholds(g.MaxDegree(), eps)
+	return func(nd *congest.Node) congest.StepProgram {
+		return &peelStep{Peel: NewPeel(nd.Degree()), ths: ths, inD: inD}
+	}
+}
+
+func (ps *peelStep) Init(nd *congest.Node) bool { return false }
+
+func (ps *peelStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
+	joined, last := ps.Peel.Step(nd, ps.ths, round, in)
+	if joined {
+		ps.inD[nd.V()] = true
+	}
+	return last
 }

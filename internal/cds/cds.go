@@ -105,15 +105,12 @@ func Extend(g *graph.Graph, ds []int, ledger *congest.Ledger) (*Result, error) {
 	clusterOf, parentEdge := clusterize(gs, rs)
 
 	// Collect CDS nodes: S plus inner nodes of all used paths.
-	inCDS := make(map[int]bool, 3*len(ds))
+	inCDS := make([]bool, g.N())
 	for _, s := range ds {
 		inCDS[s] = true
 	}
-	for sIdx, pe := range parentEdge {
-		if pe != nil {
-			addPath(inCDS, pe)
-			_ = sIdx
-		}
+	for _, pe := range parentEdge {
+		addPath(inCDS, pe)
 	}
 
 	// Cluster graph spanning structure: BFS tree over clusters, connecting
@@ -122,12 +119,11 @@ func Extend(g *graph.Graph, ds []int, ledger *congest.Ledger) (*Result, error) {
 		return nil, err
 	}
 
-	cdsSet := make([]int, 0, len(inCDS))
-	for v := range inCDS {
-		cdsSet = append(cdsSet, v)
+	for v, in := range inCDS {
+		if in {
+			res.CDS = append(res.CDS, v)
+		}
 	}
-	sort.Ints(cdsSet)
-	res.CDS = cdsSet
 
 	// Charged rounds: ruling set + clustering are the paper's O(log³ n)
 	// phase (Lemma 4.2); connecting the clusters costs O(cluster-graph
@@ -325,7 +321,7 @@ func (gs *gsGraph) pathBetween(a, b int) []int {
 
 // connectClusters adds connector paths between clusters along a BFS spanning
 // tree of the cluster graph.
-func connectClusters(gs *gsGraph, rs []int, clusterOf []int, inCDS map[int]bool) error {
+func connectClusters(gs *gsGraph, rs []int, clusterOf []int, inCDS []bool) error {
 	if len(rs) <= 1 {
 		return nil
 	}
@@ -390,8 +386,8 @@ func connectClusters(gs *gsGraph, rs []int, clusterOf []int, inCDS map[int]bool)
 	return nil
 }
 
-// addPath inserts all nodes of a realizing path into the CDS.
-func addPath(inCDS map[int]bool, path []int) {
+// addPath marks all nodes of a realizing path as CDS members.
+func addPath(inCDS []bool, path []int) {
 	for _, v := range path {
 		inCDS[v] = true
 	}

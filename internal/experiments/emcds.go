@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"congestds/internal/arbmds"
 	"congestds/internal/family"
 	"congestds/internal/graph"
-	"congestds/internal/mcds"
 	"congestds/internal/verify"
 )
 
@@ -21,7 +21,7 @@ import (
 //     check is conservative);
 //   - structure: |CDS| ≤ 3·|DS|+1 — at most two connectors per dominator
 //     plus the root, the charge against the LP bound;
-//   - rounds: measured rounds = 4·|mcds.Thresholds(Δ, ε)| + D̂ + 2
+//   - rounds: measured rounds = 4·|arbmds.Thresholds(Δ, ε)| + D̂ + 2
 //     exactly, at most verify.RoundBoundMCDS(Δ, ε, D̂), with
 //     D̂ = 2·ecc(0)+2 from one host-side BFS (the known-diameter
 //     assumption).
@@ -68,7 +68,7 @@ func EMcds(quick bool) *Table {
 		rBound := verify.RoundBoundMCDS(g.MaxDegree(), emcdsEps, diam)
 		ok := cert.OK &&
 			len(res.Set) <= 3*len(res.DS)+1 &&
-			res.Rounds == 4*len(mcds.Thresholds(g.MaxDegree(), emcdsEps))+diam+2 &&
+			res.Rounds == 4*len(arbmds.Thresholds(g.MaxDegree(), emcdsEps))+diam+2 &&
 			res.Rounds <= rBound
 		if !ok {
 			t.Violations++

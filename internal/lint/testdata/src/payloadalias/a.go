@@ -20,11 +20,11 @@ type prog struct {
 func (p *prog) Step(round int, inbox []Incoming) bool {
 	p.saved = inbox[0].Payload // want "stored in field p.saved"
 	for _, msg := range inbox {
-		p.saved = msg.Payload           // want "stored in field p.saved"
-		p.saved = msg.Payload[1:]       // want "stored in field p.saved"
+		p.saved = msg.Payload              // want "stored in field p.saved"
+		p.saved = msg.Payload[1:]          // want "stored in field p.saved"
 		p.all = append(p.all, msg.Payload) // want "stored in field p.all"
-		global = msg.Payload            // want "package variable global"
-		p.last = msg                    // want "stored in field p.last"
+		global = msg.Payload               // want "package variable global"
+		p.last = msg                       // want "stored in field p.last"
 
 		q := msg.Payload
 		p.saved = q // want "stored in field p.saved"

@@ -1,21 +1,27 @@
 package mcds
 
 import (
+	"congestds/internal/arbmds"
 	"congestds/internal/congest"
 	"congestds/internal/graph"
 )
 
-// BlockingProgram is the three-phase MCDS algorithm written independently
-// in the blocking Program style: a loop over the threshold schedule with
-// four Syncs per phase (tracking per-neighbour whiteness in a boolean
-// slice and recounting the support, where the stepped form keeps a
-// counter), then an explicit flood-min loop and two connect Syncs. A
-// bookkeeping bug in either form shows up as a byte-level divergence in
-// the conformance suite rather than being replicated into both.
+// BlockingProgram is the three-phase MCDS algorithm in the blocking
+// Program style: arbmds.PeelBlocking (per-neighbour whiteness where the
+// stepped form's arbmds.Peel keeps a counter), then connectBlocking, an
+// explicit flood-min loop and two connect Syncs written independently of
+// the stepped form's segment arithmetic. A bookkeeping bug in either form
+// shows up as a byte-level divergence in the conformance suite rather than
+// being replicated into both.
 func BlockingProgram(g *graph.Graph, eps float64, diam int, inD, inCDS []bool) congest.Program {
-	ths := Thresholds(g.MaxDegree(), eps)
+	ths := arbmds.Thresholds(g.MaxDegree(), eps)
 	return func(nd *congest.Node) {
-		joined := peelBlocking(nd, ths, inD, inCDS)
+		joined := false
+		arbmds.PeelBlocking(nd, ths, func() {
+			joined = true
+			inD[nd.V()] = true
+			inCDS[nd.V()] = true
+		})
 		connectBlocking(nd, joined, diam, inCDS)
 	}
 }
@@ -30,98 +36,6 @@ func ConnectBlocking(g *graph.Graph, inD []bool, diam int, inCDS []bool) congest
 		}
 		connectBlocking(nd, joined, diam, inCDS)
 	}
-}
-
-// peelBlocking runs the nominated threshold-sweep greedy (4 Syncs per
-// threshold) and reports whether this node joined the dominating set. It
-// returns after the final join inbox without a further Sync, so the
-// caller's next sends share the final phase's send slot — exactly where
-// the stepped form seeds the orientation flood.
-func peelBlocking(nd *congest.Node, ths []int, inD, inCDS []bool) bool {
-	deg := nd.Degree()
-	nbrWhite := make([]bool, deg)
-	for p := range nbrWhite {
-		nbrWhite[p] = true
-	}
-	white := true
-	pendingCovered := false
-	joined := false
-	for i, th := range ths {
-		// Report segment: announce a coverage picked up last phase.
-		if pendingCovered {
-			nd.Broadcast(nil)
-			pendingCovered = false
-		}
-		for _, msg := range nd.Sync() {
-			nbrWhite[msg.Port] = false
-		}
-		// Offer segment: recount support, broadcast it if candidate.
-		s := 0
-		for _, w := range nbrWhite {
-			if w {
-				s++
-			}
-		}
-		if white {
-			s++
-		}
-		candidate := s >= th
-		if candidate {
-			nd.Broadcast(congest.AppendUvarint(nil, uint64(s)))
-		}
-		offers := nd.Sync()
-		// Nominate segment: whites pick the best candidate in N⁺.
-		selfNom := false
-		if white {
-			bestS, bestID, bestPort := int64(-1), int64(-1), -1
-			if candidate {
-				bestS, bestID = int64(s), nd.ID()
-			}
-			for _, msg := range offers {
-				cs, off := congest.Uvarint(msg.Payload, 0)
-				if off < 0 {
-					panic("mcds: bad candidacy payload")
-				}
-				if id := nd.NeighborID(msg.Port); int64(cs) > bestS || (int64(cs) == bestS && id > bestID) {
-					bestS, bestID, bestPort = int64(cs), id, msg.Port
-				}
-			}
-			if bestPort >= 0 {
-				nd.Send(bestPort, nil)
-			} else if bestS >= 0 {
-				selfNom = true
-			}
-		}
-		nominations := nd.Sync()
-		// Join segment: nominated candidates enter the set.
-		if candidate && (selfNom || len(nominations) > 0) {
-			joined = true
-			inD[nd.V()] = true
-			inCDS[nd.V()] = true
-			if white {
-				white = false
-				nd.Broadcast([]byte{1})
-			} else {
-				nd.Broadcast([]byte{0})
-			}
-		}
-		joins := nd.Sync()
-		for _, msg := range joins {
-			if len(msg.Payload) != 1 {
-				panic("mcds: bad join payload")
-			}
-			if msg.Payload[0] == 1 {
-				nbrWhite[msg.Port] = false
-			}
-		}
-		if white && len(joins) > 0 {
-			white = false
-			if i+1 < len(ths) {
-				pendingCovered = true
-			}
-		}
-	}
-	return joined
 }
 
 // connectBlocking runs the orientation flood (diam Syncs) and the

@@ -33,11 +33,12 @@
 // the nominated threshold-sweep greedy. Thresholds sweep
 // Δ̃, Δ̃/(1+ε), …, 1; a node's support s(v) counts the white (not yet
 // dominated) nodes in its closed neighbourhood; each threshold phase runs
-// the report/offer/nominate/join segments exactly as the bounded-arboricity
-// peeling does (the schedule and the 4-segment protocol are shared with
-// internal/arbmds — on general graphs the same protocol is the classic
+// the report/offer/nominate/join segments of the bounded-arboricity
+// peeling. The phase is internal/arbmds's own code (arbmds.Peel in the
+// stepped form, arbmds.PeelBlocking in the blocking one), so DS is exactly
+// arbmds's set; on general graphs the same protocol is the classic
 // distributed greedy whose size tracks the (1+ε)(1+ln Δ̃)·OPT regime the
-// E-mcds experiments check empirically against the dual-packing LB).
+// E-mcds experiments check empirically against the dual-packing LB.
 //
 // Phase 2 — orient (D̂ rounds): a flood-min BFS. Every node floods the
 // smallest identifier it has seen together with its distance from that
@@ -128,12 +129,6 @@ type Result struct {
 	Metrics congest.Metrics
 }
 
-// Thresholds returns the dominating phase's threshold schedule — the same
-// schedule the bounded-arboricity peeling uses, a pure function of (Δ, ε).
-func Thresholds(delta int, eps float64) []int {
-	return arbmds.Thresholds(delta, eps)
-}
-
 // Solve computes a connected dominating set of the connected graph g under
 // the selected engine. The program runs natively as a StepProgram on
 // congest.EngineStepped and via the blocking adapter on
@@ -209,7 +204,7 @@ func assemble(g *graph.Graph, inD, inCDS []bool, p Params, m congest.Metrics) *R
 	res := &Result{
 		InCDS:      inCDS,
 		InD:        inD,
-		Thresholds: Thresholds(g.MaxDegree(), p.Eps),
+		Thresholds: arbmds.Thresholds(g.MaxDegree(), p.Eps),
 		DiamBound:  p.DiamBound,
 		Metrics:    m,
 	}

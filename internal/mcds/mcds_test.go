@@ -1,8 +1,10 @@
 package mcds
 
 import (
+	"slices"
 	"testing"
 
+	"congestds/internal/arbmds"
 	"congestds/internal/baseline"
 	"congestds/internal/congest"
 	"congestds/internal/graph"
@@ -245,4 +247,45 @@ func TestSolveWithinClaimBound(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDominatePhaseIsArbmds pins the dominate phase end to end: mcds runs
+// the arbmds peel, so on every connected family graph its DS is arbmds's
+// set and its rounds are arbmds's plus the orient and connect phases.
+func TestDominatePhaseIsArbmds(t *testing.T) {
+	checked := 0
+	for _, fam := range graph.Families() {
+		for _, n := range []int{40, 150} {
+			g, err := graph.Named(fam, n, 5)
+			if err != nil {
+				t.Fatalf("%s: %v", fam, err)
+			}
+			if !g.IsConnected() {
+				continue
+			}
+			diam := 2*g.Eccentricity(0) + 2
+			for _, eps := range []float64{0.1, 0.5, 1} {
+				ar, err := arbmds.Solve(g, arbmds.Params{Eps: eps})
+				if err != nil {
+					t.Fatalf("%s n=%d ε=%v: arbmds: %v", fam, n, eps, err)
+				}
+				res, err := Solve(g, Params{Eps: eps, DiamBound: diam})
+				if err != nil {
+					t.Fatalf("%s n=%d ε=%v: %v", fam, n, eps, err)
+				}
+				if !slices.Equal(res.DS, ar.Set) {
+					t.Errorf("%s n=%d ε=%v: DS %v differs from arbmds's set %v", fam, n, eps, res.DS, ar.Set)
+				}
+				if want := ar.Metrics.Rounds + diam + 2; res.Metrics.Rounds != want {
+					t.Errorf("%s n=%d ε=%v: rounds=%d, want arbmds's %d + D̂ + 2 = %d",
+						fam, n, eps, res.Metrics.Rounds, ar.Metrics.Rounds, want)
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no connected family graph checked")
+	}
+	t.Logf("%d (family, n, ε) cases checked", checked)
 }

@@ -1,19 +1,20 @@
 package mcds
 
 import (
+	"congestds/internal/arbmds"
 	"congestds/internal/congest"
 	"congestds/internal/graph"
 )
 
 // The native StepProgram form. One state machine drives all three phases;
-// per-node state is a handful of machine words (the peel counter and
-// flags, plus the flood-min BFS triple), so a million-node run costs the
-// engine's slot records plus ~6 words per node.
+// per-node state is a handful of machine words (the arbmds.Peel word plus
+// the flood-min BFS triple), so a million-node run costs the engine's slot
+// records plus ~4 words per node.
 //
 // Round layout (peelRounds = 4·|schedule|, D̂ = shared.diam):
 //
-//	[0, peelRounds)                   dominate: report/offer/nominate/join
-//	                                  segments, exactly the arbmds protocol
+//	[0, peelRounds)                   dominate: arbmds.Peel, the
+//	                                  bounded-arboricity threshold peel
 //	[peelRounds, peelRounds+D̂)        orient: flood-min BFS; message =
 //	                                  varint(rootID) ++ uvarint(depth),
 //	                                  broadcast only on improvement
@@ -24,23 +25,15 @@ import (
 // index, BFS messages are always non-empty, connect tokens always empty —
 // and the two only share a round boundary in that order.
 //
-// The blocking twin in blocking.go independently re-derives the same
-// protocol (per-neighbour whiteness instead of a support counter, explicit
-// loops instead of segment arithmetic); the conformance suite holds the
-// two byte-identical on every engine.
-
-// Peel segment layout (a phase is 4 rounds).
-const (
-	segReport = iota
-	segOffer
-	segNominate
-	segJoin
-	segPerPhase
-)
+// The blocking twin in blocking.go runs arbmds.PeelBlocking and an
+// independently written orient/connect loop; the conformance suite holds
+// the two byte-identical on every engine.
 
 // mcdsShared is the read-mostly state every node of one run shares: the
 // schedule and phase lengths (read-only) and the output vectors (distinct
-// nodes write distinct slots, as the StepFactory contract allows).
+// nodes write distinct slots, as the StepFactory contract allows). A
+// node's own inD slot doubles as its membership flag in the orient and
+// connect phases.
 type mcdsShared struct {
 	ths        []int
 	peelRounds int // 4·len(ths), or 0 for the connector-only form
@@ -51,15 +44,8 @@ type mcdsShared struct {
 
 // mcdsStep is the per-node state machine.
 type mcdsStep struct {
-	sh *mcdsShared
-
-	// Dominating phase (compare arbmds: support counter kept exact from
-	// the phase messages).
-	s         int32
-	white     bool
-	candidate bool
-	selfNom   bool
-	joined    bool // member of the dominating set
+	sh   *mcdsShared
+	peel arbmds.Peel // dominate phase
 
 	// Orientation phase: the flood-min BFS triple.
 	bestID     int64
@@ -72,12 +58,12 @@ type mcdsStep struct {
 // vectors.
 func StepFactory(g *graph.Graph, eps float64, diam int, inD, inCDS []bool) congest.StepFactory {
 	sh := &mcdsShared{
-		ths:   Thresholds(g.MaxDegree(), eps),
+		ths:   arbmds.Thresholds(g.MaxDegree(), eps),
 		diam:  diam,
 		inD:   inD,
 		inCDS: inCDS,
 	}
-	sh.peelRounds = segPerPhase * len(sh.ths)
+	sh.peelRounds = 4 * len(sh.ths)
 	return func(nd *congest.Node) congest.StepProgram {
 		return &mcdsStep{sh: sh}
 	}
@@ -96,16 +82,13 @@ func ConnectStepFactory(g *graph.Graph, inD []bool, diam int, inCDS []bool) cong
 func (ms *mcdsStep) Init(nd *congest.Node) bool {
 	if ms.sh.peelRounds == 0 {
 		// Connector-only form: the dominating set is an input.
-		ms.joined = ms.sh.inD[nd.V()]
-		if ms.joined {
+		if ms.sh.inD[nd.V()] {
 			ms.sh.inCDS[nd.V()] = true
 		}
 		ms.bfsStart(nd)
 		return false
 	}
-	ms.white = true
-	ms.s = int32(nd.Degree()) + 1
-	// Round 0 is the first phase's report segment: nothing to report yet.
+	ms.peel = arbmds.NewPeel(nd.Degree())
 	return false
 }
 
@@ -121,7 +104,15 @@ func (ms *mcdsStep) bfsStart(nd *congest.Node) {
 
 func (ms *mcdsStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
 	if round < ms.sh.peelRounds {
-		ms.peelStep(nd, round, in)
+		joined, last := ms.peel.Step(nd, ms.sh.ths, round, in)
+		if joined {
+			ms.sh.inD[nd.V()] = true
+			ms.sh.inCDS[nd.V()] = true
+		}
+		if last {
+			// The same send slot seeds the orientation flood.
+			ms.bfsStart(nd)
+		}
 		return false
 	}
 	rel := round - ms.sh.peelRounds
@@ -146,7 +137,7 @@ func (ms *mcdsStep) Step(nd *congest.Node, round int, in []congest.Incoming) boo
 		if rel == ms.sh.diam-1 {
 			// Orientation is stable (D̂ ≥ diameter): dominators below the
 			// root launch the connect token toward their parent.
-			if ms.joined && ms.parentPort >= 0 {
+			if ms.sh.inD[nd.V()] && ms.parentPort >= 0 {
 				nd.Send(int(ms.parentPort), nil)
 			}
 		} else if improved {
@@ -188,88 +179,6 @@ func (ms *mcdsStep) requireTokens(in []congest.Incoming) {
 	for _, msg := range in {
 		if len(msg.Payload) != 0 {
 			panic("mcds: orientation message after the flood deadline (DiamBound too small)")
-		}
-	}
-}
-
-// peelStep runs one dominate-phase segment — the nominated threshold-sweep
-// greedy, segment for segment the protocol of the bounded-arboricity
-// peeling (internal/arbmds documents the analysis).
-func (ms *mcdsStep) peelStep(nd *congest.Node, round int, in []congest.Incoming) {
-	phase := round / segPerPhase
-	th := int32(ms.sh.ths[phase])
-	switch round % segPerPhase {
-	case segReport:
-		// Neighbours covered last phase leave the white set; candidacy is
-		// decided on the now-exact support.
-		ms.s -= int32(len(in))
-		ms.candidate = ms.s >= th
-		if ms.candidate {
-			nd.Broadcast(congest.AppendUvarint(nd.PayloadBuf(5), uint64(ms.s)))
-		}
-	case segOffer:
-		// White nodes nominate the best candidate in N⁺: max support, ties
-		// to the larger identifier.
-		if !ms.white {
-			return
-		}
-		bestS, bestID, bestPort := int64(-1), int64(-1), -1
-		if ms.candidate {
-			bestS, bestID = int64(ms.s), nd.ID()
-		}
-		for _, msg := range in {
-			cs, off := congest.Uvarint(msg.Payload, 0)
-			if off < 0 {
-				panic("mcds: bad candidacy payload")
-			}
-			id := nd.NeighborID(msg.Port)
-			if int64(cs) > bestS || (int64(cs) == bestS && id > bestID) {
-				bestS, bestID, bestPort = int64(cs), id, msg.Port
-			}
-		}
-		ms.selfNom = bestS >= 0 && bestPort < 0
-		if bestPort >= 0 {
-			nd.Send(bestPort, nil)
-		}
-	case segNominate:
-		// Nominated candidates join the dominating set and announce it; the
-		// tag byte keeps receivers' support counters exact.
-		if ms.candidate && (ms.selfNom || len(in) > 0) {
-			ms.joined = true
-			ms.sh.inD[nd.V()] = true
-			ms.sh.inCDS[nd.V()] = true
-			wasWhite := byte(0)
-			if ms.white {
-				wasWhite = 1
-				ms.white = false
-				ms.s--
-			}
-			nd.Broadcast(append(nd.PayloadBuf(1), wasWhite))
-		}
-		ms.selfNom = false
-	case segJoin:
-		for _, msg := range in {
-			if len(msg.Payload) != 1 {
-				panic("mcds: bad join payload")
-			}
-			if msg.Payload[0] == 1 {
-				ms.s--
-			}
-		}
-		covered := ms.white && len(in) > 0
-		if covered {
-			ms.white = false
-			ms.s--
-		}
-		if round+1 == ms.sh.peelRounds {
-			// θ reached 1: every node is covered; the same send slot seeds
-			// the orientation flood (no coverage report is needed anymore).
-			ms.bfsStart(nd)
-			return
-		}
-		if covered {
-			// Report the coverage at the next phase's report segment.
-			nd.Broadcast(nil)
 		}
 	}
 }
