@@ -10,6 +10,7 @@ import (
 	"congestds/internal/derand"
 	"congestds/internal/fractional"
 	"congestds/internal/graph"
+	"congestds/internal/rounding"
 )
 
 // refDistance2Bipartite is the map-built reference: it materialises the
@@ -123,6 +124,16 @@ func variedFDS(g *graph.Graph) *fractional.CFDS {
 	return fds
 }
 
+// participating marks the sites of inst that flip a coin, the sites that
+// derand.ByColoring colours.
+func participating(inst *rounding.Instance) []bool {
+	part := make([]bool, len(inst.X))
+	for j := range part {
+		part[j] = !inst.Deterministic(j)
+	}
+	return part
+}
+
 // TestDistance2BipartiteMatchesMapReference pins the index-walked coloring
 // to the map-built reference on G² (closed neighbourhoods, every node
 // participating) and on the split bipartite instances of Lemmas 3.13/3.14
@@ -153,23 +164,23 @@ func TestDistance2BipartiteMatchesMapReference(t *testing.T) {
 		g := graph.GNPConnected(120, 0.15, seed)
 		fds := variedFDS(g)
 		for _, s := range []int{1, 2, 3} {
-			bi, err := derand.FactorTwoBipartite(g, fds, 0.5, 8, s)
+			inst, err := derand.FactorTwoBipartite(g, fds, 0.5, 8, s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(bi.Inst.Members) <= g.N() {
-				t.Fatalf("factor-two s=%d: %d constraints, want splits beyond %d", s, len(bi.Inst.Members), g.N())
+			if len(inst.Members) <= g.N() {
+				t.Fatalf("factor-two s=%d: %d constraints, want splits beyond %d", s, len(inst.Members), g.N())
 			}
 			cases = append(cases, instance{fmt.Sprintf("factor2/seed%d/s%d", seed, s), true,
-				g.N(), bi.Inst.Members, bi.Participating, g.IDs()})
+				g.N(), inst.Members, participating(inst), g.IDs()})
 		}
 		lnMul := fds.Ctx.FromFloat(2)
-		bi, err := derand.OneShotBipartite(g, fds, uint64(g.N()), lnMul)
+		inst, err := derand.OneShotBipartite(g, fds, uint64(g.N()), lnMul)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cases = append(cases, instance{fmt.Sprintf("oneshot/seed%d", seed), true,
-			g.N(), bi.Inst.Members, bi.Participating, g.IDs()})
+			g.N(), inst.Members, participating(inst), g.IDs()})
 	}
 	// A constraint listing one site twice, and two conflicting sites with
 	// equal IDs (neither waits for the other).

@@ -115,7 +115,6 @@ func Build(g *graph.Graph, p Params) (*Decomposition, error) {
 // factor of at most (1+delta).
 func carveBall(g *graph.Graph, centre int, of []int, delta float64) *Cluster {
 	parent := map[int]int{centre: -1}
-	depth := map[int]int{centre: 0}
 	ball := []int{centre}
 	frontier := []int{centre}
 	radius := 0
@@ -131,7 +130,6 @@ func carveBall(g *graph.Graph, centre int, of []int, delta float64) *Cluster {
 					continue
 				}
 				parent[w] = v
-				depth[w] = radius + 1
 				next = append(next, w)
 			}
 		}

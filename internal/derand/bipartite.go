@@ -11,48 +11,19 @@ import (
 	"congestds/internal/rounding"
 )
 
-// BipartiteInstance is a rounding instance built on the (degree-reduced or
-// split) bipartite representation B of a graph (Section 3.3): value sites
-// remain the graph nodes (the right-hand copies V_R), while the constraints
-// are the modified left-hand copies. Participating reports which sites flip
-// coins — the set S that Lemma 3.10 requires to be distance-2 colored.
-type BipartiteInstance struct {
-	Inst *rounding.Instance
-	// Participating[j] is true when p(j) ∉ {0,1}.
-	Participating []bool
-	// LeftDegree is the maximum constraint size after reduction/splitting
-	// (Δ_L of Lemma 3.12, the CONGEST simulation factor).
-	LeftDegree int
-}
-
-// OneShotBipartite builds the instance of Lemma 3.13: x = min(1, lnΔ̃·x'),
-// p = x, and each constraint keeps only a covering set of at most F members
-// ("we reduce the degree on the left hand side to F").
-func OneShotBipartite(g *graph.Graph, fds *fractional.CFDS, f uint64, lnDeltaTilde fixpoint.Value) (*BipartiteInstance, error) {
-	ctx := fds.Ctx
+// OneShotBipartite builds the instance of Lemma 3.13 on the bipartite
+// representation B of g (Section 3.3): value sites remain the graph nodes,
+// x = min(1, lnΔ̃·x'), p = x, and each constraint keeps only a covering set
+// of at most F members ("we reduce the degree on the left hand side to F").
+func OneShotBipartite(g *graph.Graph, fds *fractional.CFDS, f uint64, lnDeltaTilde fixpoint.Value) (*rounding.Instance, error) {
 	n := g.N()
-	inst := &rounding.Instance{
-		Ctx:     ctx,
-		X:       make([]fixpoint.Value, n),
-		P:       make([]fixpoint.Value, n),
-		C:       make([]fixpoint.Value, n),
-		Members: make([][]int32, n),
-		Owner:   make([]int32, n),
-	}
-	for v := 0; v < n; v++ {
-		x := ctx.Clamp1(ctx.MulUp(fds.X[v], lnDeltaTilde))
-		inst.X[v] = x
-		inst.P[v] = x
-		inst.C[v] = ctx.One()
-		inst.Owner[v] = int32(v)
-	}
-	maxLeft := 0
+	members := make([][]int32, n)
 	// Covers are subsets of the N[v], so one flat array of n+2m entries
 	// holds them all; each member list is a capped window of it.
 	flat := make([]int32, 0, n+2*g.M())
 	var buf []int32
 	for v := 0; v < n; v++ {
-		cover, err := coveringSet(g, fds, v, ctx.One(), buf)
+		cover, err := coveringSet(g, fds, v, fds.Ctx.One(), buf)
 		if err != nil {
 			return nil, err
 		}
@@ -64,20 +35,19 @@ func OneShotBipartite(g *graph.Graph, fds *fractional.CFDS, f uint64, lnDeltaTil
 		}
 		row := len(flat)
 		flat = append(flat, cover...)
-		inst.Members[v] = flat[row:len(flat):len(flat)]
-		if len(cover) > maxLeft {
-			maxLeft = len(cover)
-		}
+		members[v] = flat[row:len(flat):len(flat)]
 	}
-	return finishBipartite(inst, maxLeft), nil
+	return rounding.OneShot(fds, lnDeltaTilde, members), nil
 }
 
 // FactorTwoBipartite builds the instance of Lemma 3.14: x = min(1,(1+ε)x'),
 // participants (x < 2/r) round with p = 1/2; each constraint node v is split
 // into v1 (all heavy members, plus the light ones if fewer than s remain)
 // and v2..vk carrying between s and 2s light members each, with constraints
-// c(v_j) = min(1, Σ x'(members)).
-func FactorTwoBipartite(g *graph.Graph, fds *fractional.CFDS, eps float64, r uint64, s int) (*BipartiteInstance, error) {
+// c(v_j) = min(1, Σ x'(members)). With s > Δ+1 no N[v] splits and, on a
+// feasible input, every threshold is 1: that is Lemma 3.9's instance on the
+// graph, with each N[v] listed heavy members first.
+func FactorTwoBipartite(g *graph.Graph, fds *fractional.CFDS, eps float64, r uint64, s int) (*rounding.Instance, error) {
 	if s < 1 {
 		return nil, fmt.Errorf("derand: split size s=%d < 1", s)
 	}
@@ -102,7 +72,6 @@ func FactorTwoBipartite(g *graph.Graph, fds *fractional.CFDS, eps float64, r uin
 			inst.P[v] = ctx.One()
 		}
 	}
-	maxLeft := 0
 	addConstraint := func(owner int, members []int32) {
 		if len(members) == 0 {
 			return
@@ -118,9 +87,6 @@ func FactorTwoBipartite(g *graph.Graph, fds *fractional.CFDS, eps float64, r uin
 		inst.C = append(inst.C, c)
 		inst.Members = append(inst.Members, members)
 		inst.Owner = append(inst.Owner, int32(owner))
-		if len(members) > maxLeft {
-			maxLeft = len(members)
-		}
 	}
 	// Every member list is a capped window of one flat array of n+2m
 	// entries holding each N[v] reordered heavy members first, then light
@@ -163,7 +129,7 @@ func FactorTwoBipartite(g *graph.Graph, fds *fractional.CFDS, eps float64, r uin
 			off += sz
 		}
 	}
-	return finishBipartite(inst, maxLeft), nil
+	return inst, nil
 }
 
 // coveringSet returns a minimal prefix (by descending x', ties by index) of
@@ -188,14 +154,6 @@ func coveringSet(g *graph.Graph, fds *fractional.CFDS, v int, threshold fixpoint
 		}
 	}
 	return nil, fmt.Errorf("derand: input FDS leaves node %d uncovered", v)
-}
-
-func finishBipartite(inst *rounding.Instance, maxLeft int) *BipartiteInstance {
-	part := make([]bool, len(inst.X))
-	for j := range part {
-		part[j] = !inst.Deterministic(j)
-	}
-	return &BipartiteInstance{Inst: inst, Participating: part, LeftDegree: maxLeft}
 }
 
 // FDSFromOutcome converts a rounding outcome over node-aligned value sites

@@ -2,6 +2,7 @@ package derand
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"congestds/internal/coloring"
@@ -42,6 +43,15 @@ func feasibleFDS(g *graph.Graph) *fractional.CFDS {
 	return fds
 }
 
+// participating marks the sites of inst that flip a coin (Lemma 3.10's S).
+func participating(inst *rounding.Instance) []bool {
+	part := make([]bool, len(inst.X))
+	for j := range part {
+		part[j] = !inst.Deterministic(j)
+	}
+	return part
+}
+
 func lnDelta(ctx fixpoint.Ctx, g *graph.Graph) fixpoint.Value {
 	return ctx.FromFloat(math.Log(float64(g.MaxDegree() + 1 + 1)))
 }
@@ -49,17 +59,14 @@ func lnDelta(ctx fixpoint.Ctx, g *graph.Graph) fixpoint.Value {
 func TestOneShotBipartiteReducesLeftDegree(t *testing.T) {
 	g := graph.Complete(10) // 1/4-fractional is feasible (Δ̃=10)
 	fds := uniformFDS(g, 4)
-	bi, err := OneShotBipartite(g, fds, 4, lnDelta(fds.Ctx, g))
+	inst, err := OneShotBipartite(g, fds, 4, lnDelta(fds.Ctx, g))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bi.Inst.Validate(); err != nil {
+	if err := inst.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if bi.LeftDegree > 4 {
-		t.Errorf("left degree %d exceeds F=4", bi.LeftDegree)
-	}
-	for v, ms := range bi.Inst.Members {
+	for v, ms := range inst.Members {
 		if len(ms) > 4 {
 			t.Errorf("constraint %d has %d members", v, len(ms))
 		}
@@ -79,22 +86,19 @@ func TestFactorTwoBipartiteSplitSizes(t *testing.T) {
 	g := graph.Complete(30)
 	fds := uniformFDS(g, 30) // all light for r = 40: (1+ε)/30 ≈ 0.042 < 2/40 = 0.05
 	s := 5
-	bi, err := FactorTwoBipartite(g, fds, 0.25, 40, s)
+	inst, err := FactorTwoBipartite(g, fds, 0.25, 40, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bi.Inst.Validate(); err != nil {
+	if err := inst.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// All members are light, so every split constraint has between s and 2s
 	// members.
-	for i, ms := range bi.Inst.Members {
+	for i, ms := range inst.Members {
 		if len(ms) < s || len(ms) > 2*s {
 			t.Errorf("constraint %d size %d outside [%d,%d]", i, len(ms), s, 2*s)
 		}
-	}
-	if bi.LeftDegree > 2*s {
-		t.Errorf("left degree %d > 2s", bi.LeftDegree)
 	}
 }
 
@@ -106,15 +110,15 @@ func TestFactorTwoBipartiteKeepsHeavyTogether(t *testing.T) {
 	for v := 1; v < 12; v++ {
 		fds.X[v] = ctx.FromRatio(1, 100, false) // light
 	}
-	bi, err := FactorTwoBipartite(g, fds, 0.25, 50, 4)
+	inst, err := FactorTwoBipartite(g, fds, 0.25, 50, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The hub keeps its value (p = 1).
-	if bi.Participating[0] {
+	if !inst.Deterministic(0) {
 		t.Error("heavy hub should not participate")
 	}
-	if !bi.Participating[1] {
+	if inst.Deterministic(1) {
 		t.Error("light leaf should participate")
 	}
 }
@@ -126,25 +130,26 @@ func TestEngineIIOneShotEndToEnd(t *testing.T) {
 		g := graph.GNPConnected(40, 0.3, seed) // dense: ln(Δ̃)·x' stays below 1
 		fds := feasibleFDS(g)
 		f := uint64(g.N()) // any F ≥ 1/fractionality works for the reduction
-		bi, err := OneShotBipartite(g, fds, f, lnDelta(fds.Ctx, g))
+		inst, err := OneShotBipartite(g, fds, f, lnDelta(fds.Ctx, g))
 		if err != nil {
 			t.Fatal(err)
 		}
-		proc, err := rounding.NewProcess(bi.Inst)
+		proc, err := rounding.NewProcess(inst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		phi := bi.Inst.Ctx.Float(proc.Phi())
-		col := coloring.Distance2Bipartite(g.N(), bi.Inst.Members, bi.Participating, g.IDs())
-		if ok, pair := coloring.Validate(col, bi.Inst.Members, bi.Participating); !ok {
+		phi := inst.Ctx.Float(proc.Phi())
+		part := participating(inst)
+		col := coloring.Distance2Bipartite(g.N(), inst.Members, part, g.IDs())
+		if ok, pair := coloring.Validate(col, inst.Members, part); !ok {
 			t.Fatalf("coloring invalid: %v", pair)
 		}
 		var ledger congest.Ledger
-		out, err := ByColoring(proc, col, &ledger, bi.LeftDegree)
-		if err != nil {
-			t.Fatal(err)
+		out, colors := ByColoring(proc, g.IDs(), &ledger, false)
+		if colors != col.NumColors {
+			t.Errorf("ByColoring used %d colors, the coloring has %d", colors, col.NumColors)
 		}
-		res := FDSFromOutcome(bi.Inst.Ctx, out)
+		res := FDSFromOutcome(inst.Ctx, out)
 		if !res.Integral() {
 			t.Error("one-shot output not integral")
 		}
@@ -154,14 +159,21 @@ func TestEngineIIOneShotEndToEnd(t *testing.T) {
 		if size := res.SizeFloat(); size > phi*1.05+0.5 {
 			t.Errorf("seed %d: size %.3f exceeds Phi %.3f", seed, size, phi)
 		}
-		anyCoins := false
-		for j := range bi.Participating {
-			if bi.Participating[j] {
-				anyCoins = true
-			}
-		}
-		if anyCoins && ledger.Metrics().ChargedRounds <= 0 {
+		if slices.Contains(part, true) && ledger.Metrics().ChargedRounds <= 0 {
 			t.Error("no rounds charged")
+		}
+		// The colouring is charged first, then the coin fixing, each
+		// conflict round at Lemma 3.12's Δ_L.
+		leftDegree := 0
+		for _, ms := range inst.Members {
+			leftDegree = max(leftDegree, len(ms))
+		}
+		want := []congest.Phase{
+			{Name: "derand/d2-coloring", Charged: col.Rounds * leftDegree},
+			{Name: "derand/engineII-colors", Charged: col.NumColors * (leftDegree + 2)},
+		}
+		if got := ledger.Phases(); !slices.Equal(got, want) {
+			t.Errorf("ledger rows %+v, want %+v", got, want)
 		}
 	}
 }
@@ -186,19 +198,15 @@ func TestEngineIIFactorTwoEndToEnd(t *testing.T) {
 	if err := fds.Check(g); err != nil {
 		t.Fatal(err)
 	}
-	bi, err := FactorTwoBipartite(g, fds, 0.25, r, 4)
+	inst, err := FactorTwoBipartite(g, fds, 0.25, r, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc, err := rounding.NewProcess(bi.Inst)
+	proc, err := rounding.NewProcess(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := coloring.Distance2Bipartite(g.N(), bi.Inst.Members, bi.Participating, g.IDs())
-	out, err := ByColoring(proc, col, nil, bi.LeftDegree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, _ := ByColoring(proc, g.IDs(), nil, false)
 	res := FDSFromOutcome(ctx, out)
 	if err := res.Check(g); err != nil {
 		t.Fatalf("factor-two output infeasible: %v", err)
@@ -269,20 +277,16 @@ func TestEngineIIDeterministic(t *testing.T) {
 	g := graph.GNPConnected(30, 0.2, 4)
 	run := func() []int {
 		fds := feasibleFDS(g)
-		bi, err := OneShotBipartite(g, fds, uint64(g.N()), lnDelta(fds.Ctx, g))
+		inst, err := OneShotBipartite(g, fds, uint64(g.N()), lnDelta(fds.Ctx, g))
 		if err != nil {
 			t.Fatal(err)
 		}
-		proc, err := rounding.NewProcess(bi.Inst)
+		proc, err := rounding.NewProcess(inst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		col := coloring.Distance2Bipartite(g.N(), bi.Inst.Members, bi.Participating, g.IDs())
-		out, err := ByColoring(proc, col, nil, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return FDSFromOutcome(bi.Inst.Ctx, out).Set()
+		out, _ := ByColoring(proc, g.IDs(), nil, true)
+		return FDSFromOutcome(inst.Ctx, out).Set()
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {

@@ -5,10 +5,17 @@
 //     are processed in order, same-colored clusters act in parallel (their
 //     inclusive neighbourhoods are disjoint), and coins inside a cluster are
 //     fixed through the cluster tree.
-//   - Engine II (Lemma 3.10): driven by a distance-2 coloring of the
-//     participating value sites of the (possibly split bipartite, Lemmas
-//     3.13/3.14) constraint structure; same-colored sites decide
-//     simultaneously because they share no constraint.
+//   - Engine II (Lemma 3.10): ByColoring computes a distance-2 coloring of
+//     the participating value sites of the instance's constraint structure
+//     itself; same-colored sites decide simultaneously because they share
+//     no constraint.
+//
+// It also builds the instances on the bipartite representation B of a
+// graph (Section 3.3), where value sites remain the graph nodes (the
+// right-hand copies V_R) and constraints are modified left-hand copies:
+// the degree-reduced one-shot instance of Lemma 3.13 and the split
+// factor-two instance of Lemma 3.14, which both engines round (Engine I
+// with no split, i.e. Lemma 3.9).
 //
 // Both engines fix coins by the method of conditional expectations using
 // rounding.Process, whose conditional bounds are exact where cheap and
@@ -27,44 +34,48 @@ import (
 	"congestds/internal/rounding"
 )
 
-// ByColoring derandomizes proc with Engine II: participating sites are fixed
-// color class by color class (Lemma 3.10). simFactor is the CONGEST
-// simulation overhead per conflict-graph round (Lemma 3.12 charges O(Δ_L);
-// pass 1 for the LOCAL model of Corollary 1.3). Returns the outcome.
-func ByColoring(proc *rounding.Process, col *coloring.Result, ledger *congest.Ledger, simFactor int) (*rounding.Outcome, error) {
+// ByColoring derandomizes proc with Engine II (Lemma 3.10). It colours the
+// unassigned sites of proc's instance at distance two in ID order (ids[j]
+// is site j's ID; Lemma 3.12) and fixes their coins colour class by colour
+// class. When ledger is non-nil it charges the colouring
+// (derand/d2-coloring, the greedy's chain length) and then the coin fixing
+// (derand/engineII-colors, one conflict round plus 2 rounds to exchange
+// α̃-values per colour class), each conflict round costing Δ_L CONGEST
+// rounds, the largest constraint size (Lemma 3.12's simulation), or 1 when
+// local selects the LOCAL model of Corollary 1.3. Returns the outcome and
+// the number of colours.
+func ByColoring(proc *rounding.Process, ids []int64, ledger *congest.Ledger, local bool) (*rounding.Outcome, int) {
 	inst := proc.Instance()
-	nSites := len(inst.X)
-	if len(col.Colors) != nSites {
-		return nil, fmt.Errorf("derand: coloring covers %d sites, instance has %d", len(col.Colors), nSites)
+	part := make([]bool, len(inst.X))
+	for j := range part {
+		part[j] = proc.Unassigned(j)
 	}
-	if simFactor < 1 {
-		simFactor = 1
-	}
+	col := coloring.Distance2Bipartite(len(part), inst.Members, part, ids)
 	// Group participating sites by color.
 	byColor := make([][]int, col.NumColors)
-	for j := 0; j < nSites; j++ {
-		if !proc.Unassigned(j) {
-			continue
+	for j, c := range col.Colors {
+		if c >= 0 {
+			byColor[c] = append(byColor[c], j)
 		}
-		c := col.Colors[j]
-		if c < 0 {
-			return nil, fmt.Errorf("derand: participating site %d is uncolored", j)
-		}
-		byColor[c] = append(byColor[c], j)
 	}
-	for c := 0; c < col.NumColors; c++ {
+	for _, class := range byColor {
 		// Same-colored sites share no constraint, so sequential fixing below
 		// is observationally identical to the paper's simultaneous decision.
-		for _, j := range byColor[c] {
+		for _, j := range class {
 			proc.DecideCoin(j)
 		}
 	}
 	if ledger != nil {
-		// One conflict round per color class; each costs O(simFactor)
-		// CONGEST rounds plus 2 rounds to exchange α̃-values (Lemma 3.10).
+		simFactor := 1
+		if !local {
+			for _, ms := range inst.Members {
+				simFactor = max(simFactor, len(ms))
+			}
+		}
+		ledger.Charge("derand/d2-coloring", col.Rounds*simFactor)
 		ledger.Charge("derand/engineII-colors", col.NumColors*(simFactor+2))
 	}
-	return proc.Finalize(), nil
+	return proc.Finalize(), col.NumColors
 }
 
 // ByDecomposition derandomizes proc with Engine I (Lemma 3.4): the instance

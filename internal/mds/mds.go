@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 
-	"congestds/internal/coloring"
 	"congestds/internal/congest"
 	"congestds/internal/decomp"
 	"congestds/internal/derand"
@@ -131,10 +130,16 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 		p.Eps = 0.5
 	}
 	if !(p.Eps > 0 && p.Eps <= 1) {
-		return nil, fmt.Errorf("mds: eps=%v out of (0,1]", p.Eps)
+		return nil, fmt.Errorf("%w: mds: eps=%v out of (0,1]", congest.ErrConfig, p.Eps)
 	}
 	if p.Engine == 0 {
 		p.Engine = EngineColoring
+	}
+	if p.Engine < EngineDecomposition || p.Engine > EngineColoringLocal {
+		return nil, fmt.Errorf("%w: mds: unknown %v", congest.ErrConfig, p.Engine)
+	}
+	if p.Preset != Practical && p.Preset != Theory {
+		return nil, fmt.Errorf("%w: mds: unknown Preset(%d)", congest.ErrConfig, int(p.Preset))
 	}
 	n := g.N()
 	res := &Result{Ledger: &congest.Ledger{}}
@@ -188,19 +193,22 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 	res.InitialSize = fds.SizeFloat()
 
 	// Engine I precomputes one 2-hop decomposition and reuses it for every
-	// phase (the paper computes it once as well).
+	// phase (the paper computes it once as well). It rounds Lemma 3.9's
+	// instance: Lemma 3.14's with a split size no N[v] reaches.
 	var dec *decomp.Decomposition
 	if p.Engine == EngineDecomposition {
 		dec, err = decomp.Build(g, decomp.Params{K: 2})
 		if err != nil {
 			return nil, fmt.Errorf("mds: decomposition: %w", err)
 		}
+		splitS = delta + 2
 	}
 
 	ctx := fds.Ctx
 	lnMul := ctx.FromFloat(lnD)
 
-	// Part II: factor-two phases until the solution is 1/fTarget-fractional.
+	// Part II: factor-two phases until the solution is 1/fTarget-fractional;
+	// then Part III: one-shot rounding to an integral solution.
 	for phase := 0; ; phase++ {
 		frac := fds.Fractionality()
 		if frac == 0 {
@@ -211,108 +219,62 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 		if inv&(uint64(ctx.One())-1) != 0 {
 			r++ // ceil(1/frac)
 		}
-		if r <= fTarget {
-			break
-		}
-		if phase >= maxPhases {
+		final := r <= fTarget
+		var inst *rounding.Instance
+		switch {
+		case !final && phase >= maxPhases:
 			return nil, fmt.Errorf("mds: part II did not converge after %d phases (r=%d, target=%d)",
 				phase, r, fTarget)
+		case !final:
+			inst, err = derand.FactorTwoBipartite(g, fds, eps2, r, splitS)
+		case dec != nil:
+			inst = rounding.OneShotOnGraph(g, fds, lnMul)
+		default:
+			// The current fractionality 1/r with r ≤ fTarget bounds the
+			// covering sets of Lemma 3.13.
+			inst, err = derand.OneShotBipartite(g, fds, fTarget, lnMul)
+		}
+		if err != nil {
+			return nil, stageErr(final, phase, err)
+		}
+		proc, err := rounding.NewProcess(inst)
+		if err != nil {
+			return nil, stageErr(final, phase, err)
 		}
 		info := PhaseInfo{R: r, SizeIn: fds.SizeFloat(), FracIn: ctx.Float(frac)}
 		var out *rounding.Outcome
-		switch p.Engine {
-		case EngineDecomposition:
-			inst := rounding.FactorTwoOnGraph(g, fds, eps2, r)
-			proc, err := rounding.NewProcess(inst)
-			if err != nil {
-				return nil, fmt.Errorf("mds: phase %d: %w", phase, err)
-			}
+		if dec != nil {
 			info.NumColors = dec.NumColors
-			out, err = derand.ByDecomposition(proc, dec, g, res.Ledger)
-			if err != nil {
-				return nil, fmt.Errorf("mds: phase %d: %w", phase, err)
+			if out, err = derand.ByDecomposition(proc, dec, g, res.Ledger); err != nil {
+				return nil, stageErr(final, phase, err)
 			}
-		default:
-			bi, err := derand.FactorTwoBipartite(g, fds, eps2, r, splitS)
-			if err != nil {
-				return nil, fmt.Errorf("mds: phase %d: %w", phase, err)
-			}
-			proc, err := rounding.NewProcess(bi.Inst)
-			if err != nil {
-				return nil, fmt.Errorf("mds: phase %d: %w", phase, err)
-			}
-			col := coloring.Distance2Bipartite(n, bi.Inst.Members, bi.Participating, g.IDs())
-			info.NumColors = col.NumColors
-			res.Ledger.Charge("derand/d2-coloring", colorCost(p.Engine, col, bi.LeftDegree))
-			out, err = derand.ByColoring(proc, col, res.Ledger, simFactor(p.Engine, bi.LeftDegree))
-			if err != nil {
-				return nil, fmt.Errorf("mds: phase %d: %w", phase, err)
-			}
+		} else {
+			out, info.NumColors = derand.ByColoring(proc, g.IDs(), res.Ledger, p.Engine == EngineColoringLocal)
 		}
 		fds = derand.FDSFromOutcome(ctx, out)
+		if final {
+			break
+		}
 		info.SizeOut = fds.SizeFloat()
 		info.FracOut = ctx.Float(fds.Fractionality())
 		res.Phases = append(res.Phases, info)
 	}
-
-	// Part III: one-shot rounding to an integral solution.
-	var out *rounding.Outcome
-	switch p.Engine {
-	case EngineDecomposition:
-		inst := rounding.OneShotOnGraph(g, fds, lnMul)
-		proc, err := rounding.NewProcess(inst)
-		if err != nil {
-			return nil, fmt.Errorf("mds: part III: %w", err)
-		}
-		out, err = derand.ByDecomposition(proc, dec, g, res.Ledger)
-		if err != nil {
-			return nil, fmt.Errorf("mds: part III: %w", err)
-		}
-	default:
-		// The current fractionality 1/r with r ≤ fTarget bounds the covering
-		// sets of Lemma 3.13.
-		bi, err := derand.OneShotBipartite(g, fds, fTarget, lnMul)
-		if err != nil {
-			return nil, fmt.Errorf("mds: part III: %w", err)
-		}
-		proc, err := rounding.NewProcess(bi.Inst)
-		if err != nil {
-			return nil, fmt.Errorf("mds: part III: %w", err)
-		}
-		col := coloring.Distance2Bipartite(n, bi.Inst.Members, bi.Participating, g.IDs())
-		res.Ledger.Charge("derand/d2-coloring", colorCost(p.Engine, col, bi.LeftDegree))
-		out, err = derand.ByColoring(proc, col, res.Ledger, simFactor(p.Engine, bi.LeftDegree))
-		if err != nil {
-			return nil, fmt.Errorf("mds: part III: %w", err)
-		}
-	}
-	final := derand.FDSFromOutcome(ctx, out)
-	if !final.Integral() {
+	if !fds.Integral() {
 		return nil, fmt.Errorf("mds: part III produced a non-integral solution")
 	}
-	if err := final.Check(g); err != nil {
+	if err := fds.Check(g); err != nil {
 		return nil, fmt.Errorf("mds: output not dominating: %w", err)
 	}
-	res.Set = final.Set()
+	res.Set = fds.Set()
 	return res, nil
 }
 
-// simFactor returns the CONGEST simulation overhead per conflict round
-// (Lemma 3.12 charges O(Δ_L); the LOCAL model of Corollary 1.3 needs none).
-func simFactor(e Engine, leftDegree int) int {
-	if e == EngineColoringLocal {
-		return 1
+// stageErr names the failing Part II phase, or Part III when final.
+func stageErr(final bool, phase int, err error) error {
+	if final {
+		return fmt.Errorf("mds: part III: %w", err)
 	}
-	if leftDegree < 1 {
-		return 1
-	}
-	return leftDegree
-}
-
-// colorCost charges the rounds for computing the distance-2 coloring
-// (greedy chain length × simulation factor, cf. Lemma 3.12).
-func colorCost(e Engine, col *coloring.Result, leftDegree int) int {
-	return col.Rounds * simFactor(e, leftDegree)
+	return fmt.Errorf("mds: phase %d: %w", phase, err)
 }
 
 // Bound returns the approximation guarantee (1+ε)(1+ln(Δ+1)) for a graph

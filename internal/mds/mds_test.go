@@ -1,11 +1,13 @@
 package mds
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
 
 	"congestds/internal/baseline"
+	"congestds/internal/congest"
 	"congestds/internal/graph"
 	"congestds/internal/verify"
 )
@@ -14,16 +16,25 @@ func engines() []Engine {
 	return []Engine{EngineDecomposition, EngineColoring, EngineColoringLocal}
 }
 
+// Caller misuse is a typed config error: it wraps congest.ErrConfig.
 func TestSolveValidation(t *testing.T) {
 	g := graph.Path(4)
-	if _, err := Solve(g, Params{Eps: -0.1}); err == nil {
-		t.Error("negative eps accepted")
-	}
-	if _, err := Solve(g, Params{Eps: 2}); err == nil {
-		t.Error("eps>1 accepted")
-	}
-	if _, err := Solve(g, Params{Eps: math.NaN()}); err == nil {
-		t.Error("eps=NaN accepted")
+	for _, c := range []struct {
+		name string
+		p    Params
+	}{
+		{"negative eps", Params{Eps: -0.1}},
+		{"eps>1", Params{Eps: 2}},
+		{"eps=NaN", Params{Eps: math.NaN()}},
+		{"eps=+Inf", Params{Eps: math.Inf(1)}},
+		{"unknown engine", Params{Engine: 99}},
+		{"negative engine", Params{Engine: -1}},
+		{"unknown preset", Params{Preset: 5}},
+		{"negative preset", Params{Preset: -1}},
+	} {
+		if _, err := Solve(g, c.p); !errors.Is(err, congest.ErrConfig) {
+			t.Errorf("%s: err = %v, want a congest.ErrConfig", c.name, err)
+		}
 	}
 }
 

@@ -4,12 +4,14 @@
 // (Sections 3.2 and 3.3).
 //
 // The process is defined over an abstract constraint structure rather than a
-// graph, so the same code serves the plain inclusive-neighbourhood instances
-// of Lemmas 3.8/3.9 and the split bipartite instances of Lemmas 3.13/3.14:
-// value sites carry (x, p) pairs; constraint sites carry thresholds and
-// member lists. Phase 1 sets each value site to x/p with probability p and
-// to 0 otherwise; phase 2 sets the owner of every violated constraint to 1
-// (Lemma 3.1).
+// graph, so one Process serves every instance of the paper: value sites
+// carry (x, p) pairs; constraint sites carry thresholds and member lists.
+// Phase 1 sets each value site to x/p with probability p and to 0
+// otherwise; phase 2 sets the owner of every violated constraint to 1
+// (Lemma 3.1). This package builds the one-shot instances (OneShot, over
+// the inclusive neighbourhoods for Lemma 3.8 or their covering subsets for
+// Lemma 3.13); package derand builds the factor-two instance of
+// Lemma 3.14, whose unsplit form is Lemma 3.9's.
 package rounding
 
 import (
@@ -92,54 +94,30 @@ func (in *Instance) Deterministic(j int) bool {
 }
 
 // OneShotOnGraph builds the one-shot rounding instance of Section 3.2 on a
-// graph: x(v) = min(1, ln(Δ̃)·x'(v)), p(v) = x(v), constraints are the
-// inclusive neighbourhoods with threshold 1, and every node owns its own
-// constraint.
+// graph (Lemma 3.8): OneShot over the inclusive neighbourhoods.
 func OneShotOnGraph(g *graph.Graph, fds *fractional.CFDS, lnDeltaTilde fixpoint.Value) *Instance {
+	return OneShot(fds, lnDeltaTilde, g.ClosedNeighborhoods())
+}
+
+// OneShot builds a one-shot rounding instance with one value site and one
+// constraint per node: x(v) = min(1, ln(Δ̃)·x'(v)), p(v) = x(v), and
+// constraint v has threshold 1, the given members and owner v. Lemma 3.8
+// passes the inclusive neighbourhoods, Lemma 3.13 their covering subsets.
+func OneShot(fds *fractional.CFDS, lnDeltaTilde fixpoint.Value, members [][]int32) *Instance {
 	ctx := fds.Ctx
-	n := g.N()
+	n := len(fds.X)
 	inst := &Instance{
 		Ctx:     ctx,
 		X:       make([]fixpoint.Value, n),
 		P:       make([]fixpoint.Value, n),
 		C:       make([]fixpoint.Value, n),
-		Members: g.ClosedNeighborhoods(),
+		Members: members,
 		Owner:   make([]int32, n),
 	}
 	for v := 0; v < n; v++ {
 		x := ctx.Clamp1(ctx.MulUp(fds.X[v], lnDeltaTilde))
 		inst.X[v] = x
 		inst.P[v] = x
-		inst.C[v] = ctx.One()
-		inst.Owner[v] = int32(v)
-	}
-	return inst
-}
-
-// FactorTwoOnGraph builds the factor-two rounding instance of Section 3.2:
-// x(v) = min(1, (1+ε)·x'(v)); nodes with x(v) < 2/r participate with
-// p(v) = 1/2, the rest keep their value (p = 1).
-func FactorTwoOnGraph(g *graph.Graph, fds *fractional.CFDS, eps float64, r uint64) *Instance {
-	ctx := fds.Ctx
-	n := g.N()
-	onePlusEps := ctx.Add(ctx.One(), ctx.FromFloat(eps))
-	twoOverR := ctx.FromRatio(2, r, false)
-	inst := &Instance{
-		Ctx:     ctx,
-		X:       make([]fixpoint.Value, n),
-		P:       make([]fixpoint.Value, n),
-		C:       make([]fixpoint.Value, n),
-		Members: g.ClosedNeighborhoods(),
-		Owner:   make([]int32, n),
-	}
-	for v := 0; v < n; v++ {
-		x := ctx.Clamp1(ctx.MulUp(fds.X[v], onePlusEps))
-		inst.X[v] = x
-		if x < twoOverR {
-			inst.P[v] = ctx.Half()
-		} else {
-			inst.P[v] = ctx.One()
-		}
 		inst.C[v] = ctx.One()
 		inst.Owner[v] = int32(v)
 	}

@@ -73,34 +73,6 @@ func TestOneShotInstanceShape(t *testing.T) {
 	}
 }
 
-func TestFactorTwoInstanceShape(t *testing.T) {
-	g := graph.Complete(8)
-	ctx := fractional.ScaleFor(8)
-	fds := fractional.NewFDS(ctx, 8)
-	r := uint64(16)
-	for v := range fds.X {
-		if v < 4 {
-			fds.X[v] = ctx.FromRatio(1, r, false) // small: participates
-		} else {
-			fds.X[v] = ctx.FromRatio(1, 2, false) // large: keeps value
-		}
-	}
-	inst := FactorTwoOnGraph(g, fds, 0.25, r)
-	if err := inst.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < 4; v++ {
-		if inst.P[v] != ctx.Half() {
-			t.Errorf("small node %d should participate (p=1/2), got %s", v, ctx.String(inst.P[v]))
-		}
-	}
-	for v := 4; v < 8; v++ {
-		if inst.P[v] != ctx.One() {
-			t.Errorf("large node %d should keep its value", v)
-		}
-	}
-}
-
 // Lemma 3.1 property 1: the output of the process is always feasible
 // (every constraint covered after phase 2), for arbitrary coins.
 func TestProcessAlwaysFeasible(t *testing.T) {

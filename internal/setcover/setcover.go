@@ -11,7 +11,6 @@ import (
 	"math"
 	"sort"
 
-	"congestds/internal/coloring"
 	"congestds/internal/derand"
 	"congestds/internal/fixpoint"
 	"congestds/internal/fractional"
@@ -119,17 +118,11 @@ func Solve(in *Instance, eps float64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	part := make([]bool, nSets)
 	ids := make([]int64, nSets)
-	for s := 0; s < nSets; s++ {
-		part[s] = !inst.Deterministic(s)
+	for s := range ids {
 		ids[s] = int64(s + 1)
 	}
-	col := coloring.Distance2Bipartite(nSets, inst.Members, part, ids)
-	out, err := derand.ByColoring(proc, col, nil, 1)
-	if err != nil {
-		return nil, err
-	}
+	out, _ := derand.ByColoring(proc, ids, nil, true)
 	res := &Result{
 		FractionalSize: ctx.Float(fracSize),
 		Bound:          1 + math.Log(float64(smax+1)),
