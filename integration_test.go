@@ -52,7 +52,7 @@ func TestPropertyApproximationBound(t *testing.T) {
 func TestPropertyCDS(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := graph.GNPConnected(20+int(seed%20), 0.12, seed)
-		res, err := cds.Solve(g, cds.Params{})
+		res, err := cds.Solve(g, mds.Params{})
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -106,7 +106,7 @@ func TestPropertyCrossSimEngineEquivalence(t *testing.T) {
 		for _, eng := range []mds.Engine{mds.EngineDecomposition, mds.EngineColoring} {
 			var ref *mds.Result
 			for _, sim := range congest.Engines() {
-				res, err := mds.Solve(g, mds.Params{Eps: 0.5, Engine: eng, Sim: sim})
+				res, err := mds.Solve(g, mds.Params{Eps: 0.5, Engine: eng, Run: congest.Run{Sim: sim}})
 				if err != nil {
 					t.Logf("seed %d engine %v sim %v: %v", seed, eng, sim, err)
 					return false

@@ -57,7 +57,7 @@
 package arbmds
 
 import (
-	"context"
+	"fmt"
 	"math"
 	"sort"
 
@@ -71,38 +71,41 @@ type Params struct {
 	// Eps is the threshold decay parameter: thresholds shrink by (1+ε) per
 	// phase, trading rounds (O(ε⁻¹·log Δ)) against the constant in the
 	// approximation. Zero means 0.5; positive values below MinEps are
-	// clamped to MinEps.
+	// clamped to MinEps; a negative or non-finite ε is rejected.
 	Eps float64
-	// Sim selects the congest execution engine. Zero means
-	// congest.EngineStepped (the native stackless form, bounded memory at
-	// any n); congest.EngineGoroutine runs the goroutine reference engine.
-	Sim congest.Engine
 	// MaxRounds clamps the simulated run (zero or negative: the simulator
 	// default). Exposed for failure-injection tests.
 	MaxRounds int
-	// Ctx, when non-nil, cancels the run at round boundaries; its
-	// cancellation or deadline surfaces as congest.ErrDeadline with honest
-	// metrics.
-	Ctx context.Context
-	// Observer, when non-nil, receives per-round telemetry from the run
-	// (see congest.Observer); attaching one never changes the outcome.
-	Observer congest.Observer
+	// Run is the execution context: Sim selects the engine (zero: the
+	// native stackless form, bounded memory at any n; EngineGoroutine runs
+	// the goroutine reference engine), Ctx cancels the run at round
+	// boundaries with congest.ErrDeadline and honest metrics, and Observer
+	// receives per-round telemetry.
+	congest.Run
 }
 
 // MinEps is the smallest accepted threshold decay: below it the schedule
 // would have thousands of phases per unit of log Δ (and at float64
 // granularity 1+ε can collapse to 1, which would never terminate), so
-// Thresholds clamps ε into [MinEps, ∞) and Params treats anything ≤ 0 as
+// Thresholds clamps ε into [MinEps, ∞) and ResolveEps turns a zero ε into
 // the 0.5 default. Aliases verify.ArbMinEps so verify.RoundBoundArb
 // clamps identically.
 const MinEps = verify.ArbMinEps
 
-// withDefaults normalizes the zero values.
-func (p Params) withDefaults() Params {
-	if p.Eps <= 0 {
-		p.Eps = 0.5
+// ResolveEps returns the threshold decay a run with requested decay eps
+// uses: 0.5 for zero, eps itself otherwise. A negative or non-finite eps
+// gives no schedule and wraps congest.ErrConfig. mcds's dominate phase
+// resolves its ε here too.
+func ResolveEps(eps float64) (float64, error) {
+	switch {
+	case math.IsNaN(eps) || math.IsInf(eps, 0):
+		return 0, fmt.Errorf("%w: eps=%v is not finite", congest.ErrConfig, eps)
+	case eps < 0:
+		return 0, fmt.Errorf("%w: eps=%v is negative", congest.ErrConfig, eps)
+	case eps == 0:
+		return 0.5, nil
 	}
-	return p
+	return eps, nil
 }
 
 // Result is the outcome of a run.
@@ -113,6 +116,9 @@ type Result struct {
 	InD []bool
 	// Thresholds is the phase schedule the nodes swept (4 rounds each).
 	Thresholds []int
+	// Eps is the ε the run used: Params.Eps after ResolveEps (Thresholds
+	// clamps it to MinEps).
+	Eps float64
 	// Metrics is the simulator's cost account; Metrics.Rounds is always
 	// 4·len(Thresholds), independent of n.
 	Metrics congest.Metrics
@@ -158,16 +164,17 @@ func Thresholds(delta int, eps float64) []int {
 // the blocking adapter on congest.EngineGoroutine, with byte-identical
 // results.
 func Solve(g *graph.Graph, p Params) (*Result, error) {
-	p = p.withDefaults()
-	net := congest.NewNetwork(g, congest.Config{
-		Engine: p.Sim, MaxRounds: p.MaxRounds, Ctx: p.Ctx, Observer: p.Observer,
-	})
+	eps, err := ResolveEps(p.Eps)
+	if err != nil {
+		return nil, fmt.Errorf("arbmds: %w", err)
+	}
+	net := congest.NewNetwork(g, p.Run.Config(p.MaxRounds))
 	inD := make([]bool, g.N())
-	m, err := net.RunStepped(StepFactory(g, p.Eps, inD))
+	m, err := net.RunStepped(StepFactory(g, eps, inD))
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{InD: inD, Thresholds: Thresholds(g.MaxDegree(), p.Eps), Metrics: m}
+	res := &Result{InD: inD, Thresholds: Thresholds(g.MaxDegree(), eps), Eps: eps, Metrics: m}
 	for v, in := range inD {
 		if in {
 			res.Set = append(res.Set, v)

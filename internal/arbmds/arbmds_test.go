@@ -1,6 +1,8 @@
 package arbmds
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"congestds/internal/congest"
@@ -45,12 +47,12 @@ func TestSolveDominatesAllFamilies(t *testing.T) {
 // metrics on both engines (native stepped vs blocking adapter).
 func TestSolveCrossEngineIdentical(t *testing.T) {
 	g := graph.UnionForests(300, 3, 11)
-	ref, err := Solve(g, Params{Sim: congest.EngineGoroutine})
+	ref, err := Solve(g, Params{Run: congest.Run{Sim: congest.EngineGoroutine}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, eng := range congest.Engines() {
-		res, err := Solve(g, Params{Sim: eng})
+		res, err := Solve(g, Params{Run: congest.Run{Sim: eng}})
 		if err != nil {
 			t.Fatalf("%v: %v", eng, err)
 		}
@@ -112,11 +114,11 @@ func TestRoundsIndependentOfN(t *testing.T) {
 	if small.MaxDegree() != large.MaxDegree() {
 		t.Fatalf("Δ differs: %d vs %d", small.MaxDegree(), large.MaxDegree())
 	}
-	rs, err := Solve(small, Params{Sim: congest.EngineStepped})
+	rs, err := Solve(small, Params{Run: congest.Run{Sim: congest.EngineStepped}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := Solve(large, Params{Sim: congest.EngineStepped})
+	rl, err := Solve(large, Params{Run: congest.Run{Sim: congest.EngineStepped}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,6 +176,29 @@ func TestThresholdsTinyEpsTerminates(t *testing.T) {
 	// And the clamped schedule still fits the (equally clamped) round bound.
 	if got, bound := 4*len(Thresholds(1000, 1e-17)), verify.RoundBoundArb(999, 1e-17); got > bound {
 		t.Errorf("clamped schedule rounds %d exceed clamped bound %d", got, bound)
+	}
+}
+
+// TestSolveRejectsBadEps: an ε with no threshold schedule is caller
+// misuse, typed as congest.ErrConfig before anything runs — not silently
+// run as the two-threshold schedule (NaN, +Inf) or as the default
+// (negative) — and the ε a run used is recorded with the zero default
+// filled in.
+func TestSolveRejectsBadEps(t *testing.T) {
+	g := graph.GNPConnected(30, 0.15, 11)
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -1e-9} {
+		if res, err := Solve(g, Params{Eps: eps}); !errors.Is(err, congest.ErrConfig) {
+			t.Errorf("eps=%v: err = %v (result %v), want ErrConfig", eps, err, res != nil)
+		}
+	}
+	for eps, want := range map[float64]float64{0: 0.5, 0.25: 0.25, 1e-9: 1e-9} {
+		res, err := Solve(g, Params{Eps: eps})
+		if err != nil {
+			t.Fatalf("eps=%v: %v", eps, err)
+		}
+		if res.Eps != want {
+			t.Errorf("eps=%v: Result.Eps = %v, want %v", eps, res.Eps, want)
+		}
 	}
 }
 

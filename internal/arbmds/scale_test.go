@@ -32,7 +32,7 @@ func TestArbmdsMillionNodeUnionForest(t *testing.T) {
 	defer debug.SetMemoryLimit(debug.SetMemoryLimit(600 << 20))
 	const n = 1_000_000
 	g := graph.UnionForests(n, 3, 1)
-	res, err := Solve(g, Params{Sim: congest.EngineStepped})
+	res, err := Solve(g, Params{Run: congest.Run{Sim: congest.EngineStepped}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,12 +34,6 @@ import (
 	"congestds/internal/verify"
 )
 
-// Params configures Solve.
-type Params struct {
-	// MDS configures the underlying dominating set computation.
-	MDS mds.Params
-}
-
 // Result is the output of Solve.
 type Result struct {
 	// CDS is the connected dominating set.
@@ -55,16 +49,14 @@ type Result struct {
 	Ledger *congest.Ledger
 }
 
-// Solve computes a connected dominating set of the connected graph g. A
-// disconnected g is caller misuse: the error wraps congest.ErrConfig.
-func Solve(g *graph.Graph, p Params) (*Result, error) {
-	if g.N() == 0 {
-		return &Result{Ledger: &congest.Ledger{}}, nil
-	}
+// Solve computes a connected dominating set of the connected graph g from
+// the dominating set mds.Solve computes under p. A disconnected g is caller
+// misuse: the error wraps congest.ErrConfig.
+func Solve(g *graph.Graph, p mds.Params) (*Result, error) {
 	if !g.IsConnected() {
 		return nil, fmt.Errorf("%w: cds: graph is not connected", congest.ErrConfig)
 	}
-	mres, err := mds.Solve(g, p.MDS)
+	mres, err := mds.Solve(g, p)
 	if err != nil {
 		return nil, fmt.Errorf("cds: dominating set: %w", err)
 	}

@@ -16,20 +16,20 @@ func TestSolveRejectsDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Solve(g, Params{}); err == nil {
+	if _, err := Solve(g, mds.Params{}); err == nil {
 		t.Error("disconnected graph accepted")
 	}
 }
 
 func TestSolveEmptyAndSingle(t *testing.T) {
-	res, err := Solve(graph.Path(0), Params{})
+	res, err := Solve(graph.Path(0), mds.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.CDS) != 0 {
 		t.Error("empty graph should have empty CDS")
 	}
-	res, err = Solve(graph.Path(1), Params{})
+	res, err = Solve(graph.Path(1), mds.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestCDSAcrossFamilies(t *testing.T) {
 	}
 	for _, tt := range graphs {
 		t.Run(tt.name, func(t *testing.T) {
-			res, err := Solve(tt.g, Params{})
+			res, err := Solve(tt.g, mds.Params{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +75,7 @@ func TestCDSAcrossFamilies(t *testing.T) {
 
 func TestCDSWithDecompositionEngine(t *testing.T) {
 	g := graph.GNPConnected(40, 0.12, 9)
-	res, err := Solve(g, Params{MDS: mds.Params{Engine: mds.EngineDecomposition}})
+	res, err := Solve(g, mds.Params{Engine: mds.EngineDecomposition})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestCDSApproximationBound(t *testing.T) {
 	}
 	for _, tt := range graphs {
 		t.Run(tt.name, func(t *testing.T) {
-			res, err := Solve(tt.g, Params{MDS: mds.Params{Eps: 0.5}})
+			res, err := Solve(tt.g, mds.Params{Eps: 0.5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,11 +137,11 @@ func TestExtendKeepsDSMembers(t *testing.T) {
 
 func TestCDSDeterministic(t *testing.T) {
 	g := graph.GNPConnected(36, 0.15, 5)
-	a, err := Solve(g, Params{})
+	a, err := Solve(g, mds.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(g, Params{})
+	b, err := Solve(g, mds.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestCDSDeterministic(t *testing.T) {
 // long path explicitly, where G_S connectivity relies on distance-3 edges.
 func TestGSConnectivityOnPath(t *testing.T) {
 	g := graph.Path(30)
-	res, err := Solve(g, Params{})
+	res, err := Solve(g, mds.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestNativeConnectorSizeAndMembers(t *testing.T) {
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			ds := baseline.Greedy(tt.g)
-			res, err := mcds.Connect(tt.g, ds, mcds.Params{Sim: congest.EngineStepped})
+			res, err := mcds.Connect(tt.g, ds, mcds.Params{Run: congest.Run{Sim: congest.EngineStepped}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,7 +22,7 @@ func ExampleSolve() {
 		{"grid 15x15", graph.Grid(15, 15)},
 		{"unit disk n=250", graph.UnitDiskConnected(250, 0.12, 3)},
 	} {
-		res, err := cds.Solve(tt.g, cds.Params{MDS: mds.Params{Eps: 0.5}})
+		res, err := cds.Solve(tt.g, mds.Params{Eps: 0.5})
 		if err != nil {
 			fmt.Println(err)
 			return

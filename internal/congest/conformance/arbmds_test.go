@@ -42,7 +42,7 @@ func TestArbmdsFailureMetricsConformance(t *testing.T) {
 // program).
 func TestArbmdsCorpusOutputsDominate(t *testing.T) {
 	for _, ng := range Corpus(testing.Short()) {
-		res, err := arbmds.Solve(ng.G, arbmds.Params{Sim: congest.EngineStepped})
+		res, err := arbmds.Solve(ng.G, arbmds.Params{Run: congest.Run{Sim: congest.EngineStepped}})
 		if err != nil {
 			t.Fatalf("graph %s: %v", ng.Name, err)
 		}

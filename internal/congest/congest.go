@@ -197,7 +197,32 @@ type Config struct {
 	Observer Observer
 }
 
-// Errors reported by Run.
+// Run is the execution context an algorithm package's Params embeds: how
+// its simulated runs execute, never what they compute. Every field's zero
+// value is the default, and none of them enters a result, a round count or
+// a cache key (family.Params.Key leaves them out).
+type Run struct {
+	// Sim selects the engine (Config.Engine; zero: EngineStepped). The
+	// engines are byte-identical by the conformance suite, so it changes
+	// wall-clock time and memory only.
+	Sim Engine
+	// Ctx, when non-nil, bounds every run of the solve, however many it
+	// spans (Config.Ctx): its cancellation or deadline surfaces as
+	// ErrDeadline.
+	Ctx context.Context
+	// Observer, when non-nil, receives every run's per-round telemetry, one
+	// segment per run (Config.Observer); attaching one never changes the
+	// outcome.
+	Observer Observer
+}
+
+// Config returns the network configuration of r with the given round
+// clamp (zero or negative: the default).
+func (r Run) Config(maxRounds int) Config {
+	return Config{Engine: r.Sim, MaxRounds: maxRounds, Ctx: r.Ctx, Observer: r.Observer}
+}
+
+// Errors reported by Network.Run and Network.RunStepped.
 var (
 	// ErrBandwidth is returned when a CONGEST message exceeds the budget.
 	ErrBandwidth = errors.New("congest: message exceeds bandwidth budget")

@@ -36,17 +36,10 @@ var simEngine congest.Engine
 // the suite runs; telemetry never changes results.
 var Observer congest.Observer
 
-// simConfig is the congest configuration every experiment-built network
-// uses.
-func simConfig() congest.Config { return congest.Config{Engine: simEngine, Observer: Observer} }
-
-// simParams threads the selected engine into an mds parameter set, for the
-// tables that read pipeline internals no family returns (E4, E5).
-func simParams(p mds.Params) mds.Params {
-	p.Sim = simEngine
-	p.Observer = Observer
-	return p
-}
+// simRun is the run context of every run an experiment builds itself: its
+// own networks, and the mds.Solve calls of the tables that read pipeline
+// internals no family returns (E4, E5).
+func simRun() congest.Run { return congest.Run{Sim: simEngine, Observer: Observer} }
 
 // solve runs the registered family name on g under the selected engine and
 // observer: the one solve-and-certify path of every claim row.
@@ -201,7 +194,7 @@ func E3(quick bool) *Table {
 	eps := 0.5
 	for _, fam := range benchFamilies(quick) {
 		g := fam.G
-		net := congest.NewNetwork(g, simConfig())
+		net := congest.NewNetwork(g, simRun().Config(0))
 		fds, err := fractional.Initial(net, nil, fractional.InitialParams{Eps: eps})
 		if err != nil {
 			t.Rows = append(t.Rows, []string{fam.Name, "-", "-", "-", "-", "-", "-", "ERR"})
@@ -235,7 +228,7 @@ func E4(quick bool) *Table {
 		Header: []string{"family", "phase", "1/r in", "frac out/in", "size out/in", "ok"},
 	}
 	for _, fam := range benchFamilies(quick)[:3] {
-		res, err := mds.Solve(fam.G, simParams(mds.Params{Eps: 0.5, Engine: mds.EngineColoring}))
+		res, err := mds.Solve(fam.G, mds.Params{Eps: 0.5, Engine: mds.EngineColoring, Run: simRun()})
 		if err != nil {
 			t.Violations++
 			continue
@@ -266,7 +259,7 @@ func E5(quick bool) *Table {
 	}
 	for _, fam := range benchFamilies(quick) {
 		g := fam.G
-		res, err := mds.Solve(g, simParams(mds.Params{Eps: 0.5, Engine: mds.EngineColoring}))
+		res, err := mds.Solve(g, mds.Params{Eps: 0.5, Engine: mds.EngineColoring, Run: simRun()})
 		if err != nil {
 			t.Violations++
 			continue
@@ -377,7 +370,7 @@ func E8(quick bool) *Table {
 			continue
 		}
 		// Randomized baseline from the same fractional start.
-		net := congest.NewNetwork(g, simConfig())
+		net := congest.NewNetwork(g, simRun().Config(0))
 		fds, err := fractional.Initial(net, nil, fractional.InitialParams{Eps: 0.5 / 16})
 		if err != nil {
 			t.Violations++
@@ -575,7 +568,7 @@ func E12(quick bool) *Table {
 			t.Violations++
 			continue
 		}
-		net := congest.NewNetwork(g, simConfig())
+		net := congest.NewNetwork(g, simRun().Config(0))
 		fds, err := fractional.Initial(net, nil, fractional.InitialParams{Eps: 0.5 / 16})
 		if err != nil {
 			t.Violations++

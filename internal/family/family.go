@@ -30,22 +30,25 @@ import (
 type Params struct {
 	// Eps is the approximation/decay parameter (zero: the family default).
 	Eps float64
-	// Sim selects the congest execution engine (zero: congest.EngineStepped).
-	Sim congest.Engine
 	// MaxRounds clamps the simulated run (zero or negative: simulator
 	// default).
 	MaxRounds int
 	// DiamBound is the known diameter upper bound for families that run an
 	// orientation phase (zero: the family's safe default, typically n).
 	DiamBound int
-	// Ctx, when non-nil, cancels the family's simulated runs: one context
-	// bounds the whole solve, even when it spans several runs, and its
-	// cancellation or deadline surfaces as congest.ErrDeadline.
-	Ctx context.Context
-	// Observer, when non-nil, receives per-round telemetry from the
-	// family's simulated runs (see congest.Observer); attaching one never
-	// changes the outcome.
+	// Sim, Ctx and Observer are the run context, documented on
+	// congest.Run: the engine, the context that bounds the whole solve
+	// however many runs it spans, and the per-round telemetry sink.
+	Sim      congest.Engine
+	Ctx      context.Context
 	Observer congest.Observer
+}
+
+// run is the execution context the simulated families pass on: the fields
+// Key leaves out. (Params stays flat rather than embedding congest.Run
+// because callers outside this module build it with a Sim: literal.)
+func (p Params) run() congest.Run {
+	return congest.Run{Sim: p.Sim, Ctx: p.Ctx, Observer: p.Observer}
 }
 
 // Key returns the canonical equality key of the parameters that determine
@@ -119,7 +122,7 @@ type Family struct {
 // Canon returns p with the fields the family would normalize anyway folded
 // to their canonical spelling, so that parameter sets the family treats
 // identically collide under Params.Key: a zero Eps becomes DefaultEps
-// (exactly the substitution the registered Solve adapters perform), a
+// (exactly the substitution the families' Solve functions perform), a
 // DiamBound on a family that never reads one is dropped, and negative
 // round clamps (no clamp) become zero. A negative Eps or DiamBound stays
 // as it is, so the families that reject it still do. Canon changes no

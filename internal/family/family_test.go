@@ -11,6 +11,7 @@ import (
 
 	"congestds/internal/congest"
 	"congestds/internal/graph"
+	"congestds/internal/obs"
 	"congestds/internal/verify"
 )
 
@@ -126,8 +127,11 @@ func TestRejectsBadParamsAsConfig(t *testing.T) {
 }
 
 // TestPaperDeadline: every simulated family — the paper pipelines, whose
-// solve spans several runs, and the single-run arbmds and mcds — stops
-// with ErrDeadline once the deadline of Params.Ctx has passed.
+// solve spans several runs, and the single-run arbmds and mcds — runs in
+// the whole run context of Params: it stops with ErrDeadline once the
+// deadline of Params.Ctx has passed, reports every measured round to
+// Params.Observer, and gives the same set and rounds on the engine
+// Params.Sim selects as on the default one.
 func TestPaperDeadline(t *testing.T) {
 	g := graph.GNPConnected(30, 0.15, 11)
 	for _, name := range Names() {
@@ -143,6 +147,33 @@ func TestPaperDeadline(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrDeadline", name, err)
 		}
 		cancel()
+
+		rec := obs.NewRecorder()
+		ref, err := f.Solve(g, Params{Observer: rec})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		measured := ref.Rounds // arbmds, mcds: every round is simulated
+		if ref.Ledger != nil {
+			measured = ref.Ledger.Metrics().Rounds // the paper pipelines also charge rounds
+		}
+		observed := 0
+		for _, seg := range rec.Segments() {
+			observed += seg.Rounds
+		}
+		if measured == 0 || observed != measured {
+			t.Errorf("%s: observer saw %d rounds in %d segment(s), want the %d measured",
+				name, observed, len(rec.Segments()), measured)
+		}
+
+		gor, err := f.Solve(g, Params{Sim: congest.EngineGoroutine})
+		if err != nil {
+			t.Fatalf("%s goroutine engine: %v", name, err)
+		}
+		if !slices.Equal(gor.Set, ref.Set) || gor.Rounds != ref.Rounds {
+			t.Errorf("%s: goroutine engine gave set %v rounds %d, default engine set %v rounds %d",
+				name, gor.Set, gor.Rounds, ref.Set, ref.Rounds)
+		}
 	}
 }
 

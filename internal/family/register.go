@@ -2,7 +2,6 @@ package family
 
 import (
 	"fmt"
-	"math"
 
 	"congestds/internal/arbmds"
 	"congestds/internal/baseline"
@@ -54,39 +53,16 @@ func configErr(format string, args ...any) error {
 	return fmt.Errorf("%w: family: %s", congest.ErrConfig, fmt.Sprintf(format, args...))
 }
 
-// peelEps fills in the default ε (0.5) of the peeling families, arbmds and
-// mcds, when eps is 0, and rejects a negative or non-finite one: their
-// thresholds and certificate claims are meaningless there.
-func peelEps(eps float64) (float64, error) {
-	switch {
-	case math.IsNaN(eps) || math.IsInf(eps, 0):
-		return 0, configErr("eps=%v is not finite", eps)
-	case eps < 0:
-		return 0, configErr("eps=%v is negative", eps)
-	case eps == 0:
-		return 0.5, nil
-	}
-	return eps, nil
-}
-
 // paperEps is the source paper's default ε, the zero value of mds.Params.Eps.
 const paperEps = 0.5
 
-// mdsParams validates p for the source paper's pipeline and translates it.
-// ε = 0 selects the default; otherwise ε must lie in (0,1]. The pipeline
-// has no round clamp; Ctx bounds the whole multi-part solve.
+// mdsParams translates p for the source paper's pipeline, which checks ε
+// itself. It has no round clamp: Ctx bounds the whole multi-part solve.
 func mdsParams(p Params, engine mds.Engine) (mds.Params, error) {
-	eps := p.Eps
-	if eps == 0 {
-		eps = paperEps
-	}
-	switch {
-	case !(eps > 0 && eps <= 1): // also catches NaN
-		return mds.Params{}, configErr("eps=%v out of (0,1]", p.Eps)
-	case p.MaxRounds > 0:
+	if p.MaxRounds > 0 {
 		return mds.Params{}, configErr("the paper pipeline takes no round clamp (maxrounds=%d)", p.MaxRounds)
 	}
-	return mds.Params{Eps: eps, Engine: engine, Sim: p.Sim, Ctx: p.Ctx, Observer: p.Observer}, nil
+	return mds.Params{Eps: p.Eps, Engine: engine, Run: p.run()}, nil
 }
 
 // ledgerResult is the uniform result of a ledger-keeping pipeline: Rounds
@@ -143,7 +119,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			res, err := cds.Solve(g, cds.Params{MDS: mp})
+			res, err := cds.Solve(g, mp)
 			if err != nil {
 				return nil, err
 			}
@@ -185,17 +161,11 @@ func init() {
 		Summary:    "bounded-arboricity peeling MDS (Dory–Ghaffari–Ilchi, arXiv:2206.05174): O(α)·OPT in 4·⌈log₁₊ε Δ̃⌉ rounds, independent of n",
 		DefaultEps: 0.5,
 		Solve: func(g *graph.Graph, p Params) (*Result, error) {
-			eps, err := peelEps(p.Eps)
+			res, err := arbmds.Solve(g, arbmds.Params{Eps: p.Eps, MaxRounds: p.MaxRounds, Run: p.run()})
 			if err != nil {
 				return nil, err
 			}
-			res, err := arbmds.Solve(g, arbmds.Params{
-				Eps: eps, Sim: p.Sim, MaxRounds: p.MaxRounds, Ctx: p.Ctx, Observer: p.Observer,
-			})
-			if err != nil {
-				return nil, err
-			}
-			cert := verify.CertifyArb(g, res.Set, eps)
+			cert := verify.CertifyArb(g, res.Set, res.Eps)
 			return &Result{
 				Set:    res.Set,
 				Rounds: res.Metrics.Rounds,
@@ -214,23 +184,15 @@ func init() {
 		NeedsDiam:  true,
 		DefaultEps: 0.5,
 		Solve: func(g *graph.Graph, p Params) (*Result, error) {
-			eps, err := peelEps(p.Eps)
-			if err != nil {
-				return nil, err
-			}
-			if p.DiamBound < 0 {
-				return nil, configErr("diam=%d is negative (0 selects the automatic bound)", p.DiamBound)
-			}
 			res, err := mcds.Solve(g, mcds.Params{
-				Eps: eps, Sim: p.Sim, MaxRounds: p.MaxRounds, DiamBound: p.DiamBound,
-				Ctx: p.Ctx, Observer: p.Observer,
+				Eps: p.Eps, DiamBound: p.DiamBound, MaxRounds: p.MaxRounds, Run: p.run(),
 			})
 			if err != nil {
 				return nil, err
 			}
 			// Solve verified connectivity + domination before returning;
 			// only the LP ratio is left to compute.
-			cert := verify.CertifyCDSVerified(g, res.CDS, verify.MCDSClaimBound(g.MaxDegree(), eps))
+			cert := verify.CertifyCDSVerified(g, res.CDS, verify.MCDSClaimBound(g.MaxDegree(), res.Eps))
 			return &Result{
 				Set:    res.CDS,
 				DS:     res.DS,

@@ -43,7 +43,7 @@ func TestConnectCrossEngine(t *testing.T) {
 			}
 		}
 		for _, eng := range congest.Engines() {
-			res, err := mcds.Connect(g, ds, mcds.Params{Sim: eng})
+			res, err := mcds.Connect(g, ds, mcds.Params{Run: congest.Run{Sim: eng}})
 			if err != nil {
 				t.Fatalf("graph %s: Connect on %v: %v", ng.Name, eng, err)
 			}

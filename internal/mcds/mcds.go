@@ -62,7 +62,6 @@
 package mcds
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -75,41 +74,39 @@ import (
 // Params configures Solve and Connect.
 type Params struct {
 	// Eps is the threshold decay of the dominating phase, exactly as in
-	// arbmds.Params: zero means 0.5, values below arbmds.MinEps are clamped.
+	// arbmds.Params: zero means 0.5, values below arbmds.MinEps are clamped,
+	// and a negative or non-finite ε is rejected.
 	Eps float64
 	// DiamBound is D̂, the known upper bound on the graph diameter that
 	// sizes the orientation phase. Zero means n (always safe); callers with
 	// topology knowledge (e.g. 2·ecc(v)+2 from a host-side BFS, see
-	// graph.Eccentricity) pass a tighter bound.
+	// graph.Eccentricity) pass a tighter bound. A negative bound is
+	// rejected.
 	DiamBound int
-	// Sim selects the congest execution engine. Zero means
-	// congest.EngineStepped (the native stackless form, bounded memory at
-	// any n); congest.EngineGoroutine runs the goroutine reference engine.
-	Sim congest.Engine
 	// MaxRounds clamps the simulated run (zero or negative: the simulator
 	// default). Exposed for failure-injection tests.
 	MaxRounds int
-	// Ctx, when non-nil, cancels the run at round boundaries; its
-	// cancellation or deadline surfaces as congest.ErrDeadline with honest
-	// metrics.
-	Ctx context.Context
-	// Observer, when non-nil, receives per-round telemetry from the runs
-	// (see congest.Observer); attaching one never changes the outcome.
-	Observer congest.Observer
+	// Run is the execution context, exactly as in arbmds.Params: Sim
+	// selects the engine, Ctx cancels at round boundaries with
+	// congest.ErrDeadline, and Observer receives per-round telemetry.
+	congest.Run
 }
 
-// withDefaults normalizes the zero values against the target graph.
-func (p Params) withDefaults(g *graph.Graph) Params {
-	if p.Eps <= 0 {
-		p.Eps = 0.5
+// withDefaults rejects parameters no run can honour and normalizes the
+// zero values against the target graph.
+func (p Params) withDefaults(g *graph.Graph) (Params, error) {
+	eps, err := arbmds.ResolveEps(p.Eps)
+	if err != nil {
+		return p, fmt.Errorf("mcds: %w", err)
 	}
-	if p.DiamBound <= 0 {
-		p.DiamBound = g.N()
-		if p.DiamBound < 1 {
-			p.DiamBound = 1
-		}
+	p.Eps = eps
+	switch {
+	case p.DiamBound < 0:
+		return p, fmt.Errorf("%w: mcds: diam=%d is negative (0 selects n)", congest.ErrConfig, p.DiamBound)
+	case p.DiamBound == 0:
+		p.DiamBound = max(g.N(), 1)
 	}
-	return p
+	return p, nil
 }
 
 // Result is the outcome of a run.
@@ -122,6 +119,9 @@ type Result struct {
 	InCDS, InD []bool
 	// Thresholds is the phase-1 schedule (4 rounds per threshold).
 	Thresholds []int
+	// Eps is the ε the schedule was built from: Params.Eps after
+	// arbmds.ResolveEps.
+	Eps float64
 	// DiamBound is the D̂ the orientation phase actually used.
 	DiamBound int
 	// Metrics is the simulator's cost account. For Solve,
@@ -138,16 +138,17 @@ type Result struct {
 // top). A disconnected g is caller misuse: the error wraps
 // congest.ErrConfig.
 func Solve(g *graph.Graph, p Params) (*Result, error) {
+	p, err := p.withDefaults(g)
+	if err != nil {
+		return nil, err
+	}
 	if g.N() == 0 {
 		return &Result{}, nil
 	}
 	if !g.IsConnected() {
 		return nil, fmt.Errorf("%w: mcds: graph is not connected", congest.ErrConfig)
 	}
-	p = p.withDefaults(g)
-	net := congest.NewNetwork(g, congest.Config{
-		Engine: p.Sim, MaxRounds: p.MaxRounds, Ctx: p.Ctx, Observer: p.Observer,
-	})
+	net := congest.NewNetwork(g, p.Run.Config(p.MaxRounds))
 	inD := make([]bool, g.N())
 	inCDS := make([]bool, g.N())
 	m, err := net.RunStepped(StepFactory(g, p.Eps, p.DiamBound, inD, inCDS))
@@ -169,21 +170,22 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 // ruling set rather than a BFS orientation); both keep |CDS| ≤ 3|DS|+O(1)
 // and certify under verify.CheckCDS.
 func Connect(g *graph.Graph, ds []int, p Params) (*Result, error) {
+	p, err := p.withDefaults(g)
+	if err != nil {
+		return nil, err
+	}
 	if g.N() == 0 {
 		return &Result{}, nil
 	}
 	if v := verify.FirstUndominated(g, ds); v != -1 {
 		return nil, fmt.Errorf("mcds: input set does not dominate node %d", v)
 	}
-	p = p.withDefaults(g)
 	inD := make([]bool, g.N())
 	for _, v := range ds {
 		inD[v] = true
 	}
 	inCDS := make([]bool, g.N())
-	net := congest.NewNetwork(g, congest.Config{
-		Engine: p.Sim, MaxRounds: p.MaxRounds, Ctx: p.Ctx, Observer: p.Observer,
-	})
+	net := congest.NewNetwork(g, p.Run.Config(p.MaxRounds))
 	m, err := net.RunStepped(ConnectStepFactory(g, inD, p.DiamBound, inCDS))
 	if err != nil {
 		return nil, err
@@ -205,6 +207,7 @@ func assemble(g *graph.Graph, inD, inCDS []bool, p Params, m congest.Metrics) *R
 		InCDS:      inCDS,
 		InD:        inD,
 		Thresholds: arbmds.Thresholds(g.MaxDegree(), p.Eps),
+		Eps:        p.Eps,
 		DiamBound:  p.DiamBound,
 		Metrics:    m,
 	}

@@ -1,6 +1,8 @@
 package mcds
 
 import (
+	"errors"
+	"math"
 	"slices"
 	"testing"
 
@@ -35,6 +37,28 @@ func TestSolveRejectsDisconnected(t *testing.T) {
 	}
 	if _, err := Solve(g, Params{}); err == nil {
 		t.Error("disconnected graph accepted")
+	}
+}
+
+// TestRejectsBadParams: an ε with no threshold schedule or a negative
+// diameter bound is caller misuse, typed as congest.ErrConfig by Solve and
+// Connect alike — not run as the two-threshold schedule (NaN, +Inf), as
+// ε = 0.5 (negative ε) or as D̂ = n (negative bound).
+func TestRejectsBadParams(t *testing.T) {
+	g := graph.GNPConnected(30, 0.15, 11)
+	ds := baseline.Greedy(g)
+	for _, p := range []Params{
+		{Eps: math.NaN()},
+		{Eps: math.Inf(1)},
+		{Eps: -1},
+		{DiamBound: -1},
+	} {
+		if _, err := Solve(g, p); !errors.Is(err, congest.ErrConfig) {
+			t.Errorf("Solve %+v: err = %v, want ErrConfig", p, err)
+		}
+		if _, err := Connect(g, ds, p); !errors.Is(err, congest.ErrConfig) {
+			t.Errorf("Connect %+v: err = %v, want ErrConfig", p, err)
+		}
 	}
 }
 
@@ -121,7 +145,7 @@ func TestSolveEngineInvariance(t *testing.T) {
 	g := graph.GNPConnected(60, 0.08, 11)
 	var ref *Result
 	for _, eng := range congest.Engines() {
-		res, err := Solve(g, Params{Sim: eng})
+		res, err := Solve(g, Params{Run: congest.Run{Sim: eng}})
 		if err != nil {
 			t.Fatalf("engine %v: %v", eng, err)
 		}
@@ -183,7 +207,7 @@ func TestSolveDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(g, Params{Sim: congest.EngineStepped})
+	b, err := Solve(g, Params{Run: congest.Run{Sim: congest.EngineStepped}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestMcdsMillionNodeUnionForest(t *testing.T) {
 	const n = 1_000_000
 	g := graph.UnionForests(n, 3, 1)
 	diam := 2*g.Eccentricity(0) + 2
-	res, err := Solve(g, Params{Sim: congest.EngineStepped, DiamBound: diam})
+	res, err := Solve(g, Params{DiamBound: diam, Run: congest.Run{Sim: congest.EngineStepped}})
 	if err != nil {
 		t.Fatal(err)
 	}

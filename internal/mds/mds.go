@@ -14,7 +14,6 @@
 package mds
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -73,29 +72,20 @@ const maxPhases = 64
 // Params configures Solve.
 type Params struct {
 	// Eps is the ε of Theorems 1.1/1.2; the approximation guarantee is
-	// (1+ε)(1+ln(Δ+1)). Must be in (0, 1]. Zero means 0.5.
+	// (1+ε)(1+ln(Δ+1)). Zero means 0.5; anything outside (0, 1] wraps
+	// congest.ErrConfig.
 	Eps float64
 	// Engine selects the derandomization engine. Zero means EngineColoring.
 	Engine Engine
 	// Preset selects Theory or Practical constants.
 	Preset Preset
-	// Sim selects the congest execution engine that simulates the measured
-	// phases (congest.EngineStepped or congest.EngineGoroutine; the Part I
-	// covering program is written in stepped form, so under EngineStepped
-	// it runs with no per-node goroutine). The engine never changes results
-	// or round counts — the conformance suite holds the engines
-	// byte-identical — only wall-clock speed and memory. Zero means
-	// congest.EngineStepped.
-	Sim congest.Engine
-	// Ctx, when non-nil, cancels the pipeline's simulated runs at round
-	// boundaries (congest.ErrDeadline). One context bounds the whole
-	// multi-part solve: Part I and every Part II phase share the budget.
-	Ctx context.Context
-	// Observer, when non-nil, receives per-round telemetry from every
-	// simulated run of the pipeline (each run appears as one segment on the
-	// observer side; see congest.Observer). Attaching one never changes the
-	// outcome.
-	Observer congest.Observer
+	// Run is the execution context of the measured phases. Sim selects the
+	// engine (zero: congest.EngineStepped, where the Part I covering
+	// program runs with no per-node goroutine); it changes wall-clock speed
+	// and memory only, never results or round counts. One Ctx bounds the
+	// whole multi-part solve: Part I and every Part II phase share the
+	// budget. Observer sees each simulated run as one segment.
+	congest.Run
 }
 
 // PhaseInfo records one Part II phase for the experiment harness (E4).
@@ -176,7 +166,7 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 
 	// Part I: initial fractional dominating set (Lemma 2.1), followed by the
 	// local-ratio trim that removes the parallel greedy's overshoot.
-	net := congest.NewNetwork(g, congest.Config{Engine: p.Sim, Ctx: p.Ctx, Observer: p.Observer})
+	net := congest.NewNetwork(g, p.Run.Config(0))
 	fds, err := fractional.Initial(net, res.Ledger, fractional.InitialParams{Eps: eps1, MaxDegree: delta})
 	if err != nil {
 		return nil, fmt.Errorf("mds: part I: %w", err)
