@@ -3,7 +3,7 @@
 //
 //	go run ./cmd/docscheck [-root .]
 //
-// It enforces six invariants and exits non-zero listing every violation:
+// It enforces seven invariants and exits non-zero listing every violation:
 //
 //   - every relative link in a Markdown file points at a file or directory
 //     that exists (external http(s)/mailto links and pure #anchors are not
@@ -33,12 +33,18 @@
 //   - every repository path the same Markdown files cite as a backticked
 //     span under internal/, cmd/, bench/, docs/ or examples/, like
 //     `internal/congest/README.md`, exists on disk; template paths with a
-//     `<placeholder>` are skipped.
+//     `<placeholder>` are skipped;
+//   - every exported identifier the same Markdown files cite as a
+//     backticked `pkg.Ident` or `pkg.Ident.Field`, like `mcds.Solve`, is
+//     declared in a non-test file of internal/<pkg> (only Ident is looked
+//     up; methods and struct fields count, since prose cites them as
+//     `pkg.Method`).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -60,6 +66,7 @@ func main() {
 	problems = append(problems, checkAllowReasons(*root)...)
 	problems = append(problems, checkMarkdownTestRefs(*root)...)
 	problems = append(problems, checkMarkdownPathRefs(*root)...)
+	problems = append(problems, checkMarkdownIdentRefs(*root)...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, p)
@@ -184,6 +191,92 @@ func checkMarkdownPathRefs(root string) []string {
 		}
 		return ""
 	})
+}
+
+// identCiteRE matches a code span that cites an exported Go identifier,
+// like `mcds.Solve`, `congest.Run.Config` or `family.Params.Key()`: group 1
+// is the package, group 2 the identifier; a trailing .Field or .Method and
+// a () suffix are allowed. Lower-case dotted spans are the benchmark's
+// metric and span names (`congest.rounds`, `graph.load_ms`), not
+// citations.
+var identCiteRE = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)(?:\.[A-Za-z_][A-Za-z0-9_]*)?(?:\(\))?$`)
+
+// checkMarkdownIdentRefs verifies that every identifier a Markdown file
+// cites in a code span as pkg.Ident (or pkg.Ident.Field) is declared in a
+// non-test file of internal/<pkg>. Spans whose package is no directory
+// under internal/ (the standard library, commands) are not citations. It
+// reads the same files as checkMarkdownTestRefs.
+func checkMarkdownIdentRefs(root string) []string {
+	decls := map[string]map[string]bool{} // package -> its names; nil: no such package
+	return checkCodeSpans(root, func(span string) string {
+		m := identCiteRE.FindStringSubmatch(span)
+		if m == nil {
+			return ""
+		}
+		pkg, ident := m[1], m[2]
+		names, ok := decls[pkg]
+		if !ok {
+			var err error
+			if names, err = packageNames(filepath.Join(root, "internal", pkg)); err != nil {
+				return fmt.Sprintf("but internal/%s does not parse: %v", pkg, err)
+			}
+			decls[pkg] = names
+		}
+		if names != nil && !names[ident] {
+			return fmt.Sprintf("but internal/%s declares no %s", pkg, ident)
+		}
+		return ""
+	})
+}
+
+// packageNames returns the names declared in the non-test Go files of dir,
+// or nil when dir holds none: every package-level function, type, var and
+// const, plus the methods and struct fields of its types, which prose
+// cites as pkg.Method or pkg.Field (`graph.Eccentricity`, `family.Solve`).
+func packageNames(dir string) (map[string]bool, error) {
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	var names map[string]bool
+	fset := token.NewFileSet()
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		if names == nil {
+			names = map[string]bool{}
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				names[d.Name.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names[spec.Name.Name] = true
+						if st, ok := spec.Type.(*ast.StructType); ok {
+							for _, field := range st.Fields.List {
+								for _, n := range field.Names {
+									names[n.Name] = true
+								}
+							}
+						}
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names, nil
 }
 
 // checkCodeSpans calls check on every one-line code span of the checked

@@ -28,6 +28,9 @@ func TestRepositoryPassesDocscheck(t *testing.T) {
 	if problems := checkMarkdownPathRefs("../.."); len(problems) > 0 {
 		t.Errorf("Markdown path-citation problems:\n%s", strings.Join(problems, "\n"))
 	}
+	if problems := checkMarkdownIdentRefs("../.."); len(problems) > 0 {
+		t.Errorf("Markdown identifier-citation problems:\n%s", strings.Join(problems, "\n"))
+	}
 }
 
 func TestCheckMarkdownLinksFindsDeadLink(t *testing.T) {
@@ -173,6 +176,52 @@ func TestCheckMarkdownPathRefsFindsDead(t *testing.T) {
 	problems := checkMarkdownPathRefs(dir)
 	if len(problems) != 1 || !strings.Contains(problems[0], "README.md:1: cites `internal/gone` but no such path exists") {
 		t.Errorf("want exactly the dead path flagged, got %v", problems)
+	}
+}
+
+// TestCheckMarkdownIdentRefsFindsStale: a backticked pkg.Ident whose
+// internal/<pkg> declares no Ident outside its tests is one problem;
+// declared functions, types, methods and fields (with a .Field or ()
+// suffix or not), lower-case metric names, packages outside internal/ and
+// the root's history files are not problems.
+func TestCheckMarkdownIdentRefsFindsStale(t *testing.T) {
+	dir := t.TempDir()
+	write := func(rel, content string) {
+		t.Helper()
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("internal/pkg/a.go", `package pkg
+
+type Params struct{ Eps float64 }
+
+func (p Params) Key() string { return "" }
+
+func Solve() {}
+`)
+	write("internal/pkg/a_test.go", "package pkg\n\nfunc Helper() {}\n")
+	write("docs/GUIDE.md", "# Guide\n\n`pkg.Solve`, `pkg.Params.Eps`, `pkg.Params.Key()`, `pkg.Key`, `pkg.load_ms`, `os.Exit`\n"+
+		"`pkg.Connect`\n")
+	write("README.md", "`pkg.Helper`\n")
+	write("CHANGES.md", "Deleted `pkg.Gone`.\n")
+
+	problems := checkMarkdownIdentRefs(dir)
+	wants := []string{
+		"README.md:1: cites `pkg.Helper` but internal/pkg declares no Helper",
+		"GUIDE.md:4: cites `pkg.Connect` but internal/pkg declares no Connect",
+	}
+	if len(problems) != len(wants) {
+		t.Fatalf("got %d problems, want %d:\n%s", len(problems), len(wants), strings.Join(problems, "\n"))
+	}
+	for i, want := range wants {
+		if !strings.Contains(problems[i], want) {
+			t.Errorf("problem %d = %q, want it to contain %q", i, problems[i], want)
+		}
 	}
 }
 

@@ -53,13 +53,14 @@
 // The native implementation is a congest.StepProgram (explicit per-node
 // state, no goroutine stacks), so Solve runs million-node instances on
 // EngineStepped in bounded memory; an independently written blocking twin
-// (blocking.go) backs the differential conformance corpus.
+// (blocking.go) backs the differential conformance corpus. internal/mcds
+// runs the same peel (Peel, PeelBlocking) as its dominate phase, with the
+// same ε default (DefaultEps) and checks (ResolveEps).
 package arbmds
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"congestds/internal/congest"
 	"congestds/internal/graph"
@@ -70,8 +71,8 @@ import (
 type Params struct {
 	// Eps is the threshold decay parameter: thresholds shrink by (1+ε) per
 	// phase, trading rounds (O(ε⁻¹·log Δ)) against the constant in the
-	// approximation. Zero means 0.5; positive values below MinEps are
-	// clamped to MinEps; a negative or non-finite ε is rejected.
+	// approximation. Zero means DefaultEps; positive values below MinEps
+	// are clamped to MinEps; a negative or non-finite ε is rejected.
 	Eps float64
 	// MaxRounds clamps the simulated run (zero or negative: the simulator
 	// default). Exposed for failure-injection tests.
@@ -84,18 +85,21 @@ type Params struct {
 	congest.Run
 }
 
+// DefaultEps is the threshold decay a zero Params.Eps selects, for arbmds
+// and for mcds's dominate phase.
+const DefaultEps = 0.5
+
 // MinEps is the smallest accepted threshold decay: below it the schedule
 // would have thousands of phases per unit of log Δ (and at float64
 // granularity 1+ε can collapse to 1, which would never terminate), so
-// Thresholds clamps ε into [MinEps, ∞) and ResolveEps turns a zero ε into
-// the 0.5 default. Aliases verify.ArbMinEps so verify.RoundBoundArb
-// clamps identically.
+// Thresholds clamps ε into [MinEps, ∞). Aliases verify.ArbMinEps so
+// verify.RoundBoundArb clamps identically.
 const MinEps = verify.ArbMinEps
 
 // ResolveEps returns the threshold decay a run with requested decay eps
-// uses: 0.5 for zero, eps itself otherwise. A negative or non-finite eps
-// gives no schedule and wraps congest.ErrConfig. mcds's dominate phase
-// resolves its ε here too.
+// uses: DefaultEps for zero, eps itself otherwise. A negative or
+// non-finite eps gives no schedule and wraps congest.ErrConfig. mcds's
+// dominate phase resolves its ε here too.
 func ResolveEps(eps float64) (float64, error) {
 	switch {
 	case math.IsNaN(eps) || math.IsInf(eps, 0):
@@ -103,7 +107,7 @@ func ResolveEps(eps float64) (float64, error) {
 	case eps < 0:
 		return 0, fmt.Errorf("%w: eps=%v is negative", congest.ErrConfig, eps)
 	case eps == 0:
-		return 0.5, nil
+		return DefaultEps, nil
 	}
 	return eps, nil
 }
@@ -112,8 +116,6 @@ func ResolveEps(eps float64) (float64, error) {
 type Result struct {
 	// Set is the dominating set, ascending.
 	Set []int
-	// InD is the indicator vector behind Set.
-	InD []bool
 	// Thresholds is the phase schedule the nodes swept (4 rounds each).
 	Thresholds []int
 	// Eps is the ε the run used: Params.Eps after ResolveEps (Thresholds
@@ -129,11 +131,9 @@ type Result struct {
 // down to (always including) 1, shrinking by (1+ε) per step. Its length is
 // the phase count, ⌈log_{1+ε} Δ̃⌉+O(1) — a pure function of (Δ, ε), so
 // every node computes it locally under the known-Δ assumption and the
-// round count never depends on n.
+// round count never depends on n. eps is a resolved decay (ResolveEps,
+// Result.Eps); values below MinEps are clamped to it.
 func Thresholds(delta int, eps float64) []int {
-	if eps <= 0 {
-		eps = 0.5
-	}
 	if eps < MinEps {
 		eps = MinEps
 	}
@@ -174,12 +174,11 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{InD: inD, Thresholds: Thresholds(g.MaxDegree(), eps), Eps: eps, Metrics: m}
+	res := &Result{Thresholds: Thresholds(g.MaxDegree(), eps), Eps: eps, Metrics: m}
 	for v, in := range inD {
 		if in {
 			res.Set = append(res.Set, v)
 		}
 	}
-	sort.Ints(res.Set)
 	return res, nil
 }

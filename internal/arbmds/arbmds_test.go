@@ -3,6 +3,7 @@ package arbmds
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"congestds/internal/congest"
@@ -96,10 +97,14 @@ func TestBlockingTwinMatchesStepped(t *testing.T) {
 			if m != stepRes.Metrics {
 				t.Errorf("%v: blocking metrics %+v != stepped %+v", eng, m, stepRes.Metrics)
 			}
-			for v := range inD {
-				if inD[v] != stepRes.InD[v] {
-					t.Fatalf("%v: node %d membership diverges between forms", eng, v)
+			var set []int
+			for v, in := range inD {
+				if in {
+					set = append(set, v)
 				}
+			}
+			if !slices.Equal(set, stepRes.Set) {
+				t.Fatalf("%v: blocking set %v diverges from stepped %v", eng, set, stepRes.Set)
 			}
 		}
 	}

@@ -75,8 +75,8 @@ func Extend(g *graph.Graph, ds []int, ledger *congest.Ledger) (*Result, error) {
 		ledger = &congest.Ledger{}
 	}
 	res := &Result{DS: append([]int(nil), ds...), Ledger: ledger}
-	if v := verify.FirstUndominated(g, ds); v != -1 {
-		return nil, fmt.Errorf("cds: input set does not dominate node %d", v)
+	if err := verify.CheckDominating(g, ds); err != nil {
+		return nil, fmt.Errorf("cds: input set: %w", err)
 	}
 	if len(ds) <= 1 {
 		res.CDS = append([]int(nil), ds...)

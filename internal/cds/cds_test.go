@@ -1,6 +1,7 @@
 package cds
 
 import (
+	"slices"
 	"testing"
 
 	"congestds/internal/baseline"
@@ -110,10 +111,14 @@ func TestCDSApproximationBound(t *testing.T) {
 	}
 }
 
+// A set that leaves a node undominated, or holds a member outside [0, n)
+// beside members that do dominate, is an error, never a panic.
 func TestExtendRejectsNonDominating(t *testing.T) {
 	g := graph.Path(6)
-	if _, err := Extend(g, []int{0}, nil); err == nil {
-		t.Error("non-dominating input accepted")
+	for _, ds := range [][]int{{0}, {1, 4, -1}, {1, 4, 6}} {
+		if _, err := Extend(g, ds, nil); err == nil {
+			t.Errorf("Extend(%v) accepted", ds)
+		}
 	}
 }
 
@@ -191,9 +196,11 @@ func TestRulingSetSeparation(t *testing.T) {
 	}
 }
 
-// The native connector (mcds.Connect, the CONGEST-native alternative to
-// Extend's ruling-set pipeline) must keep every DS member and add at most
-// two connectors per dominator plus the root.
+// The two connectors over one dominating set: mcds's native connector
+// (Ghaffari's BFS-orientation connect phase, executed as messages) and
+// Extend's §4 construction applied to mcds's own threshold-peel set must
+// each keep every DS member and add at most two connectors per dominator
+// plus the root.
 func TestNativeConnectorSizeAndMembers(t *testing.T) {
 	for _, tt := range []struct {
 		name string
@@ -204,25 +211,26 @@ func TestNativeConnectorSizeAndMembers(t *testing.T) {
 		{"gnp50", graph.GNPConnected(50, 0.08, 13)},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			ds := baseline.Greedy(tt.g)
-			res, err := mcds.Connect(tt.g, ds, mcds.Params{Run: congest.Run{Sim: congest.EngineStepped}})
+			res, err := mcds.Solve(tt.g, mcds.Params{Run: congest.Run{Sim: congest.EngineStepped}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.CDS) > 3*len(ds)+1 {
-				t.Errorf("|CDS|=%d exceeds 3|DS|+1=%d", len(res.CDS), 3*len(ds)+1)
+			ext, err := Extend(tt.g, res.DS, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			in := make(map[int]bool, len(res.CDS))
-			for _, v := range res.CDS {
-				in[v] = true
-			}
-			for _, v := range ds {
-				if !in[v] {
-					t.Errorf("DS member %d missing from CDS", v)
+			for _, c := range []struct {
+				form string
+				cds  []int
+			}{{"native", res.CDS}, {"§4", ext.CDS}} {
+				if len(c.cds) > 3*len(res.DS)+1 {
+					t.Errorf("%s: |CDS|=%d exceeds 3|DS|+1=%d", c.form, len(c.cds), 3*len(res.DS)+1)
 				}
-			}
-			if res.Metrics.Rounds <= 0 {
-				t.Error("no rounds recorded for the executed connector")
+				for _, v := range res.DS {
+					if _, ok := slices.BinarySearch(c.cds, v); !ok {
+						t.Errorf("%s: DS member %d missing from CDS", c.form, v)
+					}
+				}
 			}
 		})
 	}

@@ -1,28 +1,23 @@
 package conformance
 
 import (
-	"congestds/internal/baseline"
 	"congestds/internal/congest"
 	"congestds/internal/graph"
 	"congestds/internal/mcds"
 )
 
 // The connected-dominating-set family (internal/mcds) joins the corpus
-// with two cases. mcds-full runs all three phases (threshold peel,
-// flood-min orientation, two-hop connect); mcds-connect runs the
-// connector search alone over a host-computed greedy dominating set — the
-// StepProgram port of the CDS connector that internal/cds wraps. Both
-// register independently written blocking and stepped forms, so the suite
-// checks the protocol itself, not just the engines. The output serializes
-// the CDS and DS indicator vectors plus both sizes: any divergence in
-// peel joins, flood tie-breaking, parent selection or token forwarding
-// changes the bytes. The corpus deliberately includes disconnected graphs
+// with one case, mcds-full: all three phases (threshold peel, flood-min
+// orientation, two-hop connect). It registers independently written
+// blocking and stepped forms, so the suite checks the protocol itself,
+// not just the engines. The output serializes the CDS and DS indicator
+// vectors plus both sizes: any divergence in peel joins, flood
+// tie-breaking, parent selection or token forwarding changes the bytes. The corpus deliberately includes disconnected graphs
 // and isolated nodes; the program forms handle them (one CDS per
 // component), which is exactly what the differential harness needs.
 
 func init() {
 	Register(Case{Name: "mcds-full", Build: buildMcdsFull, BuildStep: buildMcdsFullStep})
-	Register(Case{Name: "mcds-connect", Build: buildMcdsConnect, BuildStep: buildMcdsConnectStep})
 }
 
 func mcdsOutput(inD, inCDS []bool) func() []byte {
@@ -73,25 +68,4 @@ func corpusDiam(g *graph.Graph) int {
 		return 1
 	}
 	return g.N()
-}
-
-// greedyInD is the host-side dominating set the connector cases extend.
-func greedyInD(g *graph.Graph) []bool {
-	inD := make([]bool, g.N())
-	for _, v := range baseline.Greedy(g) {
-		inD[v] = true
-	}
-	return inD
-}
-
-func buildMcdsConnect(g *graph.Graph) (congest.Program, func() []byte) {
-	inD := greedyInD(g)
-	inCDS := make([]bool, g.N())
-	return mcds.ConnectBlocking(g, inD, corpusDiam(g), inCDS), mcdsOutput(inD, inCDS)
-}
-
-func buildMcdsConnectStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
-	inD := greedyInD(g)
-	inCDS := make([]bool, g.N())
-	return mcds.ConnectStepFactory(g, inD, corpusDiam(g), inCDS), mcdsOutput(inD, inCDS)
 }

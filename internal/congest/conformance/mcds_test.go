@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"congestds/internal/congest"
-	"congestds/internal/graph"
 	"congestds/internal/mcds"
 	"congestds/internal/verify"
 )
@@ -46,46 +45,26 @@ func TestMcdsFailureMetricsConformance(t *testing.T) {
 }
 
 // TestMcdsCorpusOutputsAreComponentwiseCDS: beyond byte-identity, the
-// registered cases' outputs must actually be connected dominating sets of
+// mcds-full case's output must actually be a connected dominating set of
 // every component on every corpus graph — the harness alone would accept
 // a consistently-wrong program. (The corpus includes disconnected graphs,
 // where the program produces one CDS per component.)
 func TestMcdsCorpusOutputsAreComponentwiseCDS(t *testing.T) {
 	for _, ng := range Corpus(testing.Short()) {
-		for _, cs := range []struct {
-			name  string
-			build func(g *graph.Graph) (congest.StepFactory, func() []byte)
-		}{
-			{"full", buildMcdsFullStep},
-			{"connect", buildMcdsConnectStep},
-		} {
-			factory, _ := cs.build(ng.G)
-			net := congest.NewNetwork(ng.G, congest.Config{Engine: congest.EngineStepped})
-			if _, err := net.RunStepped(factory); err != nil {
-				t.Fatalf("graph %s %s: %v", ng.Name, cs.name, err)
+		inD := make([]bool, ng.G.N())
+		inCDS := make([]bool, ng.G.N())
+		net := congest.NewNetwork(ng.G, congest.Config{Engine: congest.EngineStepped})
+		if _, err := net.RunStepped(mcds.StepFactory(ng.G, 0.5, corpusDiam(ng.G), inD, inCDS)); err != nil {
+			t.Fatalf("graph %s: %v", ng.Name, err)
+		}
+		var cds []int
+		for v, in := range inCDS {
+			if in {
+				cds = append(cds, v)
 			}
-			// Recover the CDS from a fresh run's output vector.
-			inD := make([]bool, ng.G.N())
-			inCDS := make([]bool, ng.G.N())
-			var run congest.StepFactory
-			if cs.name == "full" {
-				run = mcds.StepFactory(ng.G, 0.5, corpusDiam(ng.G), inD, inCDS)
-			} else {
-				copy(inD, greedyInD(ng.G))
-				run = mcds.ConnectStepFactory(ng.G, inD, corpusDiam(ng.G), inCDS)
-			}
-			if _, err := net.RunStepped(run); err != nil {
-				t.Fatalf("graph %s %s: %v", ng.Name, cs.name, err)
-			}
-			var cds []int
-			for v, in := range inCDS {
-				if in {
-					cds = append(cds, v)
-				}
-			}
-			if err := verify.CheckCDSComponents(ng.G, cds); err != nil {
-				t.Errorf("graph %s %s: %v", ng.Name, cs.name, err)
-			}
+		}
+		if err := verify.CheckCDSComponents(ng.G, cds); err != nil {
+			t.Errorf("graph %s: %v", ng.Name, err)
 		}
 	}
 }

@@ -61,8 +61,8 @@ func (p Params) run() congest.Run {
 // same graph and family yield identical Results, which is what makes Key a
 // cache key for certified solutions.
 //
-// Key does not know family defaults: Eps=0 and Eps=0.5 produce different
-// Keys even though arbmds treats them identically. Canonicalize through
+// Key does not know family defaults: Eps=0 and Eps=arbmds.DefaultEps
+// produce different Keys even though arbmds treats them identically. Canonicalize through
 // Family.Canon first when that collision is wanted (a solution cache
 // always wants it).
 func (p Params) Key() string {

@@ -21,7 +21,7 @@ import (
 
 // ratioCert is the certificate of the source paper's algorithms and the
 // baselines: the dual-packing ratio of verify.Certify plus one structural
-// check (domination, or verify.CheckCDS for cds). The ratio is reported,
+// check (verify.CheckDominating, or verify.CheckCDS for cds). The ratio is reported,
 // not gated: the paper's guarantee is a note, not a pass condition.
 type ratioCert struct {
 	verify.RatioCertificate
@@ -40,11 +40,7 @@ func (c ratioCert) String() string {
 
 // certifyDS certifies a dominating set.
 func certifyDS(g *graph.Graph, set []int) ratioCert {
-	var err error
-	if v := verify.FirstUndominated(g, set); v != -1 {
-		err = fmt.Errorf("node %d not dominated", v)
-	}
-	return ratioCert{verify.Certify(g, set), err}
+	return ratioCert{verify.Certify(g, set), verify.CheckDominating(g, set)}
 }
 
 // configErr reports caller misuse: it wraps congest.ErrConfig, so mdsrun
@@ -52,9 +48,6 @@ func certifyDS(g *graph.Graph, set []int) ratioCert {
 func configErr(format string, args ...any) error {
 	return fmt.Errorf("%w: family: %s", congest.ErrConfig, fmt.Sprintf(format, args...))
 }
-
-// paperEps is the source paper's default ε, the zero value of mds.Params.Eps.
-const paperEps = 0.5
 
 // mdsParams translates p for the source paper's pipeline, which checks ε
 // itself. It has no round clamp: Ctx bounds the whole multi-part solve.
@@ -79,7 +72,7 @@ func paperFamily(name, summary string, engine mds.Engine) Family {
 	return Family{
 		Name:       name,
 		Summary:    summary,
-		DefaultEps: paperEps,
+		DefaultEps: mds.DefaultEps,
 		Solve: func(g *graph.Graph, p Params) (*Result, error) {
 			mp, err := mdsParams(p, engine)
 			if err != nil {
@@ -113,7 +106,7 @@ func init() {
 	Register(Family{
 		Name:       "cds",
 		Summary:    "source paper Theorem 1.4: the Theorem 1.2 dominating set extended to a connected dominating set, |CDS| ≤ 3|DS|",
-		DefaultEps: paperEps,
+		DefaultEps: mds.DefaultEps,
 		Solve: func(g *graph.Graph, p Params) (*Result, error) {
 			mp, err := mdsParams(p, mds.EngineColoring)
 			if err != nil {
@@ -137,7 +130,7 @@ func init() {
 	Register(Family{
 		Name:       "greedy",
 		Summary:    "sequential greedy baseline [Joh74], host-side: (1+ln(Δ+1))·OPT, no simulated rounds",
-		DefaultEps: paperEps,
+		DefaultEps: mds.DefaultEps,
 		Solve: func(g *graph.Graph, p Params) (*Result, error) {
 			set := baseline.Greedy(g)
 			return &Result{Set: set, Cert: certifyDS(g, set)}, nil
@@ -146,7 +139,7 @@ func init() {
 	Register(Family{
 		Name:       "exact",
 		Summary:    "exact minimum dominating set by branch and bound, host-side, n ≤ 64 (exponential time)",
-		DefaultEps: paperEps,
+		DefaultEps: mds.DefaultEps,
 		Solve: func(g *graph.Graph, p Params) (*Result, error) {
 			if g.N() > 64 {
 				return nil, configErr("exact solver is for n ≤ 64 (got %d)", g.N())
@@ -159,7 +152,7 @@ func init() {
 	Register(Family{
 		Name:       "arbmds",
 		Summary:    "bounded-arboricity peeling MDS (Dory–Ghaffari–Ilchi, arXiv:2206.05174): O(α)·OPT in 4·⌈log₁₊ε Δ̃⌉ rounds, independent of n",
-		DefaultEps: 0.5,
+		DefaultEps: arbmds.DefaultEps,
 		Solve: func(g *graph.Graph, p Params) (*Result, error) {
 			res, err := arbmds.Solve(g, arbmds.Params{Eps: p.Eps, MaxRounds: p.MaxRounds, Run: p.run()})
 			if err != nil {
@@ -182,7 +175,7 @@ func init() {
 		Name:       "mcds",
 		Summary:    "connected dominating set (Ghaffari MCDS family, arXiv:1404.7559, unit weights): dominate via threshold greedy, connect via two-hop paths along a BFS orientation",
 		NeedsDiam:  true,
-		DefaultEps: 0.5,
+		DefaultEps: arbmds.DefaultEps,
 		Solve: func(g *graph.Graph, p Params) (*Result, error) {
 			res, err := mcds.Solve(g, mcds.Params{
 				Eps: p.Eps, DiamBound: p.DiamBound, MaxRounds: p.MaxRounds, Run: p.run(),

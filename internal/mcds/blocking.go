@@ -26,18 +26,6 @@ func BlockingProgram(g *graph.Graph, eps float64, diam int, inD, inCDS []bool) c
 	}
 }
 
-// ConnectBlocking is the blocking twin of ConnectStepFactory: orientation
-// and connection over a given dominating set.
-func ConnectBlocking(g *graph.Graph, inD []bool, diam int, inCDS []bool) congest.Program {
-	return func(nd *congest.Node) {
-		joined := inD[nd.V()]
-		if joined {
-			inCDS[nd.V()] = true
-		}
-		connectBlocking(nd, joined, diam, inCDS)
-	}
-}
-
 // connectBlocking runs the orientation flood (diam Syncs) and the
 // two-hop connect (2 Syncs).
 func connectBlocking(nd *congest.Node, joined bool, diam int, inCDS []bool) {

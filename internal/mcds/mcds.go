@@ -10,6 +10,11 @@
 // blocking twin for differential testing, so million-node instances run on
 // congest.EngineStepped in bounded memory.
 //
+// The connector is Ghaffari's, not the source paper's Section 4 transform
+// (Thm 1.4): it orients along a BFS tree, so it needs D̂ + 2 rounds where
+// Section 4 has no diameter term. internal/cds runs Section 4 host-level
+// with charged rounds. Solve always runs all three phases.
+//
 // # Restrictions and assumptions
 //
 // Ghaffari's paper solves the minimum-WEIGHT CDS problem. This
@@ -63,7 +68,6 @@ package mcds
 
 import (
 	"fmt"
-	"sort"
 
 	"congestds/internal/arbmds"
 	"congestds/internal/congest"
@@ -71,11 +75,12 @@ import (
 	"congestds/internal/verify"
 )
 
-// Params configures Solve and Connect.
+// Params configures Solve.
 type Params struct {
 	// Eps is the threshold decay of the dominating phase, exactly as in
-	// arbmds.Params: zero means 0.5, values below arbmds.MinEps are clamped,
-	// and a negative or non-finite ε is rejected.
+	// arbmds.Params: zero means arbmds.DefaultEps, values below
+	// arbmds.MinEps are clamped, and a negative or non-finite ε is
+	// rejected.
 	Eps float64
 	// DiamBound is D̂, the known upper bound on the graph diameter that
 	// sizes the orientation phase. Zero means n (always safe); callers with
@@ -115,8 +120,6 @@ type Result struct {
 	CDS []int
 	// DS is the phase-1 dominating set behind it, ascending.
 	DS []int
-	// InCDS and InD are the indicator vectors behind CDS and DS.
-	InCDS, InD []bool
 	// Thresholds is the phase-1 schedule (4 rounds per threshold).
 	Thresholds []int
 	// Eps is the ε the schedule was built from: Params.Eps after
@@ -155,57 +158,7 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := assemble(g, inD, inCDS, p, m)
-	if err := verify.CheckCDS(g, res.CDS); err != nil {
-		return nil, fmt.Errorf("mcds: internal: %w (DiamBound %d below the true diameter?)", err, p.DiamBound)
-	}
-	return res, nil
-}
-
-// Connect turns an existing dominating set into a connected dominating set
-// by running the orientation and connection phases alone — the CDS
-// connector search in native StepProgram form, executed as real messages.
-// The source paper's Section 4 construction (internal/cds) is host-level
-// with charged rounds and picks different connectors (clusters around a
-// ruling set rather than a BFS orientation); both keep |CDS| ≤ 3|DS|+O(1)
-// and certify under verify.CheckCDS.
-func Connect(g *graph.Graph, ds []int, p Params) (*Result, error) {
-	p, err := p.withDefaults(g)
-	if err != nil {
-		return nil, err
-	}
-	if g.N() == 0 {
-		return &Result{}, nil
-	}
-	if v := verify.FirstUndominated(g, ds); v != -1 {
-		return nil, fmt.Errorf("mcds: input set does not dominate node %d", v)
-	}
-	inD := make([]bool, g.N())
-	for _, v := range ds {
-		inD[v] = true
-	}
-	inCDS := make([]bool, g.N())
-	net := congest.NewNetwork(g, p.Run.Config(p.MaxRounds))
-	m, err := net.RunStepped(ConnectStepFactory(g, inD, p.DiamBound, inCDS))
-	if err != nil {
-		return nil, err
-	}
-	res := assemble(g, inD, inCDS, p, m)
-	// Componentwise check: Connect accepts disconnected graphs (one CDS
-	// per component), and this is the guard that catches a DiamBound below
-	// the true diameter there — the in-protocol assertions cannot, because
-	// a quiesced-too-early flood sends nothing extra.
-	if err := verify.CheckCDSComponents(g, res.CDS); err != nil {
-		return nil, fmt.Errorf("mcds: internal: %w (DiamBound %d below the true diameter?)", err, p.DiamBound)
-	}
-	return res, nil
-}
-
-// assemble builds the Result from the output indicator vectors.
-func assemble(g *graph.Graph, inD, inCDS []bool, p Params, m congest.Metrics) *Result {
 	res := &Result{
-		InCDS:      inCDS,
-		InD:        inD,
 		Thresholds: arbmds.Thresholds(g.MaxDegree(), p.Eps),
 		Eps:        p.Eps,
 		DiamBound:  p.DiamBound,
@@ -219,7 +172,8 @@ func assemble(g *graph.Graph, inD, inCDS []bool, p Params, m congest.Metrics) *R
 			res.DS = append(res.DS, v)
 		}
 	}
-	sort.Ints(res.CDS)
-	sort.Ints(res.DS)
-	return res
+	if err := verify.CheckCDS(g, res.CDS); err != nil {
+		return nil, fmt.Errorf("mcds: internal: %w (DiamBound %d below the true diameter?)", err, p.DiamBound)
+	}
+	return res, nil
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"congestds/internal/arbmds"
-	"congestds/internal/baseline"
 	"congestds/internal/congest"
 	"congestds/internal/graph"
 	"congestds/internal/verify"
@@ -41,12 +40,11 @@ func TestSolveRejectsDisconnected(t *testing.T) {
 }
 
 // TestRejectsBadParams: an ε with no threshold schedule or a negative
-// diameter bound is caller misuse, typed as congest.ErrConfig by Solve and
-// Connect alike — not run as the two-threshold schedule (NaN, +Inf), as
-// ε = 0.5 (negative ε) or as D̂ = n (negative bound).
+// diameter bound is caller misuse, typed as congest.ErrConfig by Solve —
+// not run as the two-threshold schedule (NaN, +Inf), as ε = 0.5 (negative
+// ε) or as D̂ = n (negative bound).
 func TestRejectsBadParams(t *testing.T) {
 	g := graph.GNPConnected(30, 0.15, 11)
-	ds := baseline.Greedy(g)
 	for _, p := range []Params{
 		{Eps: math.NaN()},
 		{Eps: math.Inf(1)},
@@ -55,9 +53,6 @@ func TestRejectsBadParams(t *testing.T) {
 	} {
 		if _, err := Solve(g, p); !errors.Is(err, congest.ErrConfig) {
 			t.Errorf("Solve %+v: err = %v, want ErrConfig", p, err)
-		}
-		if _, err := Connect(g, ds, p); !errors.Is(err, congest.ErrConfig) {
-			t.Errorf("Connect %+v: err = %v, want ErrConfig", p, err)
 		}
 	}
 }
@@ -165,39 +160,25 @@ func TestSolveEngineInvariance(t *testing.T) {
 	}
 }
 
+// TestConnectExtendsGreedy: the connect phase only adds connectors to the
+// greedy threshold-peel set of phase 1 — every dominator stays in the CDS,
+// at most two connectors per dominator plus the root join.
 func TestConnectExtendsGreedy(t *testing.T) {
 	for _, tt := range testFamilies() {
 		t.Run(tt.name, func(t *testing.T) {
-			ds := baseline.Greedy(tt.g)
-			res, err := Connect(tt.g, ds, Params{})
+			res, err := Solve(tt.g, Params{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := verify.CheckCDS(tt.g, res.CDS); err != nil {
-				t.Fatalf("invalid CDS: %v", err)
-			}
-			inCDS := make(map[int]bool, len(res.CDS))
-			for _, v := range res.CDS {
-				inCDS[v] = true
-			}
-			for _, v := range ds {
-				if !inCDS[v] {
+			for _, v := range res.DS {
+				if _, ok := slices.BinarySearch(res.CDS, v); !ok {
 					t.Errorf("DS member %d missing from CDS", v)
 				}
 			}
-			if len(res.CDS) > 3*len(ds)+1 {
-				t.Errorf("|CDS|=%d exceeds 3|DS|+1=%d", len(res.CDS), 3*len(ds)+1)
-			}
-			if res.Metrics.Rounds <= 0 {
-				t.Error("no rounds recorded for the executed connector")
+			if len(res.CDS) > 3*len(res.DS)+1 {
+				t.Errorf("|CDS|=%d exceeds 3|DS|+1=%d", len(res.CDS), 3*len(res.DS)+1)
 			}
 		})
-	}
-}
-
-func TestConnectRejectsNonDominating(t *testing.T) {
-	if _, err := Connect(graph.Path(6), []int{0}, Params{}); err == nil {
-		t.Error("non-dominating input accepted")
 	}
 }
 
@@ -232,9 +213,10 @@ func TestSolveDiamBoundTooSmallFailsLoudly(t *testing.T) {
 	}
 }
 
-// The same guard must hold on Connect with a disconnected input, where
-// whole-graph connectivity is undefined and the componentwise check is
-// the only line of defence.
+// On a disconnected input, where whole-graph connectivity is undefined,
+// the componentwise check is the guard that catches a DiamBound below the
+// true diameter: the program forms run there (one CDS per component), and
+// a too-short flood sends nothing the in-protocol assertions could see.
 func TestConnectDiamBoundTooSmallFailsOnDisconnected(t *testing.T) {
 	var edges [][2]int
 	for v := 0; v+1 < 30; v++ {
@@ -247,13 +229,25 @@ func TestConnectDiamBoundTooSmallFailsOnDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := baseline.Greedy(g)
-	// Sanity: a safe bound succeeds.
-	if _, err := Connect(g, ds, Params{}); err != nil {
-		t.Fatalf("default DiamBound: %v", err)
+	run := func(diam int) error {
+		inD, inCDS := make([]bool, g.N()), make([]bool, g.N())
+		if _, err := congest.NewNetwork(g, congest.Config{}).RunStepped(StepFactory(g, arbmds.DefaultEps, diam, inD, inCDS)); err != nil {
+			return err
+		}
+		var cds []int
+		for v, in := range inCDS {
+			if in {
+				cds = append(cds, v)
+			}
+		}
+		return verify.CheckCDSComponents(g, cds)
 	}
-	if res, err := Connect(g, ds, Params{DiamBound: 3}); err == nil {
-		t.Fatalf("DiamBound=3 on diameter-29 components returned a result with %d members", len(res.CDS))
+	// Sanity: a safe bound succeeds.
+	if err := run(g.N()); err != nil {
+		t.Fatalf("D̂ = n: %v", err)
+	}
+	if err := run(3); err == nil {
+		t.Fatal("D̂ = 3 on diameter-29 components passed the componentwise check")
 	}
 }
 

@@ -36,7 +36,7 @@ import (
 // connect phases.
 type mcdsShared struct {
 	ths        []int
-	peelRounds int // 4·len(ths), or 0 for the connector-only form
+	peelRounds int // 4·len(ths)
 	diam       int // D̂, the orientation phase length
 	inD        []bool
 	inCDS      []bool
@@ -69,25 +69,7 @@ func StepFactory(g *graph.Graph, eps float64, diam int, inD, inCDS []bool) conge
 	}
 }
 
-// ConnectStepFactory builds the connector-only program: the dominating set
-// is given in inD (read-only input) and the program runs the orientation
-// and connection phases alone, writing the CDS into inCDS.
-func ConnectStepFactory(g *graph.Graph, inD []bool, diam int, inCDS []bool) congest.StepFactory {
-	sh := &mcdsShared{diam: diam, inD: inD, inCDS: inCDS}
-	return func(nd *congest.Node) congest.StepProgram {
-		return &mcdsStep{sh: sh}
-	}
-}
-
 func (ms *mcdsStep) Init(nd *congest.Node) bool {
-	if ms.sh.peelRounds == 0 {
-		// Connector-only form: the dominating set is an input.
-		if ms.sh.inD[nd.V()] {
-			ms.sh.inCDS[nd.V()] = true
-		}
-		ms.bfsStart(nd)
-		return false
-	}
 	ms.peel = arbmds.NewPeel(nd.Degree())
 	return false
 }
@@ -172,7 +154,7 @@ func (ms *mcdsStep) Step(nd *congest.Node, round int, in []congest.Incoming) boo
 // broadcasts stop at round D̂-2), so only empty connect tokens can arrive
 // here, and a too-small D̂ under-propagates rather than over-sends. The
 // authoritative too-small-D̂ guard is therefore the post-run
-// verification in Solve/Connect (verify.CheckCDS/CheckCDSComponents);
+// verification in Solve (verify.CheckCDS);
 // this assertion only pins the protocol's message-kind invariant against
 // future edits.
 func (ms *mcdsStep) requireTokens(in []congest.Incoming) {

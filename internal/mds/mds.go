@@ -69,11 +69,14 @@ const (
 // ~log₂Δ phases suffice).
 const maxPhases = 64
 
+// DefaultEps is the ε of Theorems 1.1/1.2 a zero Params.Eps selects.
+const DefaultEps = 0.5
+
 // Params configures Solve.
 type Params struct {
 	// Eps is the ε of Theorems 1.1/1.2; the approximation guarantee is
-	// (1+ε)(1+ln(Δ+1)). Zero means 0.5; anything outside (0, 1] wraps
-	// congest.ErrConfig.
+	// (1+ε)(1+ln(Δ+1)). Zero means DefaultEps; anything outside (0, 1]
+	// wraps congest.ErrConfig.
 	Eps float64
 	// Engine selects the derandomization engine. Zero means EngineColoring.
 	Engine Engine
@@ -117,7 +120,7 @@ type Result struct {
 // Solve runs the selected deterministic MDS approximation pipeline on g.
 func Solve(g *graph.Graph, p Params) (*Result, error) {
 	if p.Eps == 0 {
-		p.Eps = 0.5
+		p.Eps = DefaultEps
 	}
 	if !(p.Eps > 0 && p.Eps <= 1) {
 		return nil, fmt.Errorf("%w: mds: eps=%v out of (0,1]", congest.ErrConfig, p.Eps)

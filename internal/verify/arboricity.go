@@ -142,14 +142,7 @@ type ArbCertificate struct {
 func CertifyArb(g *graph.Graph, set []int, eps float64) ArbCertificate {
 	c := ArbCertificate{Size: len(set), Degeneracy: Degeneracy(g)}
 	c.ClaimBound = ArbClaimBound(c.Degeneracy, eps)
-	lb := DualPackingLB(g)
-	if g.N() > 0 && lb < 1 {
-		lb = 1
-	}
-	c.LowerBound = lb
-	if lb > 0 {
-		c.Ratio = float64(len(set)) / lb
-	}
+	c.LowerBound, c.Ratio = ratio(g, c.Size)
 	c.OK = IsDominatingSet(g, set) && c.Ratio <= c.ClaimBound+1e-9
 	return c
 }
@@ -167,14 +160,13 @@ func (c ArbCertificate) String() string {
 // peeling algorithm for a graph with max degree delta: 4 CONGEST rounds per
 // threshold phase, O(ε⁻¹·log Δ) phases, independent of n. arbmds pins its
 // actual schedule length to this formula in its tests; the E-arb table
-// checks measured rounds against it.
+// checks measured rounds against it. eps is a resolved decay
+// (arbmds.ResolveEps, arbmds.Result.Eps); values below ArbMinEps are
+// clamped to it, as arbmds.Thresholds does.
 func RoundBoundArb(delta int, eps float64) int {
 	deltaTilde := float64(delta + 1)
 	if deltaTilde < 2 {
 		deltaTilde = 2
-	}
-	if eps <= 0 {
-		eps = 0.5
 	}
 	if eps < ArbMinEps {
 		eps = ArbMinEps

@@ -10,20 +10,36 @@ import (
 	"congestds/internal/graph"
 )
 
-// IsDominatingSet reports whether set dominates g: every node is in the set
-// or adjacent to a member.
+// IsDominatingSet reports whether set dominates g: every member is a node
+// of g, and every node is in the set or adjacent to a member.
 func IsDominatingSet(g *graph.Graph, set []int) bool {
-	return FirstUndominated(g, set) == -1
+	return CheckDominating(g, set) == nil
 }
 
-// FirstUndominated returns the first node not dominated by set, or -1.
+// CheckDominating returns why set is no dominating set of g — a member
+// outside [0, n) or an undominated node — or nil.
+func CheckDominating(g *graph.Graph, set []int) error {
+	for _, v := range set {
+		if v < 0 || v >= g.N() {
+			return fmt.Errorf("verify: member %d is not a node of the %d-node graph", v, g.N())
+		}
+	}
+	if v := FirstUndominated(g, set); v != -1 {
+		return fmt.Errorf("verify: node %d not dominated", v)
+	}
+	return nil
+}
+
+// FirstUndominated returns the first node not dominated by set, or -1. A
+// member outside [0, n) is no node of g and dominates nothing;
+// CheckDominating, IsDominatingSet and the certificates reject such a set
+// outright.
 func FirstUndominated(g *graph.Graph, set []int) int {
 	in := make([]bool, g.N())
 	for _, v := range set {
-		if v < 0 || v >= g.N() {
-			return v
+		if v >= 0 && v < g.N() {
+			in[v] = true
 		}
-		in[v] = true
 	}
 	for v := 0; v < g.N(); v++ {
 		if in[v] {
@@ -45,18 +61,19 @@ func FirstUndominated(g *graph.Graph, set []int) int {
 
 // IsConnectedSet reports whether the subgraph of g induced by set is
 // connected (the CDS condition; empty and singleton sets count as
-// connected). The check is a flat-slice BFS in O(n + m) — it certifies
-// million-node connected dominating sets without map overhead.
+// connected, a set with a member outside [0, n) never does). The check is
+// a flat-slice BFS in O(n + m) — it certifies million-node connected
+// dominating sets without map overhead.
 func IsConnectedSet(g *graph.Graph, set []int) bool {
-	if len(set) <= 1 {
-		return true
-	}
 	in := make([]bool, g.N())
 	for _, v := range set {
 		if v < 0 || v >= g.N() {
 			return false
 		}
 		in[v] = true
+	}
+	if len(set) <= 1 {
+		return true
 	}
 	// BFS inside the induced subgraph.
 	visited := make([]bool, g.N())
@@ -80,8 +97,8 @@ func IsConnectedSet(g *graph.Graph, set []int) bool {
 // CheckCDS verifies the connected dominating set conditions and returns a
 // descriptive error on failure.
 func CheckCDS(g *graph.Graph, set []int) error {
-	if v := FirstUndominated(g, set); v != -1 {
-		return fmt.Errorf("verify: node %d not dominated", v)
+	if err := CheckDominating(g, set); err != nil {
+		return err
 	}
 	if !IsConnectedSet(g, set) {
 		return fmt.Errorf("verify: induced subgraph not connected")
@@ -163,13 +180,21 @@ type RatioCertificate struct {
 // Certify returns a RatioCertificate for a dominating set using the dual
 // packing lower bound (and 1 as a floor for nonempty graphs).
 func Certify(g *graph.Graph, set []int) RatioCertificate {
-	lb := DualPackingLB(g)
+	c := RatioCertificate{Size: len(set)}
+	c.LowerBound, c.Ratio = ratio(g, c.Size)
+	return c
+}
+
+// ratio is the one ratio computation of every certificate: the
+// dual-packing lower bound of g, floored at 1 on a nonempty graph, and
+// size over it (0 on the empty graph).
+func ratio(g *graph.Graph, size int) (lb, r float64) {
+	lb = DualPackingLB(g)
 	if g.N() > 0 && lb < 1 {
 		lb = 1
 	}
-	c := RatioCertificate{Size: len(set), LowerBound: lb}
 	if lb > 0 {
-		c.Ratio = float64(len(set)) / lb
+		r = float64(size) / lb
 	}
-	return c
+	return lb, r
 }

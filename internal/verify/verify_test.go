@@ -165,3 +165,33 @@ func TestCertify(t *testing.T) {
 		t.Errorf("certificate wrong: %+v", c)
 	}
 }
+
+// TestOutOfRangeMemberFailsEveryCheck: a member outside [0, n) is no node
+// of g, so a set holding one — alone or beside a valid CDS — is rejected by
+// every check and certificate. -1 in particular must not read as
+// FirstUndominated's "all dominated".
+func TestOutOfRangeMemberFailsEveryCheck(t *testing.T) {
+	g := graph.Path(5)
+	valid := []int{1, 2, 3}
+	if !IsDominatingSet(g, valid) || CheckCDS(g, valid) != nil || CheckCDSComponents(g, valid) != nil ||
+		!CertifyArb(g, valid, 0.5).OK || !CertifyCDS(g, valid, 0).OK {
+		t.Fatalf("valid CDS %v rejected", valid)
+	}
+	for _, set := range [][]int{{-1}, {5}, {1, 2, 3, -1}, {1, 2, 3, 5}, {-1, 1, 2, 3}} {
+		if IsDominatingSet(g, set) {
+			t.Errorf("IsDominatingSet(%v) = true", set)
+		}
+		if CheckCDS(g, set) == nil {
+			t.Errorf("CheckCDS(%v) = nil", set)
+		}
+		if CheckCDSComponents(g, set) == nil {
+			t.Errorf("CheckCDSComponents(%v) = nil", set)
+		}
+		if c := CertifyArb(g, set, 0.5); c.OK {
+			t.Errorf("CertifyArb(%v) passed: %v", set, c)
+		}
+		if c := CertifyCDS(g, set, 0); c.OK || c.Dominating || c.Connected {
+			t.Errorf("CertifyCDS(%v) = %v, want not dominating, not connected, not ok", set, c)
+		}
+	}
+}
