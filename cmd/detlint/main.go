@@ -2,17 +2,17 @@
 // determinism, payload-aliasing, unsafe-confinement and error-taxonomy
 // checks that guard this repo's CONGEST engines.
 //
-// It speaks two protocols:
+// It has one driver, cmd/go's vet-tool protocol:
 //
-//	detlint ./...                       # standalone, via `go list -export`
-//	go vet -vettool=$(which detlint) ./...   # as a cmd/go vet tool
+//	go vet -vettool=$(which detlint) ./...
 //
-// In vet-tool mode cmd/go invokes the binary three ways — `-V=full` for a
-// cache key, `-flags` for the flag manifest, and once per compilation unit
-// with a JSON config file argument — the same contract implemented by
-// x/tools' unitchecker, re-implemented here on the standard library so the
-// tool builds offline. Diagnostics go to stderr as file:line:col lines;
-// exit status is 2 when findings exist, 1 on driver failure, 0 when clean.
+// cmd/go invokes the binary three ways — `-V=full` for a cache key,
+// `-flags` for the flag manifest, and once per compilation unit with a
+// JSON config file argument — the same contract implemented by x/tools'
+// unitchecker, re-implemented here on the standard library so the tool
+// builds offline. Diagnostics go to stderr as file:line:col lines; exit
+// status is 2 when findings exist, 1 on driver failure or any other
+// invocation (which prints the usage line), 0 when clean.
 package main
 
 import (
@@ -48,7 +48,8 @@ func main() {
 	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
 		os.Exit(vetUnit(args[0]))
 	default:
-		os.Exit(standalone(args))
+		fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(which detlint) ./...")
+		os.Exit(1)
 	}
 }
 
@@ -209,40 +210,6 @@ func typecheckUnit(cfg *vetConfig) (*lint.Unit, error) {
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// standalone runs the suite over go-list patterns (default ./...) relative
-// to the enclosing module root, so `detlint` works from any subdirectory.
-func standalone(patterns []string) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	for _, p := range patterns {
-		if strings.HasPrefix(p, "-") {
-			fmt.Fprintf(os.Stderr, "usage: detlint [packages]\n   or: go vet -vettool=$(which detlint) [packages]\n")
-			return 1
-		}
-	}
-	root := lint.ModuleRoot(".")
-	units, err := lint.Load(root, patterns...)
-	if err != nil {
-		log.Print(err)
-		return 1
-	}
-	found := false
-	for _, u := range units {
-		diags, err := lint.Run(u, lint.Suite())
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		printDiags(u.Fset, diags)
-		found = found || len(diags) > 0
-	}
-	if found {
-		return 2
-	}
-	return 0
-}
 
 func printDiags(fset *token.FileSet, diags []analysis.Diagnostic) {
 	for _, d := range diags {

@@ -8,18 +8,14 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-
-	"congestds/internal/lint"
 )
 
-// buildTool compiles detlint once per test binary into a temp dir and
-// returns its absolute path.
+// buildTool compiles detlint (the package under test, the working
+// directory of go test) into a temp dir and returns its absolute path.
 func buildTool(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "detlint")
-	cmd := exec.Command("go", "build", "-o", bin, "congestds/cmd/detlint")
-	cmd.Dir = lint.ModuleRoot(".")
-	if out, err := cmd.CombinedOutput(); err != nil {
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("building detlint: %v\n%s", err, out)
 	}
 	return bin
@@ -57,7 +53,8 @@ func runVet(t *testing.T, tool, dir string) (string, error) {
 
 // TestVersionHandshake pins the -V=full contract: cmd/go hashes the line
 // into its build cache key, so the format must stay parseable and the
-// buildID must be a content digest.
+// buildID must be a content digest. Any invocation outside the vet-tool
+// protocol (`detlint ./...`, or no arguments) is a usage error naming it.
 func TestVersionHandshake(t *testing.T) {
 	tool := buildTool(t)
 	out, err := exec.Command(tool, "-V=full").Output()
@@ -76,11 +73,22 @@ func TestVersionHandshake(t *testing.T) {
 	if strings.TrimSpace(string(flags)) != "[]" {
 		t.Errorf("-flags = %q, want []", flags)
 	}
+
+	for _, args := range [][]string{{"./..."}, nil} {
+		out, err := exec.Command(tool, args...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Errorf("detlint %q: err=%v, want exit status 1", args, err)
+		}
+		if want := "usage: go vet -vettool=$(which detlint) ./...\n"; string(out) != want {
+			t.Errorf("detlint %q output = %q, want %q", args, out, want)
+		}
+	}
 }
 
 // TestVetToolFindings drives the real `go vet -vettool` protocol end to
 // end: cmd/go invokes detlint with a .cfg per compilation unit, and a
-// deterministic-package map range must surface as a vet failure.
+// deterministic-package map range and wall-clock read must each surface
+// as a vet failure.
 func TestVetToolFindings(t *testing.T) {
 	tool := buildTool(t)
 	dir := writeModule(t, map[string]string{
@@ -94,6 +102,13 @@ func Degrees(deg map[int]int) []int {
 	}
 	return out
 }
+`,
+		"chaos/chaos.go": `package chaos
+
+import "time"
+
+// Jitter reads the wall clock in a deterministic package.
+func Jitter() int64 { return time.Now().UnixNano() }
 `,
 		// A host-side package with the same code must stay silent.
 		"tools/tools.go": `package tools
@@ -113,6 +128,9 @@ func Degrees(deg map[int]int) []int {
 	}
 	if !strings.Contains(out, "range over map") || !strings.Contains(out, "graph.go") {
 		t.Errorf("vet output missing maporder finding:\n%s", out)
+	}
+	if !strings.Contains(out, "wall-clock read time.Now") || !strings.Contains(out, "chaos.go") {
+		t.Errorf("vet output missing nondet finding:\n%s", out)
 	}
 	if strings.Contains(out, "tools.go") {
 		t.Errorf("vet flagged the non-deterministic package:\n%s", out)
@@ -163,31 +181,5 @@ func TestSum(t *testing.T) {
 	}
 	if strings.TrimSpace(out) != "" {
 		t.Errorf("clean vet run produced output:\n%s", out)
-	}
-}
-
-// TestStandaloneDriver pins the go-list driver: same module, same
-// findings, exit status 2.
-func TestStandaloneDriver(t *testing.T) {
-	tool := buildTool(t)
-	dir := writeModule(t, map[string]string{
-		"chaos/chaos.go": `package chaos
-
-import "time"
-
-// Jitter reads the wall clock in a deterministic package.
-func Jitter() int64 { return time.Now().UnixNano() }
-`,
-	})
-	cmd := exec.Command(tool, "./...")
-	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "GOWORK=off")
-	out, err := cmd.CombinedOutput()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 2 {
-		t.Fatalf("standalone detlint: err=%v, want exit status 2; output:\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "wall-clock read time.Now") {
-		t.Errorf("standalone output missing nondet finding:\n%s", out)
 	}
 }

@@ -355,12 +355,6 @@ func (nd *Node) NeighborID(port int) int64 {
 	return nd.net.g.ID(int(nd.net.g.Neighbors(nd.v)[port]))
 }
 
-// NeighborIndex returns the node index of the neighbour on the given port
-// (host-side bookkeeping only, like V).
-func (nd *Node) NeighborIndex(port int) int {
-	return int(nd.net.g.Neighbors(nd.v)[port])
-}
-
 // Round returns the current round number (0 before the first Sync).
 func (nd *Node) Round() int { return nd.sched.currentRound() }
 

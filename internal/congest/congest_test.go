@@ -303,7 +303,7 @@ func TestNeighborID(t *testing.T) {
 		net := NewNetwork(g, Config{Engine: eng})
 		_, err := net.Run(func(nd *Node) {
 			for p := 0; p < nd.Degree(); p++ {
-				want := g.ID(nd.NeighborIndex(p))
+				want := g.ID(int(g.Neighbors(nd.V())[p]))
 				if nd.NeighborID(p) != want {
 					panic("neighbor id mismatch")
 				}

@@ -56,7 +56,7 @@ func Initial(net *congest.Network, ledger *congest.Ledger, p InitialParams) (*CF
 		p.MaxDegree = g.MaxDegree()
 	}
 	ctx := ScaleFor(n)
-	phases := coverPhases(ctx, p.Eps, p.MaxDegree)
+	phases := CoverPhases(ctx, p.Eps, p.MaxDegree)
 
 	x := make([]fixpoint.Value, n)
 	metrics, err := net.RunStepped(func(nd *congest.Node) congest.StepProgram {
@@ -82,23 +82,24 @@ func Initial(net *congest.Network, ledger *congest.Ledger, p InitialParams) (*CF
 	return f, nil
 }
 
-// coverPhase is one threshold of the covering schedule: while a node's
-// residual degree is ≥ threshold it raises its value by increment; iters
+// CoverPhase is one threshold of the covering schedule: while a node's
+// residual degree is ≥ Threshold it raises its value by Increment; Iters
 // bounds the iterations until guaranteed quiescence, and first is the
 // phase's first iteration in the whole schedule.
-type coverPhase struct {
-	threshold fixpoint.Value // θ_t, in units of constraints (scaled)
-	increment fixpoint.Value // 1/(θ_t(1+ε))
-	iters     int
+type CoverPhase struct {
+	Threshold fixpoint.Value // θ_t, in units of constraints (scaled)
+	Increment fixpoint.Value // 1/(θ_t(1+ε))
+	Iters     int
 	first     int
 }
 
-// coverPhases returns the threshold schedule and per-threshold iteration
+// CoverPhases returns the threshold schedule and per-threshold iteration
 // budgets. Every node computes the same schedule, because it depends only on
-// Δ̃ = maxDegree+1 and ε.
-func coverPhases(ctx fixpoint.Ctx, eps float64, maxDegree int) []coverPhase {
+// Δ̃ = maxDegree+1 and ε. Package setcover walks the same schedule with
+// Δ̃ = the largest set size.
+func CoverPhases(ctx fixpoint.Ctx, eps float64, maxDegree int) []CoverPhase {
 	onePlusEps := ctx.Add(ctx.One(), ctx.FromFloat(eps))
-	var phases []coverPhase
+	var phases []CoverPhase
 	first := 0
 	addPhase := func(theta fixpoint.Value) {
 		den := ctx.MulUp(theta, onePlusEps)
@@ -108,7 +109,7 @@ func coverPhases(ctx fixpoint.Ctx, eps float64, maxDegree int) []coverPhase {
 		}
 		// iterations until guaranteed quiescence: ⌊θ(1+ε)⌋ + 2
 		it := int(uint64(den)>>ctx.Scale()) + 2
-		phases = append(phases, coverPhase{threshold: theta, increment: inc, iters: it, first: first})
+		phases = append(phases, CoverPhase{Threshold: theta, Increment: inc, Iters: it, first: first})
 		first += it
 	}
 	theta := fixpoint.Value(maxDegree+1) * ctx.One() // Δ̃ in fixed point
@@ -158,7 +159,7 @@ func coverPhases(ctx fixpoint.Ctx, eps float64, maxDegree int) []coverPhase {
 // family and serve set no Hooks.
 type coverStep struct {
 	x      []fixpoint.Value
-	phases []coverPhase
+	phases []CoverPhase
 	ctx    fixpoint.Ctx
 
 	xv           fixpoint.Value
@@ -180,7 +181,7 @@ func (s *coverStep) residual() int {
 // lastRound is the round of the final Step, in which every node outputs.
 func (s *coverStep) lastRound() int {
 	last := s.phases[len(s.phases)-1]
-	return 2*(last.first+last.iters) - 1
+	return 2*(last.first+last.Iters) - 1
 }
 
 // sleepFrom sleeps until round A of the first iteration ≥ k at which the
@@ -189,7 +190,7 @@ func (s *coverStep) lastRound() int {
 // thresholds never rise, so the phases that qualify form a suffix.
 func (s *coverStep) sleepFrom(nd *congest.Node, k int) {
 	d := fixpoint.Value(uint64(s.residual())) * s.ctx.One()
-	i := sort.Search(len(s.phases), func(i int) bool { return s.phases[i].threshold <= d })
+	i := sort.Search(len(s.phases), func(i int) bool { return s.phases[i].Threshold <= d })
 	if s.xv < s.ctx.One() && i < len(s.phases) {
 		if next := max(k, s.phases[i].first); 2*next < s.lastRound() {
 			nd.SleepUntil(2 * next)
@@ -219,10 +220,10 @@ func (s *coverStep) Step(nd *congest.Node, round int, in []congest.Incoming) boo
 		s.nbrUncovered -= len(in)
 		// Round B send: candidates raise and broadcast the actual delta.
 		ph := s.phases[sort.Search(len(s.phases), func(i int) bool {
-			return s.phases[i].first+s.phases[i].iters > k
+			return s.phases[i].first+s.phases[i].Iters > k
 		})]
-		if fixpoint.Value(uint64(s.residual()))*ctx.One() >= ph.threshold && s.xv < ctx.One() {
-			nx := ctx.Clamp1(ctx.Add(s.xv, ph.increment))
+		if fixpoint.Value(uint64(s.residual()))*ctx.One() >= ph.Threshold && s.xv < ctx.One() {
+			nx := ctx.Clamp1(ctx.Add(s.xv, ph.Increment))
 			s.delta = nx - s.xv
 			s.xv = nx
 			nd.Broadcast(congest.AppendUvarint(nd.PayloadBuf(10), uint64(s.delta)))

@@ -16,7 +16,7 @@ import (
 type broadcastEveryRound struct {
 	x       []fixpoint.Value
 	nonzero []int64
-	phases  []coverPhase
+	phases  []CoverPhase
 	ctx     fixpoint.Ctx
 
 	xv           fixpoint.Value
@@ -63,8 +63,8 @@ func (s *broadcastEveryRound) Step(nd *congest.Node, round int, in []congest.Inc
 		}
 		ph := s.phases[s.pi]
 		s.delta = 0
-		if fixpoint.Value(uint64(d))*ctx.One() >= ph.threshold && s.xv < ctx.One() {
-			nx := ctx.Clamp1(ctx.Add(s.xv, ph.increment))
+		if fixpoint.Value(uint64(d))*ctx.One() >= ph.Threshold && s.xv < ctx.One() {
+			nx := ctx.Clamp1(ctx.Add(s.xv, ph.Increment))
 			s.delta = nx - s.xv
 			s.xv = nx
 		}
@@ -84,7 +84,7 @@ func (s *broadcastEveryRound) Step(nd *congest.Node, round int, in []congest.Inc
 		s.covSelf = ctx.Add(s.covSelf, fixpoint.Value(d))
 	}
 	s.awaitingB = false
-	if s.it++; s.it >= s.phases[s.pi].iters {
+	if s.it++; s.it >= s.phases[s.pi].Iters {
 		s.it = 0
 		s.pi++
 	}
@@ -143,7 +143,7 @@ func TestInitialMatchesBroadcastEveryRound(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/eps=%g/%v", tc.name, eps, eng), func(t *testing.T) {
 					n := g.N()
 					ctx := ScaleFor(n)
-					phases := coverPhases(ctx, eps, g.MaxDegree())
+					phases := CoverPhases(ctx, eps, g.MaxDegree())
 
 					twinX := make([]fixpoint.Value, n)
 					nonzero := make([]int64, n)

@@ -5,10 +5,10 @@
 // arena generations, unsafe confined to the audited mmap files, and a
 // congest API that cannot return errors outside the sentinel taxonomy.
 //
-// The suite runs as `go vet -vettool=$(which detlint) ./...` or
-// standalone as `detlint ./...` (see cmd/detlint). Analyzers are built on
-// the offline go/analysis shim in internal/lint/analysis; each is a
-// single-package check over the type-checked AST.
+// The suite has one driver, `go vet -vettool=$(which detlint) ./...` (see
+// cmd/detlint). Analyzers are built on the offline go/analysis shim in
+// internal/lint/analysis; each is a single-package check over the
+// type-checked AST.
 //
 // A finding is suppressed by an explicit, reviewed annotation:
 //
@@ -83,9 +83,9 @@ func suiteNames() map[string]bool {
 }
 
 // A Unit is one type-checked package ready for analysis: the parse and
-// type artifacts plus the file subset the analyzers look at. Both drivers
-// (cmd/detlint's go-list loader and vet-cfg mode, and the linttest
-// harness) produce Units.
+// type artifacts plus the file subset the analyzers look at. cmd/detlint
+// builds one per vet-tool compilation unit, and the linttest harness one
+// per analyzer testdata package.
 type Unit struct {
 	Fset  *token.FileSet
 	Files []*ast.File // non-test files only; analyzers see exactly these

@@ -26,15 +26,23 @@ import (
 // slice across calls.
 type Process struct {
 	inst          *Instance
-	coin          []int8    // -1 unassigned, 0 fixed off, 1 fixed fire
-	constraintsOf [][]int32 // value site -> constraints it appears in
-	exactLimit    int
-	sGrid         []uint     // Chernoff exponents: s = 2^e
+	coin          []int8     // -1 unassigned, 0 fixed off, 1 fixed fire
+	constraintsOf [][]int32  // value site -> constraints it appears in
 	frees         []freeSite // ConstraintUB scratch
 }
 
 // coinUnset marks an unassigned coin.
 const coinUnset int8 = -1
+
+const (
+	// exactLimit is the most free coins ConstraintUB enumerates exactly.
+	exactLimit = 16
+	// maxSExp bounds the Chernoff estimator's exponent grid: s = 2^e for
+	// e = 0..maxSExp. The optimizer takes the minimum bound over the grid; a
+	// coarse geometric grid loses at most a constant factor in the exponent,
+	// which the experiments absorb. Powers of two make s·x an exact shift.
+	maxSExp = 18
+)
 
 // NewProcess prepares a derandomization run over inst.
 func NewProcess(inst *Instance) (*Process, error) {
@@ -45,7 +53,6 @@ func NewProcess(inst *Instance) (*Process, error) {
 		inst:          inst,
 		coin:          make([]int8, len(inst.X)),
 		constraintsOf: make([][]int32, len(inst.X)),
-		exactLimit:    16,
 	}
 	for j := range p.coin {
 		p.coin[j] = coinUnset
@@ -72,13 +79,6 @@ func NewProcess(inst *Instance) (*Process, error) {
 				p.constraintsOf[j] = append(p.constraintsOf[j], int32(i))
 			}
 		}
-	}
-	// Deterministic exponent grid for the Chernoff estimator: s = 2^e for
-	// e = 0..18. The optimizer takes the minimum bound over the grid; a
-	// coarse geometric grid loses at most a constant factor in the exponent,
-	// which the experiments absorb. Powers of two make s·x an exact shift.
-	for e := uint(0); e <= 18; e++ {
-		p.sGrid = append(p.sGrid, e)
 	}
 	return p, nil
 }
@@ -186,13 +186,13 @@ func (p *Process) ConstraintUB(i int, j0 int, b0 int8) fixpoint.Value {
 		return prUnc
 	}
 	// Exhaustive enumeration over free coins (exact, round-up).
-	if len(frees) <= p.exactLimit {
+	if len(frees) <= exactLimit {
 		return p.enumerate(frees, deficit)
 	}
 	// Deterministic Chernoff estimator, base 2: for every s > 0,
 	// Pr(Σ fire_u·B_u < D) ≤ 2^{s·D} · Π_u (p_u·2^{-s·fire_u} + (1-p_u)).
 	best := ctx.One()
-	for _, e := range p.sGrid {
+	for e := uint(0); e <= maxSExp; e++ {
 		prod := ctx.One()
 		for _, f := range frees {
 			exp := shiftSat(ctx, f.fire, e) // s·fire_u with s = 2^e

@@ -139,24 +139,15 @@ func Solve(in *Instance, eps float64) (*Result, error) {
 }
 
 // fractionalCover runs the threshold-batched fractional greedy of
-// fractional.Initial on the set system (structural form).
+// fractional.Initial on the set system (structural form): the same schedule
+// (fractional.CoverPhases with Δ̃ = the largest set size), updated
+// sequentially on the host, leaving a threshold once no set raises.
 func fractionalCover(in *Instance, ctx fixpoint.Ctx, eps float64) []fixpoint.Value {
 	nSets := len(in.Sets)
 	x := make([]fixpoint.Value, nSets)
 	cov := make([]fixpoint.Value, in.NumElements)
-	onePlusEps := ctx.Add(ctx.One(), ctx.FromFloat(eps))
-	theta := fixpoint.Value(uint64(in.MaxSetSize())) * ctx.One()
-	if theta == 0 {
-		theta = ctx.One()
-	}
-	for {
-		den := ctx.MulUp(theta, onePlusEps)
-		inc := ctx.DivDown(ctx.One(), den)
-		if inc == 0 {
-			inc = ctx.Eps()
-		}
-		iters := int(uint64(den)>>ctx.Scale()) + 2
-		for it := 0; it < iters; it++ {
+	for _, ph := range fractional.CoverPhases(ctx, eps, in.MaxSetSize()-1) {
+		for it := 0; it < ph.Iters; it++ {
 			// Residual degrees.
 			raised := false
 			for s := 0; s < nSets; s++ {
@@ -169,8 +160,8 @@ func fractionalCover(in *Instance, ctx fixpoint.Ctx, eps float64) []fixpoint.Val
 						d++
 					}
 				}
-				if fixpoint.Value(uint64(d))*ctx.One() >= theta {
-					nx := ctx.Clamp1(ctx.Add(x[s], inc))
+				if fixpoint.Value(uint64(d))*ctx.One() >= ph.Threshold {
+					nx := ctx.Clamp1(ctx.Add(x[s], ph.Increment))
 					delta := nx - x[s]
 					x[s] = nx
 					for _, e := range in.Sets[s] {
@@ -182,13 +173,6 @@ func fractionalCover(in *Instance, ctx fixpoint.Ctx, eps float64) []fixpoint.Val
 			if !raised {
 				break
 			}
-		}
-		if theta == ctx.One() {
-			break
-		}
-		theta = ctx.DivDown(theta, onePlusEps)
-		if theta < ctx.One() {
-			theta = ctx.One()
 		}
 	}
 	return x
