@@ -53,8 +53,7 @@ func runVet(t *testing.T, tool, dir string) (string, error) {
 
 // TestVersionHandshake pins the -V=full contract: cmd/go hashes the line
 // into its build cache key, so the format must stay parseable and the
-// buildID must be a content digest. Any invocation outside the vet-tool
-// protocol (`detlint ./...`, or no arguments) is a usage error naming it.
+// buildID must be a content digest.
 func TestVersionHandshake(t *testing.T) {
 	tool := buildTool(t)
 	out, err := exec.Command(tool, "-V=full").Output()
@@ -74,15 +73,6 @@ func TestVersionHandshake(t *testing.T) {
 		t.Errorf("-flags = %q, want []", flags)
 	}
 
-	for _, args := range [][]string{{"./..."}, nil} {
-		out, err := exec.Command(tool, args...).CombinedOutput()
-		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
-			t.Errorf("detlint %q: err=%v, want exit status 1", args, err)
-		}
-		if want := "usage: go vet -vettool=$(which detlint) ./...\n"; string(out) != want {
-			t.Errorf("detlint %q output = %q, want %q", args, out, want)
-		}
-	}
 }
 
 // TestVetToolFindings drives the real `go vet -vettool` protocol end to
@@ -181,5 +171,33 @@ func TestSum(t *testing.T) {
 	}
 	if strings.TrimSpace(out) != "" {
 		t.Errorf("clean vet run produced output:\n%s", out)
+	}
+}
+
+// TestStandaloneDriver pins that detlint has no driver of its own: run
+// directly (`detlint ./...`, or no arguments) inside a module with a
+// finding, it analyzes nothing and exits 1 with the vet-tool usage line.
+func TestStandaloneDriver(t *testing.T) {
+	tool := buildTool(t)
+	dir := writeModule(t, map[string]string{
+		"chaos/chaos.go": `package chaos
+
+import "time"
+
+// Jitter reads the wall clock in a deterministic package.
+func Jitter() int64 { return time.Now().UnixNano() }
+`,
+	})
+	for _, args := range [][]string{{"./..."}, nil} {
+		cmd := exec.Command(tool, args...)
+		cmd.Dir = dir
+		cmd.Env = append(os.Environ(), "GOWORK=off")
+		out, err := cmd.CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Errorf("detlint %q: err=%v, want exit status 1", args, err)
+		}
+		if want := "usage: go vet -vettool=$(which detlint) ./...\n"; string(out) != want {
+			t.Errorf("detlint %q output = %q, want %q", args, out, want)
+		}
 	}
 }
