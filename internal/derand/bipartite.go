@@ -41,7 +41,11 @@ func OneShotBipartite(g *graph.Graph, fds *fractional.CFDS, f uint64, lnDeltaTil
 }
 
 // FactorTwoBipartite builds the instance of Lemma 3.14: x = min(1,(1+ε)x'),
-// participants (x < 2/r) round with p = 1/2; each constraint node v is split
+// participants (0 < x < 2/r) round with p = 1/2, sites with x = 0 keep 0
+// deterministically (p = 0: firing would add nothing, and E[value] is 0
+// either way) and the rest keep x (p = 1). Zero sites count as light for
+// the split below, so they sit where a p = 1/2 site would. Each
+// constraint node v is split
 // into v1 (all heavy members, plus the light ones if fewer than s remain)
 // and v2..vk carrying between s and 2s light members each, with constraints
 // c(v_j) = min(1, Σ x'(members)). With s > Δ+1 no N[v] splits and, on a
@@ -66,9 +70,12 @@ func FactorTwoBipartite(g *graph.Graph, fds *fractional.CFDS, eps float64, r uin
 	for v := 0; v < n; v++ {
 		x := ctx.Clamp1(ctx.MulUp(fds.X[v], onePlusEps))
 		inst.X[v] = x
-		if x < twoOverR {
+		switch {
+		case x == 0:
+			// Deterministic: firing would add 0, so a coin buys nothing.
+		case x < twoOverR:
 			inst.P[v] = ctx.Half()
-		} else {
+		default:
 			inst.P[v] = ctx.One()
 		}
 	}

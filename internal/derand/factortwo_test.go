@@ -14,7 +14,8 @@ import (
 
 // refFactorTwoOnGraph is the plain factor-two instance of Lemma 3.9 as a
 // graph builder of its own: x(v) = min(1, (1+ε)·x'(v)); nodes with
-// x(v) < 2/r participate with p(v) = 1/2, the rest keep their value; the
+// 0 < x(v) < 2/r participate with p(v) = 1/2, nodes with x(v) = 0 get
+// p(v) = 0 and the rest keep their value; the
 // constraints are the inclusive neighbourhoods with threshold 1, each owned
 // by its node. Engine I now rounds FactorTwoBipartite unsplit instead.
 func refFactorTwoOnGraph(g *graph.Graph, fds *fractional.CFDS, eps float64, r uint64) *rounding.Instance {
@@ -33,9 +34,11 @@ func refFactorTwoOnGraph(g *graph.Graph, fds *fractional.CFDS, eps float64, r ui
 	for v := 0; v < n; v++ {
 		x := ctx.Clamp1(ctx.MulUp(fds.X[v], onePlusEps))
 		inst.X[v] = x
-		if x < twoOverR {
+		switch {
+		case x == 0:
+		case x < twoOverR:
 			inst.P[v] = ctx.Half()
-		} else {
+		default:
 			inst.P[v] = ctx.One()
 		}
 		inst.C[v] = ctx.One()

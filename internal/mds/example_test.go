@@ -50,13 +50,13 @@ func ExampleSolve() {
 	// greedy baseline size:    58
 	// certified lower bound:   42.00  (certified ratio ≤ 1.548)
 	// paper guarantee (bound): 4.954  ((1+ε)(1+ln(Δ+1)))
-	// rounds: 850 measured + 1215 charged; 2271 messages, max 48 bits ≤ budget 128 bits
+	// rounds: 850 measured + 394 charged; 2271 messages, max 48 bits ≤ budget 128 bits
 	// factor-two phases: 5 (fractionality trace below)
-	//   phase 0: 1/640-fractional -> 0.00315, size 54.73 -> 55.00
-	//   phase 1: 1/318-fractional -> 0.00634, size 55.00 -> 55.28
-	//   phase 2: 1/158-fractional -> 0.01277, size 55.28 -> 55.61
-	//   phase 3: 1/79-fractional -> 0.02573, size 55.61 -> 55.98
-	//   phase 4: 1/39-fractional -> 0.05183, size 55.98 -> 56.43
+	//   phase 0: 1/640-fractional -> 0.00315, size 54.73 -> 55.01
+	//   phase 1: 1/318-fractional -> 0.00634, size 55.01 -> 55.27
+	//   phase 2: 1/158-fractional -> 0.01277, size 55.27 -> 55.57
+	//   phase 3: 1/79-fractional -> 0.02573, size 55.57 -> 55.90
+	//   phase 4: 1/39-fractional -> 0.05183, size 55.90 -> 56.27
 }
 
 // ExampleSolve_unitDisk elects cluster heads in an ad-hoc sensor network,
@@ -94,8 +94,8 @@ func ExampleSolve_unitDisk() {
 		float64(g.N())/float64(heads))
 	// Output:
 	// sensor network: graph(n=300, m=1542, Δ=20)
-	// decomposition(Thm1.1)    heads=49   certified-ratio≤1.885 guarantee=6.067 rounds=6964
-	// coloring(Thm1.2)         heads=49   certified-ratio≤1.885 guarantee=6.067 rounds=6479
+	// decomposition(Thm1.1)    heads=49   certified-ratio≤1.885 guarantee=6.067 rounds=3240
+	// coloring(Thm1.2)         heads=49   certified-ratio≤1.885 guarantee=6.067 rounds=4304
 	// greedy                   heads=38 (centralized reference)
 	// average cluster size: 6.1 sensors per head
 }

@@ -200,8 +200,10 @@ func TestBoundFormula(t *testing.T) {
 }
 
 // BenchmarkSolve runs the Theorem 1.2 pipeline (EngineColoring, Practical,
-// ε = 0.5) end to end; with Part I cheap, its time and allocations are
-// dominated by the host-side Part II/III colorings and rounding.
+// ε = 0.5) end to end. Its time is dominated by Part I's engine sweep:
+// the stepped engine's sweepChunk took over half of the CPU in a profile
+// of both graphs. The host-side Part II/III colorings and rounding come
+// second, as only sites with 0 < x < 2/r flip coins there.
 func BenchmarkSolve(b *testing.B) {
 	for _, tc := range []struct {
 		family string

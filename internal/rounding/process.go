@@ -17,7 +17,10 @@ import (
 // remaining deficit (which is always the case for one-shot rounding, cf.
 // Lemma 3.6), or subset enumeration when few coins remain — and otherwise by
 // a deterministic base-2 Chernoff pessimistic estimator (see
-// docs/ARCHITECTURE.md#substitutions, substitution 2). All three forms are upper bounds that satisfy the
+// docs/ARCHITECTURE.md#substitutions, substitution 2). Free members whose
+// fire value is 0 are left out of all three: either coin adds 0 to the
+// constraint's sum, so the violation event does not depend on it and
+// leaving it out is exact. All three forms are upper bounds that satisfy the
 // averaging property over an unassigned coin, so the fixed outcome's
 // realized cost never exceeds the initial bound (plus quantization slack
 // mirroring the paper's 1/n^10 rounding accounting).
@@ -156,14 +159,19 @@ func (p *Process) ConstraintUB(i int, j0 int, b0 int8) fixpoint.Value {
 	ctx := p.inst.Ctx
 	var fixedSum fixpoint.Value
 	frees := p.frees[:0]
-	minFire := fixpoint.Value(0)
+	var minFire fixpoint.Value
 	for _, j := range p.inst.Members[i] {
 		fx, fire, prob, un := p.siteTerms(int(j), j0, b0)
 		if un {
-			frees = append(frees, freeSite{fire: fire, prob: prob})
-			if minFire == 0 || fire < minFire {
+			if fire == 0 {
+				// Either coin adds 0 to the sum, so E_i does not depend on
+				// it: leaving the site out is exact.
+				continue
+			}
+			if len(frees) == 0 || fire < minFire {
 				minFire = fire
 			}
+			frees = append(frees, freeSite{fire: fire, prob: prob})
 		} else {
 			fixedSum = ctx.Add(fixedSum, fx)
 		}
@@ -191,6 +199,9 @@ func (p *Process) ConstraintUB(i int, j0 int, b0 int8) fixpoint.Value {
 	}
 	// Deterministic Chernoff estimator, base 2: for every s > 0,
 	// Pr(Σ fire_u·B_u < D) ≤ 2^{s·D} · Π_u (p_u·2^{-s·fire_u} + (1-p_u)).
+	// Every grid point is evaluated in full: the minimum over one fixed set
+	// of s keeps the averaging property, while skipping points by comparing
+	// a partial product with the best bound so far would not.
 	best := ctx.One()
 	for e := uint(0); e <= maxSExp; e++ {
 		prod := ctx.One()
@@ -200,12 +211,6 @@ func (p *Process) ConstraintUB(i int, j0 int, b0 int8) fixpoint.Value {
 				ctx.MulUp(f.prob, ctx.Exp2Neg(exp, true)),
 				ctx.Complement(f.prob))
 			prod = ctx.MulUp(prod, factor)
-			if prod >= best {
-				break
-			}
-		}
-		if prod >= best {
-			continue
 		}
 		// bound = prod · 2^{s·D} = prod / 2^{-s·D}, rounded up.
 		den := ctx.Exp2Neg(shiftSat(ctx, deficit, e), false)

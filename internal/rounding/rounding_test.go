@@ -2,6 +2,7 @@ package rounding
 
 import (
 	"math"
+	"math/big"
 	"math/rand/v2"
 	"testing"
 
@@ -226,6 +227,146 @@ func TestConstraintUBChernoffPath(t *testing.T) {
 	}
 }
 
+// A free member whose fire value is 0 covers nothing, so it must not enter
+// the product form: here the second member alone covers the threshold, and
+// the constraint is violated exactly when it does not fire, Pr = 1/2. The
+// zero-fire member comes first, in both member orders the answer is 1/2.
+func TestConstraintUBZeroFireMemberFirst(t *testing.T) {
+	ctx := fixpoint.Default()
+	half := ctx.Half()
+	for _, members := range [][]int32{{0, 1}, {1, 0}} {
+		inst := &Instance{
+			Ctx:     ctx,
+			X:       []fixpoint.Value{0, half},
+			P:       []fixpoint.Value{half, half},
+			C:       []fixpoint.Value{ctx.One()},
+			Members: [][]int32{members},
+			Owner:   []int32{0},
+		}
+		proc, err := NewProcess(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := proc.ConstraintUB(0, -1, 0); got != half {
+			t.Errorf("members %v: UB = %s, want 1/2", members, ctx.String(got))
+		}
+	}
+}
+
+// exactViolation returns Pr(Σ values < C_i) for constraint i by summing
+// over every assignment of the unassigned coins, with site j0 overridden to
+// coin b0 (j0 = -1 for none). It restates the process's semantics directly:
+// p ∈ {0, 1} keeps 0 or x, a fixed coin gives its fire value or 0, and an
+// unassigned coin fires with probability p.
+func exactViolation(proc *Process, i, j0 int, b0 int8) *big.Rat {
+	in := proc.Instance()
+	one := new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), in.Ctx.Scale()))
+	var fixed fixpoint.Value
+	var free []int
+	for _, m := range in.Members[i] {
+		j := int(m)
+		c := proc.Coin(j)
+		if j == j0 {
+			c = b0
+		}
+		switch {
+		case in.Deterministic(j):
+			if in.P[j] != 0 {
+				fixed += in.X[j]
+			}
+		case c == 1:
+			fixed += in.FireValue(j)
+		case c == coinUnset:
+			free = append(free, j)
+		}
+	}
+	total := new(big.Rat)
+	for mask := 0; mask < 1<<len(free); mask++ {
+		sum := fixed
+		w := big.NewRat(1, 1)
+		for k, j := range free {
+			p := new(big.Rat).Quo(new(big.Rat).SetInt64(int64(in.P[j])), one)
+			if mask&(1<<k) != 0 {
+				sum += in.FireValue(j)
+			} else {
+				p.Sub(big.NewRat(1, 1), p)
+			}
+			w.Mul(w, p)
+		}
+		if sum < in.C[i] {
+			total.Add(total, w)
+		}
+	}
+	return total
+}
+
+// ConstraintUB is an upper bound on the exact Pr(E_i) on random small
+// constraints mixing deterministic members (p = 0 and p = 1), fixed coins,
+// and free members with zero and nonzero fire values, with and without a
+// coin override. At most 10 members keeps ConstraintUB on its exact paths
+// (product form or enumeration), so it must also be within rounding of
+// the exact value.
+func TestConstraintUBUpperBoundsExact(t *testing.T) {
+	ctx := fixpoint.Default()
+	one := ctx.One()
+	unit := new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), ctx.Scale()))
+	slack := big.NewRat(1, 1<<20)
+	r := rand.New(rand.NewPCG(29, 3))
+	below := func(hi fixpoint.Value) fixpoint.Value { // uniform in [1, hi)
+		return 1 + fixpoint.Value(r.Uint64N(uint64(hi-1)))
+	}
+	for trial := 0; trial < 3000; trial++ {
+		k := 1 + r.IntN(10)
+		inst := &Instance{
+			Ctx:     ctx,
+			C:       []fixpoint.Value{below(one + 1)},
+			Members: [][]int32{make([]int32, k)},
+			Owner:   []int32{0},
+		}
+		for m := 0; m < k; m++ {
+			var x, p fixpoint.Value
+			switch r.IntN(5) {
+			case 0: // keeps x
+				x, p = below(one), one
+			case 1: // keeps 0
+			case 2: // zero fire value
+				p = below(one)
+			default:
+				x = below(one)
+				p = x + fixpoint.Value(r.Uint64N(uint64(one-x)))
+			}
+			inst.X = append(inst.X, x)
+			inst.P = append(inst.P, p)
+			inst.Members[0][m] = int32(m)
+		}
+		proc, err := NewProcess(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var unassigned []int
+		for j := range inst.X {
+			if !proc.Unassigned(j) {
+				continue
+			}
+			if r.IntN(4) == 0 {
+				proc.SetCoin(j, r.IntN(2) == 0)
+			} else {
+				unassigned = append(unassigned, j)
+			}
+		}
+		j0, b0 := -1, int8(0)
+		if len(unassigned) > 0 && r.IntN(2) == 0 {
+			j0, b0 = unassigned[r.IntN(len(unassigned))], int8(r.IntN(2))
+		}
+		ub := new(big.Rat).Quo(new(big.Rat).SetInt64(int64(proc.ConstraintUB(0, j0, b0))), unit)
+		exact := exactViolation(proc, 0, j0, b0)
+		if ub.Cmp(exact) < 0 || new(big.Rat).Sub(ub, exact).Cmp(slack) > 0 {
+			t.Fatalf("trial %d (x=%v p=%v c=%v, override %d→%d): UB %s, exact %s",
+				trial, inst.X, inst.P, inst.C, j0, b0, ub.FloatString(12), exact.FloatString(12))
+		}
+	}
+}
+
 // A warmed ConstraintUB allocates nothing on any of its three paths: the
 // product form, exhaustive enumeration and the Chernoff estimator.
 func TestConstraintUBWarmAllocsZero(t *testing.T) {
@@ -257,65 +398,6 @@ func TestConstraintUBWarmAllocsZero(t *testing.T) {
 	all()
 	if a := testing.AllocsPerRun(10, all); a != 0 {
 		t.Errorf("warmed ConstraintUB allocates %.0f times per sweep, want 0", a)
-	}
-}
-
-// Averaging property: for every unassigned coin, min_b ConditionalCost ≤
-// the unconditioned cost contribution (supermartingale step of the method of
-// conditional expectations, Lemma 3.10's key inequality).
-func TestConditionalCostAveraging(t *testing.T) {
-	g := graph.GNPConnected(18, 0.25, 13)
-	fds := uniformFDS(g, 3)
-	ln := fds.Ctx.FromFloat(math.Log(float64(g.MaxDegree() + 1)))
-	inst := OneShotOnGraph(g, fds, ln)
-	proc, err := NewProcess(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := inst.Ctx
-	slack := ctx.FromFloat(1e-6)
-	for j := 0; j < g.N(); j++ {
-		if !proc.Unassigned(j) {
-			continue
-		}
-		// Unconditioned local cost.
-		base := proc.ValueExp(j, -1, 0)
-		for _, i := range proc.constraintsOf[j] {
-			base = ctx.Add(base, proc.ConstraintUB(int(i), -1, 0))
-		}
-		c0 := proc.ConditionalCost(j, false)
-		c1 := proc.ConditionalCost(j, true)
-		min := fixpoint.Min(c0, c1)
-		if min > ctx.Add(base, slack) {
-			t.Fatalf("site %d: min(cost)=%s exceeds base=%s",
-				j, ctx.String(min), ctx.String(base))
-		}
-	}
-}
-
-// Full derandomized pass: fixing every coin greedily must end with realized
-// size ≤ initial Phi (plus tiny quantization slack).
-func TestDerandomizedSizeWithinPhi(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3} {
-		g := graph.GNPConnected(30, 0.2, seed)
-		fds := uniformFDS(g, 4)
-		ln := fds.Ctx.FromFloat(math.Log(float64(g.MaxDegree() + 1)))
-		inst := OneShotOnGraph(g, fds, ln)
-		proc, err := NewProcess(inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		phi0 := inst.Ctx.Float(proc.Phi())
-		for j := 0; j < g.N(); j++ {
-			if proc.Unassigned(j) {
-				proc.DecideCoin(j)
-			}
-		}
-		out := proc.Finalize()
-		size := inst.Ctx.Float(out.Size(inst.Ctx))
-		if size > phi0+0.01*phi0+0.1 {
-			t.Errorf("seed %d: derandomized size %.4f exceeds Phi %.4f", seed, size, phi0)
-		}
 	}
 }
 
