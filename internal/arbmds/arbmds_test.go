@@ -5,9 +5,11 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"congestds/internal/congest"
 	"congestds/internal/graph"
+	"congestds/internal/obs"
 	"congestds/internal/verify"
 )
 
@@ -107,6 +109,48 @@ func TestBlockingTwinMatchesStepped(t *testing.T) {
 				t.Fatalf("%v: blocking set %v diverges from stepped %v", eng, set, stepRes.Set)
 			}
 		}
+	}
+}
+
+// TestPeelSleeps pins the sleeping peel on the stepped engine: a
+// non-candidate runs only on mail and at the next phase whose threshold
+// its support reaches, so most node-rounds are skipped, while the set and
+// the rounds stay those of the never-sleeping blocking twin.
+func TestPeelSleeps(t *testing.T) {
+	g := graph.UnionForests(20000, 3, 1)
+	agg := obs.NewAggregator()
+	res, err := Solve(g, Params{Run: congest.Run{Sim: congest.EngineStepped, Observer: obs.NewRecorder(agg)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 4 * len(res.Thresholds); res.Metrics.Rounds != want {
+		t.Errorf("rounds=%d, want 4·|schedule|=%d", res.Metrics.Rounds, want)
+	}
+	inD := make([]bool, g.N())
+	if _, err := congest.NewNetwork(g, congest.Config{}).Run(BlockingProgram(g, DefaultEps, inD)); err != nil {
+		t.Fatal(err)
+	}
+	var blocking []int
+	for v, in := range inD {
+		if in {
+			blocking = append(blocking, v)
+		}
+	}
+	if !slices.Equal(res.Set, blocking) {
+		t.Fatalf("sleeping peel's set (%d nodes) differs from PeelBlocking's (%d nodes)", len(res.Set), len(blocking))
+	}
+	steps, all := agg.Profile().NodeSteps, int64(g.N())*int64(res.Metrics.Rounds)
+	if steps*100 > all*35 {
+		t.Errorf("node-steps %d > 35%% of n·rounds %d", steps, all)
+	}
+	t.Logf("node-steps %d of n·rounds %d (%.1f%%)", steps, all, 100*float64(steps)/float64(all))
+}
+
+// TestPeelStepFootprint pins the per-node state of the native form: the
+// Peel word plus one pointer to the run's shared state.
+func TestPeelStepFootprint(t *testing.T) {
+	if sz := unsafe.Sizeof(peelStep{}); sz > 16 {
+		t.Errorf("sizeof(peelStep) = %d B, want ≤ 16", sz)
 	}
 }
 

@@ -8,8 +8,10 @@ import (
 // The native StepProgram form of the peeling algorithm. Per-node state is
 // a Peel — a support counter maintained incrementally from the phase
 // messages plus the white/nominated/candidate flags, one machine word —
-// so a million-node run costs the engine's slot records plus a few words
-// per node, no goroutine stacks.
+// and a pointer to the run's shared schedule and output, 16 bytes in one
+// slab, so a million-node run costs the engine's slot records plus a few
+// words per node, no goroutine stacks. A non-candidate sleeps until mail
+// or the next phase whose threshold its support reaches (Peel.Step).
 //
 // Message types are implied by the round segment (all nodes run the same
 // 4-segment phase schedule in lockstep), so three of the four message
@@ -59,6 +61,13 @@ func NewPeel(deg int) Peel {
 // records it here, in the round it happens. last reports the final
 // round: every node is covered and Step has sent nothing in it, so the
 // caller may stop or use the round's send slot for its next phase.
+//
+// Step puts a non-candidate to sleep (Node.SleepUntil) until the report
+// round of the first later phase whose threshold its support reaches, or
+// the final round if there is none; mail wakes it earlier. The rounds it
+// skips are ones in which it would receive nothing, send nothing and
+// change nothing, so the outcome is that of PeelBlocking, which never
+// sleeps.
 func (p *Peel) Step(nd *congest.Node, ths []int, round int, in []congest.Incoming) (joined, last bool) {
 	phase := round / segPerPhase
 	switch round % segPerPhase {
@@ -132,33 +141,64 @@ func (p *Peel) Step(nd *congest.Node, ths []int, round int, in []congest.Incomin
 			nd.Broadcast(nil)
 		}
 	}
+	if !p.candidate {
+		// Until the next phase whose threshold its support reaches, a
+		// non-candidate only reacts to mail (offers, joins, reports), and
+		// mail wakes it. A candidate stays awake: it may nominate itself
+		// and must recompute its candidacy at the next report.
+		nd.SleepUntil(p.wakeRound(ths, phase))
+	}
 	return joined, false
 }
 
-// peelStep is arbmds's StepProgram: the peel plus the output vector.
+// wakeRound returns the round a non-candidate in phase must next run even
+// without mail: the report round of the first later phase whose threshold
+// its support reaches, or the peel's last round if there is none. A
+// non-candidate's support only falls, and only on mail, so no earlier
+// round can make it a candidate.
+func (p *Peel) wakeRound(ths []int, phase int) int {
+	for t := phase + 1; t < len(ths); t++ {
+		if p.s >= int32(ths[t]) {
+			return t * segPerPhase
+		}
+	}
+	return len(ths)*segPerPhase - 1
+}
+
+// peelStep is arbmds's StepProgram: the peel plus a pointer to the state
+// every node of the run shares. 16 bytes per node, all in one slab.
 type peelStep struct {
 	Peel
-	ths []int  // shared threshold schedule (read-only)
-	inD []bool // shared output, nodes write disjoint slots
+	sh *peelShared
+}
+
+// peelShared is what every node of one run reads or writes in common.
+type peelShared struct {
+	ths []int  // threshold schedule (read-only)
+	inD []bool // output, nodes write disjoint slots
 }
 
 // StepFactory builds the native stepped form for g: the threshold schedule
 // is computed once from Δ (all nodes know it) and shared read-only across
 // nodes; inD is the output vector (distinct nodes write distinct slots, as
-// the StepFactory contract allows).
+// the StepFactory contract allows). The per-node states come from one slab
+// indexed by node, so the factory serves one run.
 func StepFactory(g *graph.Graph, eps float64, inD []bool) congest.StepFactory {
-	ths := Thresholds(g.MaxDegree(), eps)
+	sh := &peelShared{ths: Thresholds(g.MaxDegree(), eps), inD: inD}
+	slab := make([]peelStep, g.N())
 	return func(nd *congest.Node) congest.StepProgram {
-		return &peelStep{Peel: NewPeel(nd.Degree()), ths: ths, inD: inD}
+		ps := &slab[nd.V()]
+		*ps = peelStep{Peel: NewPeel(nd.Degree()), sh: sh}
+		return ps
 	}
 }
 
 func (ps *peelStep) Init(nd *congest.Node) bool { return false }
 
 func (ps *peelStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
-	joined, last := ps.Peel.Step(nd, ps.ths, round, in)
+	joined, last := ps.Peel.Step(nd, ps.sh.ths, round, in)
 	if joined {
-		ps.inD[nd.V()] = true
+		ps.sh.inD[nd.V()] = true
 	}
 	return last
 }

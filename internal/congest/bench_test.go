@@ -108,7 +108,7 @@ func BenchmarkEngineBarrier(b *testing.B) {
 func BenchmarkNodeSend(b *testing.B) {
 	g := graph.Star(17)
 	net := NewNetwork(g, Config{})
-	nd := &Node{net: net, v: 0} // the hub: degree 16, ports 0..15
+	nd := &Node{net: net, v: 0, io: &nodeIO{}} // the hub: degree 16, ports 0..15
 	payload := []byte{1, 2, 3, 4}
 	b.ReportAllocs()
 	b.ResetTimer()

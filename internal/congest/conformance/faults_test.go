@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"congestds/internal/chaos"
@@ -94,6 +95,70 @@ func TestFaultScheduleConformance(t *testing.T) {
 					if err := Diff(c, ng.G, cfg); err != nil {
 						t.Errorf("graph %s, plan %s: %v", ng.Name, np.name, err)
 					}
+				}
+			}
+		})
+	}
+}
+
+// crashCounter is a Hooks that injects nothing and records, per node, how
+// many crash opportunities the engine offered and the sum of their indices.
+type crashCounter struct {
+	calls, opSum []atomic.Int64
+}
+
+func newCrashCounter(n int) *crashCounter {
+	return &crashCounter{calls: make([]atomic.Int64, n), opSum: make([]atomic.Int64, n)}
+}
+
+func (h *crashCounter) Crash(v, op int) bool {
+	h.calls[v].Add(1)
+	h.opSum[v].Add(int64(op))
+	return false
+}
+func (h *crashCounter) AlterPayload(v, port, op int, payload []byte) []byte { return payload }
+func (h *crashCounter) RoundEnd(round int) error                            { return nil }
+func (h *crashCounter) Stall(round int)                                     {}
+
+// TestSleepingPeelSeesEveryCrash: the peel puts non-candidates to sleep,
+// and a sleeping node must still be offered every crash opportunity. On
+// the two peel cases, the stepped form on both engines must see exactly
+// the per-node opportunities of the never-sleeping blocking form, and a
+// plan that crashes every third node mid-schedule, when most nodes sleep,
+// must stay engine-indistinguishable.
+func TestSleepingPeelSeesEveryCrash(t *testing.T) {
+	for _, c := range Cases() {
+		if c.Name != "arbmds-peel" && c.Name != "mcds-full" {
+			continue
+		}
+		t.Run(c.Name, func(t *testing.T) {
+			for _, ng := range Corpus(testing.Short()) {
+				n := ng.G.N()
+				ref := newCrashCounter(n)
+				prog, _ := c.Build(ng.G)
+				if _, err := congest.NewNetwork(ng.G, congest.Config{Engine: congest.EngineGoroutine, Hooks: ref}).Run(prog); err != nil {
+					t.Fatalf("graph %s: blocking: %v", ng.Name, err)
+				}
+				for _, eng := range congest.Engines() {
+					got := newCrashCounter(n)
+					factory, _ := c.BuildStep(ng.G)
+					if _, err := congest.NewNetwork(ng.G, congest.Config{Engine: eng, Hooks: got}).RunStepped(factory); err != nil {
+						t.Fatalf("graph %s: stepped on %v: %v", ng.Name, eng, err)
+					}
+					for v := 0; v < n; v++ {
+						if got.calls[v].Load() != ref.calls[v].Load() || got.opSum[v].Load() != ref.opSum[v].Load() {
+							t.Fatalf("graph %s, stepped on %v: node %d offered %d crash opportunities (op sum %d), blocking %d (op sum %d)",
+								ng.Name, eng, v, got.calls[v].Load(), got.opSum[v].Load(), ref.calls[v].Load(), ref.opSum[v].Load())
+						}
+					}
+				}
+				var faults []chaos.Fault
+				for v := 0; v < n; v += 3 {
+					// Opportunity 6 is Step(5), phase 1's nominate segment.
+					faults = append(faults, chaos.Fault{Kind: chaos.CrashNode, Node: v, Round: 6})
+				}
+				if err := Diff(c, ng.G, congest.Config{Hooks: chaos.NewPlan(10, faults...)}); err != nil {
+					t.Errorf("graph %s: %v", ng.Name, err)
 				}
 			}
 		})

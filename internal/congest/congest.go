@@ -299,32 +299,45 @@ type Program func(nd *Node)
 // node through the synchronous barrier and exposes the round counter.
 type scheduler interface {
 	// barrier ends the node's round: its outbox is delivered and, once all
-	// running nodes have arrived, nd.inbox holds the next round's messages
+	// running nodes have arrived, nd.io.inbox holds the next round's messages
 	// sorted by port.
 	barrier(nd *Node)
 	// currentRound returns the number of deliveries performed so far.
 	currentRound() int
 }
 
-// Node is the per-node API available inside a Program.
+// Node is the per-node API available inside a Program. It holds only the
+// state that lives across rounds; what a node needs only while it computes
+// (its outbox, the goroutine engine's inbox, the stepped engine's payload
+// arena) sits behind io, so a million idle nodes do not each carry it.
 type Node struct {
 	net     *Network
 	sched   scheduler
 	v       int
-	outbox  []outMsg
-	inbox   []Incoming
 	stopped bool
 	// sleep is the StepProgram round the node next runs even without mail
 	// (see SleepUntil); 0 = awake. Cleared before every Init/Step call. An
-	// int32 beside the bool keeps Node at its old size.
+	// int32 beside the bool shares its word.
 	sleep int32
 	// op counts the node's compute opportunities: 0 during Init / before the
 	// first Sync, r after the r-th Sync (= Step round r-1). It addresses
 	// injected faults identically across engines and program forms; unused
 	// (and not maintained) when Config.Hooks is nil.
 	op int
-	// arena is the payload arena of the worker driving this node; nil on the
-	// goroutine engine, where PayloadBuf falls back to make.
+	// io is the node's per-call I/O. The goroutine engine gives every node
+	// its own; the stepped engine points it at the sweeping worker's
+	// scratch for the length of one Init/Step call and clears it after.
+	io *nodeIO
+}
+
+// nodeIO is the I/O a node uses while it computes.
+type nodeIO struct {
+	outbox []outMsg
+	// inbox holds the next round's messages sorted by port (goroutine
+	// engine only; the stepped engine hands Step its inbox directly).
+	inbox []Incoming
+	// arena is the payload arena of the worker driving the node; nil on
+	// the goroutine engine, where PayloadBuf falls back to make.
 	arena *payloadArena
 }
 
@@ -383,13 +396,14 @@ func (nd *Node) Send(port int, payload []byte) {
 		panic(runError{fmt.Errorf("%w: node %d sent %d bits, budget %d",
 			ErrBandwidth, nd.v, len(payload)*8, budget)})
 	}
-	for i := range nd.outbox {
-		if nd.outbox[i].port == port {
-			nd.outbox[i].payload = payload
+	io := nd.io
+	for i := range io.outbox {
+		if io.outbox[i].port == port {
+			io.outbox[i].payload = payload
 			return
 		}
 	}
-	nd.outbox = append(nd.outbox, outMsg{port: port, payload: payload})
+	io.outbox = append(io.outbox, outMsg{port: port, payload: payload})
 }
 
 // Broadcast queues the same payload on every port.
@@ -409,8 +423,8 @@ func (nd *Node) Broadcast(payload []byte) {
 // over the sender's slot arena) is only valid until the receiving Step
 // returns (copy it to retain it).
 func (nd *Node) PayloadBuf(capacity int) []byte {
-	if nd.arena != nil {
-		return nd.arena.alloc(capacity)
+	if a := nd.io.arena; a != nil {
+		return a.alloc(capacity)
 	}
 	return make([]byte, 0, capacity)
 }
@@ -451,12 +465,12 @@ func (nd *Node) Sync() []Incoming {
 		// delivers an empty outbox, matching the stepped engine's handling.
 		nd.op++
 		if h.Crash(nd.v, nd.op) {
-			nd.inbox = nil
+			nd.io.inbox = nil
 			panic(crashStop{})
 		}
 	}
-	in := nd.inbox
-	nd.inbox = nil
+	in := nd.io.inbox
+	nd.io.inbox = nil
 	return in
 }
 

@@ -53,8 +53,9 @@ func (net *Network) runGoroutine(prog Program) (Metrics, error) {
 	eng.metrics.Model = net.cfg.Model
 	eng.metrics.BandwidthBits = net.BandwidthBits()
 	eng.obs = net.cfg.Observer
+	ios := make([]nodeIO, n)
 	for v := 0; v < n; v++ {
-		eng.nodes[v] = &Node{net: net, sched: eng, v: v}
+		eng.nodes[v] = &Node{net: net, sched: eng, v: v, io: &ios[v]}
 	}
 	if eng.obs != nil && n > 0 {
 		eng.obs.RoundStart(1)
@@ -137,7 +138,7 @@ func (eng *goroutineEngine) finish(nd *Node) {
 // deposit moves nd's outbox into the pending inboxes. Caller holds mu.
 func (eng *goroutineEngine) deposit(nd *Node) {
 	out := eng.topo.inOff[nd.v]
-	for _, m := range nd.outbox {
+	for _, m := range nd.io.outbox {
 		dst := nd.net.g.Neighbors(nd.v)[m.port]
 		// The receiving port is the sender's slot's offset in dst's inbox.
 		dstPort := int(eng.topo.destSlot[out+int32(m.port)] - eng.topo.inOff[dst])
@@ -151,7 +152,7 @@ func (eng *goroutineEngine) deposit(nd *Node) {
 			eng.hist.observe(len(m.payload))
 		}
 	}
-	nd.outbox = nd.outbox[:0]
+	nd.io.outbox = nd.io.outbox[:0]
 }
 
 // deliverLocked distributes pending messages and resumes all waiters. If
@@ -178,7 +179,7 @@ func (eng *goroutineEngine) deliverLocked() {
 			}
 			sort.Slice(msgs, func(i, j int) bool { return msgs[i].Port < msgs[j].Port })
 			if !eng.nodes[v].stopped {
-				eng.nodes[v].inbox = msgs
+				eng.nodes[v].io.inbox = msgs
 			}
 			eng.pending[v] = nil
 		}

@@ -34,7 +34,9 @@ type StepProgram interface {
 // factories are invoked concurrently from the worker pool (always with
 // distinct nodes), so a factory must not mutate shared state without
 // synchronization; capturing shared output slices that nodes write to
-// disjoint indices is fine.
+// disjoint indices is fine. Per-node state may likewise come from one slab
+// indexed by Node.V, which avoids an allocation per node; such a factory
+// value, like one whose output slices are shared, serves one run.
 type StepFactory func(nd *Node) StepProgram
 
 // BlockingFromStep adapts a StepFactory to the blocking Program API, so

@@ -61,11 +61,14 @@ import (
 // pointer-free, so the GC never scans them (the [][]byte layout made it
 // walk 8 M slice headers per cycle on a million-node torus).
 //
-// Memory per node is the Node struct, the interface value of its
-// StepProgram and whatever state the program itself keeps — a few machine
-// words instead of a goroutine stack. Payloads built via Node.PayloadBuf
-// are bump-allocated from the sweeping worker's scratch arena and recycled
-// without GC traffic.
+// Memory per node is the 56-byte Node, the 16-byte interface value of its
+// StepProgram, a 4-byte alive entry, a 4-byte mail word and whatever state
+// the program itself keeps — 80 bytes of engine state instead of a
+// goroutine stack. A Node keeps only what lives across rounds: its
+// outbox, inbox and payload arena are the sweeping worker's, lent through
+// Node.io for the length of one Init/Step call. Payloads built via
+// Node.PayloadBuf are bump-allocated from that worker's scratch arena and
+// recycled without GC traffic.
 //
 // Semantics are identical to the goroutine engine; the conformance suite
 // runs the stepped program corpus on both engines and requires
@@ -103,13 +106,14 @@ type steppedChunk struct {
 // steppedWorker is one pool goroutine's private scratch; it carries no node
 // state, so workers can sweep any chunk.
 type steppedWorker struct {
-	eng    *steppedEngine
-	id     int          // pool index, for the observer's per-worker lanes
-	arena  payloadArena // PayloadBuf scratch, truncated every round
-	inbox  []Incoming   // per-node scratch, reused across nodes and rounds
-	outbox []outMsg     // per-node scratch: a node only holds an outbox while
-	// its Init/Step runs, so one backing array per worker replaces one per
-	// node — on a million-node graph that alone saves ~100 MB
+	eng   *steppedEngine
+	id    int          // pool index, for the observer's per-worker lanes
+	arena payloadArena // PayloadBuf scratch, truncated every round
+	// io is the per-call I/O of whichever node the worker is running: a
+	// node only holds an outbox, an inbox and an arena while its Init/Step
+	// runs, so one set per worker replaces one per node. Its arena points
+	// at the worker's own.
+	io nodeIO
 
 	// Sender-resolution cache for collect, persisted across the nodes of a
 	// sweep (reset each phase: the delivered generation changes): payload
@@ -225,6 +229,7 @@ func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 	for w := range eng.workers {
 		eng.workers[w].eng = eng
 		eng.workers[w].id = w
+		eng.workers[w].io.arena = &eng.workers[w].arena
 		starts[w] = make(chan int, 1)
 		go func(wk *steppedWorker, start chan int) {
 			for phase := range start {
@@ -402,8 +407,7 @@ func (w *steppedWorker) sweepChunk(f StepFactory, phase int, ck *steppedChunk) {
 			due = min(due, int(nd.sleep)+1)
 			continue
 		} else {
-			nd.arena = &w.arena // the sweeping worker's scratch, not a fixed owner
-			nd.outbox = w.outbox[:0]
+			nd.io = &w.io // the sweeping worker's scratch, not a fixed owner
 			nd.sleep = 0
 			awake++
 			if phase == 0 {
@@ -412,25 +416,25 @@ func (w *steppedWorker) sweepChunk(f StepFactory, phase int, ck *steppedChunk) {
 				in := w.collect(readRecs, gen, v, mail)
 				done = w.stepNode(ck, nd, phase-1, in)
 			}
-		}
-		// Deposit unconditionally: sends queued before a final return or a
-		// panic are delivered and counted, like the goroutine engine's
-		// finish semantics.
-		if len(nd.outbox) > 0 {
-			msgs, bits, maxB, ok := eng.topo.depositOutboxPacked(v, nd.outbox, writeRecs, &ck.slots, phase, histp,
-				eng.net.g.Neighbors(v), eng.marks)
-			w.msgs += msgs
-			w.bits += bits
-			if maxB > w.maxBits {
-				w.maxBits = maxB
+			nd.io = nil
+			// Deposit unconditionally: sends queued before a final return or
+			// a panic are delivered and counted, like the goroutine engine's
+			// finish semantics.
+			if out := w.io.outbox; len(out) > 0 {
+				msgs, bits, maxB, ok := eng.topo.depositOutboxPacked(v, out, writeRecs, &ck.slots, phase, histp,
+					eng.net.g.Neighbors(v), eng.marks)
+				w.msgs += msgs
+				w.bits += bits
+				if maxB > w.maxBits {
+					w.maxBits = maxB
+				}
+				if !ok {
+					eng.fail(fmt.Errorf("congest: node %d: %w", v, errSlotArenaFull))
+					done = true
+				}
+				w.io.outbox = out[:0] // keep the (possibly grown) backing
 			}
-			if !ok {
-				eng.fail(fmt.Errorf("congest: node %d: %w", v, errSlotArenaFull))
-				done = true
-			}
 		}
-		w.outbox = nd.outbox[:0] // reclaim the (possibly grown) backing
-		nd.outbox = nil
 		if done {
 			nd.stopped = true
 			ck.progs[v-ck.lo] = nil
@@ -458,7 +462,7 @@ func (w *steppedWorker) sweepChunk(f StepFactory, phase int, ck *steppedChunk) {
 // which workers claimed the sending chunks.
 func (w *steppedWorker) collect(readRecs []slotRec, gen, v int, mail uint32) []Incoming {
 	eng := w.eng
-	in := w.inbox[:0]
+	in := w.io.inbox[:0]
 	if eng.marks[v].Load()&mail == 0 {
 		return in
 	}
@@ -489,7 +493,7 @@ func (w *steppedWorker) collect(readRecs []slotRec, gen, v int, mail uint32) []I
 		in = append(in, Incoming{Port: q, Payload: pl})
 	}
 	w.srcLo, w.srcHi, w.srcBytes = srcLo, srcHi, srcBytes
-	w.inbox = in
+	w.io.inbox = in
 	return in
 }
 

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"congestds/internal/graph"
 	"congestds/internal/testmem"
@@ -536,6 +537,14 @@ func FuzzSteppedArenaPayloads(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestNodeFootprint pins the per-node engine state: a Node keeps only what
+// lives across rounds, and its per-call I/O is one pointer.
+func TestNodeFootprint(t *testing.T) {
+	if sz := unsafe.Sizeof(Node{}); sz > 56 {
+		t.Errorf("sizeof(Node) = %d B, want ≤ 56", sz)
+	}
 }
 
 // raceEnabled is set by race_test.go under the race detector.

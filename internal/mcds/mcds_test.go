@@ -5,12 +5,21 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"congestds/internal/arbmds"
 	"congestds/internal/congest"
 	"congestds/internal/graph"
 	"congestds/internal/verify"
 )
+
+// TestMcdsStepFootprint pins the per-node state of the native form: the
+// shared-state pointer, the Peel word and the flood-min BFS triple.
+func TestMcdsStepFootprint(t *testing.T) {
+	if sz := unsafe.Sizeof(mcdsStep{}); sz > 32 {
+		t.Errorf("sizeof(mcdsStep) = %d B, want ≤ 32", sz)
+	}
+}
 
 func TestSolveEmptyAndSingle(t *testing.T) {
 	res, err := Solve(graph.Path(0), Params{})

@@ -7,9 +7,12 @@ import (
 )
 
 // The native StepProgram form. One state machine drives all three phases;
-// per-node state is a handful of machine words (the arbmds.Peel word plus
-// the flood-min BFS triple), so a million-node run costs the engine's slot
-// records plus ~4 words per node.
+// per-node state is four machine words (the shared-state pointer, the
+// arbmds.Peel word and the flood-min BFS triple) in one slab, so a
+// million-node run costs the engine's slot records plus 32 bytes per node.
+// The dominate phase inherits the peel's sleep: non-candidates run only on
+// mail and when a phase may make them candidates, and every node wakes for
+// the peel's last round, whose send slot seeds the orientation flood.
 //
 // Round layout (peelRounds = 4·|schedule|, D̂ = shared.diam):
 //
@@ -42,7 +45,7 @@ type mcdsShared struct {
 	inCDS      []bool
 }
 
-// mcdsStep is the per-node state machine.
+// mcdsStep is the per-node state machine: 32 bytes, in one slab per run.
 type mcdsStep struct {
 	sh   *mcdsShared
 	peel arbmds.Peel // dominate phase
@@ -55,7 +58,8 @@ type mcdsStep struct {
 
 // StepFactory builds the full three-phase program for g: peel at decay
 // eps, orient for diam rounds, connect. inD and inCDS are the output
-// vectors.
+// vectors. The per-node states come from one slab indexed by node, so the
+// factory serves one run.
 func StepFactory(g *graph.Graph, eps float64, diam int, inD, inCDS []bool) congest.StepFactory {
 	sh := &mcdsShared{
 		ths:   arbmds.Thresholds(g.MaxDegree(), eps),
@@ -64,8 +68,11 @@ func StepFactory(g *graph.Graph, eps float64, diam int, inD, inCDS []bool) conge
 		inCDS: inCDS,
 	}
 	sh.peelRounds = 4 * len(sh.ths)
+	slab := make([]mcdsStep, g.N())
 	return func(nd *congest.Node) congest.StepProgram {
-		return &mcdsStep{sh: sh}
+		ms := &slab[nd.V()]
+		*ms = mcdsStep{sh: sh}
+		return ms
 	}
 }
 
