@@ -10,8 +10,7 @@ import (
 // messages plus the white/nominated/candidate flags, one machine word —
 // and a pointer to the run's shared schedule and output, 16 bytes in one
 // slab, so a million-node run costs the engine's slot records plus a few
-// words per node, no goroutine stacks. A non-candidate sleeps until mail
-// or the next phase whose threshold its support reaches (Peel.Step).
+// words per node, no goroutine stacks.
 //
 // Message types are implied by the round segment (all nodes run the same
 // 4-segment phase schedule in lockstep), so three of the four message
