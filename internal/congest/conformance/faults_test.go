@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"congestds/internal/arbmds"
 	"congestds/internal/chaos"
 	"congestds/internal/congest"
 	"congestds/internal/graph"
@@ -121,11 +122,13 @@ func (h *crashCounter) RoundEnd(round int) error                            { re
 func (h *crashCounter) Stall(round int)                                     {}
 
 // TestSleepingPeelSeesEveryCrash: the peel puts non-candidates to sleep,
-// and a sleeping node must still be offered every crash opportunity. On
-// the two peel cases, the stepped form on both engines must see exactly
-// the per-node opportunities of the never-sleeping blocking form, and a
-// plan that crashes every third node mid-schedule, when most nodes sleep,
-// must stay engine-indistinguishable.
+// and so do mcds's orientation flood and connect hops, and a sleeping node
+// must still be offered every crash opportunity. On the two peel cases,
+// the stepped form on both engines must see exactly the per-node
+// opportunities of the never-sleeping blocking form, and a plan that
+// crashes every third node mid-peel, when most nodes sleep, must stay
+// engine-indistinguishable; on mcds-full, so must a plan that crashes
+// every third node inside the orientation window.
 func TestSleepingPeelSeesEveryCrash(t *testing.T) {
 	for _, c := range Cases() {
 		if c.Name != "arbmds-peel" && c.Name != "mcds-full" {
@@ -152,13 +155,23 @@ func TestSleepingPeelSeesEveryCrash(t *testing.T) {
 						}
 					}
 				}
-				var faults []chaos.Fault
-				for v := 0; v < n; v += 3 {
-					// Opportunity 6 is Step(5), phase 1's nominate segment.
-					faults = append(faults, chaos.Fault{Kind: chaos.CrashNode, Node: v, Round: 6})
+				crashEveryThird := func(plan string, seed uint64, op func(v int) int) {
+					var faults []chaos.Fault
+					for v := 0; v < n; v += 3 {
+						faults = append(faults, chaos.Fault{Kind: chaos.CrashNode, Node: v, Round: op(v)})
+					}
+					if err := Diff(c, ng.G, congest.Config{Hooks: chaos.NewPlan(seed, faults...)}); err != nil {
+						t.Errorf("graph %s, %s plan: %v", ng.Name, plan, err)
+					}
 				}
-				if err := Diff(c, ng.G, congest.Config{Hooks: chaos.NewPlan(10, faults...)}); err != nil {
-					t.Errorf("graph %s: %v", ng.Name, err)
+				// Opportunity op is Step(op-1); opportunity 6 is phase 1's
+				// nominate segment.
+				crashEveryThird("peel", 10, func(int) int { return 6 })
+				if c.Name == "mcds-full" {
+					// Node v crashes at Step(peelRounds+v), spread over the
+					// orientation window [peelRounds, peelRounds+n).
+					peelRounds := 4 * len(arbmds.Thresholds(ng.G.MaxDegree(), 0.5))
+					crashEveryThird("orient", 11, func(v int) int { return peelRounds + v + 1 })
 				}
 			}
 		})

@@ -10,6 +10,7 @@ import (
 	"congestds/internal/arbmds"
 	"congestds/internal/congest"
 	"congestds/internal/graph"
+	"congestds/internal/obs"
 	"congestds/internal/verify"
 )
 
@@ -315,4 +316,85 @@ func TestDominatePhaseIsArbmds(t *testing.T) {
 		t.Fatal("no connected family graph checked")
 	}
 	t.Logf("%d (family, n, ε) cases checked", checked)
+}
+
+// solveProfiled runs Solve on the stepped engine with an aggregating
+// observer and returns the result and its node-steps.
+func solveProfiled(t *testing.T, g *graph.Graph, diam int) (*Result, int64) {
+	t.Helper()
+	agg := obs.NewAggregator()
+	res, err := Solve(g, Params{DiamBound: diam, Run: congest.Run{Sim: congest.EngineStepped, Observer: obs.NewRecorder(agg)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, agg.Profile().NodeSteps
+}
+
+// TestOrientSleeps pins the sleeping orientation flood and connect hops on
+// the stepped engine: a node runs only on mail, at the token launch (a
+// dominator) and in the last round, so most node-rounds after the peel
+// are skipped, while the set and the rounds stay those of the
+// never-sleeping BlockingProgram. The node-step bounds keep ~12% headroom
+// over the measured 356,434 (uforest) and 532,028 (gridx); the
+// never-sleeping flood took 548,203 and 5,755,039. The gridx blocking run
+// (~300 rounds of 19,881 goroutines) is skipped under -short.
+func TestOrientSleeps(t *testing.T) {
+	for _, tt := range []struct {
+		name     string
+		g        *graph.Graph
+		maxSteps int64
+		long     bool
+	}{
+		{"uforest20000", graph.UnionForests(20000, 3, 1), 400_000, false},
+		{"gridx141", graph.GridDiagonals(141, 141), 600_000, true},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			if tt.long && testing.Short() {
+				t.Skip("short mode: the blocking reference takes ~10 s")
+			}
+			diam := 2*tt.g.Eccentricity(0) + 2
+			res, steps := solveProfiled(t, tt.g, diam)
+			inD, inCDS := make([]bool, tt.g.N()), make([]bool, tt.g.N())
+			m, err := congest.NewNetwork(tt.g, congest.Config{}).Run(BlockingProgram(tt.g, arbmds.DefaultEps, diam, inD, inCDS))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var blocking []int
+			for v, in := range inCDS {
+				if in {
+					blocking = append(blocking, v)
+				}
+			}
+			if !slices.Equal(res.CDS, blocking) {
+				t.Fatalf("sleeping flood's CDS (%d nodes) differs from BlockingProgram's (%d nodes)", len(res.CDS), len(blocking))
+			}
+			if res.Metrics.Rounds != m.Rounds {
+				t.Errorf("rounds=%d, BlockingProgram's %d", res.Metrics.Rounds, m.Rounds)
+			}
+			if steps > tt.maxSteps {
+				t.Errorf("node-steps %d > %d", steps, tt.maxSteps)
+			}
+			t.Logf("node-steps %d of n·rounds %d", steps, int64(tt.g.N())*int64(res.Metrics.Rounds))
+		})
+	}
+}
+
+// TestDefaultDiamBoundSleeps: with the flood asleep, D̂ = n (DiamBound 0)
+// costs rounds in which nothing is due, not n node-steps each. The CDS is
+// the tight bound's (the flood has settled long before either deadline),
+// and the node-steps stay within a small multiple of the tight run's.
+func TestDefaultDiamBoundSleeps(t *testing.T) {
+	g := graph.UnionForests(20000, 3, 1)
+	tight, tightSteps := solveProfiled(t, g, 2*g.Eccentricity(0)+2)
+	loose, looseSteps := solveProfiled(t, g, 0)
+	if loose.DiamBound != g.N() {
+		t.Fatalf("DiamBound 0 ran D̂=%d, want n=%d", loose.DiamBound, g.N())
+	}
+	if !slices.Equal(loose.CDS, tight.CDS) {
+		t.Fatalf("CDS with D̂=n (%d nodes) differs from D̂=2·ecc+2 (%d nodes)", len(loose.CDS), len(tight.CDS))
+	}
+	if looseSteps > 2*tightSteps {
+		t.Errorf("node-steps %d with D̂=n > 2× the tight bound's %d", looseSteps, tightSteps)
+	}
+	t.Logf("node-steps %d (D̂=%d) vs %d (D̂=%d)", looseSteps, loose.DiamBound, tightSteps, tight.DiamBound)
 }

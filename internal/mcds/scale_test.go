@@ -6,6 +6,7 @@ import (
 
 	"congestds/internal/congest"
 	"congestds/internal/graph"
+	"congestds/internal/obs"
 	"congestds/internal/testmem"
 	"congestds/internal/verify"
 )
@@ -34,9 +35,15 @@ func TestMcdsMillionNodeUnionForest(t *testing.T) {
 	const n = 1_000_000
 	g := graph.UnionForests(n, 3, 1)
 	diam := 2*g.Eccentricity(0) + 2
-	res, err := Solve(g, Params{DiamBound: diam, Run: congest.Run{Sim: congest.EngineStepped}})
+	agg := obs.NewAggregator()
+	res, err := Solve(g, Params{DiamBound: diam, Run: congest.Run{Sim: congest.EngineStepped, Observer: obs.NewRecorder(agg)}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Measured 19,385,883 (the never-sleeping flood: 33,177,543); the
+	// bound keeps ~12% headroom.
+	if steps := agg.Profile().NodeSteps; steps > 21_700_000 {
+		t.Errorf("node-steps %d > 21,700,000: the orientation flood or connect hops stopped sleeping?", steps)
 	}
 	if want := 4*len(res.Thresholds) + diam + 2; res.Metrics.Rounds != want {
 		t.Errorf("rounds=%d, want 4·|schedule|+D̂+2=%d", res.Metrics.Rounds, want)
@@ -54,8 +61,8 @@ func TestMcdsMillionNodeUnionForest(t *testing.T) {
 	if !cert.OK {
 		t.Errorf("certificate failed at n=10⁶: %v", cert)
 	}
-	t.Logf("n=%d Δ=%d D̂=%d rounds=%d |DS|=%d |CDS|=%d %v",
-		n, g.MaxDegree(), diam, res.Metrics.Rounds, len(res.DS), len(res.CDS), cert)
+	t.Logf("n=%d Δ=%d D̂=%d rounds=%d node-steps=%d |DS|=%d |CDS|=%d %v",
+		n, g.MaxDegree(), diam, res.Metrics.Rounds, agg.Profile().NodeSteps, len(res.DS), len(res.CDS), cert)
 	hwm := testmem.ReadVmHWM()
 	t.Logf("peak RSS after 1M-node mcds run: %.1f MiB", float64(hwm)/(1<<20))
 	if hwm > 0 && hwm >= 700<<20 {

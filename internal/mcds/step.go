@@ -13,6 +13,12 @@ import (
 // The dominate phase inherits the peel's sleep: non-candidates run only on
 // mail and when a phase may make them candidates, and every node wakes for
 // the peel's last round, whose send slot seeds the orientation flood.
+// From there on every node sleeps after each step (mcdsStep.sleep) and
+// runs only on mail and on two due rounds: a dominator at
+// peelRounds+D̂-1, where it launches the connect token, and every node at
+// peelRounds+D̂+1, the last round. The flood and the connect hops thus
+// cost the nodes with mail, not n per round, and a loose D̂ (D̂ = n) adds
+// rounds in which nothing is due.
 //
 // Round layout (peelRounds = 4·|schedule|, D̂ = shared.diam):
 //
@@ -101,6 +107,7 @@ func (ms *mcdsStep) Step(nd *congest.Node, round int, in []congest.Incoming) boo
 		if last {
 			// The same send slot seeds the orientation flood.
 			ms.bfsStart(nd)
+			ms.sleep(nd, round)
 		}
 		return false
 	}
@@ -133,6 +140,7 @@ func (ms *mcdsStep) Step(nd *congest.Node, round int, in []congest.Incoming) boo
 			buf := congest.AppendVarint(nd.PayloadBuf(20), ms.bestID)
 			nd.Broadcast(congest.AppendUvarint(buf, uint64(ms.depth)))
 		}
+		ms.sleep(nd, round)
 		return false
 	case rel == ms.sh.diam:
 		// First connect hop: token receivers (the dominators' parents) join
@@ -144,6 +152,7 @@ func (ms *mcdsStep) Step(nd *congest.Node, round int, in []congest.Incoming) boo
 				nd.Send(int(ms.parentPort), nil)
 			}
 		}
+		ms.sleep(nd, round)
 		return false
 	default:
 		// Second connect hop: grandparents join; the program ends for every
@@ -154,6 +163,19 @@ func (ms *mcdsStep) Step(nd *congest.Node, round int, in []congest.Incoming) boo
 		}
 		return true
 	}
+}
+
+// sleep ends the node's step in round, from the peel's last round on: it
+// sleeps until its next due round (the token launch for a dominator still
+// before it, else the last round). Everything else it does (improve its
+// BFS triple, rebroadcast, join and forward a token) is a reaction to
+// mail, and mail wakes it, so the outcome is BlockingProgram's.
+func (ms *mcdsStep) sleep(nd *congest.Node, round int) {
+	wake := ms.sh.peelRounds + ms.sh.diam + 1
+	if launch := wake - 2; ms.sh.inD[nd.V()] && round < launch {
+		wake = launch
+	}
+	nd.SleepUntil(wake)
 }
 
 // requireTokens is a defensive assertion on the connect segments: with
