@@ -79,7 +79,8 @@ type Params struct {
 	// are clamped to MinEps; a negative or non-finite ε is rejected.
 	Eps float64
 	// MaxRounds clamps the simulated run (zero or negative: the simulator
-	// default). Exposed for failure-injection tests.
+	// default); mdsd's maxrounds query parameter sets it through
+	// family.Params.
 	MaxRounds int
 	// Run is the execution context: Sim selects the engine (zero: the
 	// native stackless form, bounded memory at any n; EngineGoroutine runs

@@ -63,10 +63,10 @@ type slotRec struct {
 // round: every record's end offset (off + payload length) must stay
 // representable in uint32, so the cap is 2³²-1, not 2³². int64 so the
 // declaration compiles on 32-bit platforms (where len can never reach it
-// and the guard is simply dead). CONGEST runs sit ~6 orders of magnitude
-// below the limit; only a LOCAL-model run with gigabytes of messages per
-// round can hit it, and it fails loudly. A var only so the overflow test
-// can probe the guard without 4 GiB of RAM.
+// and the guard is simply dead). Runs at the default budget sit ~6 orders
+// of magnitude below the limit; only a huge BandwidthFactor with gigabytes
+// of messages per round can hit it, and it fails loudly. A var only so the
+// overflow test can probe the guard without 4 GiB of RAM.
 var slotPayloadLimit int64 = 1<<32 - 1
 
 // slotArena owns the payload bytes behind a worker's deposited slotRecs:

@@ -32,10 +32,7 @@ import (
 // the stepped engine, through the blocking adapter on the goroutine one) and
 // requires the same bytes and metrics as the blocking reference.
 type Case struct {
-	Name string
-	// LocalOnly marks programs whose payloads exceed the CONGEST budget;
-	// they run in the LOCAL model only.
-	LocalOnly bool
+	Name      string
 	Build     func(g *graph.Graph) (congest.Program, func() []byte)
 	BuildStep func(g *graph.Graph) (congest.StepFactory, func() []byte)
 }
@@ -133,14 +130,11 @@ func runStepOn(c Case, g *graph.Graph, eng congest.Engine, cfg congest.Config) R
 // Diff runs the case over the engine × program-form matrix against the
 // reference (the blocking program on the goroutine engine): the blocking
 // program under EngineStepped too (Run must ignore the engine), plus the
-// stepped variant (when registered) on both engines. It returns a non-nil
-// error describing the first divergence: different outputs, different round
-// counts, or different bandwidth metrics. A nil error means the engines and program forms are
-// indistinguishable on this (case, graph, config) triple.
+// stepped variant on both engines. It returns a non-nil error describing
+// the first divergence: different outputs, different round counts, or
+// different bandwidth metrics. A nil error means the engines and program
+// forms are indistinguishable on this (case, graph, config) triple.
 func Diff(c Case, g *graph.Graph, cfg congest.Config) error {
-	if c.LocalOnly {
-		cfg.Model = congest.Local
-	}
 	ref := runOn(c, g, congest.EngineGoroutine, cfg)
 	compare := func(got Result, form string, eng congest.Engine) error {
 		if (ref.Err == nil) != (got.Err == nil) {
@@ -178,10 +172,8 @@ func Diff(c Case, g *graph.Graph, cfg congest.Config) error {
 				return err
 			}
 		}
-		if c.BuildStep != nil {
-			if err := compare(runStepOn(c, g, eng, cfg), "stepped", eng); err != nil {
-				return err
-			}
+		if err := compare(runStepOn(c, g, eng, cfg), "stepped", eng); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -221,8 +213,6 @@ func diffMetrics(a, b congest.Metrics) error {
 		return fmt.Errorf("max message bits %d != %d", a.MaxMsgBits, b.MaxMsgBits)
 	case a.BandwidthBits != b.BandwidthBits:
 		return fmt.Errorf("budget %d != %d", a.BandwidthBits, b.BandwidthBits)
-	case a.Model != b.Model:
-		return fmt.Errorf("model %v != %v", a.Model, b.Model)
 	case a.AvgMsgBits != b.AvgMsgBits:
 		return fmt.Errorf("avg message bits %v != %v", a.AvgMsgBits, b.AvgMsgBits)
 	}

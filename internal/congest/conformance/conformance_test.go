@@ -49,24 +49,6 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// TestConformanceLocalModel repeats the suite in the LOCAL model (no
-// bandwidth bound), on a reduced corpus.
-func TestConformanceLocalModel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: CONGEST-model pass covers the engines")
-	}
-	corpus := Corpus(true)
-	for _, c := range Cases() {
-		t.Run(c.Name, func(t *testing.T) {
-			for _, ng := range corpus {
-				if err := Diff(c, ng.G, congest.Config{Model: congest.Local}); err != nil {
-					t.Errorf("graph %s: %v", ng.Name, err)
-				}
-			}
-		})
-	}
-}
-
 // TestConformanceTightBudget repeats the suite with a bandwidth factor of 8
 // (half the default), shrinking the budget the programs must fit in.
 func TestConformanceTightBudget(t *testing.T) {
@@ -271,16 +253,23 @@ func TestFailureMetricsConformance(t *testing.T) {
 
 // TestDiffDetectsDivergence sanity-checks the harness itself: runs whose
 // outputs differ must be flagged. The evil case returns a different output
-// on every Build (as an engine-dependent program would).
+// on every Build and BuildStep (as an engine-dependent program would).
 func TestDiffDetectsDivergence(t *testing.T) {
 	builds := int64(0)
+	stamp := func() func() []byte {
+		builds++
+		s := builds
+		return func() []byte { return appendInt(nil, s) }
+	}
 	evil := Case{
 		Name: "engine-sniffer",
 		Build: func(g *graph.Graph) (congest.Program, func() []byte) {
-			builds++
-			stamp := builds
-			prog := func(nd *congest.Node) { nd.Sync() }
-			return prog, func() []byte { return appendInt(nil, stamp) }
+			prog, _ := buildIDExchange(g)
+			return prog, stamp()
+		},
+		BuildStep: func(g *graph.Graph) (congest.StepFactory, func() []byte) {
+			factory, _ := buildIDExchangeStep(g)
+			return factory, stamp()
 		},
 	}
 	g := graph.Cycle(6)

@@ -35,9 +35,6 @@ func TestCSRGRepresentationConformance(t *testing.T) {
 
 		for _, c := range Cases() {
 			cfg := congest.Config{}
-			if c.LocalOnly {
-				cfg.Model = congest.Local
-			}
 			// Reference outputs on both representations must be
 			// byte-identical; Diff below then extends the identity to the
 			// stepped engine and the stepped form.

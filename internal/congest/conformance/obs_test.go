@@ -73,19 +73,14 @@ func TestObserverNonParticipation(t *testing.T) {
 		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
 			cfg := congest.Config{}
-			if c.LocalOnly {
-				cfg.Model = congest.Local
-			}
 			for _, ng := range corpus {
 				for _, eng := range congest.Engines() {
 					plain := runOn(c, ng.G, eng, cfg)
 					got, p := observedRunOn(c, ng.G, eng, cfg, false)
 					diffObserved(t, ng.Name+"/blocking/"+eng.String(), plain, got, p)
-					if c.BuildStep != nil {
-						plain = runStepOn(c, ng.G, eng, cfg)
-						got, p = observedRunOn(c, ng.G, eng, cfg, true)
-						diffObserved(t, ng.Name+"/stepped/"+eng.String(), plain, got, p)
-					}
+					plain = runStepOn(c, ng.G, eng, cfg)
+					got, p = observedRunOn(c, ng.G, eng, cfg, true)
+					diffObserved(t, ng.Name+"/stepped/"+eng.String(), plain, got, p)
 				}
 			}
 		})
@@ -103,18 +98,13 @@ func TestObserverNonParticipationOnFailure(t *testing.T) {
 		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
 			cfg := congest.Config{MaxRounds: 2}
-			if c.LocalOnly {
-				cfg.Model = congest.Local
-			}
 			for _, eng := range congest.Engines() {
 				plain := runOn(c, g, eng, cfg)
 				got, p := observedRunOn(c, g, eng, cfg, false)
 				diffObserved(t, "maxrounds/blocking/"+eng.String(), plain, got, p)
-				if c.BuildStep != nil {
-					plain = runStepOn(c, g, eng, cfg)
-					got, p = observedRunOn(c, g, eng, cfg, true)
-					diffObserved(t, "maxrounds/stepped/"+eng.String(), plain, got, p)
-				}
+				plain = runStepOn(c, g, eng, cfg)
+				got, p = observedRunOn(c, g, eng, cfg, true)
+				diffObserved(t, "maxrounds/stepped/"+eng.String(), plain, got, p)
 			}
 		})
 	}

@@ -28,8 +28,6 @@ func init() {
 	Register(Case{Name: "port-pingpong", Build: buildPortPingpong, BuildStep: buildPortPingpongStep})
 	Register(Case{Name: "silent-rounds", Build: buildSilentRounds, BuildStep: buildSilentRoundsStep})
 	Register(Case{Name: "budget-edge", Build: buildBudgetEdge, BuildStep: buildBudgetEdgeStep})
-	Register(Case{Name: "local-big-payload", LocalOnly: true,
-		Build: buildLocalBigPayload, BuildStep: buildLocalBigPayloadStep})
 	// Sleeping stepped variants (stepped.go) against blocking references
 	// that run every round.
 	Register(Case{Name: "flood-sleep", Build: buildFloodDistance, BuildStep: buildFloodSleepStep})
@@ -314,33 +312,6 @@ func buildBudgetEdge(g *graph.Graph) (congest.Program, func() []byte) {
 		for _, msg := range in {
 			for _, b := range msg.Payload {
 				sum[nd.V()] += int64(b)
-			}
-		}
-	}
-	return prog, func() []byte {
-		var buf []byte
-		for _, x := range sum {
-			buf = appendInt(buf, x)
-		}
-		return buf
-	}
-}
-
-// buildLocalBigPayload: kilobyte payloads in the LOCAL model, exercising
-// the unbounded path and large MaxMsgBits accounting.
-func buildLocalBigPayload(g *graph.Graph) (congest.Program, func() []byte) {
-	sum := make([]int64, g.N())
-	prog := func(nd *congest.Node) {
-		payload := make([]byte, 1024+nd.V())
-		for i := range payload {
-			payload[i] = byte(nd.ID() + int64(i))
-		}
-		nd.Broadcast(payload)
-		in := nd.Sync()
-		for _, msg := range in {
-			sum[nd.V()] += int64(len(msg.Payload))
-			if len(msg.Payload) > 0 {
-				sum[nd.V()] += int64(msg.Payload[len(msg.Payload)-1])
 			}
 		}
 	}

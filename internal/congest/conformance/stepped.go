@@ -356,37 +356,6 @@ func buildBudgetEdgeStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
 	return factory, outputInts(sum)
 }
 
-// localBigPayloadStep: kilobyte payloads in the LOCAL model.
-type localBigPayloadStep struct{ sum []int64 }
-
-func (s *localBigPayloadStep) Init(nd *congest.Node) bool {
-	size := 1024 + nd.V()
-	payload := nd.PayloadBuf(size)[:size]
-	for i := range payload {
-		payload[i] = byte(nd.ID() + int64(i))
-	}
-	nd.Broadcast(payload)
-	return false
-}
-
-func (s *localBigPayloadStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
-	for _, msg := range in {
-		s.sum[nd.V()] += int64(len(msg.Payload))
-		if len(msg.Payload) > 0 {
-			s.sum[nd.V()] += int64(msg.Payload[len(msg.Payload)-1])
-		}
-	}
-	return true
-}
-
-func buildLocalBigPayloadStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
-	sum := make([]int64, g.N())
-	factory := func(nd *congest.Node) congest.StepProgram {
-		return &localBigPayloadStep{sum: sum}
-	}
-	return factory, outputInts(sum)
-}
-
 // Sleeping variants: programs ported to skip the rounds in which a node
 // has nothing to do (congest.Node.SleepUntil), diffed against blocking
 // references that run every round. They pin the stepped engine's

@@ -1,12 +1,11 @@
-// Package congest simulates the synchronous CONGEST and LOCAL models of
-// distributed computing (Peleg 2000), as defined in Section 2 of the paper.
+// Package congest simulates the synchronous CONGEST model of distributed
+// computing (Peleg 2000), as defined in Section 2 of the paper.
 //
 // A Network wraps a communication graph. Each node executes a Program;
 // rounds are synchronous: all nodes compute, send at most one message per
 // incident edge, and a barrier (Sync) delivers messages for the next round.
-// In the CONGEST model the simulator enforces the O(log n) message-size
-// bound and records bandwidth metrics; in the LOCAL model messages are
-// unbounded.
+// The simulator enforces the O(log n) message-size bound and records
+// bandwidth metrics.
 //
 // Two execution engines implement the same semantics (see Config.Engine):
 //
@@ -103,29 +102,6 @@ import (
 	"congestds/internal/graph"
 )
 
-// Model selects the communication model.
-type Model int
-
-// Supported models.
-const (
-	// Congest limits messages to BandwidthFactor·⌈log₂ n⌉ bits per edge per
-	// round.
-	Congest Model = iota + 1
-	// Local allows unbounded messages.
-	Local
-)
-
-// String returns the model name.
-func (m Model) String() string {
-	switch m {
-	case Congest:
-		return "CONGEST"
-	case Local:
-		return "LOCAL"
-	}
-	return fmt.Sprintf("Model(%d)", int(m))
-}
-
 // Engine selects the execution engine that drives a run. Both engines
 // implement identical synchronous-round semantics; they differ only in how
 // the barrier and message delivery are scheduled.
@@ -161,19 +137,17 @@ func (e Engine) String() string {
 // differential tests and benchmarks).
 func Engines() []Engine { return []Engine{EngineGoroutine, EngineStepped} }
 
-// Config parameterizes a Network. The zero value selects the CONGEST model
-// with the stepped engine, the default bandwidth factor and round limit.
+// Config parameterizes a Network. The zero value selects the stepped
+// engine, the default bandwidth factor and round limit.
 type Config struct {
-	// Model is Congest or Local. Zero means Congest.
-	Model Model
 	// Engine selects the engine RunStepped uses. Zero means EngineStepped;
 	// EngineGoroutine runs StepPrograms through the blocking adapter. Run
 	// ignores it: blocking Programs always use the goroutine engine.
 	Engine Engine
 	// BandwidthFactor c gives a per-edge, per-round budget of c·⌈log₂ n⌉
-	// bits ("messages of size O(log n)", Section 2). Zero means 16, enough
-	// for a constant number of identifiers and fixed-point values per
-	// message, as the paper assumes.
+	// bits ("messages of size O(log n)", Section 2). Zero or negative
+	// means 16, enough for a constant number of identifiers and fixed-point
+	// values per message, as the paper assumes.
 	BandwidthFactor int
 	// MaxRounds aborts runaway programs. Zero or negative means 10_000_000.
 	MaxRounds int
@@ -256,30 +230,20 @@ type Network struct {
 
 // NewNetwork creates a network over g.
 func NewNetwork(g *graph.Graph, cfg Config) *Network {
-	if cfg.Model == 0 {
-		cfg.Model = Congest
-	}
-	if cfg.BandwidthFactor == 0 {
+	if cfg.BandwidthFactor <= 0 {
 		cfg.BandwidthFactor = 16
 	}
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = 10_000_000
 	}
-	net := &Network{g: g, cfg: cfg}
-	if cfg.Model != Local {
-		logn := bits.Len(uint(g.N()))
-		if logn < 1 {
-			logn = 1
-		}
-		net.bwBits = cfg.BandwidthFactor * logn
-	}
-	return net
+	logn := max(bits.Len(uint(g.N())), 1)
+	return &Network{g: g, cfg: cfg, bwBits: cfg.BandwidthFactor * logn}
 }
 
 // Graph returns the underlying communication graph.
 func (net *Network) Graph() *graph.Graph { return net.g }
 
-// BandwidthBits returns the per-edge per-round bit budget (0 for LOCAL).
+// BandwidthBits returns the per-edge per-round bit budget.
 func (net *Network) BandwidthBits() int { return net.bwBits }
 
 // Incoming is a message delivered to a node: the local port it arrived on
@@ -392,7 +356,7 @@ func (nd *Node) Send(port int, payload []byte) {
 			payload = nil
 		}
 	}
-	if budget := nd.net.bwBits; budget > 0 && len(payload)*8 > budget {
+	if budget := nd.net.bwBits; len(payload)*8 > budget {
 		panic(runError{fmt.Errorf("%w: node %d sent %d bits, budget %d",
 			ErrBandwidth, nd.v, len(payload)*8, budget)})
 	}
@@ -482,8 +446,7 @@ type Metrics struct {
 	Messages      int64   // messages delivered
 	Bits          int64   // payload bits delivered
 	MaxMsgBits    int     // largest single message
-	BandwidthBits int     // per-edge per-round budget (0 = unbounded)
-	Model         Model   // model the run used
+	BandwidthBits int     // per-edge per-round budget
 	AvgMsgBits    float64 // mean payload size
 }
 
@@ -501,9 +464,6 @@ func (m *Metrics) Add(other Metrics) {
 	}
 	if m.BandwidthBits == 0 {
 		m.BandwidthBits = other.BandwidthBits
-	}
-	if m.Model == 0 {
-		m.Model = other.Model
 	}
 	if m.Messages > 0 {
 		m.AvgMsgBits = float64(m.Bits) / float64(m.Messages)

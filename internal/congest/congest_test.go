@@ -18,12 +18,6 @@ func forEachEngine(t *testing.T, fn func(t *testing.T, eng Engine)) {
 	}
 }
 
-func TestModelString(t *testing.T) {
-	if Congest.String() != "CONGEST" || Local.String() != "LOCAL" {
-		t.Errorf("model names wrong: %v %v", Congest, Local)
-	}
-}
-
 func TestEngineString(t *testing.T) {
 	if EngineGoroutine.String() != "goroutine" || EngineStepped.String() != "stepped" {
 		t.Errorf("engine names wrong: %v %v", EngineGoroutine, EngineStepped)
@@ -123,7 +117,7 @@ func TestFloodDistances(t *testing.T) {
 func TestBandwidthEnforced(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, eng Engine) {
 		g := graph.Path(4)
-		net := NewNetwork(g, Config{Model: Congest, BandwidthFactor: 1, Engine: eng})
+		net := NewNetwork(g, Config{BandwidthFactor: 1, Engine: eng})
 		// Budget = 1·⌈log₂ 4⌉ = 2 bits; any 1-byte message exceeds it.
 		_, err := net.Run(func(nd *Node) {
 			nd.Broadcast([]byte{0xff})
@@ -135,23 +129,25 @@ func TestBandwidthEnforced(t *testing.T) {
 	})
 }
 
-func TestLocalModelUnbounded(t *testing.T) {
+// TestNegativeBandwidthFactorDefaults: a negative factor means the default
+// 16, like zero, and never switches the budget off.
+func TestNegativeBandwidthFactorDefaults(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, eng Engine) {
 		g := graph.Path(3)
-		net := NewNetwork(g, Config{Model: Local, Engine: eng})
-		big := make([]byte, 1<<16)
+		net := NewNetwork(g, Config{BandwidthFactor: -1, Engine: eng})
+		// Budget = 16·⌈log₂ 3⌉ = 32 bits.
+		if got := net.BandwidthBits(); got != 32 {
+			t.Errorf("BandwidthBits=%d, want 32", got)
+		}
 		m, err := net.Run(func(nd *Node) {
-			nd.Broadcast(big)
+			nd.Broadcast(make([]byte, 1<<12))
 			nd.Sync()
 		})
-		if err != nil {
-			t.Fatal(err)
+		if !errors.Is(err, ErrBandwidth) {
+			t.Fatalf("err=%v, want ErrBandwidth", err)
 		}
-		if m.MaxMsgBits != len(big)*8 {
-			t.Errorf("MaxMsgBits=%d, want %d", m.MaxMsgBits, len(big)*8)
-		}
-		if m.BandwidthBits != 0 {
-			t.Errorf("LOCAL budget=%d, want 0", m.BandwidthBits)
+		if m.BandwidthBits != 32 {
+			t.Errorf("Metrics.BandwidthBits=%d, want 32", m.BandwidthBits)
 		}
 	})
 }
@@ -456,7 +452,7 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestMetricsAdd(t *testing.T) {
-	a := Metrics{Rounds: 1, Messages: 2, Bits: 16, MaxMsgBits: 8, Model: Congest, BandwidthBits: 64}
+	a := Metrics{Rounds: 1, Messages: 2, Bits: 16, MaxMsgBits: 8, BandwidthBits: 64}
 	b := Metrics{Rounds: 2, Messages: 2, Bits: 48, MaxMsgBits: 24}
 	a.Add(b)
 	if a.Rounds != 3 || a.Messages != 4 || a.Bits != 64 || a.MaxMsgBits != 24 {

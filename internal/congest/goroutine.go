@@ -50,7 +50,6 @@ func (net *Network) runGoroutine(prog Program) (Metrics, error) {
 		pending: make([][]Incoming, n),
 		active:  n,
 	}
-	eng.metrics.Model = net.cfg.Model
 	eng.metrics.BandwidthBits = net.BandwidthBits()
 	eng.obs = net.cfg.Observer
 	ios := make([]nodeIO, n)

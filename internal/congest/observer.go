@@ -70,7 +70,7 @@ type RoundStats struct {
 // bucket 0 counts empty messages, bucket k ≥ 1 counts payloads of
 // [2^(k-1), 2^k) bits, and the last bucket absorbs everything larger.
 // CONGEST payloads are O(log n) bits, so the top buckets stay empty except
-// under LOCAL-model runs.
+// under a very large BandwidthFactor.
 type MsgHist [16]int64
 
 // observe counts one message of the given payload length in bytes.

@@ -78,8 +78,9 @@ import (
 var errSyncInStep = errors.New("congest: StepProgram must not call Sync (the engine drives rounds)")
 
 // errSlotArenaFull reports a chunk receiving more payload bytes in one
-// round than slotRec offsets can address (LOCAL-model runs only; the
-// CONGEST budget keeps rounds ~6 orders of magnitude below the limit).
+// round than slotRec offsets can address (only a huge BandwidthFactor
+// gets there; the default budget keeps rounds ~6 orders of magnitude below
+// the limit).
 var errSlotArenaFull = errors.New("congest: chunk exceeded 4 GiB of payload bytes in one round (slot records are 32-bit)")
 
 // minChunkNodes keeps chunks coarse enough that the claim counter and the
@@ -170,7 +171,6 @@ type steppedEngine struct {
 func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 	n := net.g.N()
 	eng := &steppedEngine{net: net}
-	eng.metrics.Model = net.cfg.Model
 	eng.metrics.BandwidthBits = net.BandwidthBits()
 	eng.obs = net.cfg.Observer
 	if n == 0 {

@@ -427,13 +427,14 @@ func TestSlotRecEncoding(t *testing.T) {
 // TestSlotArenaOverflowFails: a worker pushing past the 32-bit offset
 // range must abort the run with a loud error, not wrap silently. The real
 // limit is 4 GiB, so the test lowers it instead of allocating that much,
-// and drives the failure end to end through a LOCAL-model run.
+// and drives the failure end to end under a bandwidth budget wide enough
+// for the 64-byte payloads.
 func TestSlotArenaOverflowFails(t *testing.T) {
 	prev := slotPayloadLimit
 	slotPayloadLimit = 64
 	defer func() { slotPayloadLimit = prev }()
 	g := graph.Cycle(6)
-	net := NewNetwork(g, Config{Model: Local, Engine: EngineStepped})
+	net := NewNetwork(g, Config{BandwidthFactor: 1 << 12, Engine: EngineStepped})
 	_, err := net.RunStepped(func(nd *Node) StepProgram { return &bigSender{} })
 	if err == nil || !strings.Contains(err.Error(), "32-bit") {
 		t.Fatalf("err=%v, want the slot-arena 32-bit overflow error", err)

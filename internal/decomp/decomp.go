@@ -57,22 +57,17 @@ type Params struct {
 	// K is the separation parameter (same-color clusters are at pairwise
 	// distance > K). The paper's Lemma 3.4 uses K = 2.
 	K int
-	// Delta is the sparsity threshold δ of the ball-growing rule: growing
-	// stops at the first radius where |B(r+1)| ≤ (1+δ)·|B(r)|. Radius is
-	// then at most log_{1+δ} n. Zero means 1.0.
-	Delta float64
 }
+
+// delta is the sparsity threshold δ of the ball-growing rule: growing stops
+// at the first radius where |B(r+1)| ≤ (1+δ)·|B(r)|, so the radius is at
+// most log_{1+δ} n = log₂ n.
+const delta = 1.0
 
 // Build computes a K-hop decomposition of g.
 func Build(g *graph.Graph, p Params) (*Decomposition, error) {
 	if p.K < 1 {
 		return nil, fmt.Errorf("decomp: K=%d < 1", p.K)
-	}
-	if p.Delta == 0 {
-		p.Delta = 1.0
-	}
-	if p.Delta < 0 {
-		return nil, fmt.Errorf("decomp: negative delta %v", p.Delta)
 	}
 	n := g.N()
 	d := &Decomposition{K: p.K, Of: make([]int, n)}
@@ -91,7 +86,7 @@ func Build(g *graph.Graph, p Params) (*Decomposition, error) {
 		if d.Of[centre] >= 0 {
 			continue
 		}
-		c := carveBall(g, centre, d.Of, p.Delta)
+		c := carveBall(g, centre, d.Of)
 		c.Color = -1
 		for _, v := range c.Nodes {
 			d.Of[v] = len(d.Clusters)
@@ -113,7 +108,7 @@ func Build(g *graph.Graph, p Params) (*Decomposition, error) {
 // carveBall grows a BFS ball from centre within the unclustered residual
 // graph, stopping at the first radius whose next layer grows the ball by a
 // factor of at most (1+delta).
-func carveBall(g *graph.Graph, centre int, of []int, delta float64) *Cluster {
+func carveBall(g *graph.Graph, centre int, of []int) *Cluster {
 	parent := map[int]int{centre: -1}
 	ball := []int{centre}
 	frontier := []int{centre}

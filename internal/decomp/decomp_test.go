@@ -12,9 +12,6 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(g, Params{K: 0}); err == nil {
 		t.Error("K=0 accepted")
 	}
-	if _, err := Build(g, Params{K: 1, Delta: -1}); err == nil {
-		t.Error("negative delta accepted")
-	}
 }
 
 func TestDecompositionAcrossFamilies(t *testing.T) {
@@ -98,7 +95,7 @@ func TestSeparationIsRealObstruction(t *testing.T) {
 	// On a long path with K=2, adjacent clusters must get different colors,
 	// and at least 2 colors are needed unless there is a single cluster.
 	g := graph.Path(40)
-	d, err := Build(g, Params{K: 2, Delta: 4}) // small balls: many clusters
+	d, err := Build(g, Params{K: 2}) // small balls: many clusters
 	if err != nil {
 		t.Fatal(err)
 	}

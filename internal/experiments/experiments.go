@@ -195,7 +195,7 @@ func E3(quick bool) *Table {
 	for _, fam := range benchFamilies(quick) {
 		g := fam.G
 		net := congest.NewNetwork(g, simRun().Config(0))
-		fds, err := fractional.Initial(net, nil, fractional.InitialParams{Eps: eps})
+		fds, err := fractional.Initial(net, nil, eps)
 		if err != nil {
 			t.Rows = append(t.Rows, []string{fam.Name, "-", "-", "-", "-", "-", "-", "ERR"})
 			t.Violations++
@@ -371,12 +371,12 @@ func E8(quick bool) *Table {
 		}
 		// Randomized baseline from the same fractional start.
 		net := congest.NewNetwork(g, simRun().Config(0))
-		fds, err := fractional.Initial(net, nil, fractional.InitialParams{Eps: 0.5 / 16})
+		fds, err := fractional.Initial(net, nil, 0.5/16)
 		if err != nil {
 			t.Violations++
 			continue
 		}
-		fractional.Trim(g, fds, nil, 2)
+		fractional.Trim(g, fds, nil)
 		sum, min := 0, g.N()+1
 		for i := 0; i < trials; i++ {
 			set := baseline.RandomizedOneShot(g, fds, r)
@@ -569,12 +569,12 @@ func E12(quick bool) *Table {
 			continue
 		}
 		net := congest.NewNetwork(g, simRun().Config(0))
-		fds, err := fractional.Initial(net, nil, fractional.InitialParams{Eps: 0.5 / 16})
+		fds, err := fractional.Initial(net, nil, 0.5/16)
 		if err != nil {
 			t.Violations++
 			continue
 		}
-		fractional.Trim(g, fds, nil, 2)
+		fractional.Trim(g, fds, nil)
 		sum := 0
 		for i := 0; i < 5; i++ {
 			sum += len(baseline.RandomizedOneShot(g, fds, r))

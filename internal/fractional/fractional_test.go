@@ -125,7 +125,7 @@ func TestInitialFeasibleAcrossFamilies(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			net := congest.NewNetwork(tt.g, congest.Config{})
 			var ledger congest.Ledger
-			f, err := Initial(net, &ledger, InitialParams{Eps: 0.5})
+			f, err := Initial(net, &ledger, 0.5)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +149,7 @@ func TestInitialSizeReasonable(t *testing.T) {
 	// On a star, OPT=1; the fractional solution should be O(1)+n·floor.
 	g := graph.Star(50)
 	net := congest.NewNetwork(g, congest.Config{})
-	f, err := Initial(net, nil, InitialParams{Eps: 0.5})
+	f, err := Initial(net, nil, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestInitialDeterministic(t *testing.T) {
 	g := graph.GNPConnected(30, 0.15, 11)
 	run := func() []fixpoint.Value {
 		net := congest.NewNetwork(g, congest.Config{})
-		f, err := Initial(net, nil, InitialParams{Eps: 0.3})
+		f, err := Initial(net, nil, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,26 +178,24 @@ func TestInitialDeterministic(t *testing.T) {
 	}
 }
 
+// TestInitialValidation: a bad ε fails on every graph, the empty one too.
 func TestInitialValidation(t *testing.T) {
-	g := graph.Path(4)
-	net := congest.NewNetwork(g, congest.Config{})
-	if _, err := Initial(net, nil, InitialParams{Eps: 0}); err == nil {
-		t.Error("eps=0 accepted")
-	}
-	if _, err := Initial(net, nil, InitialParams{Eps: 1.5}); err == nil {
-		t.Error("eps>1 accepted")
-	}
-	if _, err := Initial(net, nil, InitialParams{Eps: math.NaN()}); err == nil {
-		t.Error("eps=NaN accepted")
+	for _, n := range []int{4, 0} {
+		net := congest.NewNetwork(graph.Path(n), congest.Config{})
+		for _, eps := range []float64{0, 1.5, math.NaN()} {
+			if _, err := Initial(net, nil, eps); err == nil {
+				t.Errorf("n=%d: eps=%v accepted", n, eps)
+			}
+		}
 	}
 }
 
 func TestInitialMessageBudgetRespected(t *testing.T) {
 	// The run must not violate the CONGEST bandwidth (Run errors if so).
 	g := graph.GNPConnected(64, 0.1, 2)
-	net := congest.NewNetwork(g, congest.Config{Model: congest.Congest})
+	net := congest.NewNetwork(g, congest.Config{})
 	var ledger congest.Ledger
-	if _, err := Initial(net, &ledger, InitialParams{Eps: 0.5}); err != nil {
+	if _, err := Initial(net, &ledger, 0.5); err != nil {
 		t.Fatalf("CONGEST run failed: %v", err)
 	}
 	m := ledger.Metrics()

@@ -8,20 +8,13 @@ import (
 	"congestds/internal/fixpoint"
 )
 
-// InitialParams configures the initial fractional solver (Lemma 2.1).
-type InitialParams struct {
-	// Eps is the ε of Lemma 2.1: the result is floored to ε/(2Δ̃)-fractional
-	// values. Must be in (0, 1].
-	Eps float64
-	// MaxDegree is Δ, assumed known to all nodes (the standard CONGEST
-	// assumption the paper's Δ-parameterized bounds rely on).
-	MaxDegree int
-}
-
 // Initial computes the paper's Part I (Lemma 2.1): a feasible fractional
 // dominating set that is ε/(2Δ̃)-fractional, by a deterministic distributed
 // covering algorithm, followed by the value floor from the lemma's proof
-// ("each node with value < ε/(2Δ) sets its value to ε/(2Δ)").
+// ("each node with value < ε/(2Δ) sets its value to ε/(2Δ)"). eps must be
+// in (0, 1]. Δ is the graph's maximum degree, assumed known to all nodes
+// (the standard CONGEST assumption the paper's Δ-parameterized bounds rely
+// on).
 //
 // The covering phase is our substitute for the cited [KMW06] LP solver (see
 // docs/ARCHITECTURE.md#substitutions, substitution 4): a threshold-batched
@@ -43,20 +36,18 @@ type InitialParams struct {
 // stackless StepProgram form, so it executes on congest.EngineStepped with
 // no per-node goroutine; the goroutine engine runs it through the blocking
 // adapter with identical results.
-func Initial(net *congest.Network, ledger *congest.Ledger, p InitialParams) (*CFDS, error) {
+func Initial(net *congest.Network, ledger *congest.Ledger, eps float64) (*CFDS, error) {
+	if !(eps > 0 && eps <= 1) {
+		return nil, fmt.Errorf("fractional: eps=%v out of (0,1]", eps)
+	}
 	g := net.Graph()
 	n := g.N()
 	if n == 0 {
 		return NewFDS(ScaleFor(1), 0), nil
 	}
-	if !(p.Eps > 0 && p.Eps <= 1) {
-		return nil, fmt.Errorf("fractional: eps=%v out of (0,1]", p.Eps)
-	}
-	if p.MaxDegree <= 0 {
-		p.MaxDegree = g.MaxDegree()
-	}
+	delta := g.MaxDegree()
 	ctx := ScaleFor(n)
-	phases := CoverPhases(ctx, p.Eps, p.MaxDegree)
+	phases := CoverPhases(ctx, eps, delta)
 
 	x := make([]fixpoint.Value, n)
 	metrics, err := net.RunStepped(func(nd *congest.Node) congest.StepProgram {
@@ -71,7 +62,7 @@ func Initial(net *congest.Network, ledger *congest.Ledger, p InitialParams) (*CF
 
 	// Lemma 2.1 floor: value floor ε/(2Δ̃) keeps the approximation within
 	// (1+ε) because OPT ≥ n/Δ̃, and makes the solution ε/(2Δ̃)-fractional.
-	floor := FloorValue(ctx, p.Eps, p.MaxDegree)
+	floor := FloorValue(ctx, eps, delta)
 	f := NewFDS(ctx, n)
 	for v := range x {
 		f.X[v] = fixpoint.Max(x[v], floor)

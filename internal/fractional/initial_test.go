@@ -156,7 +156,7 @@ func TestInitialMatchesBroadcastEveryRound(t *testing.T) {
 					}
 
 					var ledger congest.Ledger
-					f, err := Initial(congest.NewNetwork(g, congest.Config{Engine: eng}), &ledger, InitialParams{Eps: eps})
+					f, err := Initial(congest.NewNetwork(g, congest.Config{Engine: eng}), &ledger, eps)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -207,7 +207,7 @@ func BenchmarkInitial(b *testing.B) {
 				var ledger congest.Ledger
 				steps = stepCounter{}
 				net := congest.NewNetwork(g, congest.Config{Observer: &steps})
-				if _, err := Initial(net, &ledger, InitialParams{Eps: 0.5 / 16}); err != nil {
+				if _, err := Initial(net, &ledger, 0.5/16); err != nil {
 					b.Fatal(err)
 				}
 				m = ledger.Metrics()

@@ -7,6 +7,10 @@ import (
 	"congestds/internal/graph"
 )
 
+// trimSweeps is how many passes Trim makes over the colour classes; the
+// ledger charges one round per class per pass.
+const trimSweeps = 2
+
 // Trim removes redundancy from a feasible fractional dominating set: every
 // node lowers its value to the largest reduction that keeps all constraints
 // in its inclusive neighbourhood satisfied. Nodes act in the color classes
@@ -20,11 +24,8 @@ import (
 // phase (see docs/ARCHITECTURE.md#substitutions, substitution 4): the
 // threshold-batched greedy over-raises when many candidates cover the same
 // constraint, and trimming recovers most of that slack with
-// O(sweeps · colors(G²)) extra rounds.
-func Trim(g *graph.Graph, fds *CFDS, ledger *congest.Ledger, sweeps int) {
-	if sweeps <= 0 {
-		sweeps = 2
-	}
+// trimSweeps · colors(G²) extra rounds.
+func Trim(g *graph.Graph, fds *CFDS, ledger *congest.Ledger) {
 	n := g.N()
 	if n == 0 {
 		return
@@ -40,7 +41,7 @@ func Trim(g *graph.Graph, fds *CFDS, ledger *congest.Ledger, sweeps int) {
 	for v := 0; v < n; v++ {
 		cov[v] = fds.Coverage(g, v)
 	}
-	for sweep := 0; sweep < sweeps; sweep++ {
+	for sweep := 0; sweep < trimSweeps; sweep++ {
 		for c := 0; c < col.NumColors; c++ {
 			for v := 0; v < n; v++ {
 				if col.Colors[v] != c || fds.X[v] == 0 {
@@ -69,6 +70,6 @@ func Trim(g *graph.Graph, fds *CFDS, ledger *congest.Ledger, sweeps int) {
 	if ledger != nil {
 		// One round per color class per sweep (trim decisions are local; the
 		// new values are broadcast to neighbours), plus the G²-coloring.
-		ledger.Charge("partI/trim", sweeps*col.NumColors+col.Rounds)
+		ledger.Charge("partI/trim", trimSweeps*col.NumColors+col.Rounds)
 	}
 }

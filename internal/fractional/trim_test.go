@@ -19,13 +19,13 @@ func TestTrimPreservesFeasibility(t *testing.T) {
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			net := congest.NewNetwork(tt.g, congest.Config{})
-			fds, err := Initial(net, nil, InitialParams{Eps: 0.5})
+			fds, err := Initial(net, nil, 0.5)
 			if err != nil {
 				t.Fatal(err)
 			}
 			before := fds.SizeFloat()
 			var ledger congest.Ledger
-			Trim(tt.g, fds, &ledger, 2)
+			Trim(tt.g, fds, &ledger)
 			if err := fds.Check(tt.g); err != nil {
 				t.Fatalf("trim broke feasibility: %v", err)
 			}
@@ -49,7 +49,7 @@ func TestTrimRemovesObviousSlack(t *testing.T) {
 	for v := range fds.X {
 		fds.X[v] = ctx.One()
 	}
-	Trim(g, fds, nil, 2)
+	Trim(g, fds, nil)
 	if err := fds.Check(g); err != nil {
 		t.Fatal(err)
 	}
@@ -60,18 +60,18 @@ func TestTrimRemovesObviousSlack(t *testing.T) {
 
 func TestTrimEmptyGraph(t *testing.T) {
 	fds := NewFDS(ScaleFor(1), 0)
-	Trim(graph.Path(0), fds, nil, 1) // must not panic
+	Trim(graph.Path(0), fds, nil) // must not panic
 }
 
 func TestTrimDeterministic(t *testing.T) {
 	g := graph.GNPConnected(30, 0.2, 8)
 	run := func() []float64 {
 		net := congest.NewNetwork(g, congest.Config{})
-		fds, err := Initial(net, nil, InitialParams{Eps: 0.4})
+		fds, err := Initial(net, nil, 0.4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		Trim(g, fds, nil, 3)
+		Trim(g, fds, nil)
 		out := make([]float64, g.N())
 		for v := range out {
 			out[v] = fds.Ctx.Float(fds.X[v])

@@ -93,7 +93,8 @@ type Params struct {
 	// count down. A negative bound is rejected.
 	DiamBound int
 	// MaxRounds clamps the simulated run (zero or negative: the simulator
-	// default). Exposed for failure-injection tests.
+	// default); mdsd's maxrounds query parameter sets it through
+	// family.Params.
 	MaxRounds int
 	// Run is the execution context, exactly as in arbmds.Params: Sim
 	// selects the engine, Ctx cancels at round boundaries with

@@ -170,11 +170,11 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 	// Part I: initial fractional dominating set (Lemma 2.1), followed by the
 	// local-ratio trim that removes the parallel greedy's overshoot.
 	net := congest.NewNetwork(g, p.Run.Config(0))
-	fds, err := fractional.Initial(net, res.Ledger, fractional.InitialParams{Eps: eps1, MaxDegree: delta})
+	fds, err := fractional.Initial(net, res.Ledger, eps1)
 	if err != nil {
 		return nil, fmt.Errorf("mds: part I: %w", err)
 	}
-	fractional.Trim(g, fds, res.Ledger, 2)
+	fractional.Trim(g, fds, res.Ledger)
 	// Re-apply the Lemma 2.1 floor after trimming so Part II starts from an
 	// ε/(2Δ̃)-fractional solution.
 	floor := fractional.FloorValue(fds.Ctx, eps1, delta)
