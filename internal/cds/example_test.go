@@ -40,9 +40,9 @@ func ExampleSolve() {
 	}
 	// Output:
 	// torus 12x12        n=144  backbone=94   (dominating set 44 + 50 connectors, 1 clusters)
-	//                    guarantee ≤ 11.74·OPT, |CDS| ≤ 3·|DS| holds: true, rounds=665
+	//                    guarantee ≤ 11.74·OPT, |CDS| ≤ 3·|DS| holds: true, rounds=655
 	// grid 15x15         n=225  backbone=151  (dominating set 71 + 80 connectors, 2 clusters)
-	//                    guarantee ≤ 11.74·OPT, |CDS| ≤ 3·|DS| holds: true, rounds=743
+	//                    guarantee ≤ 11.74·OPT, |CDS| ≤ 3·|DS| holds: true, rounds=733
 	// unit disk n=250    n=250  backbone=79   (dominating set 41 + 38 connectors, 1 clusters)
-	//                    guarantee ≤ 17.25·OPT, |CDS| ≤ 3·|DS| holds: true, rounds=3438
+	//                    guarantee ≤ 17.25·OPT, |CDS| ≤ 3·|DS| holds: true, rounds=3417
 }

@@ -101,9 +101,9 @@ type Result struct {
 	Err     error
 }
 
-// runOn executes the case on one engine and captures the observation.
-func runOn(c Case, g *graph.Graph, eng congest.Engine, cfg congest.Config) Result {
-	cfg.Engine = eng
+// runOn executes the case's blocking program and captures the
+// observation. Network.Run always uses the goroutine engine.
+func runOn(c Case, g *graph.Graph, cfg congest.Config) Result {
 	prog, output := c.Build(g)
 	m, err := congest.NewNetwork(g, cfg).Run(prog)
 	res := Result{Metrics: m, Err: err}
@@ -127,19 +127,18 @@ func runStepOn(c Case, g *graph.Graph, eng congest.Engine, cfg congest.Config) R
 	return res
 }
 
-// Diff runs the case over the engine × program-form matrix against the
-// reference (the blocking program on the goroutine engine): the blocking
-// program under EngineStepped too (Run must ignore the engine), plus the
-// stepped variant on both engines. It returns a non-nil error describing
-// the first divergence: different outputs, different round counts, or
-// different bandwidth metrics. A nil error means the engines and program
-// forms are indistinguishable on this (case, graph, config) triple.
+// Diff runs the case's stepped variant on every engine against the
+// reference, the blocking program on the goroutine engine. It returns a
+// non-nil error describing the first divergence: different outputs,
+// different round counts, or different bandwidth metrics. A nil error means
+// the engines and program forms are indistinguishable on this (case, graph,
+// config) triple.
 func Diff(c Case, g *graph.Graph, cfg congest.Config) error {
-	ref := runOn(c, g, congest.EngineGoroutine, cfg)
-	compare := func(got Result, form string, eng congest.Engine) error {
+	ref := runOn(c, g, cfg)
+	compare := func(got Result, eng congest.Engine) error {
 		if (ref.Err == nil) != (got.Err == nil) {
-			return fmt.Errorf("%s %s on %v: error mismatch: goroutine=%v, %v=%v",
-				c.Name, form, eng, ref.Err, eng, got.Err)
+			return fmt.Errorf("%s stepped on %v: error mismatch: goroutine=%v, %v=%v",
+				c.Name, eng, ref.Err, eng, got.Err)
 		}
 		if ref.Err != nil {
 			// Both failed: the sentinel class (bandwidth, max-rounds, deadline,
@@ -149,30 +148,25 @@ func Diff(c Case, g *graph.Graph, cfg congest.Config) error {
 			// the failure, so an engine that zeroes (or inflates) them on
 			// failure is observable and wrong.
 			if rc, gc := congest.SentinelClass(ref.Err), congest.SentinelClass(got.Err); rc != gc {
-				return fmt.Errorf("%s %s on %v: sentinel class mismatch: goroutine=%q (%v), %v=%q (%v)",
-					c.Name, form, eng, rc, ref.Err, eng, gc, got.Err)
+				return fmt.Errorf("%s stepped on %v: sentinel class mismatch: goroutine=%q (%v), %v=%q (%v)",
+					c.Name, eng, rc, ref.Err, eng, gc, got.Err)
 			}
 			if err := diffFailureMetrics(ref.Metrics, got.Metrics); err != nil {
-				return fmt.Errorf("%s %s on %v (failed run): %w", c.Name, form, eng, err)
+				return fmt.Errorf("%s stepped on %v (failed run): %w", c.Name, eng, err)
 			}
 			return nil
 		}
 		if !bytes.Equal(ref.Output, got.Output) {
-			return fmt.Errorf("%s %s on %v: output diverges from goroutine engine (%d vs %d bytes)",
-				c.Name, form, eng, len(ref.Output), len(got.Output))
+			return fmt.Errorf("%s stepped on %v: output diverges from goroutine engine (%d vs %d bytes)",
+				c.Name, eng, len(ref.Output), len(got.Output))
 		}
 		if err := diffMetrics(ref.Metrics, got.Metrics); err != nil {
-			return fmt.Errorf("%s %s on %v: %w", c.Name, form, eng, err)
+			return fmt.Errorf("%s stepped on %v: %w", c.Name, eng, err)
 		}
 		return nil
 	}
 	for _, eng := range congest.Engines() {
-		if eng != congest.EngineGoroutine {
-			if err := compare(runOn(c, g, eng, cfg), "blocking", eng); err != nil {
-				return err
-			}
-		}
-		if err := compare(runStepOn(c, g, eng, cfg), "stepped", eng); err != nil {
+		if err := compare(runStepOn(c, g, eng, cfg), eng); err != nil {
 			return err
 		}
 	}

@@ -38,8 +38,8 @@ func TestCSRGRepresentationConformance(t *testing.T) {
 			// Reference outputs on both representations must be
 			// byte-identical; Diff below then extends the identity to the
 			// stepped engine and the stepped form.
-			ref := runOn(c, ng.G, congest.EngineGoroutine, cfg)
-			mapped := runOn(c, mg.Graph, congest.EngineGoroutine, cfg)
+			ref := runOn(c, ng.G, cfg)
+			mapped := runOn(c, mg.Graph, cfg)
 			if (ref.Err == nil) != (mapped.Err == nil) {
 				t.Errorf("%s on %s: error mismatch built=%v mapped=%v", c.Name, ng.Name, ref.Err, mapped.Err)
 				continue

@@ -85,7 +85,8 @@ func ByColoring(proc *rounding.Process, ids []int64, ledger *congest.Ledger, loc
 // decomposition keeps their inclusive neighbourhoods disjoint (the paper's
 // second claim in Lemma 3.4). Within a cluster, coins are fixed sequentially
 // through the cluster tree (docs/ARCHITECTURE.md#substitutions,
-// substitution 3).
+// substitution 3). It charges derand/engineI-clusters only: the caller
+// builds d once, reuses it across phases and charges its rounds once.
 func ByDecomposition(proc *rounding.Process, d *decomp.Decomposition, g *graph.Graph, ledger *congest.Ledger) (*rounding.Outcome, error) {
 	inst := proc.Instance()
 	if len(inst.X) != g.N() {
@@ -122,7 +123,6 @@ func ByDecomposition(proc *rounding.Process, d *decomp.Decomposition, g *graph.G
 	}
 	if ledger != nil {
 		ledger.Charge("derand/engineI-clusters", charged)
-		ledger.Charge("derand/engineI-decomp", d.ChargedRounds)
 	}
 	return proc.Finalize(), nil
 }

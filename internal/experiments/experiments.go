@@ -183,7 +183,8 @@ func approxExperiment(id, claim, algo string, quick bool) *Table {
 	return t
 }
 
-// E3 validates Lemma 2.1: the initial fractional solution is feasible and
+// E3 validates Lemma 2.1 on the fractional dominating set Part II starts
+// from (fractional.Initial, trim included): it is feasible and
 // ε/(2Δ̃)-fractional.
 func E3(quick bool) *Table {
 	t := &Table{
@@ -376,7 +377,6 @@ func E8(quick bool) *Table {
 			t.Violations++
 			continue
 		}
-		fractional.Trim(g, fds, nil)
 		sum, min := 0, g.N()+1
 		for i := 0; i < trials; i++ {
 			set := baseline.RandomizedOneShot(g, fds, r)
@@ -574,7 +574,6 @@ func E12(quick bool) *Table {
 			t.Violations++
 			continue
 		}
-		fractional.Trim(g, fds, nil)
 		sum := 0
 		for i := 0; i < 5; i++ {
 			sum += len(baseline.RandomizedOneShot(g, fds, r))

@@ -10,33 +10,21 @@ import (
 	"congestds/internal/graph"
 )
 
-// CFDS is a constraint fractional dominating set (x, c) over a graph: node v
-// carries a fractional value X[v] ∈ [0,1] and a constraint C[v] ∈ [0,1]; it
-// is feasible when Σ_{u∈N(v)} X[u] ≥ C[v] for the inclusive neighbourhood
-// N(v). All values are transmittable fixed-point numbers in Ctx's scale.
+// CFDS is a fractional dominating set over a graph: node v carries a
+// fractional value X[v] ∈ [0,1], and it is feasible when
+// Σ_{u∈N(v)} X[u] ≥ 1 for every inclusive neighbourhood N(v). Every
+// constraint is 1; the constraints below 1 of Definition 2.1 arise only in
+// Part II's rounding instances (rounding.Instance.C). All values are
+// transmittable fixed-point numbers in Ctx's scale.
 type CFDS struct {
 	Ctx fixpoint.Ctx
 	X   []fixpoint.Value
-	C   []fixpoint.Value
 }
 
-// NewFDS returns a fractional dominating set skeleton (all constraints 1,
-// all values 0) for n nodes.
+// NewFDS returns a fractional dominating set skeleton (all values 0) for n
+// nodes.
 func NewFDS(ctx fixpoint.Ctx, n int) *CFDS {
-	f := &CFDS{Ctx: ctx, X: make([]fixpoint.Value, n), C: make([]fixpoint.Value, n)}
-	for v := range f.C {
-		f.C[v] = ctx.One()
-	}
-	return f
-}
-
-// Clone returns a deep copy.
-func (f *CFDS) Clone() *CFDS {
-	return &CFDS{
-		Ctx: f.Ctx,
-		X:   append([]fixpoint.Value(nil), f.X...),
-		C:   append([]fixpoint.Value(nil), f.C...),
-	}
+	return &CFDS{Ctx: ctx, X: make([]fixpoint.Value, n)}
 }
 
 // N returns the number of nodes.
@@ -63,9 +51,9 @@ func (f *CFDS) Coverage(g *graph.Graph, v int) fixpoint.Value {
 	return s
 }
 
-// Check verifies feasibility on g: every node's coverage meets its
-// constraint and every value is in [0,1]. It returns a descriptive error for
-// the first violation.
+// Check verifies feasibility on g: every node's coverage is at least 1 and
+// every value is in [0,1]. It returns a descriptive error for the first
+// violation.
 func (f *CFDS) Check(g *graph.Graph) error {
 	if g.N() != f.N() {
 		return fmt.Errorf("fractional: CFDS has %d nodes, graph has %d", f.N(), g.N())
@@ -75,14 +63,11 @@ func (f *CFDS) Check(g *graph.Graph) error {
 		if x > one {
 			return fmt.Errorf("fractional: x(%d)=%s exceeds 1", v, f.Ctx.String(x))
 		}
-		if f.C[v] > one {
-			return fmt.Errorf("fractional: c(%d)=%s exceeds 1", v, f.Ctx.String(f.C[v]))
-		}
 	}
 	for v := range f.X {
-		if cov := f.Coverage(g, v); cov < f.C[v] {
-			return fmt.Errorf("fractional: node %d uncovered: coverage %s < constraint %s",
-				v, f.Ctx.String(cov), f.Ctx.String(f.C[v]))
+		if cov := f.Coverage(g, v); cov < one {
+			return fmt.Errorf("fractional: node %d uncovered: coverage %s < 1",
+				v, f.Ctx.String(cov))
 		}
 	}
 	return nil

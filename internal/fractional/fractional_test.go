@@ -16,8 +16,8 @@ func TestNewFDSDefaults(t *testing.T) {
 		t.Fatalf("N=%d", f.N())
 	}
 	for v := 0; v < 5; v++ {
-		if f.X[v] != 0 || f.C[v] != ctx.One() {
-			t.Errorf("node %d not initialized to (0, 1)", v)
+		if f.X[v] != 0 {
+			t.Errorf("node %d not initialized to 0", v)
 		}
 	}
 	if f.Size() != 0 {
@@ -84,16 +84,6 @@ func TestFractionalityAndIntegral(t *testing.T) {
 	set := f.Set()
 	if len(set) != 2 || set[0] != 0 || set[1] != 1 {
 		t.Errorf("Set=%v", set)
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	ctx := fixpoint.Default()
-	f := NewFDS(ctx, 2)
-	g := f.Clone()
-	g.X[0] = ctx.One()
-	if f.X[0] != 0 {
-		t.Error("Clone aliases X")
 	}
 }
 

@@ -8,13 +8,18 @@ import (
 	"congestds/internal/fixpoint"
 )
 
-// Initial computes the paper's Part I (Lemma 2.1): a feasible fractional
-// dominating set that is ε/(2Δ̃)-fractional, by a deterministic distributed
-// covering algorithm, followed by the value floor from the lemma's proof
-// ("each node with value < ε/(2Δ) sets its value to ε/(2Δ)"). eps must be
-// in (0, 1]. Δ is the graph's maximum degree, assumed known to all nodes
-// (the standard CONGEST assumption the paper's Δ-parameterized bounds rely
-// on).
+// Initial computes the paper's Part I (Lemma 2.1): the feasible,
+// ε/(2Δ̃)-fractional dominating set that Part II rounds. eps must be in
+// (0, 1]. Δ is the graph's maximum degree, assumed known to all nodes (the
+// standard CONGEST assumption the paper's Δ-parameterized bounds rely on).
+// It runs three steps:
+//
+//  1. a deterministic distributed covering program (below);
+//  2. the value floor from the lemma's proof ("each node with value
+//     < ε/(2Δ) sets its value to ε/(2Δ)");
+//  3. one local-ratio trim pass (trim), after which every value the trim
+//     left nonzero but below the floor is raised back to it, so the result
+//     stays ε/(2Δ̃)-fractional.
 //
 // The covering phase is our substitute for the cited [KMW06] LP solver (see
 // docs/ARCHITECTURE.md#substitutions, substitution 4): a threshold-batched
@@ -35,7 +40,8 @@ import (
 // threshold is due or mail arrives. The program is written in the
 // stackless StepProgram form, so it executes on congest.EngineStepped with
 // no per-node goroutine; the goroutine engine runs it through the blocking
-// adapter with identical results.
+// adapter with identical results. The trim runs on the host; its rounds are
+// charged to the ledger as partI/trim.
 func Initial(net *congest.Network, ledger *congest.Ledger, eps float64) (*CFDS, error) {
 	if !(eps > 0 && eps <= 1) {
 		return nil, fmt.Errorf("fractional: eps=%v out of (0,1]", eps)
@@ -67,8 +73,11 @@ func Initial(net *congest.Network, ledger *congest.Ledger, eps float64) (*CFDS, 
 	for v := range x {
 		f.X[v] = fixpoint.Max(x[v], floor)
 	}
-	if ledger != nil {
-		ledger.Charge("partI/floor", 0) // purely local step
+	trim(g, f, ledger)
+	for v, xv := range f.X {
+		if xv > 0 && xv < floor {
+			f.X[v] = floor
+		}
 	}
 	return f, nil
 }

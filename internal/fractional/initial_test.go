@@ -130,11 +130,41 @@ func coverCorpus(t *testing.T, short bool) []namedGraph {
 	return gs
 }
 
+// coverRaw runs the covering program alone on eng and returns its values,
+// before the floor and the trim.
+func coverRaw(t *testing.T, g *graph.Graph, eng congest.Engine, eps float64) []fixpoint.Value {
+	t.Helper()
+	ctx := ScaleFor(g.N())
+	phases := CoverPhases(ctx, eps, g.MaxDegree())
+	x := make([]fixpoint.Value, g.N())
+	_, err := congest.NewNetwork(g, congest.Config{Engine: eng}).RunStepped(
+		func(*congest.Node) congest.StepProgram {
+			return &coverStep{x: x, phases: phases, ctx: ctx}
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// floored raises covering values x to the Lemma 2.1 floor: trim's input
+// inside Initial.
+func floored(g *graph.Graph, x []fixpoint.Value, eps float64) *CFDS {
+	ctx := ScaleFor(g.N())
+	floor := FloorValue(ctx, eps, g.MaxDegree())
+	f := NewFDS(ctx, len(x))
+	for v := range x {
+		f.X[v] = fixpoint.Max(x[v], floor)
+	}
+	return f
+}
+
 // TestInitialMatchesBroadcastEveryRound pins the send-only-what-changed
-// covering program against its broadcast-every-round twin: the same x
+// covering program against its broadcast-every-round twin: the same raw x
 // vector, rounds and largest message, on both engines, while the new
 // program sends at most one flip per edge direction (2m) plus the twin's
-// nonzero increments.
+// nonzero increments. It also pins Initial's output as that covering
+// output floored, trimmed once and floored again.
 func TestInitialMatchesBroadcastEveryRound(t *testing.T) {
 	for _, tc := range coverCorpus(t, testing.Short()) {
 		g := tc.g
@@ -154,16 +184,30 @@ func TestInitialMatchesBroadcastEveryRound(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					raw := coverRaw(t, g, eng, eps)
+					for v := range twinX {
+						if raw[v] != twinX[v] {
+							t.Fatalf("x[%d]=%s, twin %s", v, ctx.String(raw[v]), ctx.String(twinX[v]))
+						}
+					}
 
 					var ledger congest.Ledger
 					f, err := Initial(congest.NewNetwork(g, congest.Config{Engine: eng}), &ledger, eps)
 					if err != nil {
 						t.Fatal(err)
 					}
+					want := floored(g, raw, eps)
+					trim(g, want, nil)
 					floor := FloorValue(ctx, eps, g.MaxDegree())
-					for v := range twinX {
-						if want := fixpoint.Max(twinX[v], floor); f.X[v] != want {
-							t.Fatalf("x[%d]=%s, twin %s", v, ctx.String(f.X[v]), ctx.String(want))
+					for v, xv := range want.X {
+						if xv > 0 && xv < floor {
+							want.X[v] = floor
+						}
+					}
+					for v := range want.X {
+						if f.X[v] != want.X[v] {
+							t.Fatalf("Initial x[%d]=%s, floor→trim→floor %s",
+								v, ctx.String(f.X[v]), ctx.String(want.X[v]))
 						}
 					}
 					got := ledger.Metrics()

@@ -1,6 +1,8 @@
 package fractional
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"congestds/internal/congest"
@@ -18,14 +20,13 @@ func TestTrimPreservesFeasibility(t *testing.T) {
 		{"cycle", graph.Cycle(15)},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			net := congest.NewNetwork(tt.g, congest.Config{})
-			fds, err := Initial(net, nil, 0.5)
-			if err != nil {
+			fds := floored(tt.g, coverRaw(t, tt.g, congest.EngineStepped, 0.5), 0.5)
+			if err := fds.Check(tt.g); err != nil {
 				t.Fatal(err)
 			}
 			before := fds.SizeFloat()
 			var ledger congest.Ledger
-			Trim(tt.g, fds, &ledger)
+			trim(tt.g, fds, &ledger)
 			if err := fds.Check(tt.g); err != nil {
 				t.Fatalf("trim broke feasibility: %v", err)
 			}
@@ -40,6 +41,29 @@ func TestTrimPreservesFeasibility(t *testing.T) {
 	}
 }
 
+// TestTrimOnePassIsExact pins the property that lets trim make one pass: a
+// second trim of trim's own output, from Initial's floored covering start,
+// changes no value.
+func TestTrimOnePassIsExact(t *testing.T) {
+	for _, tc := range coverCorpus(t, testing.Short()) {
+		for _, eps := range []float64{0.5 / 16, 0.3, 1} {
+			t.Run(fmt.Sprintf("%s/eps=%g", tc.name, eps), func(t *testing.T) {
+				g := tc.g
+				fds := floored(g, coverRaw(t, g, congest.EngineStepped, eps), eps)
+				trim(g, fds, nil)
+				once := slices.Clone(fds.X)
+				trim(g, fds, nil)
+				for v := range once {
+					if fds.X[v] != once[v] {
+						t.Fatalf("second pass moved x[%d]: %s -> %s",
+							v, fds.Ctx.String(once[v]), fds.Ctx.String(fds.X[v]))
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestTrimRemovesObviousSlack(t *testing.T) {
 	// All-ones on a star is feasible but wasteful; trimming must remove most
 	// of it (only the hub is needed).
@@ -49,7 +73,7 @@ func TestTrimRemovesObviousSlack(t *testing.T) {
 	for v := range fds.X {
 		fds.X[v] = ctx.One()
 	}
-	Trim(g, fds, nil)
+	trim(g, fds, nil)
 	if err := fds.Check(g); err != nil {
 		t.Fatal(err)
 	}
@@ -60,18 +84,14 @@ func TestTrimRemovesObviousSlack(t *testing.T) {
 
 func TestTrimEmptyGraph(t *testing.T) {
 	fds := NewFDS(ScaleFor(1), 0)
-	Trim(graph.Path(0), fds, nil) // must not panic
+	trim(graph.Path(0), fds, nil) // must not panic
 }
 
 func TestTrimDeterministic(t *testing.T) {
 	g := graph.GNPConnected(30, 0.2, 8)
 	run := func() []float64 {
-		net := congest.NewNetwork(g, congest.Config{})
-		fds, err := Initial(net, nil, 0.4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		Trim(g, fds, nil)
+		fds := floored(g, coverRaw(t, g, congest.EngineStepped, 0.4), 0.4)
+		trim(g, fds, nil)
 		out := make([]float64, g.N())
 		for v := range out {
 			out[v] = fds.Ctx.Float(fds.X[v])

@@ -50,7 +50,7 @@ func ExampleSolve() {
 	// greedy baseline size:    58
 	// certified lower bound:   42.00  (certified ratio ≤ 1.548)
 	// paper guarantee (bound): 4.954  ((1+ε)(1+ln(Δ+1)))
-	// rounds: 850 measured + 394 charged; 2271 messages, max 48 bits ≤ budget 128 bits
+	// rounds: 850 measured + 381 charged; 2271 messages, max 48 bits ≤ budget 128 bits
 	// factor-two phases: 5 (fractionality trace below)
 	//   phase 0: 1/640-fractional -> 0.00315, size 54.73 -> 55.01
 	//   phase 1: 1/318-fractional -> 0.00634, size 55.01 -> 55.27
@@ -94,8 +94,8 @@ func ExampleSolve_unitDisk() {
 		float64(g.N())/float64(heads))
 	// Output:
 	// sensor network: graph(n=300, m=1542, Δ=20)
-	// decomposition(Thm1.1)    heads=49   certified-ratio≤1.885 guarantee=6.067 rounds=3240
-	// coloring(Thm1.2)         heads=49   certified-ratio≤1.885 guarantee=6.067 rounds=4304
+	// decomposition(Thm1.1)    heads=49   certified-ratio≤1.885 guarantee=6.067 rounds=2524
+	// coloring(Thm1.2)         heads=49   certified-ratio≤1.885 guarantee=6.067 rounds=4280
 	// greedy                   heads=38 (centralized reference)
 	// average cluster size: 6.1 sensors per head
 }

@@ -167,33 +167,25 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 		splitS = 2
 	}
 
-	// Part I: initial fractional dominating set (Lemma 2.1), followed by the
-	// local-ratio trim that removes the parallel greedy's overshoot.
+	// Part I: the trimmed ε₁/(2Δ̃)-fractional dominating set (Lemma 2.1).
 	net := congest.NewNetwork(g, p.Run.Config(0))
 	fds, err := fractional.Initial(net, res.Ledger, eps1)
 	if err != nil {
 		return nil, fmt.Errorf("mds: part I: %w", err)
 	}
-	fractional.Trim(g, fds, res.Ledger)
-	// Re-apply the Lemma 2.1 floor after trimming so Part II starts from an
-	// ε/(2Δ̃)-fractional solution.
-	floor := fractional.FloorValue(fds.Ctx, eps1, delta)
-	for v := range fds.X {
-		if fds.X[v] > 0 && fds.X[v] < floor {
-			fds.X[v] = floor
-		}
-	}
 	res.InitialSize = fds.SizeFloat()
 
 	// Engine I precomputes one 2-hop decomposition and reuses it for every
-	// phase (the paper computes it once as well). It rounds Lemma 3.9's
-	// instance: Lemma 3.14's with a split size no N[v] reaches.
+	// phase (the paper computes it once as well), so its rounds are charged
+	// once, here. It rounds Lemma 3.9's instance: Lemma 3.14's with a split
+	// size no N[v] reaches.
 	var dec *decomp.Decomposition
 	if p.Engine == EngineDecomposition {
 		dec, err = decomp.Build(g, decomp.Params{K: 2})
 		if err != nil {
 			return nil, fmt.Errorf("mds: decomposition: %w", err)
 		}
+		res.Ledger.Charge("derand/engineI-decomp", dec.ChargedRounds)
 		splitS = delta + 2
 	}
 

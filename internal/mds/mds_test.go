@@ -8,6 +8,7 @@ import (
 
 	"congestds/internal/baseline"
 	"congestds/internal/congest"
+	"congestds/internal/decomp"
 	"congestds/internal/graph"
 	"congestds/internal/verify"
 )
@@ -130,6 +131,32 @@ func TestFactorTwoPhasesImproveFractionality(t *testing.T) {
 		if ph.SizeOut > 1.6*ph.SizeIn+1.0 {
 			t.Errorf("phase %d: size %v -> %v inflated too much", i, ph.SizeIn, ph.SizeOut)
 		}
+	}
+}
+
+// Engine I builds its 2-hop decomposition once, so a thm1.1 ledger charges
+// it once, however many Part II phases reuse it.
+func TestEngineIChargesDecompositionOnce(t *testing.T) {
+	g := graph.GNPConnected(120, 0.08, 4)
+	res, err := Solve(g, Params{Eps: 0.5, Engine: EngineDecomposition})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Phases) == 0 {
+		t.Fatal("no factor-two phase ran; the decomposition is reused only once")
+	}
+	d, err := decomp.Build(g, decomp.Params{K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []int
+	for _, ph := range res.Ledger.Phases() {
+		if ph.Name == "derand/engineI-decomp" {
+			rows = append(rows, ph.Charged)
+		}
+	}
+	if len(rows) != 1 || rows[0] != d.ChargedRounds {
+		t.Errorf("derand/engineI-decomp rows %v, want one of %d", rows, d.ChargedRounds)
 	}
 }
 
