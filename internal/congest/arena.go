@@ -1,5 +1,7 @@
 package congest
 
+import "encoding/binary"
+
 // payloadArena is a bump allocator for the scratch buffers Node.PayloadBuf
 // hands out, owned by one stepped-engine worker (single writer, no locking).
 // Since the packed-slot layout copies every payload into the worker's
@@ -43,30 +45,35 @@ func (a *payloadArena) reset() {
 	a.block = a.block[:0]
 }
 
-// slotRec is a packed per-edge message slot: 8 bytes instead of the 24-byte
-// slice header a [][]byte slot array spends per slot. The payload bytes
-// live in the sending chunk's slotArena; the record is only the (offset,
-// tagged length) pair needed to rematerialize the view.
+// slotRec is a packed per-edge message slot: 4 bytes instead of the
+// 24-byte slice header a [][]byte slot array spends per slot. The payload
+// lives in the sending chunk's slotArena as one entry, uvarint(len)
+// followed by the bytes, so the record only needs the entry's start:
 //
-// ln encodes presence and length in one field, so no nil / empty-slice
-// sentinel is needed to tell an absent message from an empty one:
-//
-//	ln == 0   no message (the cleared state; absent slots stay zero)
-//	ln == 1   present but empty (delivered as a nil payload, like every engine)
-//	ln == k+1 k payload bytes at gens[...][off:off+k] of the sender's arena
-type slotRec struct {
-	off uint32
-	ln  uint32
+//	r == 0   no message (the cleared state; absent slots stay zero)
+//	r == 1   present but empty (delivered as a nil payload, like every
+//	         engine; no arena bytes)
+//	r >= 2   the entry starts at gens[...][r-2] of the sender's arena
+type slotRec uint32
+
+// payload rematerializes the []byte view of a record r ≥ 2 over gen, the
+// sending chunk's delivered generation.
+func (r slotRec) payload(gen []byte) []byte {
+	e := gen[r-2:]
+	n, k := binary.Uvarint(e)
+	end := k + int(n)
+	return e[k:end:end]
 }
 
-// slotPayloadLimit is the most payload bytes one worker can deposit per
-// round: every record's end offset (off + payload length) must stay
-// representable in uint32, so the cap is 2³²-1, not 2³². int64 so the
-// declaration compiles on 32-bit platforms (where len can never reach it
-// and the guard is simply dead). Runs at the default budget sit ~6 orders
-// of magnitude below the limit; only a huge BandwidthFactor with gigabytes
-// of messages per round can hit it, and it fails loudly. A var only so the
-// overflow test can probe the guard without 4 GiB of RAM.
+// slotPayloadLimit is the most arena bytes one chunk can deposit per round.
+// Every entry is at least 2 bytes (a prefix and one payload byte), so an
+// arena of at most 2³²-1 bytes starts its last entry at or below 2³²-3 and
+// every record r = off+2 fits in a uint32. int64 so the declaration
+// compiles on 32-bit platforms (where len can never reach it and the guard
+// is simply dead). Runs at the default budget sit ~6 orders of magnitude
+// below the limit; only a huge BandwidthFactor with gigabytes of messages
+// per round can hit it, and it fails loudly. A var only so the overflow
+// test can probe the guard without 4 GiB of RAM.
 var slotPayloadLimit int64 = 1<<32 - 1
 
 // slotArena owns the payload bytes behind a worker's deposited slotRecs:

@@ -111,10 +111,10 @@ type Engine int
 const (
 	// EngineStepped drives StepPrograms with a GOMAXPROCS-sized worker pool
 	// over a CSR slot layout: no per-node goroutine, no condvar parking,
-	// message slots packed into 8-byte {offset, length} records over
-	// per-chunk byte arenas (invisible to the GC), payloads bump-allocated
-	// and recycled without per-send allocation. The zero value. Blocking
-	// Programs run on the goroutine engine.
+	// message slots packed into 4-byte records naming length-prefixed
+	// entries in per-chunk byte arenas (invisible to the GC), payloads
+	// bump-allocated and recycled without per-send allocation. The zero
+	// value. Blocking Programs run on the goroutine engine.
 	EngineStepped Engine = iota
 	// EngineGoroutine runs one goroutine per node with a global
 	// mutex/condvar barrier: the reference engine, and the only one that

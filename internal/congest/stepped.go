@@ -52,14 +52,15 @@ import (
 // metrics stay byte-identical for every worker count and interleaving (the
 // conformance suite and TestSteppedStealingDeterminism enforce this).
 //
-// Message slots are packed slotRecs (8 bytes) instead of 24-byte slice
-// headers: a deposit copies the payload bytes into
-// the sending chunk's three-generation slotArena and stores the (offset,
-// tagged length) pair; collect rematerializes the []byte view over the
-// arena bytes. Halving-and-then-some the per-edge delivery state is what
-// keeps million-node graphs in bounded memory, and the record arrays are
-// pointer-free, so the GC never scans them (the [][]byte layout made it
-// walk 8 M slice headers per cycle on a million-node torus).
+// Message slots are 4-byte slotRecs instead of 24-byte slice headers: a
+// deposit appends the payload to the sending chunk's three-generation
+// slotArena as a length-prefixed entry and stores the entry's offset (+2,
+// so 0 and 1 can mean absent and empty); collect decodes the prefix and
+// rematerializes the []byte view over the arena bytes. Shrinking the
+// per-edge delivery state sixfold is what keeps million-node graphs in
+// bounded memory, and the record arrays are pointer-free, so the GC never
+// scans them (the [][]byte layout made it walk 8 M slice headers per
+// cycle on a million-node torus).
 //
 // Memory per node is the 56-byte Node, the 16-byte interface value of its
 // StepProgram, a 4-byte alive entry, a 4-byte mail word and whatever state
@@ -77,11 +78,10 @@ import (
 // errSyncInStep reports a StepProgram calling Node.Sync.
 var errSyncInStep = errors.New("congest: StepProgram must not call Sync (the engine drives rounds)")
 
-// errSlotArenaFull reports a chunk receiving more payload bytes in one
-// round than slotRec offsets can address (only a huge BandwidthFactor
-// gets there; the default budget keeps rounds ~6 orders of magnitude below
-// the limit).
-var errSlotArenaFull = errors.New("congest: chunk exceeded 4 GiB of payload bytes in one round (slot records are 32-bit)")
+// errSlotArenaFull reports a chunk depositing more arena bytes in one
+// round than slotRecs can address (only a huge BandwidthFactor gets there;
+// the default budget keeps rounds ~6 orders of magnitude below the limit).
+var errSlotArenaFull = errors.New("congest: chunk exceeded 4 GiB of arena bytes in one round (slot records are 32-bit)")
 
 // minChunkNodes keeps chunks coarse enough that the claim counter and the
 // per-chunk bookkeeping stay invisible next to the sweep itself.
@@ -142,7 +142,7 @@ type steppedEngine struct {
 	topo  *topology
 	round int // deliveries performed; written only by the driver between sweeps
 	// recs[(round+1)&1] is the write record array during the current sweep;
-	// recs[round&1] holds the records being delivered from it. 8 B per
+	// recs[round&1] holds the records being delivered from it. 4 B per
 	// directed edge per parity, vs 24 B for a [][]byte slot array.
 	recs [2][]slotRec
 	// marks[v] bit (q&1) is set when mail for phase q was deposited to v:
@@ -474,21 +474,20 @@ func (w *steppedWorker) collect(readRecs []slotRec, gen, v int, mail uint32) []I
 	srcLo, srcHi, srcBytes := w.srcLo, w.srcHi, w.srcBytes
 	for i := off; i < end; i++ {
 		r := readRecs[i]
-		if r.ln == 0 {
+		if r == 0 {
 			continue
 		}
-		readRecs[i] = slotRec{}
+		readRecs[i] = 0
 		q := int(i - off)
 		var pl []byte
-		if r.ln > 1 {
+		if r > 1 {
 			if u := int(nbrs[q]); u < srcLo || u >= srcHi {
 				cIdx := u / eng.chunkSize
 				srcLo = cIdx * eng.chunkSize
 				srcHi = srcLo + eng.chunkSize
 				srcBytes = eng.chunks[cIdx].slots.gens[gen]
 			}
-			hi := r.off + r.ln - 1
-			pl = srcBytes[r.off:hi:hi]
+			pl = r.payload(srcBytes)
 		}
 		in = append(in, Incoming{Port: q, Payload: pl})
 	}

@@ -380,47 +380,77 @@ func TestSlotArenaGenerations(t *testing.T) {
 	}
 }
 
-// TestSlotRecEncoding pins the tagged empty/absent encoding that replaces
-// nil/empty-slice sentinels: a cleared record is absent,
-// ln==1 is a present-but-empty message (delivered nil), ln==k+1 carries k
-// bytes — exercised end to end through a deposit/collect round-trip.
+// TestSlotRecEncoding pins the 4-byte record values through real deposits
+// and the decode collect uses: an absent slot is 0, an empty message is 1
+// and writes no arena bytes, and a payload's record is 2 + the offset of
+// its uvarint(len)-prefixed arena entry — a ≥128-byte payload takes a
+// 2-byte prefix, and a Broadcast's ports share one entry.
 func TestSlotRecEncoding(t *testing.T) {
-	g := graph.Path(3) // node 1 has ports 0 (to node 0) and 1 (to node 2)
+	g := graph.Star(4) // centre 0 on ports 0..2 to leaves 1..3
 	net := NewNetwork(g, Config{})
 	topo := net.topology()
 	recs := make([]slotRec, len(topo.destSlot))
 	var arena slotArena
 	arena.reset(0)
 	marks := make([]atomic.Uint32, g.N())
-	// Node 0 sends 2 bytes to node 1; node 2 sends an empty message.
-	m0, _, _, ok0 := topo.depositOutboxPacked(0, []outMsg{{port: 0, payload: []byte{7, 8}}}, recs, &arena, 0, nil, g.Neighbors(0), marks)
-	m2, _, _, ok2 := topo.depositOutboxPacked(2, []outMsg{{port: 0, payload: nil}}, recs, &arena, 0, nil, g.Neighbors(2), marks)
-	if m0 != 1 || m2 != 1 || !ok0 || !ok2 {
-		t.Fatalf("deposit counted (%d,%d) messages (ok %v,%v), want (1,1) both ok", m0, m2, ok0, ok2)
+	deposit := func(v int, out ...outMsg) {
+		t.Helper()
+		m, _, _, ok := topo.depositOutboxPacked(v, out, recs, &arena, 0, nil, g.Neighbors(v), marks)
+		if m != int64(len(out)) || !ok {
+			t.Fatalf("node %d deposit counted %d messages (ok %v), want %d and ok", v, m, ok, len(out))
+		}
+	}
+	// slot is the record of out-edge (v, port), i.e. the receiver's slot.
+	slot := func(v, port int) slotRec { return recs[topo.destSlot[topo.inOff[v]+int32(port)]] }
+
+	// Leaf 1 sends an empty message: record 1, no arena bytes.
+	deposit(1, outMsg{port: 0})
+	if got := slot(1, 0); got != 1 {
+		t.Errorf("empty-message record = %d, want 1", got)
+	}
+	if n := len(arena.gens[0]); n != 0 {
+		t.Errorf("empty message wrote %d arena bytes, want 0", n)
+	}
+	// Leaf 2 sends 200 bytes: the entry at offset 0 is the 2-byte uvarint
+	// prefix 0xC8 0x01 followed by the payload.
+	long := make([]byte, 200)
+	for i := range long {
+		long[i] = byte(i)
+	}
+	deposit(2, outMsg{port: 0, payload: long})
+	if got := slot(2, 0); got != 2 {
+		t.Errorf("first entry's record = %d, want 2 (offset 0)", got)
+	}
+	if g := arena.gens[0]; len(g) != 202 || g[0] != 0xC8 || g[1] != 0x01 {
+		t.Fatalf("200-byte entry: len %d, prefix % x, want len 202, prefix c8 01", len(g), g[:min(2, len(g))])
+	}
+	if pl := slot(2, 0).payload(arena.delivered(1)); !bytes.Equal(pl, long) || cap(pl) != len(long) {
+		t.Errorf("200-byte payload did not round-trip: len %d cap %d", len(pl), cap(pl))
 	}
 	// Phase-0 deposits mark their receiver with the phase-1 mail bit only.
-	for v, want := range []uint32{0, 2, 0} {
+	for v, want := range []uint32{2, 0, 0, 0} {
 		if got := marks[v].Load(); got != want {
 			t.Errorf("node %d mail bits = %b, want %b", v, got, want)
 		}
 	}
-	off, end := topo.inOff[1], topo.inOff[2]
-	if got := recs[off].ln; got != 3 {
-		t.Errorf("2-byte payload record ln=%d, want 3 (len+1)", got)
+	// The centre broadcasts 3 bytes: one entry (1-byte prefix) right after
+	// the first, and three equal records over it.
+	bc := []byte{7, 8, 9}
+	deposit(0, outMsg{port: 0, payload: bc}, outMsg{port: 1, payload: bc}, outMsg{port: 2, payload: bc})
+	for p := 0; p < 3; p++ {
+		if got := slot(0, p); got != 202+2 {
+			t.Errorf("broadcast port %d record = %d, want %d", p, got, 202+2)
+		}
 	}
-	if got := recs[off+1]; got != (slotRec{ln: 1}) {
-		t.Errorf("empty-message record = %+v, want {off:0 ln:1}", got)
+	if n := len(arena.gens[0]); n != 202+1+3 {
+		t.Errorf("arena holds %d bytes after the broadcast, want %d (one shared entry)", n, 202+1+3)
 	}
-	if int(end-off) != 2 {
-		t.Fatalf("node 1 has %d slots, want 2", end-off)
+	if pl := slot(0, 1).payload(arena.delivered(1)); !bytes.Equal(pl, bc) {
+		t.Errorf("broadcast payload %v, want %v", pl, bc)
 	}
-	// Nothing was sent to node 0: its slot must be the absent zero record.
-	if got := recs[topo.inOff[0]]; got != (slotRec{}) {
-		t.Errorf("absent slot = %+v, want the zero record", got)
-	}
-	view := arena.delivered(1)
-	if pl := view[recs[off].off : recs[off].off+recs[off].ln-1]; !bytes.Equal(pl, []byte{7, 8}) {
-		t.Errorf("materialized payload %v, want [7 8]", pl)
+	// Leaf 3 sent nothing: its out-slot (the centre's port-2 slot) is absent.
+	if got := slot(3, 0); got != 0 {
+		t.Errorf("absent slot = %d, want 0", got)
 	}
 }
 
@@ -445,8 +475,8 @@ func TestSlotArenaOverflowFails(t *testing.T) {
 // and records a digest of everything received; the fuzz harness compares
 // digests between the stepped engine and the goroutine reference. A
 // scripted byte of skipMarker suppresses the send entirely, so the fuzzer
-// steers all three packed-record states: absent (no send, the zero
-// record), present-but-empty (size 0, ln=1) and payload-carrying.
+// steers all three record classes: absent (no send, record 0),
+// present-but-empty (size 0, record 1) and payload-carrying (record ≥ 2).
 type echoBackStep struct {
 	digest []int64
 	sizes  []byte
@@ -507,22 +537,37 @@ func (s *echoBackStep) Step(nd *Node, round int, in []Incoming) bool {
 // arena and differentially compares every delivered byte against the
 // goroutine reference engine.
 func FuzzSteppedArenaPayloads(f *testing.F) {
-	f.Add([]byte{})                          // all empty payloads
-	f.Add([]byte{0, 0, 0, 0})                // explicit zero-length sizes
-	f.Add([]byte{255, 255, 255, 255})        // clamped to max-bandwidth payloads
-	f.Add([]byte{0, 255, 1, 254, 2, 128})    // mixed extremes
-	f.Add([]byte{16, 3, 16, 3, 16, 3, 0, 1}) // budget-ish alternation
+	f.Add([]byte{}, false)                          // all empty payloads
+	f.Add([]byte{0, 0, 0, 0}, false)                // explicit zero-length sizes
+	f.Add([]byte{255, 255, 255, 255}, false)        // clamped to max-bandwidth payloads
+	f.Add([]byte{0, 255, 1, 254, 2, 128}, false)    // mixed extremes
+	f.Add([]byte{16, 3, 16, 3, 16, 3, 0, 1}, false) // budget-ish alternation
 	// Alternate absent (skipMarker), present-but-empty (0) and tiny
-	// payloads: every packed slotRec state (ln=0 / ln=1 / ln=k+1) flips
+	// payloads: every slotRec value class (0 / 1 / entry offset+2) flips
 	// between rounds on the same edges.
-	f.Add([]byte{skipMarker, 0, skipMarker, 1, 0, skipMarker, 2, 0})
-	f.Add([]byte{skipMarker, skipMarker, skipMarker}) // all slots absent
+	f.Add([]byte{skipMarker, 0, skipMarker, 1, 0, skipMarker, 2, 0}, false)
+	f.Add([]byte{skipMarker, skipMarker, skipMarker}, false) // all slots absent
+	// Wide budget: sizes reach 128 bytes and up, so arena entries carry a
+	// 2-byte uvarint length prefix next to 1-byte ones.
+	f.Add([]byte{128, 127, 192, 0, skipMarker, 129, 255, 1}, true)
+	f.Add([]byte{192, 192, 192, 192}, true)              // exact wide budget
+	f.Add([]byte{130, skipMarker, 0, 140, 3, 150}, true) // long, absent, empty, short
 	g := graph.GNPConnected(40, 0.12, 23)
-	budget := NewNetwork(g, Config{}).BandwidthBits() / 8
-	f.Fuzz(func(t *testing.T, sizes []byte) {
+	// BandwidthFactor 256 lifts the 40-node budget from 12 to 192 bytes.
+	wideCfg := Config{BandwidthFactor: 256}
+	if b := NewNetwork(g, wideCfg).BandwidthBits() / 8; b < 128 {
+		f.Fatalf("wide budget is %d bytes, want ≥ 128 for 2-byte prefixes", b)
+	}
+	f.Fuzz(func(t *testing.T, sizes []byte, wide bool) {
+		var cfg Config
+		if wide {
+			cfg = wideCfg
+		}
+		budget := NewNetwork(g, cfg).BandwidthBits() / 8
 		run := func(eng Engine) []int64 {
 			digest := make([]int64, g.N())
-			_, err := NewNetwork(g, Config{Engine: eng}).RunStepped(func(nd *Node) StepProgram {
+			cfg.Engine = eng
+			_, err := NewNetwork(g, cfg).RunStepped(func(nd *Node) StepProgram {
 				return &echoBackStep{digest: digest, sizes: sizes, rounds: 6, budget: budget}
 			})
 			if err != nil {
@@ -538,6 +583,14 @@ func FuzzSteppedArenaPayloads(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSlotRecFootprint pins the per-edge delivery state: one record per
+// directed edge per round parity, 4 bytes each.
+func TestSlotRecFootprint(t *testing.T) {
+	if sz := unsafe.Sizeof(slotRec(0)); sz != 4 {
+		t.Errorf("sizeof(slotRec) = %d B, want 4", sz)
+	}
 }
 
 // TestNodeFootprint pins the per-node engine state: a Node keeps only what

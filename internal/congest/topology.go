@@ -1,6 +1,9 @@
 package congest
 
-import "sync/atomic"
+import (
+	"encoding/binary"
+	"sync/atomic"
+)
 
 // topology is the CSR slot layout of a graph: every directed edge (sender,
 // port) owns a unique destination slot, so deposits are plain lock-free
@@ -49,16 +52,16 @@ func (net *Network) topology() *topology {
 	return net.topo
 }
 
-// depositOutboxPacked is the stepped engine's deposit: payload bytes are
-// copied into the depositing chunk's slotArena and each slot gets a packed
-// {offset, tagged length} record. The tagged length (slotRec) distinguishes
-// an absent message from a present-but-empty one. The metrics accounting is
-// line-for-line the goroutine engine's deposit — the cross-engine
-// byte-identity contract depends on the two never diverging (the
-// conformance suite compares the metrics of every run, failed runs
-// included). ok is false when the arena outgrew the records' 32-bit offset
-// range; the caller must fail the run (records past the limit hold wrapped
-// offsets, but the failure stops the round from being delivered, so no
+// depositOutboxPacked is the stepped engine's deposit: each non-empty
+// payload becomes one length-prefixed entry in the depositing chunk's
+// slotArena and each slot gets a 4-byte slotRec naming the entry's start
+// (or the absent / present-but-empty values). The metrics accounting is
+// line-for-line the goroutine engine's deposit, payload bytes only — the
+// cross-engine byte-identity contract depends on the two never diverging
+// (the conformance suite compares the metrics of every run, failed runs
+// included). ok is false when the arena outgrew the records' 32-bit range;
+// the caller must fail the run (records past the limit hold wrapped
+// values, but the failure stops the round from being delivered, so no
 // reader sees them).
 //
 // Each receiver (nbrs[port], v's neighbours) gets the next phase's mail bit
@@ -71,20 +74,20 @@ func (t *topology) depositOutboxPacked(v int, outbox []outMsg, recs []slotRec, a
 	// an outbox-grained push, not a per-message one.
 	g := arena.gens[phase%3]
 	// Broadcast queues one payload slice on every port; records are views,
-	// so the bytes go into the arena once and the ports share the offset.
+	// so the entry goes into the arena once and the ports share the record.
 	var prev []byte
-	var prevOff uint32
+	var prevRec slotRec
 	for _, m := range outbox {
-		rec := slotRec{ln: 1} // present but empty (Send canonicalized it to nil)
+		rec := slotRec(1) // present but empty (Send canonicalized it to nil)
 		if n := len(m.payload); n > 0 {
 			if len(prev) == n && &prev[0] == &m.payload[0] {
-				rec.off = prevOff
+				rec = prevRec
 			} else {
-				rec.off = uint32(len(g))
+				rec = slotRec(len(g) + 2)
+				g = binary.AppendUvarint(g, uint64(n))
 				g = append(g, m.payload...)
-				prev, prevOff = m.payload, rec.off
+				prev, prevRec = m.payload, rec
 			}
-			rec.ln = uint32(n) + 1
 		}
 		recs[t.destSlot[base+int32(m.port)]] = rec
 		if mk := &marks[nbrs[m.port]]; mk.Load()&mail == 0 {
