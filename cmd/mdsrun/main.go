@@ -251,18 +251,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "members: %v\n", res.Set)
 	}
 
-	// The profile (and the wall-annotated ledger, when the family keeps
-	// one) follows the result.
+	// The profile follows the result: its counts, the wall-annotated
+	// ledger when the family keeps one, then its timings.
 	if rec != nil {
 		if res.Ledger != nil {
 			obs.FillLedgerWall(res.Ledger, rec)
 		}
 		closeTrace()
 		if agg != nil {
-			fmt.Fprint(stdout, agg.Profile())
+			p := agg.Profile()
+			fmt.Fprint(stdout, p.Counts())
 			if res.Ledger != nil {
 				fmt.Fprintf(stdout, "ledger: %v\n", res.Ledger)
 			}
+			fmt.Fprint(stdout, p.Timings())
 		}
 	}
 	return exitOK

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -232,5 +235,95 @@ func TestProfilePrintsLedgerWall(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "ledger:") || !strings.Contains(stdout, "wall=") {
 		t.Errorf("profile output missing wall-annotated ledger:\n%s", stdout)
+	}
+}
+
+// updateGolden rewrites testdata/profile.golden instead of comparing
+// against it (after a deliberate change to what a run computes).
+var updateGolden = flag.Bool("update-golden", false,
+	"rewrite testdata/profile.golden from the current runs")
+
+// profileGraphs and profileAlgos span testdata/profile.golden: every
+// algorithm that runs on the engine, on a sparse random graph, a high-Δ
+// preferential-attachment graph and a grid.
+var (
+	profileGraphs = [][]string{
+		{"-family", "gnp", "-n", "1500", "-seed", "4"},
+		{"-family", "ba", "-n", "2000", "-seed", "4"},
+		{"-family", "grid", "-n", "900", "-seed", "1"},
+	}
+	profileAlgos = []string{"thm1.1", "thm1.2", "cor1.3", "cds", "arbmds", "mcds"}
+)
+
+// ledgerWall matches the ledger's wall-time columns, the only timing
+// fields printed ahead of the profile's timings.
+var ledgerWall = regexp.MustCompile(`,? wall=\S+`)
+
+// countsOf reduces `mdsrun -profile -v` output to what the run computes:
+// it drops everything from the profile's timings on and the ledger's wall
+// columns, and digests the members line.
+func countsOf(stdout string) string {
+	var b strings.Builder
+	for _, line := range strings.Split(stdout, "\n") {
+		if strings.HasPrefix(line, "wall: ") {
+			break
+		}
+		if v, ok := strings.CutPrefix(line, "members: "); ok {
+			sum := sha256.Sum256([]byte(v))
+			line = fmt.Sprintf("members: sha256 %x", sum[:8])
+		}
+		b.WriteString(ledgerWall.ReplaceAllString(line, ""))
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestProfileGolden pins what every engine-run algorithm computes on three
+// graphs: the result lines, the members (as a digest), the profile's
+// counts — rounds, node-steps, msgs, bits, the message-size histogram and
+// the arena events — and every ledger row, measured and charged. A change
+// that moves any of them shows as a diff of testdata/profile.golden;
+// re-record it with
+//
+//	go test ./cmd/mdsrun -run TestProfileGolden -update-golden
+//
+// only after a change that means to move them, and say why.
+func TestProfileGolden(t *testing.T) {
+	var got strings.Builder
+	for _, gr := range profileGraphs {
+		for _, algo := range profileAlgos {
+			args := append(append([]string{}, gr...), "-algo", algo, "-profile", "-v")
+			code, stdout, stderr := runCase(t, args...)
+			if code != exitOK {
+				t.Fatalf("mdsrun %s: exit %d\nstderr: %s", strings.Join(args, " "), code, stderr)
+			}
+			fmt.Fprintf(&got, "== mdsrun %s\n%s", strings.Join(args, " "), countsOf(stdout))
+		}
+	}
+	path := filepath.Join("testdata", "profile.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("profile.golden differs at line %d:\ngot  %q\nwant %q", i+1, g, w)
+			}
+		}
 	}
 }

@@ -173,20 +173,25 @@ func durNs(ns int64) string {
 	return time.Duration(ns).Round(time.Microsecond).String()
 }
 
-// String renders the profile as the table `mdsrun -profile` prints.
-func (p Profile) String() string {
+// String renders the profile as the table `mdsrun -profile` prints: the
+// counts, then the timings.
+func (p Profile) String() string { return p.Counts() + p.Timings() }
+
+// workerEvent reports whether events of the given kind are per pool
+// worker: their count scales with GOMAXPROCS and their values with the
+// steal schedule, so they render with the timings, not the counts.
+func workerEvent(kind string) bool {
+	return kind == congest.EvSweepStart.String() || kind == congest.EvSweepEnd.String()
+}
+
+// Counts renders the part of the profile that is a pure function of the
+// run: rounds, node-steps, traffic, the message-size histogram and the
+// events of every kind that is not per worker. Two runs of one solve
+// render the same counts on any machine and worker count.
+func (p Profile) Counts() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "profile: %d segment(s), %d rounds, %d node-steps, %d msgs, %d bits (max msg %d bits), wall %s\n",
-		p.Segments, p.Rounds, p.NodeSteps, p.Msgs, p.Bits, p.MaxMsgBits, durNs(p.WallNs))
-	fmt.Fprintf(&b, "round wall time: p50=%s p90=%s p99=%s max=%s\n",
-		durNs(p.P50Ns), durNs(p.P90Ns), durNs(p.P99Ns), durNs(p.MaxNs))
-	if len(p.Slowest) > 0 {
-		fmt.Fprintf(&b, "slowest rounds:\n")
-		fmt.Fprintf(&b, "  %-4s %-6s %12s %10s %8s %8s\n", "seg", "round", "wall", "msgs", "live", "awake")
-		for _, s := range p.Slowest {
-			fmt.Fprintf(&b, "  %-4d %-6d %12s %10d %8d %8d\n", s.Seg, s.Round, durNs(s.WallNs), s.Msgs, s.Live, s.Awake)
-		}
-	}
+	fmt.Fprintf(&b, "profile: %d segment(s), %d rounds, %d node-steps, %d msgs, %d bits (max msg %d bits)\n",
+		p.Segments, p.Rounds, p.NodeSteps, p.Msgs, p.Bits, p.MaxMsgBits)
 	if p.Hist.Total() > 0 {
 		fmt.Fprintf(&b, "message size histogram (payload bits):\n")
 		for i := range p.Hist {
@@ -196,12 +201,42 @@ func (p Profile) String() string {
 			fmt.Fprintf(&b, "  %-12s %10d\n", congest.BucketLabel(i), p.Hist[i])
 		}
 	}
-	if len(p.Events) > 0 {
-		fmt.Fprintf(&b, "events:\n")
-		fmt.Fprintf(&b, "  %-14s %8s %14s %14s\n", "kind", "count", "sum", "max")
-		for _, e := range p.Events {
-			fmt.Fprintf(&b, "  %-14s %8d %14d %14d\n", e.Kind, e.Count, e.Sum, e.Max)
+	writeEvents(&b, "events:", p.Events, false)
+	return b.String()
+}
+
+// Timings renders the part of the profile that depends on the clock and
+// the worker pool: wall time, the round-time percentiles, the slowest
+// rounds and the per-worker sweep events.
+func (p Profile) Timings() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "wall: %s\n", durNs(p.WallNs))
+	fmt.Fprintf(&b, "round wall time: p50=%s p90=%s p99=%s max=%s\n",
+		durNs(p.P50Ns), durNs(p.P90Ns), durNs(p.P99Ns), durNs(p.MaxNs))
+	if len(p.Slowest) > 0 {
+		fmt.Fprintf(&b, "slowest rounds:\n")
+		fmt.Fprintf(&b, "  %-4s %-6s %12s %10s %8s %8s\n", "seg", "round", "wall", "msgs", "live", "awake")
+		for _, s := range p.Slowest {
+			fmt.Fprintf(&b, "  %-4d %-6d %12s %10d %8d %8d\n", s.Seg, s.Round, durNs(s.WallNs), s.Msgs, s.Live, s.Awake)
 		}
 	}
+	writeEvents(&b, "worker events:", p.Events, true)
 	return b.String()
+}
+
+// writeEvents renders the summaries whose kind is (worker) or is not
+// (!worker) per worker under title, or nothing when there are none.
+func writeEvents(b *strings.Builder, title string, events []EventSummary, worker bool) {
+	header := false
+	for _, e := range events {
+		if workerEvent(e.Kind) != worker {
+			continue
+		}
+		if !header {
+			fmt.Fprintf(b, "%s\n", title)
+			fmt.Fprintf(b, "  %-14s %8s %14s %14s\n", "kind", "count", "sum", "max")
+			header = true
+		}
+		fmt.Fprintf(b, "  %-14s %8d %14d %14d\n", e.Kind, e.Count, e.Sum, e.Max)
+	}
 }
