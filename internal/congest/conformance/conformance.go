@@ -143,15 +143,14 @@ func Diff(c Case, g *graph.Graph, cfg congest.Config) error {
 		if ref.Err != nil {
 			// Both failed: the sentinel class (bandwidth, max-rounds, deadline,
 			// injected, ... — see congest.SentinelClass) must match, and the
-			// failed runs must still report identical progress metrics —
-			// Rounds, Messages and Bits tell a caller how far a run got before
-			// the failure, so an engine that zeroes (or inflates) them on
-			// failure is observable and wrong.
+			// failed runs must still report identical metrics — they tell a
+			// caller how far a run got before the failure, so an engine that
+			// zeroes (or inflates) them on failure is observable and wrong.
 			if rc, gc := congest.SentinelClass(ref.Err), congest.SentinelClass(got.Err); rc != gc {
 				return fmt.Errorf("%s stepped on %v: sentinel class mismatch: goroutine=%q (%v), %v=%q (%v)",
 					c.Name, eng, rc, ref.Err, eng, gc, got.Err)
 			}
-			if err := diffFailureMetrics(ref.Metrics, got.Metrics); err != nil {
+			if err := diffMetrics(ref.Metrics, got.Metrics); err != nil {
 				return fmt.Errorf("%s stepped on %v (failed run): %w", c.Name, eng, err)
 			}
 			return nil
@@ -173,42 +172,13 @@ func Diff(c Case, g *graph.Graph, cfg congest.Config) error {
 	return nil
 }
 
-// diffFailureMetrics asserts the progress metrics a failed run reports are
-// identical: how many rounds were delivered and what traffic was counted
-// before the failure. AvgMsgBits follows from Messages and Bits, so it is
-// covered implicitly; MaxMsgBits and the budget fields are compared by the
-// full diffMetrics on successful runs.
-func diffFailureMetrics(a, b congest.Metrics) error {
-	switch {
-	case a.Rounds != b.Rounds:
-		return fmt.Errorf("rounds %d != %d", a.Rounds, b.Rounds)
-	case a.Messages != b.Messages:
-		return fmt.Errorf("messages %d != %d", a.Messages, b.Messages)
-	case a.Bits != b.Bits:
-		return fmt.Errorf("bits %d != %d", a.Bits, b.Bits)
-	case a.AvgMsgBits != b.AvgMsgBits:
-		return fmt.Errorf("avg message bits %v != %v", a.AvgMsgBits, b.AvgMsgBits)
-	}
-	return nil
-}
-
-// diffMetrics asserts the engine-visible cost model is identical: round
-// counts, message counts, bit totals and the largest message must all
-// agree.
+// diffMetrics asserts the engine-visible cost model is identical: every
+// Metrics field — rounds, messages, bits, the largest message and the
+// budget — must agree, on failed runs too, where they tell a caller how
+// far the run got before the failure.
 func diffMetrics(a, b congest.Metrics) error {
-	switch {
-	case a.Rounds != b.Rounds:
-		return fmt.Errorf("rounds %d != %d", a.Rounds, b.Rounds)
-	case a.Messages != b.Messages:
-		return fmt.Errorf("messages %d != %d", a.Messages, b.Messages)
-	case a.Bits != b.Bits:
-		return fmt.Errorf("bits %d != %d", a.Bits, b.Bits)
-	case a.MaxMsgBits != b.MaxMsgBits:
-		return fmt.Errorf("max message bits %d != %d", a.MaxMsgBits, b.MaxMsgBits)
-	case a.BandwidthBits != b.BandwidthBits:
-		return fmt.Errorf("budget %d != %d", a.BandwidthBits, b.BandwidthBits)
-	case a.AvgMsgBits != b.AvgMsgBits:
-		return fmt.Errorf("avg message bits %v != %v", a.AvgMsgBits, b.AvgMsgBits)
+	if a != b {
+		return fmt.Errorf("metrics %+v != %+v", a, b)
 	}
 	return nil
 }

@@ -37,7 +37,7 @@ func diffObserved(t *testing.T, label string, plain, got Result, p obs.Profile) 
 		if pc, gc := congest.SentinelClass(plain.Err), congest.SentinelClass(got.Err); pc != gc {
 			t.Fatalf("%s: sentinel class mismatch: plain=%q observed=%q", label, pc, gc)
 		}
-		if err := diffFailureMetrics(plain.Metrics, got.Metrics); err != nil {
+		if err := diffMetrics(plain.Metrics, got.Metrics); err != nil {
 			t.Fatalf("%s (failed run): %v", label, err)
 		}
 	} else {

@@ -439,35 +439,82 @@ func (nd *Node) Sync() []Incoming {
 }
 
 // Metrics summarizes a run. ChargedRounds accounts for structurally
-// simulated phases (see Ledger); TotalRounds is the sum.
+// simulated phases (see Ledger); TotalRounds is the sum. It is a plain
+// comparable record: the conformance suite compares whole values.
 type Metrics struct {
-	Rounds        int     // synchronous rounds executed by the engine
-	ChargedRounds int     // rounds charged by structural simulation
-	Messages      int64   // messages delivered
-	Bits          int64   // payload bits delivered
-	MaxMsgBits    int     // largest single message
-	BandwidthBits int     // per-edge per-round budget
-	AvgMsgBits    float64 // mean payload size
+	Rounds        int   // synchronous rounds executed by the engine
+	ChargedRounds int   // rounds charged by structural simulation
+	Messages      int64 // messages delivered
+	Bits          int64 // payload bits delivered
+	MaxMsgBits    int   // largest single message
+	BandwidthBits int   // per-edge per-round budget
 }
 
-// Add merges other into m (used to combine pipeline stages). AvgMsgBits is
-// recomputed from the merged totals — the message-weighted mean, not the
-// mean of the two stage means — and MaxMsgBits is the max of the maxima,
-// so unequal stages merge correctly (see TestMetricsAddUnequalStages).
+// AvgMsgBits returns the mean payload size: the message-weighted mean over
+// every merged stage, not the mean of the stage means (see
+// TestMetricsAddUnequalStages); 0 when no message was sent.
+func (m Metrics) AvgMsgBits() float64 {
+	if m.Messages == 0 {
+		return 0
+	}
+	return float64(m.Bits) / float64(m.Messages)
+}
+
+// Add merges other into m (used to combine pipeline stages). MaxMsgBits is
+// the max of the maxima, so unequal stages merge correctly.
 func (m *Metrics) Add(other Metrics) {
 	m.Rounds += other.Rounds
 	m.ChargedRounds += other.ChargedRounds
 	m.Messages += other.Messages
 	m.Bits += other.Bits
-	if other.MaxMsgBits > m.MaxMsgBits {
-		m.MaxMsgBits = other.MaxMsgBits
-	}
+	m.MaxMsgBits = max(m.MaxMsgBits, other.MaxMsgBits)
 	if m.BandwidthBits == 0 {
 		m.BandwidthBits = other.BandwidthBits
 	}
-	if m.Messages > 0 {
-		m.AvgMsgBits = float64(m.Bits) / float64(m.Messages)
-	}
+}
+
+// tally is a run's traffic account, the one place either engine counts a
+// deposited message. The goroutine engine keeps one under its mutex; the
+// stepped engine keeps one per worker, fed from a per-chunk local, and
+// folds them at the round barrier.
+type tally struct {
+	msgs    int64
+	bits    int64
+	maxBits int
+	hist    MsgHist
+}
+
+// count counts one deposited message of the given payload length in
+// bytes. Only payload bits are counted.
+func (t *tally) count(payloadBytes int) {
+	b := payloadBytes * 8
+	t.msgs++
+	t.bits += int64(b)
+	t.maxBits = max(t.maxBits, b)
+	t.hist.observe(payloadBytes)
+}
+
+// add folds o into t.
+func (t *tally) add(o *tally) {
+	t.msgs += o.msgs
+	t.bits += o.bits
+	t.maxBits = max(t.maxBits, o.maxBits)
+	t.hist.Merge(o.hist)
+}
+
+// stats is the RoundEnd snapshot of the traffic counted so far.
+func (t tally) stats(round, live, awake int) RoundStats {
+	return RoundStats{Round: round, Live: live, Awake: awake,
+		Messages: t.msgs, Bits: t.bits, MaxMsgBits: t.maxBits, Hist: t.hist}
+}
+
+// metrics is the Metrics of a run on net that delivered the given number
+// of rounds and counted traffic t. Failed runs report how far they got
+// the same way, so callers can diagnose ErrMaxRounds and ErrBandwidth from
+// the metrics alone.
+func (net *Network) metrics(rounds int, t tally) Metrics {
+	return Metrics{Rounds: rounds, Messages: t.msgs, Bits: t.bits,
+		MaxMsgBits: t.maxBits, BandwidthBits: net.bwBits}
 }
 
 // TotalRounds returns executed plus charged rounds.

@@ -458,7 +458,7 @@ func TestMetricsAdd(t *testing.T) {
 	if a.Rounds != 3 || a.Messages != 4 || a.Bits != 64 || a.MaxMsgBits != 24 {
 		t.Errorf("Add wrong: %+v", a)
 	}
-	if a.AvgMsgBits != 16 {
-		t.Errorf("AvgMsgBits=%v, want 16", a.AvgMsgBits)
+	if avg := a.AvgMsgBits(); avg != 16 {
+		t.Errorf("AvgMsgBits=%v, want 16", avg)
 	}
 }

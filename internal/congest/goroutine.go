@@ -30,11 +30,9 @@ type goroutineEngine struct {
 	// scheduling.
 	unwind atomic.Bool
 
-	metrics Metrics
-	// obs mirrors net.cfg.Observer (nil = telemetry off); hist is only
-	// maintained when obs is set, under mu like the traffic counters.
-	obs  Observer
-	hist MsgHist
+	traffic tally // under mu
+	// obs mirrors net.cfg.Observer (nil = telemetry off).
+	obs Observer
 }
 
 func (eng *goroutineEngine) currentRound() int { return eng.round }
@@ -50,7 +48,6 @@ func (net *Network) runGoroutine(prog Program) (Metrics, error) {
 		pending: make([][]Incoming, n),
 		active:  n,
 	}
-	eng.metrics.BandwidthBits = net.BandwidthBits()
 	eng.obs = net.cfg.Observer
 	ios := make([]nodeIO, n)
 	for v := 0; v < n; v++ {
@@ -73,13 +70,7 @@ func (net *Network) runGoroutine(prog Program) (Metrics, error) {
 		}()
 	}
 	wg.Wait()
-	// Failed runs report how far they got (Rounds, AvgMsgBits) instead of
-	// zeroes; both engines populate the failure path identically.
-	eng.metrics.Rounds = eng.round
-	if eng.metrics.Messages > 0 {
-		eng.metrics.AvgMsgBits = float64(eng.metrics.Bits) / float64(eng.metrics.Messages)
-	}
-	return eng.metrics, eng.failure
+	return net.metrics(eng.round, eng.traffic), eng.failure
 }
 
 // barrier implements Sync: the last arriving node performs delivery and
@@ -142,14 +133,7 @@ func (eng *goroutineEngine) deposit(nd *Node) {
 		// The receiving port is the sender's slot's offset in dst's inbox.
 		dstPort := int(eng.topo.destSlot[out+int32(m.port)] - eng.topo.inOff[dst])
 		eng.pending[dst] = append(eng.pending[dst], Incoming{Port: dstPort, Payload: m.payload})
-		eng.metrics.Messages++
-		eng.metrics.Bits += int64(len(m.payload) * 8)
-		if b := len(m.payload) * 8; b > eng.metrics.MaxMsgBits {
-			eng.metrics.MaxMsgBits = b
-		}
-		if eng.obs != nil {
-			eng.hist.observe(len(m.payload))
-		}
+		eng.traffic.count(len(m.payload))
 	}
 	nd.io.outbox = nd.io.outbox[:0]
 }
@@ -188,11 +172,7 @@ func (eng *goroutineEngine) deliverLocked() {
 	// count equals Metrics.Rounds.
 	if eng.obs != nil && delivered {
 		eng.obs.Event(Event{Kind: EvWake, Round: eng.round, Node: -1, Value: int64(eng.waiting)})
-		eng.obs.RoundEnd(RoundStats{
-			Round: eng.round, Live: eng.active, Awake: eng.active,
-			Messages: eng.metrics.Messages, Bits: eng.metrics.Bits,
-			MaxMsgBits: eng.metrics.MaxMsgBits, Hist: eng.hist,
-		})
+		eng.obs.RoundEnd(eng.traffic.stats(eng.round, eng.active, eng.active))
 		if eng.failure == nil {
 			eng.obs.RoundStart(eng.round + 1)
 		}

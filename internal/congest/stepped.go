@@ -124,10 +124,7 @@ type steppedWorker struct {
 	srcLo, srcHi int
 	srcBytes     []byte
 
-	msgs    int64
-	bits    int64
-	maxBits int
-	hist    MsgHist // maintained only when eng.obs is set
+	traffic tally // this worker's deposits, folded in once per chunk
 
 	// Per-sweep results, reset by sweep: awake counts the Init/Step calls,
 	// due is the earliest phase at which a live node of the claimed chunks
@@ -162,7 +159,6 @@ type steppedEngine struct {
 	failMu  sync.Mutex
 	failure error
 
-	metrics Metrics
 	// obs mirrors net.cfg.Observer (nil = telemetry off).
 	obs Observer
 }
@@ -170,11 +166,9 @@ type steppedEngine struct {
 // runStepped executes the stepped program built by f on every node.
 func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 	n := net.g.N()
-	eng := &steppedEngine{net: net}
-	eng.metrics.BandwidthBits = net.BandwidthBits()
-	eng.obs = net.cfg.Observer
+	eng := &steppedEngine{net: net, obs: net.cfg.Observer}
 	if n == 0 {
-		return eng.metrics, nil
+		return net.metrics(0, tally{}), nil
 	}
 	eng.topo = net.topology()
 	slots := len(eng.topo.destSlot)
@@ -273,7 +267,7 @@ func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 			due = math.MaxInt
 			for w := range eng.workers {
 				wk := &eng.workers[w]
-				msgs += wk.msgs
+				msgs += wk.traffic.msgs
 				awake += wk.awake
 				due = min(due, wk.due)
 			}
@@ -288,16 +282,6 @@ func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 			// RoundEnd fires iff the round counter advanced — even when
 			// checkRound just failed the round (matching the blocking
 			// engines). The pool is parked, so all state reads are plain.
-			st := RoundStats{Round: eng.round, Live: aliveTotal, Awake: awake}
-			for w := range eng.workers {
-				wk := &eng.workers[w]
-				st.Messages += wk.msgs
-				st.Bits += wk.bits
-				if wk.maxBits > st.MaxMsgBits {
-					st.MaxMsgBits = wk.maxBits
-				}
-				st.Hist.Merge(wk.hist)
-			}
 			if swept {
 				var arenaBytes int64
 				for c := range eng.chunks {
@@ -305,7 +289,7 @@ func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 				}
 				eng.obs.Event(Event{Kind: EvArena, Round: eng.round, Node: -1, Value: arenaBytes})
 			}
-			eng.obs.RoundEnd(st)
+			eng.obs.RoundEnd(eng.traffic().stats(eng.round, aliveTotal, awake))
 		}
 		if roundErr != nil {
 			eng.fail(roundErr)
@@ -315,23 +299,16 @@ func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 	for w := range starts {
 		close(starts[w])
 	}
+	return net.metrics(eng.round, eng.traffic()), eng.failure
+}
 
+// traffic folds the workers' tallies. The pool must be parked.
+func (eng *steppedEngine) traffic() tally {
+	var t tally
 	for w := range eng.workers {
-		wk := &eng.workers[w]
-		eng.metrics.Messages += wk.msgs
-		eng.metrics.Bits += wk.bits
-		if wk.maxBits > eng.metrics.MaxMsgBits {
-			eng.metrics.MaxMsgBits = wk.maxBits
-		}
+		t.add(&eng.workers[w].traffic)
 	}
-	// Failed runs report how far they got — the same Rounds/AvgMsgBits a
-	// failing blocking engine reports, so callers can diagnose ErrMaxRounds
-	// and ErrBandwidth from the metrics alone.
-	eng.metrics.Rounds = eng.round
-	if eng.metrics.Messages > 0 {
-		eng.metrics.AvgMsgBits = float64(eng.metrics.Bits) / float64(eng.metrics.Messages)
-	}
-	return eng.metrics, eng.failure
+	return t
 }
 
 // sweep runs one round on this worker: claim chunks off the shared cursor
@@ -374,20 +351,18 @@ func (w *steppedWorker) sweep(f StepFactory, phase int) {
 // programs and calls Init instead.
 func (w *steppedWorker) sweepChunk(f StepFactory, phase int, ck *steppedChunk) {
 	eng := w.eng
-	var histp *MsgHist
-	if eng.obs != nil {
-		histp = &w.hist
-	}
 	ck.slots.reset(phase)
 	writeRecs := eng.recs[(phase+1)&1]
 	readRecs := eng.recs[phase&1]
 	gen := (phase + 2) % 3 // the generation delivered during this sweep
 	mail := uint32(1) << (phase & 1)
 	hooks := eng.net.cfg.Hooks
-	// Per-node tallies stay in locals and reach the worker once per chunk:
+	// Per-node tallies (awake, due and the traffic the chunk's deposits
+	// count) stay in locals and reach the worker once per chunk:
 	// the worker structs sit side by side, so per-node stores to them
 	// would bounce a cache line shared with the next worker's hot fields.
 	awake, due := 0, math.MaxInt
+	var traffic tally
 	kept := ck.alive[:0]
 	for _, v32 := range ck.alive {
 		v := int(v32)
@@ -421,14 +396,8 @@ func (w *steppedWorker) sweepChunk(f StepFactory, phase int, ck *steppedChunk) {
 			// a panic are delivered and counted, like the goroutine engine's
 			// finish semantics.
 			if out := w.io.outbox; len(out) > 0 {
-				msgs, bits, maxB, ok := eng.topo.depositOutboxPacked(v, out, writeRecs, &ck.slots, phase, histp,
-					eng.net.g.Neighbors(v), eng.marks)
-				w.msgs += msgs
-				w.bits += bits
-				if maxB > w.maxBits {
-					w.maxBits = maxB
-				}
-				if !ok {
+				if !eng.topo.depositOutboxPacked(v, out, writeRecs, &ck.slots, phase, &traffic,
+					eng.net.g.Neighbors(v), eng.marks) {
 					eng.fail(fmt.Errorf("congest: node %d: %w", v, errSlotArenaFull))
 					done = true
 				}
@@ -446,6 +415,7 @@ func (w *steppedWorker) sweepChunk(f StepFactory, phase int, ck *steppedChunk) {
 	ck.alive = kept
 	w.awake += awake
 	w.due = min(w.due, due)
+	w.traffic.add(&traffic)
 }
 
 // collect gathers node v's inbox from the delivered records into the

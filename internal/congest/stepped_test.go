@@ -384,7 +384,8 @@ func TestSlotArenaGenerations(t *testing.T) {
 // and the decode collect uses: an absent slot is 0, an empty message is 1
 // and writes no arena bytes, and a payload's record is 2 + the offset of
 // its uvarint(len)-prefixed arena entry — a ≥128-byte payload takes a
-// 2-byte prefix, and a Broadcast's ports share one entry.
+// 2-byte prefix, and a Broadcast's ports share one entry. The deposits'
+// tally counts every message, shared entry or not, by its payload bits.
 func TestSlotRecEncoding(t *testing.T) {
 	g := graph.Star(4) // centre 0 on ports 0..2 to leaves 1..3
 	net := NewNetwork(g, Config{})
@@ -393,10 +394,12 @@ func TestSlotRecEncoding(t *testing.T) {
 	var arena slotArena
 	arena.reset(0)
 	marks := make([]atomic.Uint32, g.N())
+	var traffic tally
 	deposit := func(v int, out ...outMsg) {
 		t.Helper()
-		m, _, _, ok := topo.depositOutboxPacked(v, out, recs, &arena, 0, nil, g.Neighbors(v), marks)
-		if m != int64(len(out)) || !ok {
+		before := traffic.msgs
+		ok := topo.depositOutboxPacked(v, out, recs, &arena, 0, &traffic, g.Neighbors(v), marks)
+		if m := traffic.msgs - before; m != int64(len(out)) || !ok {
 			t.Fatalf("node %d deposit counted %d messages (ok %v), want %d and ok", v, m, ok, len(out))
 		}
 	}
@@ -451,6 +454,12 @@ func TestSlotRecEncoding(t *testing.T) {
 	// Leaf 3 sent nothing: its out-slot (the centre's port-2 slot) is absent.
 	if got := slot(3, 0); got != 0 {
 		t.Errorf("absent slot = %d, want 0", got)
+	}
+	// One empty message, one of 1600 bits and three of 24 bits.
+	want := tally{msgs: 5, bits: 1600 + 3*24, maxBits: 1600}
+	want.hist[0], want.hist[5], want.hist[11] = 1, 3, 1
+	if traffic != want {
+		t.Errorf("deposit tally %+v, want %+v", traffic, want)
 	}
 }
 

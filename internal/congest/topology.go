@@ -55,11 +55,9 @@ func (net *Network) topology() *topology {
 // depositOutboxPacked is the stepped engine's deposit: each non-empty
 // payload becomes one length-prefixed entry in the depositing chunk's
 // slotArena and each slot gets a 4-byte slotRec naming the entry's start
-// (or the absent / present-but-empty values). The metrics accounting is
-// line-for-line the goroutine engine's deposit, payload bytes only — the
-// cross-engine byte-identity contract depends on the two never diverging
-// (the conformance suite compares the metrics of every run, failed runs
-// included). ok is false when the arena outgrew the records' 32-bit range;
+// (or the absent / present-but-empty values). Every message is counted in
+// traffic, through tally.count like the goroutine engine's deposit. ok is
+// false when the arena outgrew the records' 32-bit range;
 // the caller must fail the run (records past the limit hold wrapped
 // values, but the failure stops the round from being delivered, so no
 // reader sees them).
@@ -67,7 +65,7 @@ func (net *Network) topology() *topology {
 // Each receiver (nbrs[port], v's neighbours) gets the next phase's mail bit
 // in marks; the plain load first keeps a receiver that already has mail
 // from paying a second atomic write.
-func (t *topology) depositOutboxPacked(v int, outbox []outMsg, recs []slotRec, arena *slotArena, phase int, hist *MsgHist, nbrs []int32, marks []atomic.Uint32) (msgs, bitsSum int64, maxB int, ok bool) {
+func (t *topology) depositOutboxPacked(v int, outbox []outMsg, recs []slotRec, arena *slotArena, phase int, traffic *tally, nbrs []int32, marks []atomic.Uint32) (ok bool) {
 	base := t.inOff[v]
 	mail := uint32(1) << ((phase + 1) & 1)
 	// The generation slice is carried through the loop and stored back once:
@@ -93,17 +91,8 @@ func (t *topology) depositOutboxPacked(v int, outbox []outMsg, recs []slotRec, a
 		if mk := &marks[nbrs[m.port]]; mk.Load()&mail == 0 {
 			mk.Or(mail)
 		}
-		msgs++
-		b := len(m.payload) * 8
-		bitsSum += int64(b)
-		if b > maxB {
-			maxB = b
-		}
-		if hist != nil {
-			hist.observe(len(m.payload))
-		}
+		traffic.count(len(m.payload))
 	}
 	arena.gens[phase%3] = g
-	ok = int64(len(g)) <= slotPayloadLimit
-	return
+	return int64(len(g)) <= slotPayloadLimit
 }
