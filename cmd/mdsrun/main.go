@@ -154,7 +154,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if params.DiamBound == 0 && fam.NeedsDiam {
 		// One host-side BFS; only paid for families that run an
 		// orientation phase.
-		params.DiamBound = 2*g.Eccentricity(0) + 2
+		params.DiamBound = g.DiamBound()
 	}
 
 	// Telemetry: one Recorder fans the run out to every requested sink.

@@ -57,7 +57,7 @@ func EMcds(quick bool) *Table {
 	}
 	for _, fam := range emcdsFamilies(sizes) {
 		g := fam.G
-		diam := 2*g.Eccentricity(0) + 2
+		diam := g.DiamBound()
 		res, err := solve("mcds", g, family.Params{Eps: emcdsEps, DiamBound: diam})
 		if err != nil {
 			t.errorRow(fam.Name, err)

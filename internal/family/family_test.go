@@ -255,7 +255,7 @@ func TestCanonPreservesSolve(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Run(name, func(t *testing.T) {
-			base := Params{Sim: congest.EngineStepped, DiamBound: 2*g.Eccentricity(0) + 2}
+			base := Params{Sim: congest.EngineStepped, DiamBound: g.DiamBound()}
 			unclamped := base
 			unclamped.MaxRounds = -1
 			for _, p := range []Params{base, unclamped} {

@@ -262,9 +262,7 @@ func (g *Graph) BFS(src int) (dist, parent []int) {
 // Eccentricity returns the eccentricity of v within its connected
 // component: the largest hop distance from v to any reachable node. One
 // BFS, so it is usable on million-node graphs where Diameter (n BFS runs)
-// is not; 2·Eccentricity(v)+2 is the standard host-side diameter bound
-// passed to algorithms run under the known-diameter assumption (see
-// mcds.Params.DiamBound).
+// is not.
 func (g *Graph) Eccentricity(v int) int {
 	if g.N() == 0 {
 		return 0
@@ -278,6 +276,12 @@ func (g *Graph) Eccentricity(v int) int {
 	}
 	return ecc
 }
+
+// DiamBound returns 2·Eccentricity(0)+2, the host-side diameter bound
+// passed to algorithms run under the known-diameter assumption (see
+// mcds.Params.DiamBound) when the caller knows none. On a connected graph
+// it is at least the diameter. One BFS.
+func (g *Graph) DiamBound() int { return 2*g.Eccentricity(0) + 2 }
 
 // Dist returns the hop distance between u and v, or -1 if disconnected.
 func (g *Graph) Dist(u, v int) int {

@@ -355,7 +355,7 @@ func TestEccentricity(t *testing.T) {
 	}
 	// 2·ecc+2 bounds the diameter from above on every small family.
 	for _, g := range []*Graph{Cycle(9), Grid(4, 5), GNPConnected(30, 0.15, 3)} {
-		if d, b := g.Diameter(), 2*g.Eccentricity(0)+2; d > b {
+		if d, b := g.Diameter(), g.DiamBound(); d > b {
 			t.Errorf("diameter %d exceeds 2·ecc(0)+2 = %d", d, b)
 		}
 	}

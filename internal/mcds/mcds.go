@@ -88,8 +88,8 @@ type Params struct {
 	// so D̂ = n adds rounds in which nothing is due but no node-steps
 	// (uforest 10⁵: the same 1.91M node-steps as 2·ecc+2 and 100,038
 	// rounds instead of 58, in ~0.75 s either way on a 2-core Xeon).
-	// Callers with topology knowledge (e.g. 2·ecc(v)+2 from a host-side
-	// BFS, see graph.Eccentricity) pass a tighter bound to keep the round
+	// Callers with topology knowledge (e.g. 2·ecc(0)+2 from a host-side
+	// BFS, see graph.DiamBound) pass a tighter bound to keep the round
 	// count down. A negative bound is rejected.
 	DiamBound int
 	// MaxRounds clamps the simulated run (zero or negative: the simulator

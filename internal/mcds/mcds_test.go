@@ -117,7 +117,7 @@ func TestSolveAcrossFamilies(t *testing.T) {
 func TestSolveWithTightDiamBound(t *testing.T) {
 	for _, tt := range testFamilies() {
 		t.Run(tt.name, func(t *testing.T) {
-			diam := 2*tt.g.Eccentricity(0) + 2
+			diam := tt.g.DiamBound()
 			res, err := Solve(tt.g, Params{DiamBound: diam})
 			if err != nil {
 				t.Fatal(err)
@@ -291,7 +291,7 @@ func TestDominatePhaseIsArbmds(t *testing.T) {
 			if !g.IsConnected() {
 				continue
 			}
-			diam := 2*g.Eccentricity(0) + 2
+			diam := g.DiamBound()
 			for _, eps := range []float64{0.1, 0.5, 1} {
 				ar, err := arbmds.Solve(g, arbmds.Params{Eps: eps})
 				if err != nil {
@@ -352,7 +352,7 @@ func TestOrientSleeps(t *testing.T) {
 			if tt.long && testing.Short() {
 				t.Skip("short mode: the blocking reference takes ~10 s")
 			}
-			diam := 2*tt.g.Eccentricity(0) + 2
+			diam := tt.g.DiamBound()
 			res, steps := solveProfiled(t, tt.g, diam)
 			inD, inCDS := make([]bool, tt.g.N()), make([]bool, tt.g.N())
 			m, err := congest.NewNetwork(tt.g, congest.Config{}).Run(BlockingProgram(tt.g, arbmds.DefaultEps, diam, inD, inCDS))
@@ -385,7 +385,7 @@ func TestOrientSleeps(t *testing.T) {
 // and the node-steps stay within a small multiple of the tight run's.
 func TestDefaultDiamBoundSleeps(t *testing.T) {
 	g := graph.UnionForests(20000, 3, 1)
-	tight, tightSteps := solveProfiled(t, g, 2*g.Eccentricity(0)+2)
+	tight, tightSteps := solveProfiled(t, g, g.DiamBound())
 	loose, looseSteps := solveProfiled(t, g, 0)
 	if loose.DiamBound != g.N() {
 		t.Fatalf("DiamBound 0 ran D̂=%d, want n=%d", loose.DiamBound, g.N())

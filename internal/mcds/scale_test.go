@@ -34,7 +34,7 @@ func TestMcdsMillionNodeUnionForest(t *testing.T) {
 	defer debug.SetMemoryLimit(debug.SetMemoryLimit(600 << 20))
 	const n = 1_000_000
 	g := graph.UnionForests(n, 3, 1)
-	diam := 2*g.Eccentricity(0) + 2
+	diam := g.DiamBound()
 	agg := obs.NewAggregator()
 	res, err := Solve(g, Params{DiamBound: diam, Run: congest.Run{Sim: congest.EngineStepped, Observer: obs.NewRecorder(agg)}})
 	if err != nil {

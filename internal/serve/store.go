@@ -39,13 +39,13 @@ type Resident struct {
 	diam     int
 }
 
-// DiamBound returns the host-side diameter bound 2·ecc(0)+2 used for
+// DiamBound returns the host-side diameter bound graph.DiamBound used for
 // orientation-phase families when the request does not carry one. Computed
 // lazily (one BFS) and cached for the resident's lifetime: the graph is
 // immutable, so the bound is too — and a cached bound means every request
 // against this resident canonicalizes to the same Params.Key.
 func (r *Resident) DiamBound() int {
-	r.diamOnce.Do(func() { r.diam = 2*r.G.Eccentricity(0) + 2 })
+	r.diamOnce.Do(func() { r.diam = r.G.DiamBound() })
 	return r.diam
 }
 
