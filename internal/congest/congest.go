@@ -475,8 +475,7 @@ func (m *Metrics) Add(other Metrics) {
 
 // tally is a run's traffic account, the one place either engine counts a
 // deposited message. The goroutine engine keeps one under its mutex; the
-// stepped engine keeps one per worker, fed from a per-chunk local, and
-// folds them at the round barrier.
+// stepped engine keeps one per worker and folds them at the round barrier.
 type tally struct {
 	msgs    int64
 	bits    int64

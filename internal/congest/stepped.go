@@ -124,7 +124,11 @@ type steppedWorker struct {
 	srcLo, srcHi int
 	srcBytes     []byte
 
-	traffic tally // this worker's deposits, folded in once per chunk
+	// traffic counts this worker's deposits, message by message. The
+	// fields before it and its own top histogram buckets, which CONGEST
+	// payloads never reach, keep those stores off the neighbouring
+	// workers' cache lines.
+	traffic tally
 
 	// Per-sweep results, reset by sweep: awake counts the Init/Step calls,
 	// due is the earliest phase at which a live node of the claimed chunks
@@ -357,12 +361,10 @@ func (w *steppedWorker) sweepChunk(f StepFactory, phase int, ck *steppedChunk) {
 	gen := (phase + 2) % 3 // the generation delivered during this sweep
 	mail := uint32(1) << (phase & 1)
 	hooks := eng.net.cfg.Hooks
-	// Per-node tallies (awake, due and the traffic the chunk's deposits
-	// count) stay in locals and reach the worker once per chunk:
+	// Per-node tallies stay in locals and reach the worker once per chunk:
 	// the worker structs sit side by side, so per-node stores to them
 	// would bounce a cache line shared with the next worker's hot fields.
 	awake, due := 0, math.MaxInt
-	var traffic tally
 	kept := ck.alive[:0]
 	for _, v32 := range ck.alive {
 		v := int(v32)
@@ -396,7 +398,7 @@ func (w *steppedWorker) sweepChunk(f StepFactory, phase int, ck *steppedChunk) {
 			// a panic are delivered and counted, like the goroutine engine's
 			// finish semantics.
 			if out := w.io.outbox; len(out) > 0 {
-				if !eng.topo.depositOutboxPacked(v, out, writeRecs, &ck.slots, phase, &traffic,
+				if !eng.topo.depositOutboxPacked(v, out, writeRecs, &ck.slots, phase, &w.traffic,
 					eng.net.g.Neighbors(v), eng.marks) {
 					eng.fail(fmt.Errorf("congest: node %d: %w", v, errSlotArenaFull))
 					done = true
@@ -415,7 +417,6 @@ func (w *steppedWorker) sweepChunk(f StepFactory, phase int, ck *steppedChunk) {
 	ck.alive = kept
 	w.awake += awake
 	w.due = min(w.due, due)
-	w.traffic.add(&traffic)
 }
 
 // collect gathers node v's inbox from the delivered records into the
