@@ -490,7 +490,7 @@ func (t *tally) count(payloadBytes int) {
 	t.msgs++
 	t.bits += int64(b)
 	t.maxBits = max(t.maxBits, b)
-	t.hist.observe(payloadBytes)
+	t.hist[min(bits.Len(uint(b)), len(t.hist)-1)]++
 }
 
 // add folds o into t.

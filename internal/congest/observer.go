@@ -1,9 +1,6 @@
 package congest
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Observer receives per-round telemetry from a run (see Config.Observer).
 // It is the read-only twin of Hooks: the engines call it at semantically
@@ -72,15 +69,6 @@ type RoundStats struct {
 // CONGEST payloads are O(log n) bits, so the top buckets stay empty except
 // under a very large BandwidthFactor.
 type MsgHist [16]int64
-
-// observe counts one message of the given payload length in bytes.
-func (h *MsgHist) observe(payloadBytes int) {
-	b := bits.Len(uint(payloadBytes) * 8)
-	if b >= len(h) {
-		b = len(h) - 1
-	}
-	h[b]++
-}
 
 // Merge adds other's counts into h.
 func (h *MsgHist) Merge(other MsgHist) {
