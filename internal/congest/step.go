@@ -1,5 +1,7 @@
 package congest
 
+import "runtime"
+
 // StepProgram is the stackless, non-blocking form of a Program: per-node
 // state lives in an explicit struct, and the engine calls the node instead
 // of the node blocking on the engine. The correspondence to the blocking
@@ -75,10 +77,16 @@ func BlockingFromStep(f StepFactory) Program {
 // a few machine words — no goroutine stacks. Under EngineGoroutine the
 // program is adapted to blocking form and produces identical results, which
 // is what makes porting a Program to a StepProgram a pure performance
-// change.
+// change. From 2¹⁸ nodes on, a stepped run ends with a collection: left
+// to the GC pacer, the caller's next allocations would reuse the run's dead
+// state or stack on it by chance (peak RSS 225 or 255 MiB, 10⁶-node arbmds).
 func (net *Network) RunStepped(f StepFactory) (Metrics, error) {
 	if net.cfg.Engine == EngineGoroutine {
 		return net.Run(BlockingFromStep(f))
 	}
-	return net.runStepped(f)
+	m, err := net.runStepped(f)
+	if net.g.N() >= 1<<18 {
+		runtime.GC()
+	}
+	return m, err
 }

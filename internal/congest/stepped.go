@@ -234,6 +234,7 @@ func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 				wk.sweep(f, phase)
 				wg.Done()
 			}
+			wg.Done() // exited
 		}(&eng.workers[w], starts[w])
 	}
 
@@ -300,9 +301,12 @@ func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 			break
 		}
 	}
+	// Join the pool: a worker still exiting keeps the engine reachable.
+	wg.Add(p)
 	for w := range starts {
 		close(starts[w])
 	}
+	wg.Wait()
 	return net.metrics(eng.round, eng.traffic()), eng.failure
 }
 
