@@ -301,7 +301,7 @@ func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 			break
 		}
 	}
-	// Join the pool: a worker still exiting keeps the engine reachable.
+	// Join the pool: a worker the close has not woken yet holds the engine.
 	wg.Add(p)
 	for w := range starts {
 		close(starts[w])
