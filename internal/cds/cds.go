@@ -339,21 +339,23 @@ func connectClusters(gs *gsGraph, rs []int, clusterOf []int, inCDS []bool) error
 			}
 		}
 	}
-	// BFS over clusters from the smallest centre position.
-	adj := make(map[int][]int)
+	// BFS over clusters from the smallest centre position. Clusters are
+	// named by their centre's position, so adjacency is position-indexed.
+	adj := make([][]int, len(gs.adj))
 	for key := range reps {
 		adj[key[0]] = append(adj[key[0]], key[1])
 		adj[key[1]] = append(adj[key[1]], key[0])
 	}
-	for c := range adj {
-		sort.Ints(adj[c])
+	for _, nbrs := range adj {
+		sort.Ints(nbrs)
 	}
 	centres := make([]int, 0, len(rs))
 	for _, c := range rs {
 		centres = append(centres, gs.index[c])
 	}
 	sort.Ints(centres)
-	visited := map[int]bool{centres[0]: true}
+	visited := make([]bool, len(gs.adj))
+	visited[centres[0]] = true
 	queue := []int{centres[0]}
 	for qi := 0; qi < len(queue); qi++ {
 		c := queue[qi]
@@ -371,9 +373,9 @@ func connectClusters(gs *gsGraph, rs []int, clusterOf []int, inCDS []bool) error
 			addPath(inCDS, gs.pathBetween(r.a, r.b))
 		}
 	}
-	if len(visited) != len(centres) {
+	if len(queue) != len(centres) {
 		return fmt.Errorf("cds: cluster graph disconnected (%d of %d clusters reached)",
-			len(visited), len(centres))
+			len(queue), len(centres))
 	}
 	return nil
 }

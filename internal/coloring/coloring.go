@@ -1,7 +1,11 @@
 // Package coloring provides the deterministic distance-two colorings that
-// drive the paper's coloring-based derandomization (Section 3.3): proper
-// colorings of bipartite constraint structures (Lemma 3.12). A G² coloring
-// is the special case whose constraints are the closed neighbourhoods N[v].
+// drive the paper's derandomization (Section 3.3): proper colorings of
+// bipartite constraint structures (Lemma 3.12). One greedy serves every
+// coloring in the pipeline. A G² coloring is the special case whose
+// constraints are the closed neighbourhoods N[v]; the cluster coloring of
+// a 2-hop network decomposition (package decomp, Lemma 3.4) is the one
+// whose sites are clusters and whose constraints are the N[w] with each
+// node replaced by its cluster.
 //
 // The colorings are computed by deterministic greedy elimination in ID
 // order. Distributed cost: a node can decide its color as soon as every
@@ -28,6 +32,31 @@ type Result struct {
 	// Rounds is the charged synchronous round count of the greedy schedule
 	// (longest ID-decreasing dependency chain).
 	Rounds int
+}
+
+// Classes returns the colored sites grouped by color: Classes()[c] lists
+// the sites of color c in ascending order. Uncolored sites are left out.
+func (r *Result) Classes() [][]int {
+	// Size the classes first, so they share one exactly sized array.
+	size := make([]int, r.NumColors)
+	total := 0
+	for _, c := range r.Colors {
+		if c >= 0 {
+			size[c]++
+			total++
+		}
+	}
+	flat := make([]int, total)
+	classes := make([][]int, r.NumColors)
+	for c, k := range size {
+		classes[c], flat = flat[:0:k], flat[k:]
+	}
+	for j, c := range r.Colors {
+		if c >= 0 {
+			classes[c] = append(classes[c], j)
+		}
+	}
+	return classes
 }
 
 // Distance2Bipartite colors the participating right-hand sites of a

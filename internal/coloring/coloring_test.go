@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"reflect"
 	"testing"
 
 	"congestds/internal/graph"
@@ -119,6 +120,16 @@ func TestDistance2SkipsNonParticipating(t *testing.T) {
 	}
 	if ok, _ := Validate(res, members, participating); !ok {
 		t.Error("validation failed")
+	}
+}
+
+// TestClasses checks the color-class walk: classes in color order, sites
+// ascending within a class, uncolored sites left out.
+func TestClasses(t *testing.T) {
+	res := &Result{Colors: []int{1, -1, 0, 1, 0, -1, 2}, NumColors: 3}
+	want := [][]int{{2, 4}, {0, 3}, {6}}
+	if got := res.Classes(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Classes() = %v, want %v", got, want)
 	}
 }
 

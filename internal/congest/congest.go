@@ -283,11 +283,6 @@ type Node struct {
 	// (see SleepUntil); 0 = awake. Cleared before every Init/Step call. An
 	// int32 beside the bool shares its word.
 	sleep int32
-	// op counts the node's compute opportunities: 0 during Init / before the
-	// first Sync, r after the r-th Sync (= Step round r-1). It addresses
-	// injected faults identically across engines and program forms; unused
-	// (and not maintained) when Config.Hooks is nil.
-	op int
 	// io is the node's per-call I/O. The goroutine engine gives every node
 	// its own; the stepped engine points it at the sweeping worker's
 	// scratch for the length of one Init/Step call and clears it after.
@@ -351,7 +346,7 @@ func (nd *Node) Send(port int, payload []byte) {
 		// Before the bandwidth check, so a payload grown past the budget
 		// fails identically on every engine; re-canonicalize afterwards so
 		// an injected truncation-to-empty stays representation-identical.
-		payload = h.AlterPayload(nd.v, port, nd.op, payload)
+		payload = h.AlterPayload(nd.v, port, nd.Round(), payload)
 		if len(payload) == 0 {
 			payload = nil
 		}
@@ -424,11 +419,10 @@ func (nd *Node) Sync() []Incoming {
 	nd.sched.barrier(nd)
 	if h := nd.net.cfg.Hooks; h != nil {
 		// The node is past the barrier, about to start compute opportunity
-		// op (= Step round op-1 in stepped form). A crash here ends its
-		// participation silently: the unwound goroutine's deferred finish
+		// Round() (= Step round Round()-1 in stepped form). A crash here ends
+		// its participation silently: the unwound goroutine's deferred finish
 		// delivers an empty outbox, matching the stepped engine's handling.
-		nd.op++
-		if h.Crash(nd.v, nd.op) {
+		if h.Crash(nd.v, nd.Round()) {
 			nd.io.inbox = nil
 			panic(crashStop{})
 		}

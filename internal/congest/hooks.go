@@ -28,9 +28,10 @@ var (
 //
 // Hooks are called concurrently from engine workers and node goroutines;
 // implementations must be safe for concurrent use (read-only state, as in
-// chaos.Plan, is the intended shape). The compute-opportunity counter op
-// numbers a node's chances to run code: op 0 is Init (the code before the
-// first Sync), op r ≥ 1 is Step(round r-1) (the code after the r-th Sync).
+// chaos.Plan, is the intended shape). The compute opportunity op numbers a
+// node's chances to run code and is the node's Round() while it runs: op 0
+// is Init (the code before the first Sync), op r ≥ 1 is Step(round r-1)
+// (the code after the r-th Sync).
 type Hooks interface {
 	// Crash reports whether node v crash-stops at compute opportunity op.
 	// A crashed node behaves exactly as if its program returned done at the

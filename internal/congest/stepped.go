@@ -62,9 +62,9 @@ import (
 // scans them (the [][]byte layout made it walk 8 M slice headers per
 // cycle on a million-node torus).
 //
-// Memory per node is the 56-byte Node, the 16-byte interface value of its
+// Memory per node is the 48-byte Node, the 16-byte interface value of its
 // StepProgram, a 4-byte alive entry, a 4-byte mail word and whatever state
-// the program itself keeps — 80 bytes of engine state instead of a
+// the program itself keeps — 72 bytes of engine state instead of a
 // goroutine stack. A Node keeps only what lives across rounds: its
 // outbox, inbox and payload arena are the sweeping worker's, lent through
 // Node.io for the length of one Init/Step call. Payloads built via
@@ -373,9 +373,6 @@ func (w *steppedWorker) sweepChunk(f StepFactory, phase int, ck *steppedChunk) {
 	for _, v32 := range ck.alive {
 		v := int(v32)
 		nd := &eng.nodes[v]
-		if hooks != nil {
-			nd.op = phase // compute opportunity: phase 0 = Init, phase p = Step(p-1)
-		}
 		var done bool
 		if hooks != nil && hooks.Crash(v, phase) {
 			// Crash-stop: as if the program returned done at the start of
@@ -411,7 +408,6 @@ func (w *steppedWorker) sweepChunk(f StepFactory, phase int, ck *steppedChunk) {
 			}
 		}
 		if done {
-			nd.stopped = true
 			ck.progs[v-ck.lo] = nil
 		} else {
 			kept = append(kept, v32)

@@ -605,8 +605,8 @@ func TestSlotRecFootprint(t *testing.T) {
 // TestNodeFootprint pins the per-node engine state: a Node keeps only what
 // lives across rounds, and its per-call I/O is one pointer.
 func TestNodeFootprint(t *testing.T) {
-	if sz := unsafe.Sizeof(Node{}); sz > 56 {
-		t.Errorf("sizeof(Node) = %d B, want ≤ 56", sz)
+	if sz := unsafe.Sizeof(Node{}); sz > 48 {
+		t.Errorf("sizeof(Node) = %d B, want ≤ 48", sz)
 	}
 }
 

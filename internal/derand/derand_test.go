@@ -232,10 +232,7 @@ func TestEngineIOneShotEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		phi := inst.Ctx.Float(proc.Phi())
-		d, err := decomp.Build(g, decomp.Params{K: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := decomp.Build(g)
 		if err := d.Validate(g); err != nil {
 			t.Fatal(err)
 		}
@@ -262,13 +259,8 @@ func TestEngineIRejectsBadInputs(t *testing.T) {
 	fds := feasibleFDS(g)
 	inst := rounding.OneShotOnGraph(g, fds, lnDelta(fds.Ctx, g))
 	proc, _ := rounding.NewProcess(inst)
-	d1, _ := decomp.Build(g, decomp.Params{K: 1})
-	if _, err := ByDecomposition(proc, d1, g, nil); err == nil {
-		t.Error("K=1 decomposition accepted")
-	}
 	other := graph.Path(7)
-	d2, _ := decomp.Build(other, decomp.Params{K: 2})
-	if _, err := ByDecomposition(proc, d2, other, nil); err == nil {
+	if _, err := ByDecomposition(proc, decomp.Build(other), other, nil); err == nil {
 		t.Error("mismatched graph accepted")
 	}
 }

@@ -25,7 +25,6 @@ package derand
 
 import (
 	"fmt"
-	"sort"
 
 	"congestds/internal/coloring"
 	"congestds/internal/congest"
@@ -51,14 +50,7 @@ func ByColoring(proc *rounding.Process, ids []int64, ledger *congest.Ledger, loc
 		part[j] = proc.Unassigned(j)
 	}
 	col := coloring.Distance2Bipartite(len(part), inst.Members, part, ids)
-	// Group participating sites by color.
-	byColor := make([][]int, col.NumColors)
-	for j, c := range col.Colors {
-		if c >= 0 {
-			byColor[c] = append(byColor[c], j)
-		}
-	}
-	for _, class := range byColor {
+	for _, class := range col.Classes() {
 		// Same-colored sites share no constraint, so sequential fixing below
 		// is observationally identical to the paper's simultaneous decision.
 		for _, j := range class {
@@ -93,9 +85,6 @@ func ByDecomposition(proc *rounding.Process, d *decomp.Decomposition, g *graph.G
 		return nil, fmt.Errorf("derand: Engine I needs node-aligned instance (%d sites, %d nodes)",
 			len(inst.X), g.N())
 	}
-	if d.K < 2 {
-		return nil, fmt.Errorf("derand: Engine I needs a K≥2 decomposition, got K=%d", d.K)
-	}
 	charged := 0
 	for color := 0; color < d.NumColors; color++ {
 		maxWork := 0
@@ -104,10 +93,7 @@ func ByDecomposition(proc *rounding.Process, d *decomp.Decomposition, g *graph.G
 				continue
 			}
 			work := 0
-			// Deterministic member order: sorted by ID.
-			members := append([]int(nil), cl.Nodes...)
-			sort.Slice(members, func(a, b int) bool { return g.ID(members[a]) < g.ID(members[b]) })
-			for _, v := range members {
+			for _, v := range cl.Nodes { // in ID order
 				if proc.Unassigned(v) {
 					proc.DecideCoin(v)
 					work++

@@ -43,9 +43,9 @@ func trim(g *graph.Graph, fds *CFDS, ledger *congest.Ledger) {
 	for v := 0; v < n; v++ {
 		cov[v] = fds.Coverage(g, v)
 	}
-	for c := 0; c < col.NumColors; c++ {
-		for v := 0; v < n; v++ {
-			if col.Colors[v] != c || fds.X[v] == 0 {
+	for _, class := range col.Classes() {
+		for _, v := range class {
+			if fds.X[v] == 0 {
 				continue
 			}
 			// Maximum reduction: the minimum slack among the inclusive

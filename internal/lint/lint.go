@@ -33,7 +33,8 @@ import (
 
 // deterministicPkgs names the packages whose code must be bit-reproducible
 // across engines, runs and hosts: the CONGEST engines and their
-// protocol/program layers, the graph generators, and the fault injector.
+// protocol/program layers, the graph generators, the fault injector, and
+// every stage of the paper pipeline.
 // maporder and nondet fire only inside these; host-side tools (cmd/*,
 // internal/testmem, internal/experiments, ...) are exempt by omission —
 // the offline stand-in for the facts-based whitelist the x/tools port
@@ -46,6 +47,20 @@ var deterministicPkgs = map[string]bool{
 	"mds":        true,
 	"chaos":      true,
 	"fractional": true,
+	// The paper pipeline's host-side stages: decomposition, colorings,
+	// derandomization, rounding, the CDS connector, certification, set
+	// cover, k-wise independence and its field, fixed point, baselines.
+	"decomp":   true,
+	"coloring": true,
+	"derand":   true,
+	"rounding": true,
+	"cds":      true,
+	"verify":   true,
+	"setcover": true,
+	"kwise":    true,
+	"gf2":      true,
+	"fixpoint": true,
+	"baseline": true,
 	// obs is deterministic-adjacent: it rides the engines' observer
 	// callbacks, so map-order and entropy leaks there would surface in
 	// traces, but nondet grants it the wall-clock carve-out (see nondet.go:

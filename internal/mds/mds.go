@@ -181,10 +181,7 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 	// size no N[v] reaches.
 	var dec *decomp.Decomposition
 	if p.Engine == EngineDecomposition {
-		dec, err = decomp.Build(g, decomp.Params{K: 2})
-		if err != nil {
-			return nil, fmt.Errorf("mds: decomposition: %w", err)
-		}
+		dec = decomp.Build(g)
 		res.Ledger.Charge("derand/engineI-decomp", dec.ChargedRounds)
 		splitS = delta + 2
 	}

@@ -145,10 +145,7 @@ func TestEngineIChargesDecompositionOnce(t *testing.T) {
 	if len(res.Phases) == 0 {
 		t.Fatal("no factor-two phase ran; the decomposition is reused only once")
 	}
-	d, err := decomp.Build(g, decomp.Params{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := decomp.Build(g)
 	var rows []int
 	for _, ph := range res.Ledger.Phases() {
 		if ph.Name == "derand/engineI-decomp" {
