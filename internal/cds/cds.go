@@ -5,10 +5,14 @@
 // Construction, following the paper:
 //
 //  1. Build G_S (Claim 4.1): the graph on S with edges between members at
-//     G-distance ≤ 3; G_S is connected iff G is.
+//     G-distance ≤ 3; G_S is connected iff G is. Each edge carries the ≤ 2
+//     inner nodes of a realizing G-path, found by a depth-3 BFS.
 //  2. Compute a ruling set S' ⊆ S on G_S: pairwise distance ≥ α, every
 //     member of S within distance < α of S' (the paper uses the [ALGP89,
 //     HKN16] construction with α = Θ(log² n); here α = max(2, ⌈log₂(n+1)⌉)).
+//     Members are taken greedily in ID order: each one that no earlier
+//     centre's radius-(α−1) ball holds becomes a centre and blocks its own
+//     ball, one BFS per centre.
 //  3. Cluster S around S' by multi-source BFS in G_S, building cluster
 //     trees whose G_S edges are realized as G-paths of length ≤ 3
 //     (Lemma 4.2).
@@ -24,9 +28,10 @@
 package cds
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"congestds/internal/congest"
 	"congestds/internal/graph"
@@ -68,9 +73,14 @@ func Solve(g *graph.Graph, p mds.Params) (*Result, error) {
 	return res, nil
 }
 
-// Extend turns an existing dominating set into a connected dominating set
-// (the Section 4 transformation alone). The ledger may be nil.
+// Extend turns an existing dominating set of the connected graph g into a
+// connected dominating set (the Section 4 transformation alone). Repeated
+// members count once. A disconnected g is caller misuse: the error wraps
+// congest.ErrConfig. The ledger may be nil.
 func Extend(g *graph.Graph, ds []int, ledger *congest.Ledger) (*Result, error) {
+	if !g.IsConnected() {
+		return nil, fmt.Errorf("%w: cds: graph is not connected", congest.ErrConfig)
+	}
 	if ledger == nil {
 		ledger = &congest.Ledger{}
 	}
@@ -78,39 +88,29 @@ func Extend(g *graph.Graph, ds []int, ledger *congest.Ledger) (*Result, error) {
 	if err := verify.CheckDominating(g, ds); err != nil {
 		return nil, fmt.Errorf("cds: input set: %w", err)
 	}
-	if len(ds) <= 1 {
-		res.CDS = append([]int(nil), ds...)
+	members := slices.Compact(slices.Sorted(slices.Values(ds)))
+	if len(members) <= 1 {
+		res.CDS = members
 		return res, nil
 	}
 	logn := int(math.Ceil(math.Log2(float64(g.N() + 1))))
 	// The ruling set distance parameter on G_S (the paper's c'·log² n).
 	alpha := max(2, logn)
 
-	gs := buildGS(g, ds)
+	gs := buildGS(g, members)
+	centres := gs.rulingSet(g, alpha)
+	for _, c := range centres {
+		res.RulingSet = append(res.RulingSet, members[c])
+	}
 
-	// Ruling set on G_S by greedy ID order (deterministic substitute for the
-	// [ALGP89/HKN16] distributed construction; same (α, α−1) guarantees).
-	rs := rulingSet(g, gs, alpha)
-	res.RulingSet = rs
-
-	// Multi-source BFS clustering on G_S with cluster trees.
-	clusterOf, parentEdge := clusterize(gs, rs)
-
-	// Collect CDS nodes: S plus inner nodes of all used paths.
+	// CDS = S plus the inner nodes of the cluster-tree edges and of the
+	// edges joining the clusters.
 	inCDS := make([]bool, g.N())
-	for _, s := range ds {
+	for _, s := range members {
 		inCDS[s] = true
 	}
-	for _, pe := range parentEdge {
-		addPath(inCDS, pe)
-	}
-
-	// Cluster graph spanning structure: BFS tree over clusters, connecting
-	// via representative G_S edges.
-	if err := connectClusters(gs, rs, clusterOf, inCDS); err != nil {
-		return nil, err
-	}
-
+	clusterOf := gs.clusterize(centres, inCDS)
+	gs.connectClusters(centres, clusterOf, inCDS)
 	for v, in := range inCDS {
 		if in {
 			res.CDS = append(res.CDS, v)
@@ -122,7 +122,7 @@ func Extend(g *graph.Graph, ds []int, ledger *congest.Ledger) (*Result, error) {
 	// diameter) G_S rounds, each simulated by ≤ 3 G rounds with the path
 	// selection of [Gha14].
 	ledger.Charge("cds/ruling+clustering", alpha*logn+3*logn)
-	ledger.Charge("cds/connect", 3*(len(rs)+1))
+	ledger.Charge("cds/connect", 3*(len(centres)+1))
 
 	if err := verify.CheckCDS(g, res.CDS); err != nil {
 		return nil, fmt.Errorf("cds: internal: %w", err)
@@ -130,259 +130,182 @@ func Extend(g *graph.Graph, ds []int, ledger *congest.Ledger) (*Result, error) {
 	return res, nil
 }
 
-// gsGraph is G_S: S-members with edges between members at distance ≤ 3,
-// each edge carrying a realizing G-path.
+// gsGraph is G_S: the members of S, named by position, with an edge between
+// members at G-distance ≤ 3.
 type gsGraph struct {
-	nodes []int            // the members of S, sorted
-	index map[int]int      // node -> position in nodes
-	adj   [][]int          // adjacency by position
-	paths map[[2]int][]int // canonical (minPos,maxPos) -> full G-path (incl. endpoints)
+	nodes []int   // the members of S, sorted and distinct
+	adj   [][]arc // by position; each row sorted by target position
 }
 
-// buildGS constructs G_S by depth-3 BFS from every member of S.
-func buildGS(g *graph.Graph, ds []int) *gsGraph {
-	nodes := append([]int(nil), ds...)
-	sort.Ints(nodes)
-	gs := &gsGraph{
-		nodes: nodes,
-		index: make(map[int]int, len(nodes)),
-		adj:   make([][]int, len(nodes)),
-		paths: make(map[[2]int][]int),
+// arc is one direction of a G_S edge: the target position and the inner
+// nodes of the edge's realizing G-path, -1 where the path is shorter.
+type arc struct {
+	to  int32
+	via [2]int32
+}
+
+// mark adds the arc's inner nodes to the CDS.
+func (e arc) mark(inCDS []bool) {
+	for _, v := range e.via {
+		if v >= 0 {
+			inCDS[v] = true
+		}
+	}
+}
+
+// buildGS constructs G_S by a depth-3 BFS from every member of S. The BFS
+// at an edge's smaller position records it, realized by its tree path, when
+// it reaches the larger one.
+func buildGS(g *graph.Graph, nodes []int) *gsGraph {
+	gs := &gsGraph{nodes: nodes, adj: make([][]arc, len(nodes))}
+	pos := make([]int32, g.N()) // node → position in nodes, -1 outside S
+	dist := make([]int, g.N())  // -1 outside the current BFS
+	parent := make([]int32, g.N())
+	for v := range pos {
+		pos[v], dist[v] = -1, -1
 	}
 	for i, v := range nodes {
-		gs.index[v] = i
+		pos[v] = int32(i)
 	}
-	inS := make([]bool, g.N())
-	for _, v := range nodes {
-		inS[v] = true
-	}
-	dist := make([]int, g.N())
-	parent := make([]int, g.N())
-	for i := range dist {
-		dist[i] = -1
-	}
-	for si, s := range nodes {
-		// BFS to depth 3.
-		var visited []int
-		queue := []int{s}
+	var queue, later []int32
+	for a, s := range nodes {
+		queue = append(queue[:0], int32(s))
 		dist[s] = 0
-		parent[s] = -1
-		visited = append(visited, s)
 		for qi := 0; qi < len(queue); qi++ {
 			v := queue[qi]
 			if dist[v] == 3 {
 				continue
 			}
-			for _, un := range g.Neighbors(v) {
-				u := int(un)
-				if dist[u] >= 0 {
-					continue
-				}
-				dist[u] = dist[v] + 1
-				parent[u] = v
-				visited = append(visited, u)
-				queue = append(queue, u)
-			}
-		}
-		for _, t := range visited {
-			if t == s || !inS[t] {
-				continue
-			}
-			ti := gs.index[t]
-			key := [2]int{si, ti}
-			if si > ti {
-				key = [2]int{ti, si}
-			}
-			if _, done := gs.paths[key]; done {
-				continue
-			}
-			// Reconstruct the realizing path s..t.
-			var path []int
-			for v := t; v != -1; v = parent[v] {
-				path = append(path, v)
-			}
-			gs.paths[key] = path
-			gs.adj[si] = append(gs.adj[si], ti)
-			gs.adj[ti] = append(gs.adj[ti], si)
-		}
-		for _, v := range visited {
-			dist[v] = -1
-		}
-	}
-	for i := range gs.adj {
-		sort.Ints(gs.adj[i])
-	}
-	return gs
-}
-
-// rulingSet greedily selects members (in g-ID order) at pairwise G_S
-// distance ≥ alpha.
-func rulingSet(g *graph.Graph, gs *gsGraph, alpha int) []int {
-	order := make([]int, len(gs.nodes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return g.ID(gs.nodes[order[a]]) < g.ID(gs.nodes[order[b]])
-	})
-	selected := make([]bool, len(gs.nodes))
-	var rs []int
-	dist := make([]int, len(gs.nodes))
-	for i := range dist {
-		dist[i] = -1
-	}
-	for _, cand := range order {
-		// BFS from cand to depth alpha-1 looking for an existing centre.
-		ok := true
-		queue := []int{cand}
-		dist[cand] = 0
-		visited := []int{cand}
-		for qi := 0; qi < len(queue) && ok; qi++ {
-			v := queue[qi]
-			if selected[v] {
-				ok = false
-				break
-			}
-			if dist[v] == alpha-1 {
-				continue
-			}
-			for _, u := range gs.adj[v] {
+			for _, u := range g.Neighbors(int(v)) {
 				if dist[u] < 0 {
 					dist[u] = dist[v] + 1
-					visited = append(visited, u)
+					parent[u] = v
 					queue = append(queue, u)
 				}
 			}
 		}
-		for _, v := range visited {
+		later = later[:0]
+		for _, t := range queue {
+			if int(pos[t]) > a {
+				later = append(later, pos[t])
+			}
+			dist[t] = -1
+		}
+		slices.Sort(later)
+		for _, b := range later {
+			e := arc{to: b, via: [2]int32{-1, -1}}
+			for i, v := 0, parent[nodes[b]]; int(v) != s; i, v = i+1, parent[v] {
+				e.via[i] = v
+			}
+			gs.adj[a] = append(gs.adj[a], e)
+			e.to = int32(a)
+			gs.adj[b] = append(gs.adj[b], e)
+		}
+	}
+	return gs
+}
+
+// rulingSet walks the members in ID order, selects each one no earlier
+// centre blocks and blocks its radius-(α−1) ball, so centres are pairwise
+// ≥ α apart in G_S and every member is within α−1 of one (the greedy
+// substitute for the [ALGP89, HKN16] construction). It returns the centres'
+// positions, ascending.
+func (gs *gsGraph) rulingSet(g *graph.Graph, alpha int) []int {
+	order := make([]int, len(gs.nodes))
+	dist := make([]int, len(gs.nodes)) // -1 outside the current ball
+	for i := range order {
+		order[i], dist[i] = i, -1
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Compare(g.ID(gs.nodes[a]), g.ID(gs.nodes[b]))
+	})
+	blocked := make([]bool, len(gs.nodes))
+	var centres, queue []int
+	for _, c := range order {
+		if blocked[c] {
+			continue
+		}
+		centres = append(centres, c)
+		queue = append(queue[:0], c)
+		dist[c] = 0
+		for qi := 0; qi < len(queue); qi++ {
+			v := queue[qi]
+			blocked[v] = true
+			if dist[v] == alpha-1 {
+				continue
+			}
+			for _, e := range gs.adj[v] {
+				if dist[e.to] < 0 {
+					dist[e.to] = dist[v] + 1
+					queue = append(queue, int(e.to))
+				}
+			}
+		}
+		for _, v := range queue {
 			dist[v] = -1
 		}
-		if ok {
-			selected[cand] = true
-			rs = append(rs, gs.nodes[cand])
-		}
 	}
-	sort.Ints(rs)
-	return rs
+	slices.Sort(centres)
+	return centres
 }
 
-// clusterize assigns every G_S node to its nearest centre (ties: smaller
-// centre node, then smaller node) by multi-source BFS and returns, per G_S
-// position, the cluster centre position and the realizing path of the BFS
-// tree edge toward the centre (nil for centres).
-func clusterize(gs *gsGraph, rs []int) (clusterOf []int, parentEdge [][]int) {
-	n := len(gs.nodes)
-	clusterOf = make([]int, n)
-	parentEdge = make([][]int, n)
-	distTo := make([]int, n)
+// clusterize assigns every member to its nearest centre by multi-source BFS
+// over G_S, seeded in position order, and marks the inner nodes of each BFS
+// tree edge in inCDS. It returns each position's cluster, named by its
+// centre's position.
+func (gs *gsGraph) clusterize(centres []int, inCDS []bool) []int {
+	clusterOf := make([]int, len(gs.nodes))
 	for i := range clusterOf {
 		clusterOf[i] = -1
-		distTo[i] = -1
 	}
-	var queue []int
-	for _, c := range rs {
-		ci := gs.index[c]
-		clusterOf[ci] = ci
-		distTo[ci] = 0
-		queue = append(queue, ci)
+	for _, c := range centres {
+		clusterOf[c] = c
 	}
-	sort.Ints(queue) // deterministic multi-source order
+	queue := append([]int(nil), centres...)
 	for qi := 0; qi < len(queue); qi++ {
 		v := queue[qi]
-		for _, u := range gs.adj[v] {
-			if clusterOf[u] >= 0 {
-				continue
-			}
-			clusterOf[u] = clusterOf[v]
-			distTo[u] = distTo[v] + 1
-			parentEdge[u] = gs.pathBetween(u, v)
-			queue = append(queue, u)
-		}
-	}
-	return clusterOf, parentEdge
-}
-
-// pathBetween returns the realizing G-path of the G_S edge {a,b}.
-func (gs *gsGraph) pathBetween(a, b int) []int {
-	key := [2]int{a, b}
-	if a > b {
-		key = [2]int{b, a}
-	}
-	return gs.paths[key]
-}
-
-// connectClusters adds connector paths between clusters along a BFS spanning
-// tree of the cluster graph.
-func connectClusters(gs *gsGraph, rs []int, clusterOf []int, inCDS []bool) error {
-	if len(rs) <= 1 {
-		return nil
-	}
-	// Cluster adjacency with representative G_S edges (lexicographically
-	// smallest position pair).
-	type rep struct{ a, b int }
-	reps := make(map[[2]int]rep)
-	for a := range gs.adj {
-		for _, b := range gs.adj[a] {
-			if a >= b {
-				continue
-			}
-			ca, cb := clusterOf[a], clusterOf[b]
-			if ca == cb {
-				continue
-			}
-			key := [2]int{ca, cb}
-			if ca > cb {
-				key = [2]int{cb, ca}
-			}
-			if r, ok := reps[key]; !ok || a < r.a || (a == r.a && b < r.b) {
-				reps[key] = rep{a: a, b: b}
+		for _, e := range gs.adj[v] {
+			if clusterOf[e.to] < 0 {
+				clusterOf[e.to] = clusterOf[v]
+				e.mark(inCDS)
+				queue = append(queue, int(e.to))
 			}
 		}
 	}
-	// BFS over clusters from the smallest centre position. Clusters are
-	// named by their centre's position, so adjacency is position-indexed.
-	adj := make([][]int, len(gs.adj))
-	for key := range reps {
-		adj[key[0]] = append(adj[key[0]], key[1])
-		adj[key[1]] = append(adj[key[1]], key[0])
+	return clusterOf
+}
+
+// connectClusters marks the inner nodes of a BFS spanning tree of the
+// cluster graph, grown from the smallest centre position. A cluster joins
+// through the lexicographically smallest G_S edge {a, b}, a < b, between it
+// and the first cluster that reaches it; CheckCDS catches a cluster that
+// none reaches.
+func (gs *gsGraph) connectClusters(centres, clusterOf []int, inCDS []bool) {
+	// links[c] holds an arc to the far cluster per G_S edge leaving cluster
+	// c, in lexicographic edge order.
+	links := make([][]arc, len(gs.nodes))
+	for a, row := range gs.adj {
+		for _, e := range row {
+			ca, cb := clusterOf[a], clusterOf[e.to]
+			if int(e.to) > a && ca != cb {
+				links[ca] = append(links[ca], arc{to: int32(cb), via: e.via})
+				links[cb] = append(links[cb], arc{to: int32(ca), via: e.via})
+			}
+		}
 	}
-	for _, nbrs := range adj {
-		sort.Ints(nbrs)
-	}
-	centres := make([]int, 0, len(rs))
-	for _, c := range rs {
-		centres = append(centres, gs.index[c])
-	}
-	sort.Ints(centres)
-	visited := make([]bool, len(gs.adj))
+	visited := make([]bool, len(gs.nodes))
 	visited[centres[0]] = true
 	queue := []int{centres[0]}
 	for qi := 0; qi < len(queue); qi++ {
-		c := queue[qi]
-		for _, d := range adj[c] {
-			if visited[d] {
-				continue
+		// The stable sort keeps each far cluster's smallest edge first.
+		row := links[queue[qi]]
+		slices.SortStableFunc(row, func(x, y arc) int { return cmp.Compare(x.to, y.to) })
+		for _, l := range row {
+			if !visited[l.to] {
+				visited[l.to] = true
+				l.mark(inCDS)
+				queue = append(queue, int(l.to))
 			}
-			visited[d] = true
-			queue = append(queue, d)
-			key := [2]int{c, d}
-			if c > d {
-				key = [2]int{d, c}
-			}
-			r := reps[key]
-			addPath(inCDS, gs.pathBetween(r.a, r.b))
 		}
-	}
-	if len(queue) != len(centres) {
-		return fmt.Errorf("cds: cluster graph disconnected (%d of %d clusters reached)",
-			len(queue), len(centres))
-	}
-	return nil
-}
-
-// addPath marks all nodes of a realizing path as CDS members.
-func addPath(inCDS []bool, path []int) {
-	for _, v := range path {
-		inCDS[v] = true
 	}
 }

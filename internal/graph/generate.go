@@ -30,27 +30,29 @@ func GNP(n int, p float64, seed uint64) *Graph {
 }
 
 // GNPConnected returns a connected G(n,p) sample: after drawing the random
-// edges, consecutive components are stitched with single edges. The stitch
+// edges, each component is stitched to the previous one, in order of their
+// smallest nodes, by an edge between those smallest nodes. The stitch
 // edges are deterministic in the seed.
 func GNPConnected(n int, p float64, seed uint64) *Graph {
-	g := GNP(n, p, seed)
+	return stitch(GNP(n, p, seed))
+}
+
+// stitch returns g with its components stitched as GNPConnected describes.
+// A connected g is returned as is.
+func stitch(g *Graph) *Graph {
 	comp, count := g.Components()
 	if count <= 1 {
 		return g
 	}
-	b := NewBuilder(n)
+	b := NewBuilder(g.N())
 	g.Edges(func(u, v int) { mustAdd(b, u, v) })
-	first := make([]int, count)
-	for i := range first {
-		first[i] = -1
-	}
+	// Components are numbered in order of their smallest node.
+	last, next := 0, 1
 	for v, c := range comp {
-		if first[c] < 0 {
-			first[c] = v
+		if c == next {
+			mustAdd(b, last, v)
+			last, next = v, next+1
 		}
-	}
-	for c := 1; c < count; c++ {
-		mustAdd(b, first[c-1], first[c])
 	}
 	return b.Graph()
 }
@@ -254,29 +256,10 @@ func UnitDisk(n int, radius float64, seed uint64) *Graph {
 	return b.Graph()
 }
 
-// UnitDiskConnected returns a connected unit-disk sample: components are
-// stitched along the x-order of representative points.
+// UnitDiskConnected returns a connected unit-disk sample, its components
+// stitched like GNPConnected's.
 func UnitDiskConnected(n int, radius float64, seed uint64) *Graph {
-	g := UnitDisk(n, radius, seed)
-	comp, count := g.Components()
-	if count <= 1 {
-		return g
-	}
-	b := NewBuilder(n)
-	g.Edges(func(u, v int) { mustAdd(b, u, v) })
-	first := make([]int, count)
-	for i := range first {
-		first[i] = -1
-	}
-	for v, c := range comp {
-		if first[c] < 0 {
-			first[c] = v
-		}
-	}
-	for c := 1; c < count; c++ {
-		mustAdd(b, first[c-1], first[c])
-	}
-	return b.Graph()
+	return stitch(UnitDisk(n, radius, seed))
 }
 
 // Named constructs one of the benchmark families by name, as used by the

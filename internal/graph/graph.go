@@ -120,18 +120,18 @@ func (g *Graph) String() string {
 	return fmt.Sprintf("graph(n=%d, m=%d, Δ=%d)", g.N(), g.M(), g.MaxDegree())
 }
 
-// Builder accumulates edges and produces an immutable Graph. Duplicate edges
-// and self loops are rejected at Add time.
+// Builder accumulates edges and produces an immutable Graph. Add rejects
+// self loops and out-of-range endpoints; adding an existing edge is a no-op.
 type Builder struct {
 	n     int
-	edges map[[2]int32]struct{}
+	edges []uint64 // u<<32 | v with u < v, in Add order, repeats kept until Graph
 	ids   []int64
 }
 
 // NewBuilder returns a Builder for a graph on n nodes with default
 // identifiers (see DefaultIDs).
 func NewBuilder(n int) *Builder {
-	return &Builder{n: n, edges: make(map[[2]int32]struct{}), ids: DefaultIDs(n)}
+	return &Builder{n: n, ids: DefaultIDs(n)}
 }
 
 // ErrBadEdge is returned by Builder.Add for self loops or out-of-range
@@ -146,7 +146,7 @@ func (b *Builder) Add(u, v int) error {
 	if u > v {
 		u, v = v, u
 	}
-	b.edges[[2]int32{int32(u), int32(v)}] = struct{}{}
+	b.edges = append(b.edges, uint64(u)<<32|uint64(v))
 	return nil
 }
 
@@ -167,26 +167,28 @@ func (b *Builder) SetIDs(ids []int64) error {
 	return nil
 }
 
-// Graph freezes the builder into an immutable Graph in CSR form.
+// Graph freezes the builder into an immutable Graph in CSR form. The edges
+// are sorted and compacted first, so scattering them in order fills every
+// row in ascending order.
 func (b *Builder) Graph() *Graph {
+	slices.Sort(b.edges)
+	b.edges = slices.Compact(b.edges)
 	offsets := make([]int64, b.n+1)
-	for e := range b.edges {
-		offsets[e[0]+1]++
-		offsets[e[1]+1]++
+	for _, e := range b.edges {
+		offsets[e>>32+1]++
+		offsets[uint32(e)+1]++
 	}
 	for v := 0; v < b.n; v++ {
 		offsets[v+1] += offsets[v]
 	}
 	targets := make([]int32, offsets[b.n])
 	next := append([]int64(nil), offsets[:b.n]...)
-	for e := range b.edges {
-		targets[next[e[0]]] = e[1]
-		next[e[0]]++
-		targets[next[e[1]]] = e[0]
-		next[e[1]]++
-	}
-	for v := 0; v < b.n; v++ {
-		slices.Sort(targets[offsets[v]:offsets[v+1]])
+	for _, e := range b.edges {
+		u, v := int32(e>>32), int32(uint32(e))
+		targets[next[u]] = v
+		next[u]++
+		targets[next[v]] = u
+		next[v]++
 	}
 	return &Graph{offsets: offsets, targets: targets, ids: append([]int64(nil), b.ids...)}
 }
