@@ -117,6 +117,23 @@ func BenchmarkNodeSend(b *testing.B) {
 	}
 }
 
+// BenchmarkBroadcast times one Broadcast from the hub of Star(4096) onto an
+// empty outbox, the send pattern of a high-degree node. Send appends
+// without scanning when the port is above every queued one, so this is
+// O(Δ), not Δ²/2 port compares.
+func BenchmarkBroadcast(b *testing.B) {
+	g := graph.Star(4096)
+	net := NewNetwork(g, Config{})
+	nd := &Node{net: net, v: 0, io: &nodeIO{}} // the hub: degree 4095
+	payload := []byte{1, 2, 3, 4}
+	b.ReportAllocs()
+	for b.Loop() {
+		nd.io.outbox = nd.io.outbox[:0]
+		nd.Broadcast(payload)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nd.Degree()), "ns/port")
+}
+
 // silentStep advances through rounds without sending.
 type silentStep struct{ rounds int }
 

@@ -26,6 +26,7 @@ func init() {
 	Register(Case{Name: "final-send", Build: buildFinalSend, BuildStep: buildFinalSendStep})
 	Register(Case{Name: "empty-payload", Build: buildEmptyPayload, BuildStep: buildEmptyPayloadStep})
 	Register(Case{Name: "port-pingpong", Build: buildPortPingpong, BuildStep: buildPortPingpongStep})
+	Register(Case{Name: "port-resend", Build: buildPortResend, BuildStep: buildPortResendStep})
 	Register(Case{Name: "silent-rounds", Build: buildSilentRounds, BuildStep: buildSilentRoundsStep})
 	Register(Case{Name: "budget-edge", Build: buildBudgetEdge, BuildStep: buildBudgetEdgeStep})
 	// Sleeping stepped variants (stepped.go) against blocking references
@@ -234,6 +235,61 @@ func buildPortPingpong(g *graph.Graph) (congest.Program, func() []byte) {
 				x, _ := congest.Varint(msg.Payload, 0)
 				acc = acc*17 + x + int64(msg.Port)
 			}
+		}
+		out[nd.V()] = acc
+	}
+	return prog, func() []byte {
+		var buf []byte
+		for _, x := range out {
+			buf = appendInt(buf, x)
+		}
+		return buf
+	}
+}
+
+// resendPorts are the ports of a port-resend round r (d > 0): even rounds
+// send on a, then b, then a again; odd rounds send on a, Broadcast, then
+// send on b. The later send on a port replaces the earlier one, so the
+// replaced port is never the last one queued.
+func resendPorts(r, d int) (a, b int) {
+	if r%2 == 0 {
+		return 3 % d, 1 % d
+	}
+	return r % d, 0
+}
+
+// buildPortResend: the reference for port-resend, sending only the
+// messages the replacements leave: 6 rounds of resendPorts, each value
+// 4r+k+1 for the k-th send of round r, folded order-sensitively.
+func buildPortResend(g *graph.Graph) (congest.Program, func() []byte) {
+	out := make([]int64, g.N())
+	prog := func(nd *congest.Node) {
+		acc := int64(0)
+		for r := 0; r < 6; r++ {
+			if d := nd.Degree(); d > 0 {
+				a, b := resendPorts(r, d)
+				val := func(k int) []byte { return congest.AppendVarint(nil, int64(4*r+k+1)) }
+				if r%2 == 0 {
+					if b != a {
+						nd.Send(b, val(1))
+					}
+					nd.Send(a, val(2))
+				} else {
+					for p := 0; p < d; p++ {
+						if p == b {
+							nd.Send(p, val(2))
+						} else {
+							nd.Send(p, val(1))
+						}
+					}
+				}
+			}
+			in := nd.Sync()
+			for _, msg := range in {
+				x, _ := congest.Varint(msg.Payload, 0)
+				acc = acc*17 + x + int64(msg.Port)
+			}
+			acc = acc*31 + int64(len(in))
 		}
 		out[nd.V()] = acc
 	}

@@ -285,6 +285,59 @@ func buildPortPingpongStep(g *graph.Graph) (congest.StepFactory, func() []byte) 
 	return factory, outputInts(out)
 }
 
+// portResendStep: each round re-sends on a port that is not the last one
+// queued (Send(3), Send(1), Send(3); or Send, Broadcast, Send(0)), so the
+// replacement must find a message behind a later port.
+type portResendStep struct {
+	out []int64
+	acc int64
+}
+
+func (s *portResendStep) sendRound(nd *congest.Node, r int) {
+	d := nd.Degree()
+	if d == 0 {
+		return
+	}
+	a, b := resendPorts(r, d)
+	val := func(k int) []byte { return congest.AppendVarint(nd.PayloadBuf(2), int64(4*r+k+1)) }
+	if r%2 == 0 {
+		nd.Send(a, val(0))
+		nd.Send(b, val(1))
+		nd.Send(a, val(2)) // replaces val(0)
+		return
+	}
+	nd.Send(a, val(0))
+	nd.Broadcast(val(1)) // replaces val(0)
+	nd.Send(b, val(2))   // replaces the broadcast on b
+}
+
+func (s *portResendStep) Init(nd *congest.Node) bool {
+	s.sendRound(nd, 0)
+	return false
+}
+
+func (s *portResendStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
+	for _, msg := range in {
+		x, _ := congest.Varint(msg.Payload, 0)
+		s.acc = s.acc*17 + x + int64(msg.Port)
+	}
+	s.acc = s.acc*31 + int64(len(in))
+	if round+1 >= 6 {
+		s.out[nd.V()] = s.acc
+		return true
+	}
+	s.sendRound(nd, round+1)
+	return false
+}
+
+func buildPortResendStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
+	out := make([]int64, g.N())
+	factory := func(nd *congest.Node) congest.StepProgram {
+		return &portResendStep{out: out}
+	}
+	return factory, outputInts(out)
+}
+
 // silentRoundsStep: message-free rounds interleaved with broadcasts; mixes
 // Node.Round into the accumulator, pinning the engine's round counter.
 type silentRoundsStep struct {

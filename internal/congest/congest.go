@@ -270,10 +270,12 @@ type scheduler interface {
 	currentRound() int
 }
 
-// Node is the per-node API available inside a Program. It holds only the
-// state that lives across rounds; what a node needs only while it computes
-// (its outbox, the goroutine engine's inbox, the stepped engine's payload
-// arena) sits behind io, so a million idle nodes do not each carry it.
+// Node is the per-node API available inside a Program. The goroutine
+// engine keeps one Node per node for the whole run; what a node needs
+// only while it computes (its outbox, the goroutine engine's inbox, the
+// stepped engine's payload arena) sits behind io. The stepped engine keeps
+// no per-node Node at all: each worker lends its own to the nodes it runs,
+// one Init/Step call at a time, and keeps the sleep round between calls.
 type Node struct {
 	net     *Network
 	sched   scheduler
@@ -284,14 +286,16 @@ type Node struct {
 	// int32 beside the bool shares its word.
 	sleep int32
 	// io is the node's per-call I/O. The goroutine engine gives every node
-	// its own; the stepped engine points it at the sweeping worker's
-	// scratch for the length of one Init/Step call and clears it after.
+	// its own; on the stepped engine it is the worker's.
 	io *nodeIO
 }
 
 // nodeIO is the I/O a node uses while it computes.
 type nodeIO struct {
 	outbox []outMsg
+	// top is the highest port in outbox, valid while outbox is non-empty:
+	// a Send above it cannot replace a queued message.
+	top int
 	// inbox holds the next round's messages sorted by port (goroutine
 	// engine only; the stepped engine hands Step its inbox directly).
 	inbox []Incoming
@@ -356,10 +360,15 @@ func (nd *Node) Send(port int, payload []byte) {
 			ErrBandwidth, nd.v, len(payload)*8, budget)})
 	}
 	io := nd.io
-	for i := range io.outbox {
-		if io.outbox[i].port == port {
-			io.outbox[i].payload = payload
-			return
+	if len(io.outbox) == 0 || port > io.top {
+		// Nothing queued on this port: Broadcast on an empty outbox is O(d).
+		io.top = port
+	} else {
+		for i := range io.outbox {
+			if io.outbox[i].port == port {
+				io.outbox[i].payload = payload
+				return
+			}
 		}
 	}
 	io.outbox = append(io.outbox, outMsg{port: port, payload: payload})

@@ -281,3 +281,84 @@ func TestSleepSkippedNodeReadsFresh(t *testing.T) {
 		t.Errorf("%d node-steps in %d rounds of %d nodes: the program must both run and sleep", steps, rounds, g.N())
 	}
 }
+
+// alternator: even nodes sleep until round far from Init on, and are woken
+// once by mail; odd nodes stay awake every round and broadcast in round
+// wakeAt-1. Each node counts its calls and the calls in which
+// Node.V was not its own index.
+type alternator struct {
+	v           int
+	steps, bad  []int64
+	far, wakeAt int
+}
+
+func (s *alternator) call(nd *Node) {
+	s.steps[s.v]++
+	if nd.V() != s.v {
+		s.bad[s.v]++
+	}
+}
+
+func (s *alternator) Init(nd *Node) bool {
+	s.call(nd)
+	if s.v%2 == 0 {
+		nd.SleepUntil(s.far)
+	}
+	return false
+}
+
+func (s *alternator) Step(nd *Node, round int, in []Incoming) bool {
+	s.call(nd)
+	if round >= s.far {
+		return true
+	}
+	if s.v%2 == 0 {
+		nd.SleepUntil(s.far)
+	} else if round == s.wakeAt-1 {
+		nd.Broadcast([]byte{1})
+	}
+	return false
+}
+
+// TestSleepNoStateLeaksBetweenNodes: on the stepped engine one worker's
+// Node stands for every node of the chunks it sweeps, so a sleep round or
+// an index left over from the previous node would show here, where
+// neighbouring indices of one chunk alternate between asleep and awake.
+// Both engines must agree on the metrics and on every node's call count,
+// and every node must see its own index.
+func TestSleepNoStateLeaksBetweenNodes(t *testing.T) {
+	g := graph.Cycle(600) // even length: an even node's neighbours are odd
+	const far, wakeAt = 10, 4
+	var ms []Metrics
+	var counts [][]int64
+	forEachEngine(t, func(t *testing.T, eng Engine) {
+		steps, bad := make([]int64, g.N()), make([]int64, g.N())
+		slab := make([]alternator, g.N())
+		m, err := NewNetwork(g, Config{Engine: eng}).RunStepped(func(nd *Node) StepProgram {
+			s := &slab[nd.V()]
+			*s = alternator{v: nd.V(), steps: steps, bad: bad, far: far, wakeAt: wakeAt}
+			return s
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Rounds != far+1 {
+			t.Errorf("rounds = %d, want %d", m.Rounds, far+1)
+		}
+		for v := range steps {
+			// Odd: Init and Steps 0..far. Even: Init, the mail of round
+			// wakeAt, far.
+			want := int64(far + 2)
+			if v%2 == 0 {
+				want = 3
+			}
+			if steps[v] != want || bad[v] != 0 {
+				t.Errorf("node %d: %d calls (%d with another index), want %d", v, steps[v], bad[v], want)
+			}
+		}
+		ms, counts = append(ms, m), append(counts, steps)
+	})
+	if len(ms) == 2 && (ms[0] != ms[1] || !reflect.DeepEqual(counts[0], counts[1])) {
+		t.Errorf("engines differ: metrics %+v vs %+v", ms[0], ms[1])
+	}
+}

@@ -18,7 +18,9 @@ import "runtime"
 // A StepProgram must not call Node.Sync (the engine owns the barrier; a
 // Sync call aborts the run with an error). The inbox slice and, on
 // EngineStepped, the payload bytes it references are only valid until Step
-// returns — copy anything that must be retained.
+// returns — copy anything that must be retained. So is the *Node: on
+// EngineStepped one Node per worker stands for each node it runs in turn,
+// so a program must not keep it past the call (keep Node.V instead).
 type StepProgram interface {
 	// Init runs before round 0; the node may Send. Returning true ends the
 	// node's participation immediately (its sends are still delivered).
@@ -38,7 +40,9 @@ type StepProgram interface {
 // synchronization; capturing shared output slices that nodes write to
 // disjoint indices is fine. Per-node state may likewise come from one slab
 // indexed by Node.V, which avoids an allocation per node; such a factory
-// value, like one whose output slices are shared, serves one run.
+// value, like one whose output slices are shared, serves one run. The
+// *Node is valid only for the call, as in Init and Step: the program must
+// not store it.
 type StepFactory func(nd *Node) StepProgram
 
 // BlockingFromStep adapts a StepFactory to the blocking Program API, so

@@ -62,14 +62,17 @@ import (
 // scans them (the [][]byte layout made it walk 8 M slice headers per
 // cycle on a million-node torus).
 //
-// Memory per node is the 48-byte Node, the 16-byte interface value of its
-// StepProgram, a 4-byte alive entry, a 4-byte mail word and whatever state
-// the program itself keeps — 72 bytes of engine state instead of a
-// goroutine stack. A Node keeps only what lives across rounds: its
-// outbox, inbox and payload arena are the sweeping worker's, lent through
-// Node.io for the length of one Init/Step call. Payloads built via
-// Node.PayloadBuf are bump-allocated from that worker's scratch arena and
-// recycled without GC traffic.
+// Memory per node is the 16-byte interface value of its StepProgram, an
+// 8-byte alive entry (the node's index and its sleep round, the only Node
+// state that lives across rounds), a 4-byte mail word and whatever state
+// the program itself keeps — 28 bytes of engine state instead of a
+// goroutine stack. There is no per-node Node: each worker owns one, wired
+// to the network, the engine and the worker's outbox, inbox and payload
+// arena once, and lends it to every node it runs, setting its index and
+// clearing its sleep before each Init/Step call and storing the sleep
+// back into the alive entry after it. Payloads built via Node.PayloadBuf
+// are bump-allocated from that worker's scratch arena and recycled
+// without GC traffic.
 //
 // Semantics are identical to the goroutine engine; the conformance suite
 // runs the stepped program corpus on both engines and requires
@@ -99,13 +102,22 @@ const chunksPerWorker = 8
 // payload bytes no matter which worker happened to sweep the sender.
 type steppedChunk struct {
 	lo    int
-	alive []int32       // live node indices in this chunk's range, in order
+	alive []liveNode    // live nodes in this chunk's range, in index order
 	progs []StepProgram // indexed by v-lo
 	slots slotArena     // payload bytes behind this chunk's deposited records
 }
 
+// liveNode is a live node's entry in its chunk: its index and the round it
+// next runs even without mail (Node.SleepUntil; 0 = awake). The sweep reads
+// the two in one sequential 8-byte load and touches the mail word only for
+// a sleeping node.
+type liveNode struct {
+	v     int32
+	sleep int32
+}
+
 // steppedWorker is one pool goroutine's private scratch; it carries no node
-// state, so workers can sweep any chunk.
+// state across calls, so workers can sweep any chunk.
 type steppedWorker struct {
 	eng   *steppedEngine
 	id    int          // pool index, for the observer's per-worker lanes
@@ -115,6 +127,9 @@ type steppedWorker struct {
 	// runs, so one set per worker replaces one per node. Its arena points
 	// at the worker's own.
 	io nodeIO
+	// nd is the Node every Init/Step call of this worker receives; its
+	// net, sched and io are fixed, v and sleep are set per call.
+	nd Node
 
 	// Sender-resolution cache for collect, persisted across the nodes of a
 	// sweep (reset each phase: the delivered generation changes): payload
@@ -150,7 +165,6 @@ type steppedEngine struct {
 	// Or at deposit (phase q-1), And when v collects it (phase q).
 	marks     []atomic.Uint32
 	chunkSize int // nodes per chunk; node v belongs to chunks[v/chunkSize]
-	nodes     []Node
 	chunks    []steppedChunk
 	workers   []steppedWorker
 
@@ -199,7 +213,6 @@ func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 	}
 	numChunks := (n + chunk - 1) / chunk
 	eng.chunkSize = chunk
-	eng.nodes = make([]Node, n)
 	eng.chunks = make([]steppedChunk, numChunks)
 	for c := range eng.chunks {
 		lo := c * chunk
@@ -209,12 +222,10 @@ func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 		}
 		ck := &eng.chunks[c]
 		ck.lo = lo
-		ck.alive = make([]int32, 0, hi-lo)
+		ck.alive = make([]liveNode, 0, hi-lo)
 		ck.progs = make([]StepProgram, hi-lo)
 		for v := lo; v < hi; v++ {
-			nd := &eng.nodes[v]
-			nd.net, nd.sched, nd.v = net, eng, v
-			ck.alive = append(ck.alive, int32(v))
+			ck.alive = append(ck.alive, liveNode{v: int32(v)})
 		}
 	}
 	eng.workers = make([]steppedWorker, p)
@@ -225,9 +236,10 @@ func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 	var wg sync.WaitGroup
 	starts := make([]chan int, p)
 	for w := range eng.workers {
-		eng.workers[w].eng = eng
-		eng.workers[w].id = w
-		eng.workers[w].io.arena = &eng.workers[w].arena
+		wk := &eng.workers[w]
+		wk.eng, wk.id = eng, w
+		wk.io.arena = &wk.arena
+		wk.nd = Node{net: net, sched: eng, io: &wk.io}
 		starts[w] = make(chan int, 1)
 		go func(wk *steppedWorker, start chan int) {
 			for phase := range start {
@@ -370,31 +382,30 @@ func (w *steppedWorker) sweepChunk(f StepFactory, phase int, ck *steppedChunk) {
 	// would bounce a cache line shared with the next worker's hot fields.
 	awake, due := 0, math.MaxInt
 	kept := ck.alive[:0]
-	for _, v32 := range ck.alive {
-		v := int(v32)
-		nd := &eng.nodes[v]
+	nd := &w.nd
+	for _, e := range ck.alive {
+		v := int(e.v)
 		var done bool
 		if hooks != nil && hooks.Crash(v, phase) {
 			// Crash-stop: as if the program returned done at the start of
 			// this opportunity with an empty outbox. The goroutine engine's
 			// counterpart is the crashStop unwind in Sync / runProg.
 			done = true
-		} else if phase > 0 && int(nd.sleep) >= phase && eng.marks[v].Load()&mail == 0 {
+		} else if phase > 0 && int(e.sleep) >= phase && eng.marks[v].Load()&mail == 0 {
 			// Asleep (Step(phase-1) is before its timer) with no mail.
-			kept = append(kept, v32)
-			due = min(due, int(nd.sleep)+1)
+			kept = append(kept, e)
+			due = min(due, int(e.sleep)+1)
 			continue
 		} else {
-			nd.io = &w.io // the sweeping worker's scratch, not a fixed owner
-			nd.sleep = 0
+			nd.v, nd.sleep = v, 0
 			awake++
 			if phase == 0 {
-				done = w.initNode(f, ck, nd)
+				done = w.initNode(f, ck)
 			} else {
 				in := w.collect(readRecs, gen, v, mail)
-				done = w.stepNode(ck, nd, phase-1, in)
+				done = w.stepNode(ck, phase-1, in)
 			}
-			nd.io = nil
+			e.sleep = nd.sleep
 			// Deposit unconditionally: sends queued before a final return or
 			// a panic are delivered and counted, like the goroutine engine's
 			// finish semantics.
@@ -410,8 +421,8 @@ func (w *steppedWorker) sweepChunk(f StepFactory, phase int, ck *steppedChunk) {
 		if done {
 			ck.progs[v-ck.lo] = nil
 		} else {
-			kept = append(kept, v32)
-			due = min(due, max(phase, int(nd.sleep))+1)
+			kept = append(kept, e)
+			due = min(due, max(phase, int(e.sleep))+1)
 		}
 	}
 	ck.alive = kept
@@ -467,18 +478,22 @@ func (w *steppedWorker) collect(readRecs []slotRec, gen, v int, mail uint32) []I
 	return in
 }
 
-// initNode builds the node's program and runs Init, converting panics into
-// the run failure. A panicked node is treated as done.
-func (w *steppedWorker) initNode(f StepFactory, ck *steppedChunk, nd *Node) (done bool) {
-	defer w.recoverStep(nd, &done)
+// initNode builds the program of the node the worker's Node stands for and
+// runs Init, converting panics into the run failure. A panicked node is
+// treated as done.
+func (w *steppedWorker) initNode(f StepFactory, ck *steppedChunk) (done bool) {
+	defer w.recoverStep(&done)
+	nd := &w.nd
 	prog := f(nd)
 	ck.progs[nd.v-ck.lo] = prog
 	return prog.Init(nd)
 }
 
-// stepNode runs one Step, converting panics into the run failure.
-func (w *steppedWorker) stepNode(ck *steppedChunk, nd *Node, round int, in []Incoming) (done bool) {
-	defer w.recoverStep(nd, &done)
+// stepNode runs one Step of the worker's current node, converting panics
+// into the run failure.
+func (w *steppedWorker) stepNode(ck *steppedChunk, round int, in []Incoming) (done bool) {
+	defer w.recoverStep(&done)
+	nd := &w.nd
 	return ck.progs[nd.v-ck.lo].Step(nd, round, in)
 }
 
@@ -486,12 +501,12 @@ func (w *steppedWorker) stepNode(ck *steppedChunk, nd *Node, round int, in []Inc
 // processing the remaining nodes of the round — the goroutine engine lets
 // concurrently running nodes complete their round too — and the driver
 // aborts before the next delivery.
-func (w *steppedWorker) recoverStep(nd *Node, done *bool) {
+func (w *steppedWorker) recoverStep(done *bool) {
 	if r := recover(); r != nil {
 		if re, ok := r.(runError); ok {
 			w.eng.fail(re.err)
 		} else {
-			w.eng.fail(fmt.Errorf("congest: node %d panicked: %v", nd.v, r))
+			w.eng.fail(fmt.Errorf("congest: node %d panicked: %v", w.nd.v, r))
 		}
 		*done = true
 	}

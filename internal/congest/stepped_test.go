@@ -602,12 +602,58 @@ func TestSlotRecFootprint(t *testing.T) {
 	}
 }
 
-// TestNodeFootprint pins the per-node engine state: a Node keeps only what
-// lives across rounds, and its per-call I/O is one pointer.
+// TestNodeFootprint pins the goroutine engine's per-node state: a Node
+// keeps only what lives across rounds, and its per-call I/O is one pointer.
+// The stepped engine keeps no per-node Node (TestSteppedHeapBytesPerNode).
 func TestNodeFootprint(t *testing.T) {
 	if sz := unsafe.Sizeof(Node{}); sz > 48 {
 		t.Errorf("sizeof(Node) = %d B, want ≤ 48", sz)
 	}
+}
+
+// TestSteppedHeapBytesPerNode bounds what one stepped run allocates by the
+// sizes of the engine's arrays, computed from their lengths: per node the
+// alive entry (index and sleep round), the mail word, the StepProgram
+// value and the inOff entry; per directed edge the two slot records and
+// the destSlot entry. The program is a silent one from a slab allocated
+// before the count, so everything counted is the engine's. A fixed slack
+// covers the chunks, the workers and the page rounding of large arrays;
+// one more byte per node, 128 KiB here, does not fit in it.
+func TestSteppedHeapBytesPerNode(t *testing.T) {
+	g := graph.Torus(512, 256) // 2¹⁷ nodes, 2¹⁹ directed edges
+	// The pool's size sets the number of chunks and workers: pin it so the
+	// slack does not depend on the machine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	n, slots := uint64(g.N()), uint64(2*g.M())
+	slab := make([]silentStep, n)
+	factory := func(nd *Node) StepProgram {
+		s := &slab[nd.V()]
+		s.rounds = 4
+		return s
+	}
+	net := NewNetwork(g, Config{Engine: EngineStepped})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := net.RunStepped(factory)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Rounds != 4 {
+		t.Fatalf("rounds = %d, want 4", m.Rounds)
+	}
+	var prog StepProgram
+	perNode := uint64(unsafe.Sizeof(liveNode{}) + unsafe.Sizeof(atomic.Uint32{}) +
+		unsafe.Sizeof(prog) + unsafe.Sizeof(int32(0)))
+	perSlot := uint64(2*unsafe.Sizeof(slotRec(0)) + unsafe.Sizeof(int32(0)))
+	const slack = 64 << 10
+	got, arrays := after.TotalAlloc-before.TotalAlloc, perNode*n+perSlot*slots
+	t.Logf("one run on %d nodes allocated %d B: arrays %d B (%d B/node, %d B/slot), %d B beyond",
+		n, got, arrays, perNode, perSlot, int64(got)-int64(arrays))
+	if got > arrays+slack {
+		t.Errorf("one run allocated %d B, more than its arrays' %d B + %d B slack", got, arrays, slack)
+	}
+	runtime.KeepAlive(slab)
 }
 
 // raceEnabled is set by race_test.go under the race detector.
@@ -618,8 +664,9 @@ var raceEnabled = false
 // 1000×1000 torus — one million nodes, four million directed edges — which
 // the goroutine-backed engines cannot attempt without gigabytes of stacks.
 // Peak RSS must stay under 700 MiB (it was < 1 GiB before the packed slot
-// records); the CI memory smoke job additionally runs it under an external
-// GOMEMLIMIT.
+// records; 230–233 MiB measured with no per-node Node in the stepped
+// engine, 268–274 MiB with one, 2-core Xeon); the CI memory smoke job
+// additionally runs it under an external GOMEMLIMIT.
 func TestSteppedMillionNodeTorus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: million-node run takes several seconds")
@@ -673,8 +720,9 @@ func TestSteppedMillionNodeTorus(t *testing.T) {
 // .csrg file instead of heap CSR slices. The mapped pages are file-backed
 // — shareable across processes, evictable under pressure, and invisible
 // to the Go heap — so the measured peak RSS must land strictly below the
-// all-heap run's recorded number (~400 MiB; the CI memsmoke job runs this
-// test alone, where the assertion is meaningful). Output equality against
+// all-heap run's recorded number (219–226 vs 230–233 MiB, 2-core Xeon;
+// the CI memsmoke job runs this test alone, where the assertion is
+// meaningful). Output equality against
 // the heap-built graph is pinned by the conformance suite's
 // cross-representation pass; here a checksum re-run pins determinism of
 // the mapped run itself.
