@@ -100,30 +100,29 @@ func main() {
 
 // smokeStep is a 16-round broadcast-and-fold (the paper's Part I/II message
 // pattern) with an order-sensitive accumulator, so the printed checksum is
-// a determinism witness: it must be identical on every engine.
-type smokeStep struct {
-	out []int64
-	acc int64
-}
+// a determinism witness: it must be identical on every engine. Each node's
+// accumulator is its out entry.
+type smokeStep struct{ out []int64 }
 
 const smokeRounds = 16
 
 func (s *smokeStep) Init(nd *congest.Node) bool {
-	s.acc = nd.ID()
-	nd.Broadcast(congest.AppendVarint(nd.PayloadBuf(4), s.acc&0x3fff))
+	acc := &s.out[nd.V()]
+	*acc = nd.ID()
+	nd.Broadcast(congest.AppendVarint(nd.PayloadBuf(4), *acc&0x3fff))
 	return false
 }
 
 func (s *smokeStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
+	acc := &s.out[nd.V()]
 	for i, msg := range in {
 		v, _ := congest.Varint(msg.Payload, 0)
-		s.acc = s.acc*31 + v*int64(i+1)
+		*acc = *acc*31 + v*int64(i+1)
 	}
 	if round+1 >= smokeRounds {
-		s.out[nd.V()] = s.acc
 		return true
 	}
-	nd.Broadcast(congest.AppendVarint(nd.PayloadBuf(4), s.acc&0x3fff))
+	nd.Broadcast(congest.AppendVarint(nd.PayloadBuf(4), *acc&0x3fff))
 	return false
 }
 
@@ -131,9 +130,7 @@ func runSmoke(g *graph.Graph) {
 	net := congest.NewNetwork(g, congest.Config{})
 	out := make([]int64, g.N())
 	start := time.Now()
-	m, err := net.RunStepped(func(nd *congest.Node) congest.StepProgram {
-		return &smokeStep{out: out}
-	})
+	m, err := net.RunStepped(&smokeStep{out: out})
 	if err != nil {
 		log.Fatal(err)
 	}

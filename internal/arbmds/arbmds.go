@@ -51,7 +51,7 @@
 // no separate cleanup step.
 //
 // The native implementation is a congest.StepProgram (explicit per-node
-// state, 16 bytes per node in one slab, no goroutine stacks), so Solve
+// state, 8 bytes per node in one slab, no goroutine stacks), so Solve
 // runs million-node instances on EngineStepped in bounded memory. Its
 // non-candidates sleep (congest.Node.SleepUntil): such a node runs only
 // when mail reaches it and at the report round of the next phase whose
@@ -175,7 +175,7 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 	}
 	net := congest.NewNetwork(g, p.Run.Config(p.MaxRounds))
 	inD := make([]bool, g.N())
-	m, err := net.RunStepped(StepFactory(g, eps, inD))
+	m, err := net.RunStepped(StepProgram(g, eps, inD))
 	if err != nil {
 		return nil, err
 	}

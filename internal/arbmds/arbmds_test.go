@@ -147,10 +147,10 @@ func TestPeelSleeps(t *testing.T) {
 }
 
 // TestPeelStepFootprint pins the per-node state of the native form: the
-// Peel word plus one pointer to the run's shared state.
+// Peel word, with the schedule and output held once by the program.
 func TestPeelStepFootprint(t *testing.T) {
-	if sz := unsafe.Sizeof(peelStep{}); sz > 16 {
-		t.Errorf("sizeof(peelStep) = %d B, want ≤ 16", sz)
+	if sz := unsafe.Sizeof(Peel{}); sz > 8 {
+		t.Errorf("sizeof(Peel) = %d B, want ≤ 8", sz)
 	}
 }
 

@@ -52,14 +52,16 @@ func TestArbmdsMillionNodeUnionForest(t *testing.T) {
 		t.Errorf("certificate failed at n=10⁶: %v", cert)
 	}
 	t.Logf("n=%d Δ=%d rounds=%d |set|=%d %v", n, g.MaxDegree(), res.Metrics.Rounds, len(res.Set), cert)
-	// The bound stays loose: GC timing has moved the peak by ~25 MiB from
-	// run to run (251–274 MiB over 8 runs with 4-byte slot records,
-	// 295–320 MiB over 6 with 8-byte ones, 2-core Xeon). With no per-node
-	// Node in the stepped engine it read 161.2 MiB in 3 of 3 runs under
-	// GOMEMLIMIT=700MiB (203.0–203.2 MiB before).
+	// With one program value per run (no per-node StepProgram in the
+	// stepped engine) the peak read 140.8–141.1 MiB in 5 of 5 runs alone
+	// under GOMEMLIMIT=700MiB (161.1–161.3 MiB before), and 165.5–191.3
+	// MiB in 13 runs of the whole package, where the generator's and
+	// earlier tests' garbage may be live when the run starts (2-core
+	// Xeon). The bound is 1.5× the highest of those readings, rounded up.
+	const bound = 300 << 20
 	hwm := testmem.ReadVmHWM()
 	t.Logf("peak RSS after 1M-node arbmds run: %.1f MiB", float64(hwm)/(1<<20))
-	if hwm > 0 && hwm >= 700<<20 {
-		t.Errorf("peak RSS %d bytes >= 700 MiB bound", hwm)
+	if hwm > 0 && hwm >= bound {
+		t.Errorf("peak RSS %d bytes >= %d MiB bound", hwm, bound>>20)
 	}
 }

@@ -7,10 +7,10 @@ import (
 
 // The native StepProgram form of the peeling algorithm. Per-node state is
 // a Peel — a support counter maintained incrementally from the phase
-// messages plus the white/nominated/candidate flags, one machine word —
-// and a pointer to the run's shared schedule and output, 16 bytes in one
-// slab, so a million-node run costs the engine's slot records plus a few
-// words per node, no goroutine stacks.
+// messages plus the white/nominated/candidate flags, one machine word — in
+// one slab held by the run's single program value next to the shared
+// schedule and output, so a million-node run costs the engine's slot
+// records plus a few words per node, no goroutine stacks.
 //
 // Message types are implied by the round segment (all nodes run the same
 // 4-segment phase schedule in lockstep), so three of the four message
@@ -164,40 +164,32 @@ func (p *Peel) wakeRound(ths []int, phase int) int {
 	return len(ths)*segPerPhase - 1
 }
 
-// peelStep is arbmds's StepProgram: the peel plus a pointer to the state
-// every node of the run shares. 16 bytes per node, all in one slab.
+// peelStep is arbmds's StepProgram: what every node of the run shares and
+// one Peel per node, 8 bytes, in one slab.
 type peelStep struct {
-	Peel
-	sh *peelShared
+	ths   []int  // threshold schedule (read-only)
+	inD   []bool // output, nodes write disjoint slots
+	peels []Peel // indexed by node
 }
 
-// peelShared is what every node of one run reads or writes in common.
-type peelShared struct {
-	ths []int  // threshold schedule (read-only)
-	inD []bool // output, nodes write disjoint slots
-}
-
-// StepFactory builds the native stepped form for g: the threshold schedule
+// StepProgram builds the native stepped form for g: the threshold schedule
 // is computed once from Δ (all nodes know it) and shared read-only across
 // nodes; inD is the output vector (distinct nodes write distinct slots, as
-// the StepFactory contract allows). The per-node states come from one slab
-// indexed by node, so the factory serves one run.
-func StepFactory(g *graph.Graph, eps float64, inD []bool) congest.StepFactory {
-	sh := &peelShared{ths: Thresholds(g.MaxDegree(), eps), inD: inD}
-	slab := make([]peelStep, g.N())
-	return func(nd *congest.Node) congest.StepProgram {
-		ps := &slab[nd.V()]
-		*ps = peelStep{Peel: NewPeel(nd.Degree()), sh: sh}
-		return ps
-	}
+// the StepProgram contract allows). The per-node states are one slab
+// indexed by node, so the program serves one run.
+func StepProgram(g *graph.Graph, eps float64, inD []bool) congest.StepProgram {
+	return &peelStep{ths: Thresholds(g.MaxDegree(), eps), inD: inD, peels: make([]Peel, g.N())}
 }
 
-func (ps *peelStep) Init(nd *congest.Node) bool { return false }
+func (ps *peelStep) Init(nd *congest.Node) bool {
+	ps.peels[nd.V()] = NewPeel(nd.Degree())
+	return false
+}
 
 func (ps *peelStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
-	joined, last := ps.Peel.Step(nd, ps.sh.ths, round, in)
+	joined, last := ps.peels[nd.V()].Step(nd, ps.ths, round, in)
 	if joined {
-		ps.sh.inD[nd.V()] = true
+		ps.inD[nd.V()] = true
 	}
 	return last
 }

@@ -8,17 +8,6 @@ import (
 	"congestds/internal/graph"
 )
 
-// benchFactory builds the broadcast-and-fold workload (echoStep, shared
-// with the engine tests): every node broadcasts a small varint every round
-// and folds its inbox order-sensitively. It is the message pattern of the
-// paper's Part I/II phases (all nodes exchange a constant number of values
-// per round). Payloads come from PayloadBuf, so the goroutine engine
-// allocates per send (as real blocking programs do) while the
-// stepped engine serves them from its arena — each engine's natural cost.
-func benchFactory(out []int64, rounds int) StepFactory {
-	return func(nd *Node) StepProgram { return &echoStep{out: out, rounds: rounds} }
-}
-
 // benchEngines runs fn once per engine per GOMAXPROCS setting. The stepped
 // engine sizes its worker pool from GOMAXPROCS at run time, so the sweep
 // measures real scheduler scaling, not b.RunParallel loop parallelism.
@@ -53,11 +42,19 @@ func BenchmarkEngine(b *testing.B) {
 				net := NewNetwork(size.g, Config{Engine: eng})
 				net.topology() // build the shared CSR layout outside the timer
 				out := make([]int64, size.g.N())
-				factory := benchFactory(out, rounds)
+				// The broadcast-and-fold workload (echoStep, shared with
+				// the engine tests): every node broadcasts a small varint
+				// every round and folds its inbox order-sensitively, the
+				// message pattern of the paper's Part I/II phases. Payloads
+				// come from PayloadBuf, so the goroutine engine allocates
+				// per send (as real blocking programs do) while the stepped
+				// engine serves them from its arena — each engine's
+				// natural cost.
+				prog := &echoStep{out: out, rounds: rounds}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := net.RunStepped(factory); err != nil {
+					if _, err := net.RunStepped(prog); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -81,7 +78,7 @@ func BenchmarkEngineBarrier(b *testing.B) {
 			nd.Sync()
 		}
 	}
-	stepFactory := func(nd *Node) StepProgram { return &silentStep{rounds: rounds} }
+	silent := &silentStep{rounds: rounds}
 	benchEngines(b, func(b *testing.B, eng Engine) {
 		net := NewNetwork(g, Config{Engine: eng})
 		net.topology()
@@ -90,7 +87,7 @@ func BenchmarkEngineBarrier(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var err error
 			if eng == EngineStepped {
-				_, err = net.RunStepped(stepFactory)
+				_, err = net.RunStepped(silent)
 			} else {
 				_, err = net.Run(blocking)
 			}

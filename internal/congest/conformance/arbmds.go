@@ -45,7 +45,7 @@ func buildArbmds(g *graph.Graph) (congest.Program, func() []byte) {
 	return arbmds.BlockingProgram(g, 0.5, inD), arbmdsOutput(inD)
 }
 
-func buildArbmdsStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
+func buildArbmdsStep(g *graph.Graph) (congest.StepProgram, func() []byte) {
 	inD := make([]bool, g.N())
-	return arbmds.StepFactory(g, 0.5, inD), arbmdsOutput(inD)
+	return arbmds.StepProgram(g, 0.5, inD), arbmdsOutput(inD)
 }

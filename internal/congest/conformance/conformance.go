@@ -34,7 +34,7 @@ import (
 type Case struct {
 	Name      string
 	Build     func(g *graph.Graph) (congest.Program, func() []byte)
-	BuildStep func(g *graph.Graph) (congest.StepFactory, func() []byte)
+	BuildStep func(g *graph.Graph) (congest.StepProgram, func() []byte)
 }
 
 // cases is the registry, populated by programs.go.
@@ -118,8 +118,8 @@ func runOn(c Case, g *graph.Graph, cfg congest.Config) Result {
 // the goroutine engine.
 func runStepOn(c Case, g *graph.Graph, eng congest.Engine, cfg congest.Config) Result {
 	cfg.Engine = eng
-	factory, output := c.BuildStep(g)
-	m, err := congest.NewNetwork(g, cfg).RunStepped(factory)
+	prog, output := c.BuildStep(g)
+	m, err := congest.NewNetwork(g, cfg).RunStepped(prog)
 	res := Result{Metrics: m, Err: err}
 	if err == nil {
 		res.Output = output()

@@ -208,9 +208,8 @@ func TestFailureMetricsConformance(t *testing.T) {
 			}
 			return prog, func() []byte { return nil }
 		},
-		BuildStep: func(g *graph.Graph) (congest.StepFactory, func() []byte) {
-			return func(nd *congest.Node) congest.StepProgram { return &runawayStep{} },
-				func() []byte { return nil }
+		BuildStep: func(g *graph.Graph) (congest.StepProgram, func() []byte) {
+			return &runawayStep{}, func() []byte { return nil }
 		},
 	}
 	oversend := Case{
@@ -227,9 +226,8 @@ func TestFailureMetricsConformance(t *testing.T) {
 			}
 			return prog, func() []byte { return nil }
 		},
-		BuildStep: func(g *graph.Graph) (congest.StepFactory, func() []byte) {
-			return func(nd *congest.Node) congest.StepProgram { return &lateOversend{} },
-				func() []byte { return nil }
+		BuildStep: func(g *graph.Graph) (congest.StepProgram, func() []byte) {
+			return &lateOversend{}, func() []byte { return nil }
 		},
 	}
 	t.Run("max-rounds", func(t *testing.T) {
@@ -267,9 +265,9 @@ func TestDiffDetectsDivergence(t *testing.T) {
 			prog, _ := buildIDExchange(g)
 			return prog, stamp()
 		},
-		BuildStep: func(g *graph.Graph) (congest.StepFactory, func() []byte) {
-			factory, _ := buildIDExchangeStep(g)
-			return factory, stamp()
+		BuildStep: func(g *graph.Graph) (congest.StepProgram, func() []byte) {
+			prog, _ := buildIDExchangeStep(g)
+			return prog, stamp()
 		},
 	}
 	g := graph.Cycle(6)

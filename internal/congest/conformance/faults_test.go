@@ -144,8 +144,8 @@ func TestSleepingPeelSeesEveryCrash(t *testing.T) {
 				}
 				for _, eng := range congest.Engines() {
 					got := newCrashCounter(n)
-					factory, _ := c.BuildStep(ng.G)
-					if _, err := congest.NewNetwork(ng.G, congest.Config{Engine: eng, Hooks: got}).RunStepped(factory); err != nil {
+					step, _ := c.BuildStep(ng.G)
+					if _, err := congest.NewNetwork(ng.G, congest.Config{Engine: eng, Hooks: got}).RunStepped(step); err != nil {
 						t.Fatalf("graph %s: stepped on %v: %v", ng.Name, eng, err)
 					}
 					for v := 0; v < n; v++ {
@@ -202,8 +202,8 @@ func TestCrashAllNodes(t *testing.T) {
 		prog, _ := c.Build(g)
 		m, err := congest.NewNetwork(g, cfg).Run(prog)
 		check("blocking", m, err)
-		factory, _ := c.BuildStep(g)
-		m, err = congest.NewNetwork(g, cfg).RunStepped(factory)
+		step, _ := c.BuildStep(g)
+		m, err = congest.NewNetwork(g, cfg).RunStepped(step)
 		check("stepped", m, err)
 	}
 }

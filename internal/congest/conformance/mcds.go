@@ -54,10 +54,10 @@ func buildMcdsFull(g *graph.Graph) (congest.Program, func() []byte) {
 	return mcds.BlockingProgram(g, 0.5, corpusDiam(g), inD, inCDS), mcdsOutput(inD, inCDS)
 }
 
-func buildMcdsFullStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
+func buildMcdsFullStep(g *graph.Graph) (congest.StepProgram, func() []byte) {
 	inD := make([]bool, g.N())
 	inCDS := make([]bool, g.N())
-	return mcds.StepFactory(g, 0.5, corpusDiam(g), inD, inCDS), mcdsOutput(inD, inCDS)
+	return mcds.StepProgram(g, 0.5, corpusDiam(g), inD, inCDS), mcdsOutput(inD, inCDS)
 }
 
 // corpusDiam is the diameter bound the corpus cases use: n is always safe

@@ -24,7 +24,7 @@ func TestMcdsFailureMetricsConformance(t *testing.T) {
 		inD := make([]bool, ng.G.N())
 		inCDS := make([]bool, ng.G.N())
 		net := congest.NewNetwork(ng.G, congest.Config{})
-		full, err := net.RunStepped(mcds.StepFactory(ng.G, 0.5, corpusDiam(ng.G), inD, inCDS))
+		full, err := net.RunStepped(mcds.StepProgram(ng.G, 0.5, corpusDiam(ng.G), inD, inCDS))
 		if err != nil {
 			t.Fatalf("graph %s: unclamped run failed: %v", ng.Name, err)
 		}
@@ -34,7 +34,7 @@ func TestMcdsFailureMetricsConformance(t *testing.T) {
 		}
 		// Sanity: the clamp actually triggers the failure on the reference.
 		net = congest.NewNetwork(ng.G, congest.Config{MaxRounds: clamp})
-		if _, err := net.RunStepped(mcds.StepFactory(ng.G, 0.5, corpusDiam(ng.G),
+		if _, err := net.RunStepped(mcds.StepProgram(ng.G, 0.5, corpusDiam(ng.G),
 			make([]bool, ng.G.N()), make([]bool, ng.G.N()))); !errors.Is(err, congest.ErrMaxRounds) {
 			t.Fatalf("graph %s: clamp %d did not trigger ErrMaxRounds: %v", ng.Name, clamp, err)
 		}
@@ -54,7 +54,7 @@ func TestMcdsCorpusOutputsAreComponentwiseCDS(t *testing.T) {
 		inD := make([]bool, ng.G.N())
 		inCDS := make([]bool, ng.G.N())
 		net := congest.NewNetwork(ng.G, congest.Config{Engine: congest.EngineStepped})
-		if _, err := net.RunStepped(mcds.StepFactory(ng.G, 0.5, corpusDiam(ng.G), inD, inCDS)); err != nil {
+		if _, err := net.RunStepped(mcds.StepProgram(ng.G, 0.5, corpusDiam(ng.G), inD, inCDS)); err != nil {
 			t.Fatalf("graph %s: %v", ng.Name, err)
 		}
 		var cds []int

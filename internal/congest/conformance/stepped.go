@@ -10,8 +10,11 @@ import (
 
 // Stepped variants of the registered programs: each is an independent port
 // of its blocking counterpart in programs.go to the stackless StepProgram
-// form (explicit state struct, Init = sends before the first Sync, Step r =
-// receives of round r plus the sends of round r+1). The harness requires
+// form (one program value per run, each stack variable a per-node slab
+// indexed by Node.V, Init = sends before the first Sync, Step r = receives
+// of round r plus the sends of round r+1). A port writes its outputs where
+// the blocking program does, so a node that crashes before its end leaves
+// the same output on both forms. The harness requires
 // every variant to be byte- and metric-identical to the blocking reference
 // on every engine, which pins both the ports and the stepped engine itself.
 //
@@ -37,12 +40,9 @@ func (s *idExchangeStep) Step(nd *congest.Node, round int, in []congest.Incoming
 	return true
 }
 
-func buildIDExchangeStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
+func buildIDExchangeStep(g *graph.Graph) (congest.StepProgram, func() []byte) {
 	got := make([][]int64, g.N())
-	factory := func(nd *congest.Node) congest.StepProgram {
-		return &idExchangeStep{got: got}
-	}
-	return factory, func() []byte {
+	return &idExchangeStep{got: got}, func() []byte {
 		var buf []byte
 		for _, res := range got {
 			buf = appendInt(buf, int64(len(res)))
@@ -58,45 +58,48 @@ func buildIDExchangeStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
 type floodDistanceStep struct {
 	dist   []int64
 	rounds int
-	my     int64
+	my     []int64
+}
+
+func newFloodDistanceStep(n int) floodDistanceStep {
+	return floodDistanceStep{dist: make([]int64, n), rounds: n, my: make([]int64, n)}
 }
 
 func (s *floodDistanceStep) Init(nd *congest.Node) bool {
-	s.my = -1
+	my := &s.my[nd.V()]
+	*my = -1
 	if nd.ID() == 1 {
-		s.my = 0
+		*my = 0
 	}
 	if s.rounds <= 0 {
-		s.dist[nd.V()] = s.my
+		s.dist[nd.V()] = *my
 		return true
 	}
-	if s.my == 0 {
+	if *my == 0 {
 		nd.Broadcast([]byte{1})
 	}
 	return false
 }
 
 func (s *floodDistanceStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
-	if s.my < 0 && len(in) > 0 {
-		s.my = int64(round + 1)
+	my := &s.my[nd.V()]
+	if *my < 0 && len(in) > 0 {
+		*my = int64(round + 1)
 	}
 	if round+1 >= s.rounds {
-		s.dist[nd.V()] = s.my
+		s.dist[nd.V()] = *my
 		return true
 	}
-	if s.my == int64(round+1) {
+	if *my == int64(round+1) {
 		nd.Broadcast([]byte{1})
 	}
 	return false
 }
 
-func buildFloodDistanceStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
-	dist := make([]int64, g.N())
-	rounds := g.N()
-	factory := func(nd *congest.Node) congest.StepProgram {
-		return &floodDistanceStep{dist: dist, rounds: rounds}
-	}
-	return factory, func() []byte {
+func buildFloodDistanceStep(g *graph.Graph) (congest.StepProgram, func() []byte) {
+	s := newFloodDistanceStep(g.N())
+	dist := s.dist
+	return &s, func() []byte {
 		var buf []byte
 		for _, d := range dist {
 			buf = appendInt(buf, d)
@@ -108,44 +111,39 @@ func buildFloodDistanceStep(g *graph.Graph) (congest.StepFactory, func() []byte)
 // mixerStep: five rounds of order-sensitive accumulation.
 type mixerStep struct {
 	out []int64
-	acc int64
+	acc []int64
 }
 
 func (s *mixerStep) Init(nd *congest.Node) bool {
-	s.acc = nd.ID()
-	nd.Broadcast(congest.AppendVarint(nd.PayloadBuf(4), s.acc&mask))
+	acc := &s.acc[nd.V()]
+	*acc = nd.ID()
+	nd.Broadcast(congest.AppendVarint(nd.PayloadBuf(4), *acc&mask))
 	return false
 }
 
 func (s *mixerStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
+	acc := &s.acc[nd.V()]
 	for i, msg := range in {
 		x := mixerValue(msg.Payload)
-		s.acc = s.acc*31 + x*int64(i+1) + int64(msg.Port)
+		*acc = *acc*31 + x*int64(i+1) + int64(msg.Port)
 	}
 	if round+1 >= 5 {
-		s.out[nd.V()] = s.acc
+		s.out[nd.V()] = *acc
 		return true
 	}
-	nd.Broadcast(congest.AppendVarint(nd.PayloadBuf(4), s.acc&mask))
+	nd.Broadcast(congest.AppendVarint(nd.PayloadBuf(4), *acc&mask))
 	return false
 }
 
-func buildMixerStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
+func buildMixerStep(g *graph.Graph) (congest.StepProgram, func() []byte) {
 	out := make([]int64, g.N())
-	factory := func(nd *congest.Node) congest.StepProgram {
-		return &mixerStep{out: out}
-	}
-	return factory, outputInts(out)
+	return &mixerStep{out: out, acc: make([]int64, g.N())}, outputInts(out)
 }
 
 // earlyStopStep: node v runs v%4+1 rounds then stops.
-type earlyStopStep struct {
-	seen   [][]int64
-	rounds int
-}
+type earlyStopStep struct{ seen [][]int64 }
 
 func (s *earlyStopStep) Init(nd *congest.Node) bool {
-	s.rounds = nd.V()%4 + 1
 	nd.Broadcast(congest.AppendVarint(nd.PayloadBuf(4), 0))
 	return false
 }
@@ -158,19 +156,16 @@ func (s *earlyStopStep) Step(nd *congest.Node, round int, in []congest.Incoming)
 	}
 	v := nd.V()
 	s.seen[v] = append(s.seen[v], int64(len(in)), sum)
-	if round+1 >= s.rounds {
+	if round+1 >= v%4+1 {
 		return true
 	}
 	nd.Broadcast(congest.AppendVarint(nd.PayloadBuf(4), int64(round+1)))
 	return false
 }
 
-func buildEarlyStopStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
+func buildEarlyStopStep(g *graph.Graph) (congest.StepProgram, func() []byte) {
 	seen := make([][]int64, g.N())
-	factory := func(nd *congest.Node) congest.StepProgram {
-		return &earlyStopStep{seen: seen}
-	}
-	return factory, func() []byte {
+	return &earlyStopStep{seen: seen}, func() []byte {
 		var buf []byte
 		for _, s := range seen {
 			buf = appendInt(buf, int64(len(s)))
@@ -207,12 +202,9 @@ func (s *finalSendStep) Step(nd *congest.Node, round int, in []congest.Incoming)
 	return true
 }
 
-func buildFinalSendStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
+func buildFinalSendStep(g *graph.Graph) (congest.StepProgram, func() []byte) {
 	heard := make([]int64, g.N())
-	factory := func(nd *congest.Node) congest.StepProgram {
-		return &finalSendStep{heard: heard}
-	}
-	return factory, outputInts(heard)
+	return &finalSendStep{heard: heard}, outputInts(heard)
 }
 
 // emptyPayloadStep: zero-length messages every other round.
@@ -236,19 +228,16 @@ func (s *emptyPayloadStep) Step(nd *congest.Node, round int, in []congest.Incomi
 	return false
 }
 
-func buildEmptyPayloadStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
+func buildEmptyPayloadStep(g *graph.Graph) (congest.StepProgram, func() []byte) {
 	count := make([]int64, g.N())
-	factory := func(nd *congest.Node) congest.StepProgram {
-		return &emptyPayloadStep{count: count}
-	}
-	return factory, outputInts(count)
+	return &emptyPayloadStep{count: count}, outputInts(count)
 }
 
 // portPingpongStep: a single rotating port per round, with the send
 // replaced once (Send-replaces-same-port semantics).
 type portPingpongStep struct {
 	out []int64
-	acc int64
+	acc []int64
 }
 
 func (s *portPingpongStep) sendRound(nd *congest.Node, r int) {
@@ -265,24 +254,22 @@ func (s *portPingpongStep) Init(nd *congest.Node) bool {
 }
 
 func (s *portPingpongStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
+	acc := &s.acc[nd.V()]
 	for _, msg := range in {
 		x, _ := congest.Varint(msg.Payload, 0)
-		s.acc = s.acc*17 + x + int64(msg.Port)
+		*acc = *acc*17 + x + int64(msg.Port)
 	}
 	if round+1 >= 6 {
-		s.out[nd.V()] = s.acc
+		s.out[nd.V()] = *acc
 		return true
 	}
 	s.sendRound(nd, round+1)
 	return false
 }
 
-func buildPortPingpongStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
+func buildPortPingpongStep(g *graph.Graph) (congest.StepProgram, func() []byte) {
 	out := make([]int64, g.N())
-	factory := func(nd *congest.Node) congest.StepProgram {
-		return &portPingpongStep{out: out}
-	}
-	return factory, outputInts(out)
+	return &portPingpongStep{out: out, acc: make([]int64, g.N())}, outputInts(out)
 }
 
 // portResendStep: each round re-sends on a port that is not the last one
@@ -290,7 +277,7 @@ func buildPortPingpongStep(g *graph.Graph) (congest.StepFactory, func() []byte) 
 // replacement must find a message behind a later port.
 type portResendStep struct {
 	out []int64
-	acc int64
+	acc []int64
 }
 
 func (s *portResendStep) sendRound(nd *congest.Node, r int) {
@@ -317,32 +304,30 @@ func (s *portResendStep) Init(nd *congest.Node) bool {
 }
 
 func (s *portResendStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
+	acc := &s.acc[nd.V()]
 	for _, msg := range in {
 		x, _ := congest.Varint(msg.Payload, 0)
-		s.acc = s.acc*17 + x + int64(msg.Port)
+		*acc = *acc*17 + x + int64(msg.Port)
 	}
-	s.acc = s.acc*31 + int64(len(in))
+	*acc = *acc*31 + int64(len(in))
 	if round+1 >= 6 {
-		s.out[nd.V()] = s.acc
+		s.out[nd.V()] = *acc
 		return true
 	}
 	s.sendRound(nd, round+1)
 	return false
 }
 
-func buildPortResendStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
+func buildPortResendStep(g *graph.Graph) (congest.StepProgram, func() []byte) {
 	out := make([]int64, g.N())
-	factory := func(nd *congest.Node) congest.StepProgram {
-		return &portResendStep{out: out}
-	}
-	return factory, outputInts(out)
+	return &portResendStep{out: out, acc: make([]int64, g.N())}, outputInts(out)
 }
 
 // silentRoundsStep: message-free rounds interleaved with broadcasts; mixes
 // Node.Round into the accumulator, pinning the engine's round counter.
 type silentRoundsStep struct {
 	out   []int64
-	total int64
+	total []int64
 }
 
 func (s *silentRoundsStep) Init(nd *congest.Node) bool {
@@ -351,9 +336,10 @@ func (s *silentRoundsStep) Init(nd *congest.Node) bool {
 }
 
 func (s *silentRoundsStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
-	s.total = s.total*7 + int64(len(in)) + int64(nd.Round())
+	total := &s.total[nd.V()]
+	*total = *total*7 + int64(len(in)) + int64(nd.Round())
 	if round+1 >= 6 {
-		s.out[nd.V()] = s.total
+		s.out[nd.V()] = *total
 		return true
 	}
 	if (round+1)%3 == 0 {
@@ -362,12 +348,9 @@ func (s *silentRoundsStep) Step(nd *congest.Node, round int, in []congest.Incomi
 	return false
 }
 
-func buildSilentRoundsStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
+func buildSilentRoundsStep(g *graph.Graph) (congest.StepProgram, func() []byte) {
 	out := make([]int64, g.N())
-	factory := func(nd *congest.Node) congest.StepProgram {
-		return &silentRoundsStep{out: out}
-	}
-	return factory, outputInts(out)
+	return &silentRoundsStep{out: out, total: make([]int64, g.N())}, outputInts(out)
 }
 
 // budgetEdgeStep: payloads of exactly the CONGEST budget, built in place in
@@ -395,7 +378,7 @@ func (s *budgetEdgeStep) Step(nd *congest.Node, round int, in []congest.Incoming
 	return true
 }
 
-func buildBudgetEdgeStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
+func buildBudgetEdgeStep(g *graph.Graph) (congest.StepProgram, func() []byte) {
 	n := g.N()
 	logn := bits.Len(uint(n))
 	if logn < 1 {
@@ -403,10 +386,7 @@ func buildBudgetEdgeStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
 	}
 	budgetBytes := 16 * logn / 8
 	sum := make([]int64, g.N())
-	factory := func(nd *congest.Node) congest.StepProgram {
-		return &budgetEdgeStep{sum: sum, bytes: budgetBytes}
-	}
-	return factory, outputInts(sum)
+	return &budgetEdgeStep{sum: sum, bytes: budgetBytes}, outputInts(sum)
 }
 
 // Sleeping variants: programs ported to skip the rounds in which a node
@@ -418,19 +398,21 @@ func buildBudgetEdgeStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
 // wakeCheck, so an engine that steps a sleeping node early or late fails
 // the run instead of going unnoticed by a tolerant program.
 
-// wakeCheck holds a sleeping variant's timer and checks every Step against
-// it: a node runs before its timer only with mail, and never after it.
-type wakeCheck struct{ until int }
+// wakeCheck holds a sleeping variant's timers, one per node, and checks
+// every Step against the node's: a node runs before its timer only with
+// mail, and never after it.
+type wakeCheck []int
 
-func (w *wakeCheck) sleep(nd *congest.Node, r int) {
-	w.until = r
+func (w wakeCheck) sleep(nd *congest.Node, r int) {
+	w[nd.V()] = r
 	nd.SleepUntil(r)
 }
 
-func (w *wakeCheck) check(round int, in []congest.Incoming) {
-	if round > w.until || (round < w.until && len(in) == 0) {
+func (w wakeCheck) check(nd *congest.Node, round int, in []congest.Incoming) {
+	until := w[nd.V()]
+	if round > until || (round < until && len(in) == 0) {
 		panic(fmt.Sprintf("conformance: sleeping node stepped in round %d (timer %d, %d messages)",
-			round, w.until, len(in)))
+			round, until, len(in)))
 	}
 }
 
@@ -451,7 +433,7 @@ func (s *floodSleepStep) Init(nd *congest.Node) bool {
 }
 
 func (s *floodSleepStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
-	s.wake.check(round, in)
+	s.wake.check(nd, round, in)
 	if s.floodDistanceStep.Step(nd, round, in) {
 		return true
 	}
@@ -459,13 +441,9 @@ func (s *floodSleepStep) Step(nd *congest.Node, round int, in []congest.Incoming
 	return false
 }
 
-func buildFloodSleepStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
-	dist := make([]int64, g.N())
-	rounds := g.N()
-	factory := func(nd *congest.Node) congest.StepProgram {
-		return &floodSleepStep{floodDistanceStep: floodDistanceStep{dist: dist, rounds: rounds}}
-	}
-	return factory, outputInts(dist)
+func buildFloodSleepStep(g *graph.Graph) (congest.StepProgram, func() []byte) {
+	s := &floodSleepStep{floodDistanceStep: newFloodDistanceStep(g.N()), wake: make(wakeCheck, g.N())}
+	return s, outputInts(s.dist)
 }
 
 // roundClockStep is buildRoundClock on timers alone: no node ever sends,
@@ -474,49 +452,55 @@ func buildFloodSleepStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
 // differ between neighbours, so some swept rounds skip nodes whose timer
 // is earlier than every stepped node's next one.
 type roundClockStep struct {
-	out  []int64
-	acc  int64
-	last int // the node's last round
-	next int // the first round whose term is not yet folded
-	wake wakeCheck
+	out   []int64
+	nodes []roundClockNode
+	wake  wakeCheck
 }
+
+// roundClockNode is one node's accumulator and the first round whose term
+// is not yet folded into it.
+type roundClockNode struct {
+	acc  int64
+	next int
+}
+
+// last is node v's last round.
+func (s *roundClockStep) last(v int) int { return clockRounds(v) - 1 }
 
 // sleep sets the timer to the first round after round that is due.
 func (s *roundClockStep) sleep(nd *congest.Node, round int) {
 	t := round + 1
-	for (t+nd.V())%3 != 0 && t < s.last {
+	for (t+nd.V())%3 != 0 && t < s.last(nd.V()) {
 		t++
 	}
 	s.wake.sleep(nd, t)
 }
 
 func (s *roundClockStep) Init(nd *congest.Node) bool {
-	s.acc = nd.ID()
-	s.last = clockRounds(nd.V()) - 1
+	s.nodes[nd.V()].acc = nd.ID()
 	s.sleep(nd, -1)
 	return false
 }
 
 func (s *roundClockStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
-	s.wake.check(round, in)
-	for ; s.next <= round; s.next++ {
-		s.acc = s.acc*5 + int64(s.next+1) // the inbox is empty: no node sends
+	s.wake.check(nd, round, in)
+	c := &s.nodes[nd.V()]
+	for ; c.next <= round; c.next++ {
+		c.acc = c.acc*5 + int64(c.next+1) // the inbox is empty: no node sends
 	}
-	s.acc += int64(len(in)) * 1000
-	if round == s.last {
-		s.out[nd.V()] = s.acc
+	c.acc += int64(len(in)) * 1000
+	if round == s.last(nd.V()) {
+		s.out[nd.V()] = c.acc
 		return true
 	}
 	s.sleep(nd, round)
 	return false
 }
 
-func buildRoundClockStep(g *graph.Graph) (congest.StepFactory, func() []byte) {
+func buildRoundClockStep(g *graph.Graph) (congest.StepProgram, func() []byte) {
 	out := make([]int64, g.N())
-	factory := func(nd *congest.Node) congest.StepProgram {
-		return &roundClockStep{out: out}
-	}
-	return factory, outputInts(out)
+	s := &roundClockStep{out: out, nodes: make([]roundClockNode, g.N()), wake: make(wakeCheck, g.N())}
+	return s, outputInts(out)
 }
 
 // outputInts serializes a node-indexed int64 slice canonically.

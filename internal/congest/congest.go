@@ -11,9 +11,10 @@
 //
 //   - EngineStepped, the default: a stackless worker-pool scheduler for
 //     programs written in the non-blocking StepProgram form. Per-node state
-//     is an explicit struct instead of a goroutine stack, so million-node
-//     graphs run in a few machine words per node; payloads are
-//     bump-allocated from a per-round arena (see Node.PayloadBuf).
+//     is a slab entry of the run's one program value instead of a
+//     goroutine stack, so million-node graphs run in a few machine words
+//     per node; payloads are bump-allocated from a per-round arena (see
+//     Node.PayloadBuf).
 //   - EngineGoroutine: one goroutine per node with a global barrier. The
 //     reference engine; simple and adequate for small instances. Blocking
 //     Programs (Run) always execute here, whatever Config.Engine says, since
@@ -31,8 +32,9 @@
 //
 // A StepProgram is the resumable state-machine form of a Program: Init
 // replaces the code before the first Sync, each Step replaces the code
-// between two Syncs, and explicit struct fields replace stack variables.
-// The blocking flood
+// between two Syncs, and per-node slabs indexed by Node.V replace stack
+// variables. One program value runs every node, so a node's state costs
+// the slab entries and nothing more. The blocking flood
 //
 //	prog := func(nd *congest.Node) {
 //		my := -1
@@ -51,28 +53,31 @@
 //		dist[nd.V()] = my
 //	}
 //
-// becomes
+// becomes, with dist itself as the slab that holds every node's my,
 //
-//	type flood struct{ my, rounds int; dist []int }
+//	type flood struct {
+//		rounds int
+//		dist   []int // per node: its hop distance, -1 until reached
+//	}
 //
 //	func (f *flood) Init(nd *congest.Node) bool {
-//		f.my = -1
+//		f.dist[nd.V()] = -1
 //		if nd.V() == 0 {
-//			f.my = 0
+//			f.dist[0] = 0
 //			nd.Broadcast([]byte{1}) // the sends of loop iteration 0
 //		}
 //		return false
 //	}
 //
 //	func (f *flood) Step(nd *congest.Node, r int, in []congest.Incoming) bool {
-//		if f.my < 0 && len(in) > 0 { // the receives of loop iteration r
-//			f.my = r + 1
+//		my := &f.dist[nd.V()]
+//		if *my < 0 && len(in) > 0 { // the receives of loop iteration r
+//			*my = r + 1
 //		}
 //		if r+1 >= f.rounds {
-//			f.dist[nd.V()] = f.my
 //			return true // done: like returning from the blocking Program
 //		}
-//		if f.my == r+1 {
+//		if *my == r+1 {
 //			nd.Broadcast([]byte{1}) // the sends of loop iteration r+1
 //		}
 //		return false
@@ -80,9 +85,7 @@
 //
 // run with
 //
-//	net.RunStepped(func(nd *congest.Node) congest.StepProgram {
-//		return &flood{rounds: rounds, dist: dist}
-//	})
+//	net.RunStepped(&flood{rounds: rounds, dist: dist})
 //
 // A node that only reacts to mail or to a known round can sleep in
 // between (Node.SleepUntil): the flood above could call

@@ -87,7 +87,7 @@ func TestDeadlineEnforced(t *testing.T) {
 			})
 		})
 		run("stepped", func(cfg Config) (Metrics, error) {
-			return NewNetwork(g, cfg).RunStepped(func(nd *Node) StepProgram { return &sleepyStep{} })
+			return NewNetwork(g, cfg).RunStepped(&sleepyStep{})
 		})
 	}
 }
@@ -103,7 +103,7 @@ func TestContextCancellation(t *testing.T) {
 			cancel()
 		}()
 		cfg := Config{Engine: eng, Ctx: ctx, MaxRounds: 1 << 20}
-		m, err := NewNetwork(g, cfg).RunStepped(func(nd *Node) StepProgram { return &sleepyStep{} })
+		m, err := NewNetwork(g, cfg).RunStepped(&sleepyStep{})
 		if !errors.Is(err, ErrDeadline) {
 			t.Errorf("%v: err=%v, want ErrDeadline after cancellation", eng, err)
 		}

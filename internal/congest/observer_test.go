@@ -52,7 +52,7 @@ func TestObserverRoundEndMatchesMetrics(t *testing.T) {
 				o := newCountObs()
 				out := make([]int64, g.N())
 				m, err := NewNetwork(g, Config{Engine: eng, Observer: o}).
-					RunStepped(echoFactory(out, 9))
+					RunStepped(&echoStep{out: out, rounds: 9})
 				if err != nil {
 					t.Fatalf("run: %v", err)
 				}
@@ -61,7 +61,7 @@ func TestObserverRoundEndMatchesMetrics(t *testing.T) {
 			t.Run("bandwidth-failure", func(t *testing.T) {
 				o := newCountObs()
 				net := NewNetwork(g, Config{BandwidthFactor: 1, Engine: eng, Observer: o})
-				m, err := net.RunStepped(func(nd *Node) StepProgram { return &bigSender{} })
+				m, err := net.RunStepped(&bigSender{})
 				if !errors.Is(err, ErrBandwidth) {
 					t.Fatalf("err=%v, want ErrBandwidth", err)
 				}
@@ -70,7 +70,7 @@ func TestObserverRoundEndMatchesMetrics(t *testing.T) {
 			t.Run("max-rounds-failure", func(t *testing.T) {
 				o := newCountObs()
 				net := NewNetwork(g, Config{MaxRounds: 5, Engine: eng, Observer: o})
-				m, err := net.RunStepped(func(nd *Node) StepProgram { return &forever{} })
+				m, err := net.RunStepped(&forever{})
 				if !errors.Is(err, ErrMaxRounds) {
 					t.Fatalf("err=%v, want ErrMaxRounds", err)
 				}
@@ -115,7 +115,7 @@ func TestObserverEngineEvents(t *testing.T) {
 	runWith := func(eng Engine) *countObs {
 		o := newCountObs()
 		out := make([]int64, g.N())
-		if _, err := NewNetwork(g, Config{Engine: eng, Observer: o}).RunStepped(echoFactory(out, 5)); err != nil {
+		if _, err := NewNetwork(g, Config{Engine: eng, Observer: o}).RunStepped(&echoStep{out: out, rounds: 5}); err != nil {
 			t.Fatalf("%v: %v", eng, err)
 		}
 		return o

@@ -66,9 +66,7 @@ func TestSleepUntilPastIsNoOp(t *testing.T) {
 	want := []int{-1, 0, 1, 2, 3, 4}
 	forEachEngine(t, func(t *testing.T, eng Engine) {
 		log := make(stepLog, g.N())
-		m, err := NewNetwork(g, Config{Engine: eng}).RunStepped(func(nd *Node) StepProgram {
-			return &noOpSleeper{log: log, rounds: rounds}
-		})
+		m, err := NewNetwork(g, Config{Engine: eng}).RunStepped(&noOpSleeper{log: log, rounds: rounds})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,9 +119,7 @@ func TestSleepPastEveryoneElseFinished(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, eng Engine) {
 		log := make(stepLog, g.N())
 		o := &awakeObs{}
-		m, err := NewNetwork(g, Config{Engine: eng, Observer: o}).RunStepped(func(nd *Node) StepProgram {
-			return &lateSleeper{log: log, wake: wake}
-		})
+		m, err := NewNetwork(g, Config{Engine: eng, Observer: o}).RunStepped(&lateSleeper{log: log, wake: wake})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +176,7 @@ func TestSleepAllAsleepHitsMaxRounds(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, eng Engine) {
 		o := &awakeObs{}
 		m, err := NewNetwork(g, Config{Engine: eng, MaxRounds: maxRounds, Observer: o}).
-			RunStepped(func(nd *Node) StepProgram { return napper{} })
+			RunStepped(napper{})
 		if !errors.Is(err, ErrMaxRounds) {
 			t.Fatalf("err = %v, want ErrMaxRounds", err)
 		}
@@ -254,9 +250,7 @@ func TestSleepSkippedNodeReadsFresh(t *testing.T) {
 	var ms []Metrics
 	forEachEngine(t, func(t *testing.T, eng Engine) {
 		log := make([][]int64, g.N())
-		m, err := NewNetwork(g, Config{Engine: eng}).RunStepped(func(nd *Node) StepProgram {
-			return &freshReader{log: log, rounds: rounds}
-		})
+		m, err := NewNetwork(g, Config{Engine: eng}).RunStepped(&freshReader{log: log, rounds: rounds})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,35 +278,38 @@ func TestSleepSkippedNodeReadsFresh(t *testing.T) {
 
 // alternator: even nodes sleep until round far from Init on, and are woken
 // once by mail; odd nodes stay awake every round and broadcast in round
-// wakeAt-1. Each node counts its calls and the calls in which
-// Node.V was not its own index.
+// wakeAt-1. Each node counts its calls and the calls that did not come
+// after its previous one: a Node.V left over from another node makes a
+// node's entries see the same round twice.
 type alternator struct {
-	v           int
 	steps, bad  []int64
+	last        []int // the round of the node's previous call (-1 = Init)
 	far, wakeAt int
 }
 
-func (s *alternator) call(nd *Node) {
-	s.steps[s.v]++
-	if nd.V() != s.v {
-		s.bad[s.v]++
+func (s *alternator) call(nd *Node, round int) {
+	v := nd.V()
+	s.steps[v]++
+	if round <= s.last[v] {
+		s.bad[v]++
 	}
+	s.last[v] = round
 }
 
 func (s *alternator) Init(nd *Node) bool {
-	s.call(nd)
-	if s.v%2 == 0 {
+	s.call(nd, -1)
+	if nd.V()%2 == 0 {
 		nd.SleepUntil(s.far)
 	}
 	return false
 }
 
 func (s *alternator) Step(nd *Node, round int, in []Incoming) bool {
-	s.call(nd)
+	s.call(nd, round)
 	if round >= s.far {
 		return true
 	}
-	if s.v%2 == 0 {
+	if nd.V()%2 == 0 {
 		nd.SleepUntil(s.far)
 	} else if round == s.wakeAt-1 {
 		nd.Broadcast([]byte{1})
@@ -325,7 +322,7 @@ func (s *alternator) Step(nd *Node, round int, in []Incoming) bool {
 // an index left over from the previous node would show here, where
 // neighbouring indices of one chunk alternate between asleep and awake.
 // Both engines must agree on the metrics and on every node's call count,
-// and every node must see its own index.
+// and no node may be called twice for one round.
 func TestSleepNoStateLeaksBetweenNodes(t *testing.T) {
 	g := graph.Cycle(600) // even length: an even node's neighbours are odd
 	const far, wakeAt = 10, 4
@@ -333,12 +330,12 @@ func TestSleepNoStateLeaksBetweenNodes(t *testing.T) {
 	var counts [][]int64
 	forEachEngine(t, func(t *testing.T, eng Engine) {
 		steps, bad := make([]int64, g.N()), make([]int64, g.N())
-		slab := make([]alternator, g.N())
-		m, err := NewNetwork(g, Config{Engine: eng}).RunStepped(func(nd *Node) StepProgram {
-			s := &slab[nd.V()]
-			*s = alternator{v: nd.V(), steps: steps, bad: bad, far: far, wakeAt: wakeAt}
-			return s
-		})
+		last := make([]int, g.N())
+		for v := range last {
+			last[v] = -2
+		}
+		m, err := NewNetwork(g, Config{Engine: eng}).RunStepped(
+			&alternator{steps: steps, bad: bad, last: last, far: far, wakeAt: wakeAt})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +350,7 @@ func TestSleepNoStateLeaksBetweenNodes(t *testing.T) {
 				want = 3
 			}
 			if steps[v] != want || bad[v] != 0 {
-				t.Errorf("node %d: %d calls (%d with another index), want %d", v, steps[v], bad[v], want)
+				t.Errorf("node %d: %d calls (%d out of order), want %d", v, steps[v], bad[v], want)
 			}
 		}
 		ms, counts = append(ms, m), append(counts, steps)

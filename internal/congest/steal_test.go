@@ -11,53 +11,47 @@ import (
 // skewedStep is a deliberately unbalanced workload: nodes in the first
 // chunk-sized block burn far more compute per Step than the rest, so under
 // static chunk assignment one worker's range dominates the round while the
-// other workers idle. The accumulator folds the spin result in, so the
-// work cannot be optimized away and any engine bug that skips it changes
-// the output.
+// other workers idle. The accumulator (the node's out entry) folds the
+// spin result in, so the work cannot be optimized away and any engine bug
+// that skips it changes the output.
 type skewedStep struct {
-	out    []int64
-	rounds int
-	heavy  bool
-	acc    int64
+	out        []int64
+	rounds     int
+	heavyBelow int // nodes below it are heavy
 }
 
 func (s *skewedStep) spin(nd *Node) {
 	iters := 40
-	if s.heavy {
+	if nd.V() < s.heavyBelow {
 		iters = 4000
 	}
 	x := nd.ID()
 	for i := 0; i < iters; i++ {
 		x = x*6364136223846793005 + 1442695040888963407
 	}
-	s.acc ^= x
+	s.out[nd.V()] ^= x
 }
 
 func (s *skewedStep) Init(nd *Node) bool {
-	s.acc = nd.ID()
+	acc := &s.out[nd.V()]
+	*acc = nd.ID()
 	s.spin(nd)
-	nd.Broadcast(AppendVarint(nd.PayloadBuf(4), s.acc&0x3fff))
+	nd.Broadcast(AppendVarint(nd.PayloadBuf(4), *acc&0x3fff))
 	return false
 }
 
 func (s *skewedStep) Step(nd *Node, round int, in []Incoming) bool {
 	s.spin(nd)
+	acc := &s.out[nd.V()]
 	for i, msg := range in {
 		v, _ := Varint(msg.Payload, 0)
-		s.acc = s.acc*31 + v*int64(i+1)
+		*acc = *acc*31 + v*int64(i+1)
 	}
 	if round+1 >= s.rounds {
-		s.out[nd.V()] = s.acc
 		return true
 	}
-	nd.Broadcast(AppendVarint(nd.PayloadBuf(4), s.acc&0x3fff))
+	nd.Broadcast(AppendVarint(nd.PayloadBuf(4), *acc&0x3fff))
 	return false
-}
-
-func skewedFactory(out []int64, rounds, heavyBelow int) StepFactory {
-	return func(nd *Node) StepProgram {
-		return &skewedStep{out: out, rounds: rounds, heavy: nd.V() < heavyBelow}
-	}
 }
 
 // TestSteppedStealingDeterminism pins the work-stealing invariant: which
@@ -70,8 +64,7 @@ func TestSteppedStealingDeterminism(t *testing.T) {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
 		out := make([]int64, g.N())
-		m, err := NewNetwork(g, Config{Engine: EngineStepped}).RunStepped(
-			skewedFactory(out, 6, g.N()/8))
+		m, err := NewNetwork(g, Config{Engine: EngineStepped}).RunStepped(&skewedStep{out: out, rounds: 6, heavyBelow: g.N() / 8})
 		if err != nil {
 			t.Fatalf("p=%d: %v", procs, err)
 		}
@@ -101,8 +94,7 @@ func TestSteppedStealingRace(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	g := graph.Torus(36, 36)
 	out := make([]int64, g.N())
-	m, err := NewNetwork(g, Config{Engine: EngineStepped}).RunStepped(
-		skewedFactory(out, 5, g.N()/8))
+	m, err := NewNetwork(g, Config{Engine: EngineStepped}).RunStepped(&skewedStep{out: out, rounds: 5, heavyBelow: g.N() / 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +142,7 @@ func BenchmarkSteppedSkewed(b *testing.B) {
 			out := make([]int64, g.N())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := net.RunStepped(skewedFactory(out, 8, g.N()/8)); err != nil {
+				if _, err := net.RunStepped(&skewedStep{out: out, rounds: 8, heavyBelow: g.N() / 8}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,10 +2,12 @@ package congest
 
 import "runtime"
 
-// StepProgram is the stackless, non-blocking form of a Program: per-node
-// state lives in an explicit struct, and the engine calls the node instead
-// of the node blocking on the engine. The correspondence to the blocking
-// form is mechanical (see the package documentation for a worked example):
+// StepProgram is the stackless, non-blocking form of a Program. One value
+// runs every node of a run: the engine calls the program for the node
+// instead of the node blocking on the engine, and the program keeps each
+// node's state in its own slab, indexed by Node.V. The correspondence to
+// the blocking form is mechanical (see the package documentation for a
+// worked example):
 //
 //   - Init replaces the code before the first Sync,
 //   - Step(nd, r, inbox) replaces the code between the r-th and (r+1)-th
@@ -14,6 +16,13 @@ import "runtime"
 //   - returning done=true replaces returning from the Program; sends queued
 //     in the final call are still delivered, exactly like a blocking
 //     program's sends before return.
+//
+// Calls for distinct nodes may run at once (EngineStepped's worker pool,
+// EngineGoroutine's node goroutines), so a call may write only its own
+// node's slots and must not mutate shared state without synchronization;
+// the calls for one node never overlap. A value serves one run, since its
+// slabs hold that run's node states, unless its Init resets every slot the
+// node reads.
 //
 // A StepProgram must not call Node.Sync (the engine owns the barrier; a
 // Sync call aborts the run with an error). The inbox slice and, on
@@ -34,31 +43,20 @@ type StepProgram interface {
 	Step(nd *Node, round int, inbox []Incoming) (done bool)
 }
 
-// StepFactory builds the per-node StepProgram instance. Under EngineStepped
-// factories are invoked concurrently from the worker pool (always with
-// distinct nodes), so a factory must not mutate shared state without
-// synchronization; capturing shared output slices that nodes write to
-// disjoint indices is fine. Per-node state may likewise come from one slab
-// indexed by Node.V, which avoids an allocation per node; such a factory
-// value, like one whose output slices are shared, serves one run. The
-// *Node is valid only for the call, as in Init and Step: the program must
-// not store it.
-type StepFactory func(nd *Node) StepProgram
-
-// BlockingFromStep adapts a StepFactory to the blocking Program API, so
+// BlockingFromStep adapts a StepProgram to the blocking Program API, so
 // stepped programs run unchanged — with identical outputs and metrics — on
-// the goroutine engine. This is the adapter behind RunStepped's engine
-// dispatch and the lever the conformance suite uses to hold the stepped
-// program corpus byte-identical across both engines.
+// the goroutine engine. Every node goroutine drives the same p. This is
+// the adapter behind RunStepped's engine dispatch and the lever the
+// conformance suite uses to hold the stepped program corpus byte-identical
+// across both engines.
 //
 // Sleeping (Node.SleepUntil) is emulated here: the node still calls Sync
 // every round, so the barrier and fault hooks see every opportunity, but
 // Step is skipped while r is before the sleep target and the inbox is
 // empty — exactly the rounds the stepped engine skips.
-func BlockingFromStep(f StepFactory) Program {
+func BlockingFromStep(p StepProgram) Program {
 	return func(nd *Node) {
-		sp := f(nd)
-		if sp.Init(nd) {
+		if p.Init(nd) {
 			return
 		}
 		for r := 0; ; r++ {
@@ -67,28 +65,28 @@ func BlockingFromStep(f StepFactory) Program {
 				continue
 			}
 			nd.sleep = 0
-			if sp.Step(nd, r, in) {
+			if p.Step(nd, r, in) {
 				return
 			}
 		}
 	}
 }
 
-// RunStepped executes the stepped program built by f on every node until all
-// nodes are done, returning the collected metrics. By default the run is
-// stackless: a GOMAXPROCS-sized worker pool drives all nodes over the CSR
-// message slots, so memory per node is the program's own state struct plus
-// a few machine words — no goroutine stacks. Under EngineGoroutine the
+// RunStepped executes p on every node until all nodes are done, returning
+// the collected metrics. By default the run is stackless: a
+// GOMAXPROCS-sized worker pool drives all nodes over the CSR message
+// slots, so memory per node is the program's own per-node state plus
+// 12 bytes of engine state — no goroutine stacks. Under EngineGoroutine the
 // program is adapted to blocking form and produces identical results, which
 // is what makes porting a Program to a StepProgram a pure performance
 // change. From 2¹⁸ nodes on, a stepped run ends with a collection: left
 // to the GC pacer, the caller's next allocations would reuse the run's dead
 // state or stack on it by chance (peak RSS 225 or 255 MiB, 10⁶-node arbmds).
-func (net *Network) RunStepped(f StepFactory) (Metrics, error) {
+func (net *Network) RunStepped(p StepProgram) (Metrics, error) {
 	if net.cfg.Engine == EngineGoroutine {
-		return net.Run(BlockingFromStep(f))
+		return net.Run(BlockingFromStep(p))
 	}
-	m, err := net.runStepped(f)
+	m, err := net.runStepped(p)
 	if net.g.N() >= 1<<18 {
 		runtime.GC()
 	}

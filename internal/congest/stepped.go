@@ -62,11 +62,12 @@ import (
 // scans them (the [][]byte layout made it walk 8 M slice headers per
 // cycle on a million-node torus).
 //
-// Memory per node is the 16-byte interface value of its StepProgram, an
-// 8-byte alive entry (the node's index and its sleep round, the only Node
-// state that lives across rounds), a 4-byte mail word and whatever state
-// the program itself keeps — 28 bytes of engine state instead of a
-// goroutine stack. There is no per-node Node: each worker owns one, wired
+// Memory per node is an 8-byte alive entry (the node's index and its sleep
+// round, the only Node state that lives across rounds), a 4-byte mail word
+// and whatever state the program itself keeps in its slabs — 12 bytes of
+// engine state instead of a goroutine stack. There is no per-node program
+// value: one StepProgram serves every node, each call naming its node
+// through Node.V. Nor is there a per-node Node: each worker owns one, wired
 // to the network, the engine and the worker's outbox, inbox and payload
 // arena once, and lends it to every node it runs, setting its index and
 // clearing its sleep before each Init/Step call and storing the sleep
@@ -101,10 +102,8 @@ const chunksPerWorker = 8
 // node→chunk map is static, which is what lets receivers locate a sender's
 // payload bytes no matter which worker happened to sweep the sender.
 type steppedChunk struct {
-	lo    int
-	alive []liveNode    // live nodes in this chunk's range, in index order
-	progs []StepProgram // indexed by v-lo
-	slots slotArena     // payload bytes behind this chunk's deposited records
+	alive []liveNode // live nodes in this chunk's range, in index order
+	slots slotArena  // payload bytes behind this chunk's deposited records
 }
 
 // liveNode is a live node's entry in its chunk: its index and the round it
@@ -181,8 +180,8 @@ type steppedEngine struct {
 	obs Observer
 }
 
-// runStepped executes the stepped program built by f on every node.
-func (net *Network) runStepped(f StepFactory) (Metrics, error) {
+// runStepped executes prog on every node.
+func (net *Network) runStepped(prog StepProgram) (Metrics, error) {
 	n := net.g.N()
 	eng := &steppedEngine{net: net, obs: net.cfg.Observer}
 	if n == 0 {
@@ -221,9 +220,7 @@ func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 			hi = n
 		}
 		ck := &eng.chunks[c]
-		ck.lo = lo
 		ck.alive = make([]liveNode, 0, hi-lo)
-		ck.progs = make([]StepProgram, hi-lo)
 		for v := lo; v < hi; v++ {
 			ck.alive = append(ck.alive, liveNode{v: int32(v)})
 		}
@@ -243,7 +240,7 @@ func (net *Network) runStepped(f StepFactory) (Metrics, error) {
 		starts[w] = make(chan int, 1)
 		go func(wk *steppedWorker, start chan int) {
 			for phase := range start {
-				wk.sweep(f, phase)
+				wk.sweep(prog, phase)
 				wg.Done()
 			}
 			wg.Done() // exited
@@ -333,7 +330,7 @@ func (eng *steppedEngine) traffic() tally {
 
 // sweep runs one round on this worker: claim chunks off the shared cursor
 // until none remain, processing each claimed chunk's live nodes.
-func (w *steppedWorker) sweep(f StepFactory, phase int) {
+func (w *steppedWorker) sweep(prog StepProgram, phase int) {
 	eng := w.eng
 	w.arena.reset()
 	w.awake, w.due = 0, math.MaxInt
@@ -357,7 +354,7 @@ func (w *steppedWorker) sweep(f StepFactory, phase int) {
 				h.Stall(phase)
 			}
 		}
-		w.sweepChunk(f, phase, &eng.chunks[c])
+		w.sweepChunk(prog, phase, &eng.chunks[c])
 	}
 	if eng.obs != nil {
 		// The start/end receipt stamps bound the worker's busy span; Value
@@ -367,9 +364,8 @@ func (w *steppedWorker) sweep(f StepFactory, phase int) {
 }
 
 // sweepChunk runs one round over one chunk's live nodes: collect, step,
-// deposit, skipping sleeping nodes without mail. Phase 0 instantiates the
-// programs and calls Init instead.
-func (w *steppedWorker) sweepChunk(f StepFactory, phase int, ck *steppedChunk) {
+// deposit, skipping sleeping nodes without mail. Phase 0 calls Init instead.
+func (w *steppedWorker) sweepChunk(prog StepProgram, phase int, ck *steppedChunk) {
 	eng := w.eng
 	ck.slots.reset(phase)
 	writeRecs := eng.recs[(phase+1)&1]
@@ -400,10 +396,10 @@ func (w *steppedWorker) sweepChunk(f StepFactory, phase int, ck *steppedChunk) {
 			nd.v, nd.sleep = v, 0
 			awake++
 			if phase == 0 {
-				done = w.initNode(f, ck)
+				done = w.initNode(prog)
 			} else {
 				in := w.collect(readRecs, gen, v, mail)
-				done = w.stepNode(ck, phase-1, in)
+				done = w.stepNode(prog, phase-1, in)
 			}
 			e.sleep = nd.sleep
 			// Deposit unconditionally: sends queued before a final return or
@@ -418,9 +414,7 @@ func (w *steppedWorker) sweepChunk(f StepFactory, phase int, ck *steppedChunk) {
 				w.io.outbox = out[:0] // keep the (possibly grown) backing
 			}
 		}
-		if done {
-			ck.progs[v-ck.lo] = nil
-		} else {
+		if !done {
 			kept = append(kept, e)
 			due = min(due, max(phase, int(e.sleep))+1)
 		}
@@ -478,23 +472,18 @@ func (w *steppedWorker) collect(readRecs []slotRec, gen, v int, mail uint32) []I
 	return in
 }
 
-// initNode builds the program of the node the worker's Node stands for and
-// runs Init, converting panics into the run failure. A panicked node is
-// treated as done.
-func (w *steppedWorker) initNode(f StepFactory, ck *steppedChunk) (done bool) {
+// initNode runs Init for the node the worker's Node stands for, converting
+// panics into the run failure. A panicked node is treated as done.
+func (w *steppedWorker) initNode(prog StepProgram) (done bool) {
 	defer w.recoverStep(&done)
-	nd := &w.nd
-	prog := f(nd)
-	ck.progs[nd.v-ck.lo] = prog
-	return prog.Init(nd)
+	return prog.Init(&w.nd)
 }
 
 // stepNode runs one Step of the worker's current node, converting panics
 // into the run failure.
-func (w *steppedWorker) stepNode(ck *steppedChunk, round int, in []Incoming) (done bool) {
+func (w *steppedWorker) stepNode(prog StepProgram, round int, in []Incoming) (done bool) {
 	defer w.recoverStep(&done)
-	nd := &w.nd
-	return ck.progs[nd.v-ck.lo].Step(nd, round, in)
+	return prog.Step(&w.nd, round, in)
 }
 
 // recoverStep records a program panic as the run failure. The sweep keeps

@@ -56,9 +56,7 @@ func Initial(net *congest.Network, ledger *congest.Ledger, eps float64) (*CFDS, 
 	phases := CoverPhases(ctx, eps, delta)
 
 	x := make([]fixpoint.Value, n)
-	metrics, err := net.RunStepped(func(nd *congest.Node) congest.StepProgram {
-		return &coverStep{x: x, phases: phases, ctx: ctx}
-	})
+	metrics, err := net.RunStepped(newCoverStep(x, phases, ctx))
 	if ledger != nil {
 		ledger.RecordRun("partI/fractional-cover", metrics)
 	}
@@ -157,58 +155,74 @@ func CoverPhases(ctx fixpoint.Ctx, eps float64, maxDegree int) []CoverPhase {
 // fault hooks a crashed neighbour stays uncovered in its neighbours' counts
 // instead of turning covered. Part I never runs under fault hooks: mds,
 // family and serve set no Hooks.
+//
+// One coverStep runs every node: x doubles as each node's own value, and
+// the rest of a node's state is its coverNode.
 type coverStep struct {
-	x      []fixpoint.Value
-	phases []CoverPhase
-	ctx    fixpoint.Ctx
+	x         []fixpoint.Value // output, and each node's value as it rises
+	phases    []CoverPhase
+	ctx       fixpoint.Ctx
+	lastRound int // the round of the final Step, in which every node outputs
+	nodes     []coverNode
+}
 
-	xv           fixpoint.Value
+// coverNode is one node's covering state besides its value.
+type coverNode struct {
 	covSelf      fixpoint.Value
-	nbrUncovered int            // neighbours whose flip has not arrived
-	myUncovered  bool           // own constraint uncovered as of the last round A
 	delta        fixpoint.Value // own increment not yet folded into covSelf
+	nbrUncovered int32          // neighbours whose flip has not arrived
+	myUncovered  bool           // own constraint uncovered as of the last round A
+}
+
+// newCoverStep returns the covering program over the schedule phases,
+// writing every node's value to x.
+func newCoverStep(x []fixpoint.Value, phases []CoverPhase, ctx fixpoint.Ctx) *coverStep {
+	last := phases[len(phases)-1]
+	return &coverStep{
+		x:         x,
+		phases:    phases,
+		ctx:       ctx,
+		lastRound: 2*(last.first+last.Iters) - 1,
+		nodes:     make([]coverNode, len(x)),
+	}
 }
 
 // residual is the node's residual degree: the uncovered constraints in its
 // inclusive neighbourhood, as of the flips received so far.
-func (s *coverStep) residual() int {
-	if s.myUncovered {
-		return s.nbrUncovered + 1
+func (c *coverNode) residual() int {
+	if c.myUncovered {
+		return int(c.nbrUncovered) + 1
 	}
-	return s.nbrUncovered
-}
-
-// lastRound is the round of the final Step, in which every node outputs.
-func (s *coverStep) lastRound() int {
-	last := s.phases[len(s.phases)-1]
-	return 2*(last.first+last.Iters) - 1
+	return int(c.nbrUncovered)
 }
 
 // sleepFrom sleeps until round A of the first iteration ≥ k at which the
 // node is a candidate, or until the last round if there is none: its value
 // is 1, or no remaining threshold is at most its residual degree. The
 // thresholds never rise, so the phases that qualify form a suffix.
-func (s *coverStep) sleepFrom(nd *congest.Node, k int) {
-	d := fixpoint.Value(uint64(s.residual())) * s.ctx.One()
+func (s *coverStep) sleepFrom(nd *congest.Node, c *coverNode, k int) {
+	d := fixpoint.Value(uint64(c.residual())) * s.ctx.One()
 	i := sort.Search(len(s.phases), func(i int) bool { return s.phases[i].Threshold <= d })
-	if s.xv < s.ctx.One() && i < len(s.phases) {
-		if next := max(k, s.phases[i].first); 2*next < s.lastRound() {
+	if s.x[nd.V()] < s.ctx.One() && i < len(s.phases) {
+		if next := max(k, s.phases[i].first); 2*next < s.lastRound {
 			nd.SleepUntil(2 * next)
 			return
 		}
 	}
-	nd.SleepUntil(s.lastRound())
+	nd.SleepUntil(s.lastRound)
 }
 
 func (s *coverStep) Init(nd *congest.Node) bool {
-	s.nbrUncovered = nd.Degree()
-	s.myUncovered = true
-	s.sleepFrom(nd, 0)
+	c := &s.nodes[nd.V()]
+	c.nbrUncovered = int32(nd.Degree())
+	c.myUncovered = true
+	s.sleepFrom(nd, c, 0)
 	return false
 }
 
 func (s *coverStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
 	ctx := s.ctx
+	c, xv := &s.nodes[nd.V()], &s.x[nd.V()]
 	k := round / 2
 	if round%2 == 0 {
 		// Round A receive: residual degree over the inclusive neighbourhood.
@@ -217,41 +231,40 @@ func (s *coverStep) Step(nd *congest.Node, round int, in []congest.Incoming) boo
 				panic("fractional: bad flip message")
 			}
 		}
-		s.nbrUncovered -= len(in)
+		c.nbrUncovered -= int32(len(in))
 		// Round B send: candidates raise and broadcast the actual delta.
 		ph := s.phases[sort.Search(len(s.phases), func(i int) bool {
 			return s.phases[i].first+s.phases[i].Iters > k
 		})]
-		if fixpoint.Value(uint64(s.residual()))*ctx.One() >= ph.Threshold && s.xv < ctx.One() {
-			nx := ctx.Clamp1(ctx.Add(s.xv, ph.Increment))
-			s.delta = nx - s.xv
-			s.xv = nx
-			nd.Broadcast(congest.AppendUvarint(nd.PayloadBuf(10), uint64(s.delta)))
+		if fixpoint.Value(uint64(c.residual()))*ctx.One() >= ph.Threshold && *xv < ctx.One() {
+			nx := ctx.Clamp1(ctx.Add(*xv, ph.Increment))
+			c.delta = nx - *xv
+			*xv = nx
+			nd.Broadcast(congest.AppendUvarint(nd.PayloadBuf(10), uint64(c.delta)))
 			return false // awake in round B to fold the delta
 		}
-		s.sleepFrom(nd, k+1)
+		s.sleepFrom(nd, c, k+1)
 		return false
 	}
 	// Round B receive: fold every increment into our own coverage.
-	s.covSelf = ctx.Add(s.covSelf, s.delta)
-	s.delta = 0
+	c.covSelf = ctx.Add(c.covSelf, c.delta)
+	c.delta = 0
 	for _, msg := range in {
 		d, off := congest.Uvarint(msg.Payload, 0)
 		if off < 0 {
 			panic("fractional: bad increment message")
 		}
-		s.covSelf = ctx.Add(s.covSelf, fixpoint.Value(d))
+		c.covSelf = ctx.Add(c.covSelf, fixpoint.Value(d))
 	}
-	if round == s.lastRound() {
-		s.x[nd.V()] = s.xv
+	if round == s.lastRound {
 		return true
 	}
 	// Round A send: the flip, once the own constraint is covered.
-	if s.myUncovered && s.covSelf >= ctx.One() {
-		s.myUncovered = false
+	if c.myUncovered && c.covSelf >= ctx.One() {
+		c.myUncovered = false
 		nd.Broadcast(append(nd.PayloadBuf(1), 0))
 	}
-	s.sleepFrom(nd, k+1)
+	s.sleepFrom(nd, c, k+1)
 	return false
 }
 

@@ -18,7 +18,11 @@ type broadcastEveryRound struct {
 	nonzero []int64
 	phases  []CoverPhase
 	ctx     fixpoint.Ctx
+	nodes   []everyRoundNode
+}
 
+// everyRoundNode is one node's state in broadcastEveryRound.
+type everyRoundNode struct {
 	xv           fixpoint.Value
 	covSelf      fixpoint.Value
 	uncoveredNbr []bool
@@ -28,71 +32,73 @@ type broadcastEveryRound struct {
 	awaitingB    bool
 }
 
-func (s *broadcastEveryRound) sendA(nd *congest.Node) {
-	s.myUncovered = s.covSelf < s.ctx.One()
+func (s *broadcastEveryRound) sendA(nd *congest.Node, e *everyRoundNode) {
+	e.myUncovered = e.covSelf < s.ctx.One()
 	bit := byte(0)
-	if s.myUncovered {
+	if e.myUncovered {
 		bit = 1
 	}
 	nd.Broadcast(append(nd.PayloadBuf(1), bit))
 }
 
 func (s *broadcastEveryRound) Init(nd *congest.Node) bool {
-	s.uncoveredNbr = make([]bool, nd.Degree())
-	s.sendA(nd)
+	e := &s.nodes[nd.V()]
+	e.uncoveredNbr = make([]bool, nd.Degree())
+	s.sendA(nd, e)
 	return false
 }
 
 func (s *broadcastEveryRound) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
 	ctx := s.ctx
-	if !s.awaitingB {
-		for i := range s.uncoveredNbr {
-			s.uncoveredNbr[i] = false
+	e := &s.nodes[nd.V()]
+	if !e.awaitingB {
+		for i := range e.uncoveredNbr {
+			e.uncoveredNbr[i] = false
 		}
 		for _, msg := range in {
-			s.uncoveredNbr[msg.Port] = msg.Payload[0] == 1
+			e.uncoveredNbr[msg.Port] = msg.Payload[0] == 1
 		}
 		d := 0
-		if s.myUncovered {
+		if e.myUncovered {
 			d++
 		}
-		for _, u := range s.uncoveredNbr {
+		for _, u := range e.uncoveredNbr {
 			if u {
 				d++
 			}
 		}
-		ph := s.phases[s.pi]
-		s.delta = 0
-		if fixpoint.Value(uint64(d))*ctx.One() >= ph.Threshold && s.xv < ctx.One() {
-			nx := ctx.Clamp1(ctx.Add(s.xv, ph.Increment))
-			s.delta = nx - s.xv
-			s.xv = nx
+		ph := s.phases[e.pi]
+		e.delta = 0
+		if fixpoint.Value(uint64(d))*ctx.One() >= ph.Threshold && e.xv < ctx.One() {
+			nx := ctx.Clamp1(ctx.Add(e.xv, ph.Increment))
+			e.delta = nx - e.xv
+			e.xv = nx
 		}
-		if s.delta != 0 {
+		if e.delta != 0 {
 			s.nonzero[nd.V()] += int64(nd.Degree())
 		}
-		nd.Broadcast(congest.AppendUvarint(nd.PayloadBuf(10), uint64(s.delta)))
-		s.awaitingB = true
+		nd.Broadcast(congest.AppendUvarint(nd.PayloadBuf(10), uint64(e.delta)))
+		e.awaitingB = true
 		return false
 	}
-	s.covSelf = ctx.Add(s.covSelf, s.delta)
+	e.covSelf = ctx.Add(e.covSelf, e.delta)
 	for _, msg := range in {
 		d, off := congest.Uvarint(msg.Payload, 0)
 		if off < 0 {
 			panic("fractional: bad increment message")
 		}
-		s.covSelf = ctx.Add(s.covSelf, fixpoint.Value(d))
+		e.covSelf = ctx.Add(e.covSelf, fixpoint.Value(d))
 	}
-	s.awaitingB = false
-	if s.it++; s.it >= s.phases[s.pi].Iters {
-		s.it = 0
-		s.pi++
+	e.awaitingB = false
+	if e.it++; e.it >= s.phases[e.pi].Iters {
+		e.it = 0
+		e.pi++
 	}
-	if s.pi >= len(s.phases) {
-		s.x[nd.V()] = s.xv
+	if e.pi >= len(s.phases) {
+		s.x[nd.V()] = e.xv
 		return true
 	}
-	s.sendA(nd)
+	s.sendA(nd, e)
 	return false
 }
 
@@ -137,10 +143,7 @@ func coverRaw(t *testing.T, g *graph.Graph, eng congest.Engine, eps float64) []f
 	ctx := ScaleFor(g.N())
 	phases := CoverPhases(ctx, eps, g.MaxDegree())
 	x := make([]fixpoint.Value, g.N())
-	_, err := congest.NewNetwork(g, congest.Config{Engine: eng}).RunStepped(
-		func(*congest.Node) congest.StepProgram {
-			return &coverStep{x: x, phases: phases, ctx: ctx}
-		})
+	_, err := congest.NewNetwork(g, congest.Config{Engine: eng}).RunStepped(newCoverStep(x, phases, ctx))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +180,9 @@ func TestInitialMatchesBroadcastEveryRound(t *testing.T) {
 
 					twinX := make([]fixpoint.Value, n)
 					nonzero := make([]int64, n)
-					twin, err := congest.NewNetwork(g, congest.Config{Engine: eng}).RunStepped(
-						func(nd *congest.Node) congest.StepProgram {
-							return &broadcastEveryRound{x: twinX, nonzero: nonzero, phases: phases, ctx: ctx}
-						})
+					twin, err := congest.NewNetwork(g, congest.Config{Engine: eng}).RunStepped(&broadcastEveryRound{
+						x: twinX, nonzero: nonzero, phases: phases, ctx: ctx, nodes: make([]everyRoundNode, n),
+					})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -159,7 +159,7 @@ func Solve(g *graph.Graph, p Params) (*Result, error) {
 	net := congest.NewNetwork(g, p.Run.Config(p.MaxRounds))
 	inD := make([]bool, g.N())
 	inCDS := make([]bool, g.N())
-	m, err := net.RunStepped(StepFactory(g, p.Eps, p.DiamBound, inD, inCDS))
+	m, err := net.RunStepped(StepProgram(g, p.Eps, p.DiamBound, inD, inCDS))
 	if err != nil {
 		return nil, err
 	}

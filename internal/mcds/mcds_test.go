@@ -15,10 +15,11 @@ import (
 )
 
 // TestMcdsStepFootprint pins the per-node state of the native form: the
-// shared-state pointer, the Peel word and the flood-min BFS triple.
+// Peel word and the flood-min BFS triple, with the shared state held once
+// by the program.
 func TestMcdsStepFootprint(t *testing.T) {
-	if sz := unsafe.Sizeof(mcdsStep{}); sz > 32 {
-		t.Errorf("sizeof(mcdsStep) = %d B, want ≤ 32", sz)
+	if sz := unsafe.Sizeof(mcdsNode{}); sz > 24 {
+		t.Errorf("sizeof(mcdsNode) = %d B, want ≤ 24", sz)
 	}
 }
 
@@ -241,7 +242,7 @@ func TestConnectDiamBoundTooSmallFailsOnDisconnected(t *testing.T) {
 	}
 	run := func(diam int) error {
 		inD, inCDS := make([]bool, g.N()), make([]bool, g.N())
-		if _, err := congest.NewNetwork(g, congest.Config{}).RunStepped(StepFactory(g, arbmds.DefaultEps, diam, inD, inCDS)); err != nil {
+		if _, err := congest.NewNetwork(g, congest.Config{}).RunStepped(StepProgram(g, arbmds.DefaultEps, diam, inD, inCDS)); err != nil {
 			return err
 		}
 		var cds []int

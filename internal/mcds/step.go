@@ -7,9 +7,10 @@ import (
 )
 
 // The native StepProgram form. One state machine drives all three phases;
-// per-node state is four machine words (the shared-state pointer, the
-// arbmds.Peel word and the flood-min BFS triple) in one slab, so a
-// million-node run costs the engine's slot records plus 32 bytes per node.
+// per-node state is three machine words (the arbmds.Peel word and the
+// flood-min BFS triple) in one slab held by the run's single program
+// value, so a million-node run costs the engine's slot records plus 24
+// bytes per node.
 // The dominate phase inherits the peel's sleep: non-candidates run only on
 // mail and when a phase may make them candidates, and every node wakes for
 // the peel's last round, whose send slot seeds the orientation flood.
@@ -20,7 +21,7 @@ import (
 // cost the nodes with mail, not n per round, and a loose D̂ (D̂ = n) adds
 // rounds in which nothing is due.
 //
-// Round layout (peelRounds = 4·|schedule|, D̂ = shared.diam):
+// Round layout (peelRounds = 4·|schedule|, D̂ = mcdsStep.diam):
 //
 //	[0, peelRounds)                   dominate: arbmds.Peel, the
 //	                                  bounded-arboricity threshold peel
@@ -38,22 +39,22 @@ import (
 // independently written orient/connect loop; the conformance suite holds
 // the two byte-identical on every engine.
 
-// mcdsShared is the read-mostly state every node of one run shares: the
-// schedule and phase lengths (read-only) and the output vectors (distinct
-// nodes write distinct slots, as the StepFactory contract allows). A
-// node's own inD slot doubles as its membership flag in the orient and
-// connect phases.
-type mcdsShared struct {
+// mcdsStep is the run's program: the schedule and phase lengths
+// (read-only), the output vectors (distinct nodes write distinct slots, as
+// the StepProgram contract allows) and the per-node states. A node's own
+// inD slot doubles as its membership flag in the orient and connect
+// phases.
+type mcdsStep struct {
 	ths        []int
 	peelRounds int // 4·len(ths)
 	diam       int // D̂, the orientation phase length
 	inD        []bool
 	inCDS      []bool
+	nodes      []mcdsNode // indexed by node
 }
 
-// mcdsStep is the per-node state machine: 32 bytes, in one slab per run.
-type mcdsStep struct {
-	sh   *mcdsShared
+// mcdsNode is one node's state: 24 bytes.
+type mcdsNode struct {
 	peel arbmds.Peel // dominate phase
 
 	// Orientation phase: the flood-min BFS triple.
@@ -62,58 +63,55 @@ type mcdsStep struct {
 	parentPort int32
 }
 
-// StepFactory builds the full three-phase program for g: peel at decay
+// StepProgram builds the full three-phase program for g: peel at decay
 // eps, orient for diam rounds, connect. inD and inCDS are the output
-// vectors. The per-node states come from one slab indexed by node, so the
-// factory serves one run.
-func StepFactory(g *graph.Graph, eps float64, diam int, inD, inCDS []bool) congest.StepFactory {
-	sh := &mcdsShared{
+// vectors. The per-node states are one slab indexed by node, so the
+// program serves one run.
+func StepProgram(g *graph.Graph, eps float64, diam int, inD, inCDS []bool) congest.StepProgram {
+	ms := &mcdsStep{
 		ths:   arbmds.Thresholds(g.MaxDegree(), eps),
 		diam:  diam,
 		inD:   inD,
 		inCDS: inCDS,
+		nodes: make([]mcdsNode, g.N()),
 	}
-	sh.peelRounds = 4 * len(sh.ths)
-	slab := make([]mcdsStep, g.N())
-	return func(nd *congest.Node) congest.StepProgram {
-		ms := &slab[nd.V()]
-		*ms = mcdsStep{sh: sh}
-		return ms
-	}
+	ms.peelRounds = 4 * len(ms.ths)
+	return ms
 }
 
 func (ms *mcdsStep) Init(nd *congest.Node) bool {
-	ms.peel = arbmds.NewPeel(nd.Degree())
+	ms.nodes[nd.V()] = mcdsNode{peel: arbmds.NewPeel(nd.Degree())}
 	return false
 }
 
 // bfsStart seeds the flood-min BFS: every node roots itself and announces
 // (ownID, depth 0); the smallest ID wins the flood.
-func (ms *mcdsStep) bfsStart(nd *congest.Node) {
-	ms.bestID = nd.ID()
-	ms.depth = 0
-	ms.parentPort = -1
-	buf := congest.AppendVarint(nd.PayloadBuf(20), ms.bestID)
+func (s *mcdsNode) bfsStart(nd *congest.Node) {
+	s.bestID = nd.ID()
+	s.depth = 0
+	s.parentPort = -1
+	buf := congest.AppendVarint(nd.PayloadBuf(20), s.bestID)
 	nd.Broadcast(congest.AppendUvarint(buf, 0))
 }
 
 func (ms *mcdsStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
-	if round < ms.sh.peelRounds {
-		joined, last := ms.peel.Step(nd, ms.sh.ths, round, in)
+	s := &ms.nodes[nd.V()]
+	if round < ms.peelRounds {
+		joined, last := s.peel.Step(nd, ms.ths, round, in)
 		if joined {
-			ms.sh.inD[nd.V()] = true
-			ms.sh.inCDS[nd.V()] = true
+			ms.inD[nd.V()] = true
+			ms.inCDS[nd.V()] = true
 		}
 		if last {
 			// The same send slot seeds the orientation flood.
-			ms.bfsStart(nd)
+			s.bfsStart(nd)
 			ms.sleep(nd, round)
 		}
 		return false
 	}
-	rel := round - ms.sh.peelRounds
+	rel := round - ms.peelRounds
 	switch {
-	case rel < ms.sh.diam:
+	case rel < ms.diam:
 		improved := false
 		for _, msg := range in {
 			id, off := congest.Varint(msg.Payload, 0)
@@ -125,31 +123,31 @@ func (ms *mcdsStep) Step(nd *congest.Node, round int, in []congest.Incoming) boo
 				panic("mcds: bad orientation payload")
 			}
 			cand := int32(d) + 1
-			if id < ms.bestID || (id == ms.bestID && cand < ms.depth) {
-				ms.bestID, ms.depth, ms.parentPort = id, cand, int32(msg.Port)
+			if id < s.bestID || (id == s.bestID && cand < s.depth) {
+				s.bestID, s.depth, s.parentPort = id, cand, int32(msg.Port)
 				improved = true
 			}
 		}
-		if rel == ms.sh.diam-1 {
+		if rel == ms.diam-1 {
 			// Orientation is stable (D̂ ≥ diameter): dominators below the
 			// root launch the connect token toward their parent.
-			if ms.sh.inD[nd.V()] && ms.parentPort >= 0 {
-				nd.Send(int(ms.parentPort), nil)
+			if ms.inD[nd.V()] && s.parentPort >= 0 {
+				nd.Send(int(s.parentPort), nil)
 			}
 		} else if improved {
-			buf := congest.AppendVarint(nd.PayloadBuf(20), ms.bestID)
-			nd.Broadcast(congest.AppendUvarint(buf, uint64(ms.depth)))
+			buf := congest.AppendVarint(nd.PayloadBuf(20), s.bestID)
+			nd.Broadcast(congest.AppendUvarint(buf, uint64(s.depth)))
 		}
 		ms.sleep(nd, round)
 		return false
-	case rel == ms.sh.diam:
+	case rel == ms.diam:
 		// First connect hop: token receivers (the dominators' parents) join
 		// and forward the token once more.
 		if len(in) > 0 {
-			ms.requireTokens(in)
-			ms.sh.inCDS[nd.V()] = true
-			if ms.parentPort >= 0 {
-				nd.Send(int(ms.parentPort), nil)
+			requireTokens(in)
+			ms.inCDS[nd.V()] = true
+			if s.parentPort >= 0 {
+				nd.Send(int(s.parentPort), nil)
 			}
 		}
 		ms.sleep(nd, round)
@@ -158,8 +156,8 @@ func (ms *mcdsStep) Step(nd *congest.Node, round int, in []congest.Incoming) boo
 		// Second connect hop: grandparents join; the program ends for every
 		// node at the same round, so Rounds = peelRounds + D̂ + 2 exactly.
 		if len(in) > 0 {
-			ms.requireTokens(in)
-			ms.sh.inCDS[nd.V()] = true
+			requireTokens(in)
+			ms.inCDS[nd.V()] = true
 		}
 		return true
 	}
@@ -171,8 +169,8 @@ func (ms *mcdsStep) Step(nd *congest.Node, round int, in []congest.Incoming) boo
 // BFS triple, rebroadcast, join and forward a token) is a reaction to
 // mail, and mail wakes it, so the outcome is BlockingProgram's.
 func (ms *mcdsStep) sleep(nd *congest.Node, round int) {
-	wake := ms.sh.peelRounds + ms.sh.diam + 1
-	if launch := wake - 2; ms.sh.inD[nd.V()] && round < launch {
+	wake := ms.peelRounds + ms.diam + 1
+	if launch := wake - 2; ms.inD[nd.V()] && round < launch {
 		wake = launch
 	}
 	nd.SleepUntil(wake)
@@ -186,7 +184,7 @@ func (ms *mcdsStep) sleep(nd *congest.Node, round int) {
 // verification in Solve (verify.CheckCDS);
 // this assertion only pins the protocol's message-kind invariant against
 // future edits.
-func (ms *mcdsStep) requireTokens(in []congest.Incoming) {
+func requireTokens(in []congest.Incoming) {
 	for _, msg := range in {
 		if len(msg.Payload) != 0 {
 			panic("mcds: orientation message after the flood deadline (DiamBound too small)")

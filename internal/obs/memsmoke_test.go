@@ -42,7 +42,7 @@ func TestSteppedMillionNodeTracedRSS(t *testing.T) {
 	g := graph.Torus(1000, 1000)
 	out := make([]int64, g.N())
 	m, err := congest.NewNetwork(g, congest.Config{Engine: congest.EngineStepped, Observer: rec}).
-		RunStepped(echoFactory(out, 16))
+		RunStepped(&echoStep{out: out, rounds: 16})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -13,33 +13,30 @@ import (
 
 // echoStep broadcasts a round-stamped payload every round — the minimal
 // traffic-generating program for exercising the telemetry path end to end.
+// Each node's accumulator is its out entry.
 type echoStep struct {
 	out    []int64
 	rounds int
-	acc    int64
 }
 
 func (s *echoStep) Init(nd *congest.Node) bool {
-	s.acc = nd.ID()
-	nd.Broadcast(congest.AppendVarint(nd.PayloadBuf(4), s.acc&0x3fff))
+	acc := &s.out[nd.V()]
+	*acc = nd.ID()
+	nd.Broadcast(congest.AppendVarint(nd.PayloadBuf(4), *acc&0x3fff))
 	return false
 }
 
 func (s *echoStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool {
+	acc := &s.out[nd.V()]
 	for i, msg := range in {
 		v, _ := congest.Varint(msg.Payload, 0)
-		s.acc = s.acc*31 + v*int64(i+1)
+		*acc = *acc*31 + v*int64(i+1)
 	}
 	if round+1 >= s.rounds {
-		s.out[nd.V()] = s.acc
 		return true
 	}
-	nd.Broadcast(congest.AppendVarint(nd.PayloadBuf(4), s.acc&0x3fff))
+	nd.Broadcast(congest.AppendVarint(nd.PayloadBuf(4), *acc&0x3fff))
 	return false
-}
-
-func echoFactory(out []int64, rounds int) congest.StepFactory {
-	return func(nd *congest.Node) congest.StepProgram { return &echoStep{out: out, rounds: rounds} }
 }
 
 // napStep broadcasts in Init, then sleeps until round V%4+2 and is done
@@ -60,10 +57,6 @@ func (s *napStep) Step(nd *congest.Node, round int, in []congest.Incoming) bool 
 	}
 	nd.SleepUntil(nd.V()%4 + 2)
 	return false
-}
-
-func napFactory(out []int64) congest.StepFactory {
-	return func(nd *congest.Node) congest.StepProgram { return &napStep{out: out} }
 }
 
 // TestRecorderSegmentsAndDeltas drives the Recorder with a synthetic
@@ -201,12 +194,12 @@ func replayIdentity(t *testing.T, eng congest.Engine, nap bool) {
 	liveAgg := NewAggregator()
 	rec := NewRecorder(NewJSONL(&trace), liveAgg, NewChrome(&liveChrome))
 	out := make([]int64, g.N())
-	factory := echoFactory(out, 6)
+	var prog congest.StepProgram = &echoStep{out: out, rounds: 6}
 	if nap {
-		factory = napFactory(out)
+		prog = &napStep{out: out}
 	}
 	m, err := congest.NewNetwork(g, congest.Config{Engine: eng, Observer: rec}).
-		RunStepped(factory)
+		RunStepped(prog)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
